@@ -20,7 +20,6 @@ from .operators import (
     Tolerance,
     hermitian_eigh,
     is_hermitian,
-    matrix_function,
     phase_canonicalize,
 )
 
@@ -79,22 +78,72 @@ def canonical_eigenbasis(h: Operator, m: Operator,
                                  clusters=spec.clusters)
 
 
+def _cluster_coordinates(vectors: np.ndarray, m_spec: SpectralDecomposition,
+                         eps_supp: float):
+    """Coordinates of the columns of ``vectors`` in the eigenbasis of M.
+
+    Returns ``(coords, norms, mask)``: ``coords = W^dag V`` with W the
+    M-eigenvectors, ``norms[k, j]`` the norm of column j's component on
+    M-cluster k, and ``mask[k, j]`` whether that norm exceeds
+    ``eps_supp * ||v_j||``.  One gemm and one segmented sum.
+    """
+    vectors = np.asarray(vectors, dtype=complex)
+    coords = m_spec.eigenvectors.conj().T @ vectors
+    starts = [start for start, _ in m_spec.clusters]
+    norms = np.sqrt(np.add.reduceat(np.abs(coords) ** 2, starts, axis=0))
+    mask = norms > eps_supp * np.linalg.norm(vectors, axis=0)
+    return coords, norms, mask
+
+
+def _greedy_classes(vectors: np.ndarray, m_spec: SpectralDecomposition,
+                    tol: Tolerance, eps_supp: float):
+    """Greedy first-seen-representative classes of the columns of ``vectors``.
+
+    Returns ``(classes, mask)``; classes are lists of column indices,
+    ordered by their first member.  Columns are grouped by support mask;
+    within a group, "parallel on every supported cluster" is read off the
+    Gram matrices of the normalised cluster blocks.  A one-dimensional
+    cluster holds no direction, so it never separates two columns.
+    """
+    coords, norms, mask = _cluster_coordinates(vectors, m_spec, eps_supp)
+    groups: Dict[bytes, List[int]] = {}
+    for j, key in enumerate(np.ascontiguousarray(mask.T)):
+        groups.setdefault(key.tobytes(), []).append(j)
+    classes: List[List[int]] = []
+    for members in groups.values():
+        idx = np.array(members)
+        parallel = np.ones((len(idx), len(idx)), dtype=bool)
+        for k in np.flatnonzero(mask[:, idx[0]]):
+            start, stop = m_spec.clusters[k]
+            if len(idx) > 1 and stop - start > 1:
+                block = coords[start:stop, idx] / norms[k, idx]
+                parallel &= np.abs(block.conj().T @ block) >= 1.0 - tol.rtol
+        reps: List[int] = []
+        local: List[List[int]] = []
+        for j in range(len(idx)):
+            hits = np.flatnonzero(parallel[reps, j])
+            if hits.size:
+                local[hits[0]].append(int(idx[j]))
+            else:
+                reps.append(j)
+                local.append([int(idx[j])])
+        classes.extend(local)
+    classes.sort(key=lambda c: c[0])
+    return classes, mask
+
+
 def support_signature(psi: np.ndarray, m_spec: SpectralDecomposition,
                       eps_supp: float = DEFAULT_SUPPORT_EPS) -> SupportSignature:
     """Project psi on each M-eigenvalue cluster and record the support."""
-    psi = np.asarray(psi, dtype=complex)
-    norm = float(np.linalg.norm(psi))
-    present = []
+    coords, norms, mask = _cluster_coordinates(
+        np.reshape(psi, (-1, 1)), m_spec, eps_supp)
+    present = tuple(int(k) for k in np.flatnonzero(mask[:, 0]))
     components = {}
-    for k in range(m_spec.n_clusters):
-        basis = m_spec.cluster_basis(k)
-        projected = basis @ (basis.conj().T @ psi)
-        p_norm = float(np.linalg.norm(projected))
-        if p_norm > eps_supp * norm:
-            present.append(k)
-            components[k] = projected / p_norm
-    return SupportSignature(present_clusters=tuple(present),
-                            components=components)
+    for k in present:
+        start, stop = m_spec.clusters[k]
+        components[k] = (m_spec.cluster_basis(k)
+                         @ (coords[start:stop, 0] / norms[k, 0]))
+    return SupportSignature(present_clusters=present, components=components)
 
 
 def same_multiplet(psi: np.ndarray, phi: np.ndarray,
@@ -106,15 +155,9 @@ def same_multiplet(psi: np.ndarray, phi: np.ndarray,
     Equal cluster support and, per supported cluster, components parallel
     up to a complex scalar.
     """
-    sig_a = support_signature(psi, m_spec, eps_supp)
-    sig_b = support_signature(phi, m_spec, eps_supp)
-    if sig_a.present_clusters != sig_b.present_clusters:
-        return False
-    for k in sig_a.present_clusters:
-        overlap = abs(np.vdot(sig_a.components[k], sig_b.components[k]))
-        if overlap < 1.0 - tol.rtol:
-            return False
-    return True
+    classes, _ = _greedy_classes(np.column_stack([psi, phi]), m_spec,
+                                 tol, eps_supp)
+    return len(classes) == 1
 
 
 def partition(h_spec: SpectralDecomposition, m_spec: SpectralDecomposition,
@@ -122,26 +165,25 @@ def partition(h_spec: SpectralDecomposition, m_spec: SpectralDecomposition,
               eps_supp: float = DEFAULT_SUPPORT_EPS) -> MultipletPartition:
     """Group all eigenvectors into M-multiplets.
 
-    Classes are built against the first-seen representative of each class,
-    in eigenvector-index order.
+    Algorithm: one gemm ``C = W_M^dag V_H`` puts every eigenvector in the
+    eigenbasis of M; one segmented sum over ``|C|^2`` gives its norm on
+    each M-cluster and so its support mask.  Vectors are grouped by mask,
+    and within a group the per-cluster Gram matrices of the normalised
+    cluster blocks decide which pairs are parallel on every supported
+    cluster.  Memory is O(n^2) for C plus one group-size square matrix.
+
+    Ordering: classes are built greedily against the first-seen
+    representative of each class, in eigenvector-index order, exactly as
+    pairwise ``same_multiplet`` tests would build them.  Classes are
+    listed in order of their representative's index, members ascending,
+    and each signature is the representative's support.
     """
-    classes: List[List[int]] = []
-    representatives: List[np.ndarray] = []
-    for i in range(h_spec.dim):
-        psi = h_spec.eigenvectors[:, i]
-        for c, rep in enumerate(representatives):
-            if same_multiplet(rep, psi, m_spec, tol, eps_supp):
-                classes[c].append(i)
-                break
-        else:
-            classes.append([i])
-            representatives.append(psi)
-    signatures = tuple(
-        support_signature(rep, m_spec, eps_supp).present_clusters
-        for rep in representatives)
+    classes, mask = _greedy_classes(h_spec.eigenvectors, m_spec, tol,
+                                    eps_supp)
     return MultipletPartition(
         classes=tuple(tuple(c) for c in classes),
-        signatures=signatures,
+        signatures=tuple(tuple(int(k) for k in np.flatnonzero(mask[:, c[0]]))
+                         for c in classes),
         labels=tuple(size_label(len(c)) for c in classes),
     )
 
@@ -158,20 +200,19 @@ def recover_f(psi: np.ndarray, phi: np.ndarray,
     """
     if not same_multiplet(psi, phi, m_spec, tol, eps_supp):
         raise ValueError("vectors are not in the same M-multiplet")
-    psi = np.asarray(psi, dtype=complex)
     phi = np.asarray(phi, dtype=complex)
-    sig = support_signature(psi, m_spec, eps_supp)
+    coords, _, mask = _cluster_coordinates(np.column_stack([psi, phi]),
+                                           m_spec, eps_supp)
     values: Dict[int, complex] = {}
-    for k in range(m_spec.n_clusters):
-        if k not in sig.components:
+    diag = np.ones(m_spec.dim, dtype=complex)
+    for k, (start, stop) in enumerate(m_spec.clusters):
+        if not mask[k, 0]:
             values[k] = 1.0
             continue
-        basis = m_spec.cluster_basis(k)
-        p_psi = basis @ (basis.conj().T @ psi)
-        p_phi = basis @ (basis.conj().T @ phi)
-        values[k] = complex(np.vdot(p_psi, p_phi)
-                            / np.vdot(p_psi, p_psi).real)
-    rebuilt = matrix_function(m_spec, values).entries @ psi
+        c_psi, c_phi = coords[start:stop, 0], coords[start:stop, 1]
+        values[k] = complex(np.vdot(c_psi, c_phi) / np.vdot(c_psi, c_psi).real)
+        diag[start:stop] = values[k]
+    rebuilt = m_spec.eigenvectors @ (diag * coords[:, 0])
     if np.linalg.norm(phi - rebuilt) > tol.gap(float(np.linalg.norm(phi))):
         raise ValueError("recovered f does not reproduce phi within tolerance")
     return values

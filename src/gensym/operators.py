@@ -138,6 +138,11 @@ class SpectralDecomposition:
         start, stop = self.clusters[k]
         return float(np.mean(self.eigenvalues[start:stop]))
 
+    def cluster_values(self) -> np.ndarray:
+        """cluster_value of every index's cluster, one entry per index."""
+        return np.repeat([self.cluster_value(k) for k in range(self.n_clusters)],
+                         [stop - start for start, stop in self.clusters])
+
     def cluster_basis(self, k: int) -> np.ndarray:
         start, stop = self.clusters[k]
         return self.eigenvectors[:, start:stop]

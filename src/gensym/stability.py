@@ -9,6 +9,7 @@ Requires real gamma.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -20,11 +21,14 @@ from .operators import (
     SpectralDecomposition,
     Tolerance,
     fro,
-    matrix_function,
 )
 
 # Scale-free SVD rank cutoff sigma_3/sigma_1 and coefficient cutoff.
 STABILITY_CUTOFF = 1e-8
+
+# Eigenvectors classified together: bounds the stacked-SVD and gemm
+# workspace at O(n * _BLOCK) whatever the dimension.
+_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,6 +55,57 @@ class StabilityRecord:
     partner: Optional[PartnerRecord] = None
 
 
+@dataclass(frozen=True, eq=False)
+class _Ladder:
+    """What every stability test of one (triple, M) pair reads, built once."""
+
+    h: np.ndarray
+    h_norm: float
+    r: np.ndarray
+    r_dag: np.ndarray
+    r_scale: float
+    gamma: float
+    w: np.ndarray
+    w_dag: np.ndarray
+    mu: np.ndarray
+
+
+def _ladder(triple: GenSymTriple, m_spec: SpectralDecomposition) -> _Ladder:
+    r = triple.r.entries
+    r_dag = r.conj().T
+    h = triple.h0.entries + r + r_dag
+    return _Ladder(h=h, h_norm=fro(h), r=r, r_dag=r_dag,
+                   r_scale=max(1.0, fro(r)), gamma=triple.gamma.real,
+                   w=m_spec.eigenvectors, w_dag=m_spec.eigenvectors.conj().T,
+                   mu=m_spec.cluster_values())
+
+
+def _require_real_gamma(gamma: complex, tol: Tolerance):
+    if abs(gamma.imag) > tol.atol * max(1.0, abs(gamma.real)):
+        raise ValueError("stability classification requires real gamma")
+
+
+def _rank_tests(a: np.ndarray, b: np.ndarray, psi: np.ndarray,
+                cutoff: float):
+    """SVD rank test on [a_j | b_j | psi_j] for every column j at once.
+
+    One stacked thin SVD of shape (columns, max(n, 3), 3).  Rows are
+    zero-padded to three, which leaves the nonzero singular values as
+    they are but keeps a full 3x3 ``vh`` when n < 3, where dependence is
+    forced and the third singular value is zero.  Returns
+    (stable, x, y, u) arrays with the null relation x*a + y*b = u*psi
+    taken from the right-singular vector of the smallest singular value.
+    """
+    n, k = psi.shape
+    stack = np.zeros((k, max(n, 3), 3), dtype=complex)
+    stack[:, :n, 0] = a.T
+    stack[:, :n, 1] = b.T
+    stack[:, :n, 2] = psi.T
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    null = vh[:, 2].conj()
+    return s[:, 2] <= cutoff * s[:, 0], null[:, 0], null[:, 1], -null[:, 2]
+
+
 def linear_dependence(psi: np.ndarray, a: np.ndarray, b: np.ndarray,
                       cutoff: float = STABILITY_CUTOFF):
     """SVD rank test on the columns [a | b | psi].
@@ -62,15 +117,68 @@ def linear_dependence(psi: np.ndarray, a: np.ndarray, b: np.ndarray,
     psi = np.asarray(psi, dtype=complex)
     if np.linalg.norm(psi) == 0:
         raise ValueError("psi must be nonzero")
-    cols = np.column_stack([np.asarray(a, dtype=complex),
-                            np.asarray(b, dtype=complex), psi])
-    _, s, vh = np.linalg.svd(cols)
-    # Fewer than 3 ambient dimensions forces linear dependence.
-    s3 = float(s[2]) if s.size > 2 else 0.0
-    stable = bool(s3 <= cutoff * s[0])
-    null = vh[2].conj()
-    x, y, u = complex(null[0]), complex(null[1]), complex(-null[2])
-    return stable, (x, y, u)
+    stable, x, y, u = _rank_tests(
+        *(np.reshape(np.asarray(v, dtype=complex), (-1, 1))
+          for v in (a, b, psi)), cutoff)
+    return bool(stable[0]), (complex(x[0]), complex(y[0]), complex(u[0]))
+
+
+def _screen(x: complex, y: complex, u: complex):
+    """Cases of a stable vector from its null relation; normalised coeffs."""
+    mx = max(abs(x), abs(y), abs(u))
+    if abs(u) <= STABILITY_CUTOFF * mx:
+        return {1}, (x, y, u)
+    x, y = x / u, y / u
+    cx = max(abs(x), abs(y), 1.0)
+    cases = set()
+    if abs(y) <= STABILITY_CUTOFF * cx:
+        cases.add(2)
+    if abs(x) <= STABILITY_CUTOFF * cx:
+        cases.add(3)
+    if abs(x + y) <= STABILITY_CUTOFF * cx:
+        cases.add(4)
+    return cases or {5}, (x, y, 1.0 + 0.0j)
+
+
+def _classify_block(ladder: _Ladder, vectors: np.ndarray,
+                    eigenvalues: np.ndarray, indices, tol: Tolerance,
+                    ) -> List[StabilityRecord]:
+    """Classify the columns of ``vectors`` with one gemm per operator."""
+    residuals = np.linalg.norm(ladder.h @ vectors - vectors * eigenvalues,
+                               axis=0)
+    bad = np.flatnonzero(residuals > tol.gap(ladder.h_norm))
+    if bad.size:
+        raise ValueError(
+            f"psi is not an eigenvector of H at E={eigenvalues[bad[0]]} "
+            f"(residual {residuals[bad[0]]:.3e})")
+    a = ladder.r @ vectors
+    b = ladder.r_dag @ vectors
+    bound = STABILITY_CUTOFF * ladder.r_scale
+    r_annihilates = np.linalg.norm(a, axis=0) <= bound
+    rd_annihilates = np.linalg.norm(b, axis=0) <= bound
+    sum_annihilates = np.linalg.norm(a + b, axis=0) <= bound
+    stable, xs, ys, us = _rank_tests(a, b, vectors, STABILITY_CUTOFF)
+
+    screened = []
+    for j in range(len(eigenvalues)):
+        coeffs = (complex(xs[j]), complex(ys[j]), complex(us[j]))
+        screened.append(_screen(*coeffs) if stable[j] else ((), coeffs))
+    case5 = [j for j, (cases, _) in enumerate(screened) if 5 in cases]
+    partners = dict(zip(case5, _partners(
+        ladder, vectors[:, case5], eigenvalues[case5],
+        [screened[j][1][:2] for j in case5], tol)))
+
+    return [
+        StabilityRecord(
+            index=index, eigenvalue=float(eigenvalues[j]),
+            stable=bool(stable[j]), cases=tuple(sorted(cases)),
+            primary_case=min(cases) if cases else None, coeffs=coeffs,
+            r_annihilates=bool(r_annihilates[j]),
+            rd_annihilates=bool(rd_annihilates[j]),
+            sum_annihilates=bool(sum_annihilates[j]),
+            partner=partners.get(j))
+        for j, (index, (cases, coeffs)) in enumerate(zip(indices, screened))
+    ]
 
 
 def classify(psi: np.ndarray, eigenvalue: float, triple: GenSymTriple,
@@ -83,57 +191,60 @@ def classify(psi: np.ndarray, eigenvalue: float, triple: GenSymTriple,
     else is case 5 with an explicitly constructed partner.  All matching
     cases are recorded; the primary case is the smallest.
     """
-    gamma = triple.gamma
-    if abs(gamma.imag) > tol.atol * max(1.0, abs(gamma.real)):
-        raise ValueError("stability classification requires real gamma")
-    psi = np.asarray(psi, dtype=complex)
-    r = triple.r.entries
-    h = triple.h0.entries + r + r.conj().T
-    h_residual = np.linalg.norm(h @ psi - eigenvalue * psi)
-    if h_residual > tol.gap(fro(h)):
+    _require_real_gamma(triple.gamma, tol)
+    psi = np.reshape(np.asarray(psi, dtype=complex), (-1, 1))
+    return _classify_block(_ladder(triple, m_spec), psi,
+                           np.array([float(eigenvalue)]), [index], tol)[0]
+
+
+def _ladder_exponent(x: complex, y: complex, gamma: float,
+                     tol: Tolerance) -> Tuple[complex, float]:
+    """z with exp(z*gamma) = -y/x, and the real eigenvalue shift."""
+    if x == 0 or y == 0:
+        raise ValueError("partner construction requires x != 0 and y != 0")
+    ratio = -y / x
+    if abs(ratio - 1.0) <= STABILITY_CUTOFF:
+        raise ValueError("x + y = 0 belongs to case 4, no partner exists")
+    log_ratio = cmath.log(ratio)
+    if ratio.real < 0 and abs(ratio.imag) <= STABILITY_CUTOFF * abs(ratio):
+        # On the branch cut up to rounding: the principal branch would
+        # take +i*pi or -i*pi from the sign of a rounding error.
+        log_ratio = complex(log_ratio.real, math.pi)
+    z = log_ratio / gamma
+    eps = (cmath.exp(-z * gamma) - 1.0) / x
+    if abs(eps.imag) > tol.gap(abs(eps)):
+        raise ValueError(f"eigenvalue shift {eps} is not real")
+    return z, eps.real
+
+
+def _partners(ladder: _Ladder, vectors: np.ndarray, eigenvalues: np.ndarray,
+              coeffs, tol: Tolerance) -> List[PartnerRecord]:
+    """Case-5 partners of the columns of ``vectors``, with one gemm each way.
+
+    exp(-zM) psi is applied in the eigenbasis of M as
+    W diag(exp(-z mu)) W^dag psi, with mu the per-cluster value that
+    matrix_function uses: O(n^2) per vector instead of O(n^3).
+    """
+    if ladder.gamma == 0.0:
+        raise ValueError("partner construction requires gamma != 0")
+    zs, e_second = [], []
+    for (x, y), eigenvalue in zip(coeffs, eigenvalues):
+        z, eps = _ladder_exponent(complex(x), complex(y), ladder.gamma, tol)
+        zs.append(z)
+        e_second.append(float(eigenvalue + eps))
+    phases = np.exp(-np.outer(ladder.mu, zs))
+    chi = ladder.w @ (phases * (ladder.w_dag @ vectors))
+    chi_norms = np.linalg.norm(chi, axis=0)
+    residuals = np.linalg.norm(ladder.h @ chi - chi * e_second,
+                               axis=0) / chi_norms
+    bad = np.flatnonzero(residuals > tol.gap(ladder.h_norm))
+    if bad.size:
         raise ValueError(
-            f"psi is not an eigenvector of H at E={eigenvalue} "
-            f"(residual {h_residual:.3e})")
-
-    a = r @ psi
-    b = r.conj().T @ psi
-    scale = max(1.0, fro(r))
-    r_annihilates = bool(np.linalg.norm(a) <= STABILITY_CUTOFF * scale)
-    rd_annihilates = bool(np.linalg.norm(b) <= STABILITY_CUTOFF * scale)
-    sum_annihilates = bool(np.linalg.norm(a + b) <= STABILITY_CUTOFF * scale)
-
-    stable, (x, y, u) = linear_dependence(psi, a, b)
-    if not stable:
-        return StabilityRecord(
-            index=index, eigenvalue=float(eigenvalue), stable=False,
-            cases=(), primary_case=None, coeffs=(x, y, u),
-            r_annihilates=r_annihilates, rd_annihilates=rd_annihilates,
-            sum_annihilates=sum_annihilates)
-
-    mx = max(abs(x), abs(y), abs(u))
-    cases = set()
-    partner = None
-    if abs(u) <= STABILITY_CUTOFF * mx:
-        cases.add(1)
-    else:
-        x, y, u = x / u, y / u, 1.0
-        cx = max(abs(x), abs(y), 1.0)
-        if abs(y) <= STABILITY_CUTOFF * cx:
-            cases.add(2)
-        if abs(x) <= STABILITY_CUTOFF * cx:
-            cases.add(3)
-        if abs(x + y) <= STABILITY_CUTOFF * cx:
-            cases.add(4)
-        if not cases:
-            partner = partner_eigenvector(psi, float(eigenvalue), (x, y),
-                                          triple, m_spec, tol)
-            cases.add(5)
-    return StabilityRecord(
-        index=index, eigenvalue=float(eigenvalue), stable=True,
-        cases=tuple(sorted(cases)), primary_case=min(cases),
-        coeffs=(complex(x), complex(y), complex(u)),
-        r_annihilates=r_annihilates, rd_annihilates=rd_annihilates,
-        sum_annihilates=sum_annihilates, partner=partner)
+            f"partner residual {residuals[bad[0]]:.3e} exceeds tolerance")
+    chi = np.ascontiguousarray((chi / chi_norms).T)
+    return [PartnerRecord(z=z, chi=chi[j], e_second=e_second[j],
+                          residual=float(residuals[j]))
+            for j, z in enumerate(zs)]
 
 
 def partner_eigenvector(psi: np.ndarray, eigenvalue: float,
@@ -143,46 +254,42 @@ def partner_eigenvector(psi: np.ndarray, eigenvalue: float,
                         tol: Tolerance = DEFAULT_TOL) -> PartnerRecord:
     """Construct the case-5 partner chi = exp(-zM) psi.
 
-    z solves exp(z*gamma) = -y/x on the principal logarithm branch; the
-    eigenvalue shift is eps = (exp(-z*gamma) - 1)/x.
+    z solves exp(z*gamma) = -y/x on the principal logarithm branch, except
+    that a ratio on the negative real axis up to STABILITY_CUTOFF takes
+    Im(z*gamma) = +pi, so rounding cannot flip the branch; the eigenvalue
+    shift is eps = (exp(-z*gamma) - 1)/x.
     """
-    x, y = complex(coeffs[0]), complex(coeffs[1])
-    gamma = triple.gamma.real
-    if gamma == 0.0:
-        raise ValueError("partner construction requires gamma != 0")
-    if x == 0 or y == 0:
-        raise ValueError("partner construction requires x != 0 and y != 0")
-    ratio = -y / x
-    if abs(ratio - 1.0) <= STABILITY_CUTOFF:
-        raise ValueError("x + y = 0 belongs to case 4, no partner exists")
-    z = cmath.log(ratio) / gamma
-    eps = (cmath.exp(-z * gamma) - 1.0) / x
-    if abs(eps.imag) > tol.gap(abs(eps)):
-        raise ValueError(f"eigenvalue shift {eps} is not real")
-    e_second = float(eigenvalue + eps.real)
-
-    psi = np.asarray(psi, dtype=complex)
-    chi_raw = matrix_function(m_spec, lambda lam: cmath.exp(-z * lam)).entries @ psi
-    r = triple.r.entries
-    h = triple.h0.entries + r + r.conj().T
-    chi_norm = float(np.linalg.norm(chi_raw))
-    residual = float(np.linalg.norm(h @ chi_raw - e_second * chi_raw) / chi_norm)
-    if residual > tol.gap(fro(h)):
-        raise ValueError(f"partner residual {residual:.3e} exceeds tolerance")
-    return PartnerRecord(z=z, chi=chi_raw / chi_norm,
-                         e_second=e_second, residual=residual)
+    psi = np.reshape(np.asarray(psi, dtype=complex), (-1, 1))
+    return _partners(_ladder(triple, m_spec), psi,
+                     np.array([float(eigenvalue)]), [coeffs], tol)[0]
 
 
 def scan_spectrum_stability(h_spec: SpectralDecomposition,
                             triple: GenSymTriple,
                             m_spec: SpectralDecomposition,
                             tol: Tolerance = DEFAULT_TOL) -> List[StabilityRecord]:
-    """Classify every eigenvector of H, in index order."""
-    return [
-        classify(h_spec.eigenvectors[:, i], float(h_spec.eigenvalues[i]),
-                 triple, m_spec, tol, index=i)
-        for i in range(h_spec.dim)
-    ]
+    """Classify every eigenvector of H, in index order.
+
+    Algorithm: H = H0 + R + R^dag, its norm and ||R|| are built once.
+    Eigenvectors are then taken in column blocks of _BLOCK: per block,
+    H V, R V and R^dag V are three gemms, every eigenvector residual is
+    checked at once, the n x 3 rank tests are one stacked thin SVD, and
+    the case-5 partners W diag(exp(-z mu)) W^dag psi and their residuals
+    are three more gemms.
+    Each record is the one ``classify`` gives for that vector.
+
+    Memory: besides the n x n operators, O(n * _BLOCK) workspace per
+    block, so no (n, n, 3) stack is ever formed.
+    """
+    _require_real_gamma(triple.gamma, tol)
+    ladder = _ladder(triple, m_spec)
+    records: List[StabilityRecord] = []
+    for start in range(0, h_spec.dim, _BLOCK):
+        stop = min(start + _BLOCK, h_spec.dim)
+        records.extend(_classify_block(
+            ladder, h_spec.eigenvectors[:, start:stop],
+            h_spec.eigenvalues[start:stop], range(start, stop), tol))
+    return records
 
 
 def case_counts(records: List[StabilityRecord]) -> dict:

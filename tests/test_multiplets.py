@@ -12,8 +12,10 @@ from gensym import (
     same_multiplet,
     support_signature,
 )
-from gensym.multiplets import size_label
-from gensym.models import angular_block, jaynes_cummings
+from gensym import multiplets
+from gensym.multiplets import DEFAULT_SUPPORT_EPS, size_label
+from gensym.models import (angular_block, hardcore_chain, jaynes_cummings,
+                           random_triple)
 
 from conftest import op, random_hermitian
 
@@ -223,3 +225,107 @@ class TestEquivalenceRelation:
                 eigenvectors=transformed,
                 clusters=h_spec.clusters)
             assert partition(spec, m_spec).classes == base.classes
+
+
+def pairwise_same_multiplet(psi, phi, m_spec, tol=Tolerance(),
+                            eps_supp=DEFAULT_SUPPORT_EPS):
+    """Reference definition: per-cluster projectors, one pair at a time."""
+    def signature(v):
+        present, components = [], {}
+        for k in range(m_spec.n_clusters):
+            basis = m_spec.cluster_basis(k)
+            projected = basis @ (basis.conj().T @ v)
+            p_norm = np.linalg.norm(projected)
+            if p_norm > eps_supp * np.linalg.norm(v):
+                present.append(k)
+                components[k] = projected / p_norm
+        return tuple(present), components
+
+    sig_a, comp_a = signature(np.asarray(psi, dtype=complex))
+    sig_b, comp_b = signature(np.asarray(phi, dtype=complex))
+    return sig_a == sig_b and all(
+        abs(np.vdot(comp_a[k], comp_b[k])) >= 1.0 - tol.rtol for k in sig_a)
+
+
+def greedy_reference(h_spec, m_spec):
+    """partition() as a brute-force greedy over pairwise tests."""
+    classes, reps = [], []
+    for i in range(h_spec.dim):
+        psi = h_spec.eigenvectors[:, i]
+        for c, rep in enumerate(reps):
+            assert (same_multiplet(rep, psi, m_spec)
+                    == pairwise_same_multiplet(rep, psi, m_spec))
+            if pairwise_same_multiplet(rep, psi, m_spec):
+                classes[c].append(i)
+                break
+        else:
+            classes.append([i])
+            reps.append(psi)
+    signatures = tuple(support_signature(rep, m_spec).present_clusters
+                       for rep in reps)
+    return tuple(tuple(c) for c in classes), signatures
+
+
+def equal_masks_pair():
+    # Vectors 0 and 1 share the support mask (both clusters) but point
+    # different ways inside the degenerate +1 cluster; vector 2 is
+    # parallel to vector 0 there, vector 3 lives on -1 only.
+    m_spec = hermitian_eigh(op(np.diag([-1.0, 1.0, 1.0])))
+    vectors = np.array([[1.0, 1.0, 1.0, 1.0],
+                        [1.0, 0.0, 2.0, 0.0],
+                        [0.0, 1.0, 0.0, 0.0]], dtype=complex)
+    h_spec = SpectralDecomposition(eigenvalues=np.arange(4.0),
+                                   eigenvectors=vectors,
+                                   clusters=((0, 1), (1, 2), (2, 3), (3, 4)))
+    return h_spec, m_spec
+
+
+def bundle_specs(bundle):
+    return canonical_eigenbasis(bundle.h, bundle.m), hermitian_eigh(bundle.m)
+
+
+PARTITION_CASES = {
+    "angular_l1": lambda: bundle_specs(angular_block(1, -0.5, 0.1)),
+    "angular_l3": lambda: bundle_specs(angular_block(3, -0.5, 0.1)),
+    "jc_degenerate_h": lambda: bundle_specs(
+        jaynes_cummings(1.0, 1.0, 0.0, cutoff=4)),
+    "hardcore_4": lambda: bundle_specs(hardcore_chain(4, 0.3 + 0.1j)),
+    "random_triple": lambda: bundle_specs(
+        random_triple((3, 4, 3), 1.0, seed=17)),
+    "equal_masks": equal_masks_pair,
+}
+
+
+class TestPartitionMatchesPairwiseGreedy:
+    @pytest.mark.parametrize("name", PARTITION_CASES)
+    def test_classes_and_signatures(self, name):
+        h_spec, m_spec = PARTITION_CASES[name]()
+        part = partition(h_spec, m_spec)
+        classes, signatures = greedy_reference(h_spec, m_spec)
+        assert part.classes == classes
+        assert part.signatures == signatures
+        assert part.labels == tuple(size_label(len(c)) for c in classes)
+
+    def test_equal_masks_split_by_direction(self):
+        part = partition(*equal_masks_pair())
+        assert part.classes == ((0, 2), (1,), (3,))
+        assert part.signatures == ((0, 1), (0, 1), (0,))
+
+
+def test_partition_makes_no_pairwise_calls(monkeypatch):
+    # Cost model: partition is a few matrix products, never a per-vector
+    # or per-pair support computation.
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("support_signature", "same_multiplet"):
+        monkeypatch.setattr(multiplets, name,
+                            counted(name, getattr(multiplets, name)))
+    _, h_spec, m_spec = angular_setup(3)
+    assert len(partition(h_spec, m_spec).classes) == 3
+    assert calls == []

@@ -1,20 +1,27 @@
+import cmath
 import dataclasses
 
 import numpy as np
 import pytest
 
 from gensym import (
+    Tolerance,
     canonical_eigenbasis,
     canonicalize,
     classify,
+    cli,
     hermitian_eigh,
     linear_dependence,
+    matrix_function,
+    operators,
     partner_eigenvector,
     reconstruct_case2,
     scan_spectrum_stability,
+    stability,
 )
-from gensym.stability import case_counts
-from gensym.models import angular_block, random_triple
+from gensym.stability import STABILITY_CUTOFF, case_counts
+from gensym.models import (angular_block, hardcore_chain, jaynes_cummings,
+                           random_triple)
 
 from conftest import op
 
@@ -199,3 +206,98 @@ class TestScan:
         triple, h_spec, m_spec = angular_setup(2)
         records = scan_spectrum_stability(h_spec, triple, m_spec)
         assert [rec.index for rec in records] == list(range(5))
+
+
+def test_partner_z_is_stable_on_the_branch_cut():
+    # -y/x = -1 up to a rounding error of either sign must give one z.
+    triple, h_spec, m_spec = angular_setup(1)
+    rec = classify(h_spec.eigenvectors[:, 0], float(h_spec.eigenvalues[0]),
+                   triple, m_spec)
+    x = rec.coeffs[0]
+    zs = [partner_eigenvector(h_spec.eigenvectors[:, 0], rec.eigenvalue,
+                              (x, x * (1 + sign * 1e-17j)), triple,
+                              m_spec).z
+          for sign in (1, -1)]
+    assert zs[0] == zs[1]
+    assert zs[0].imag * triple.gamma.real == pytest.approx(np.pi)
+
+
+def test_two_dimensional_space_is_always_stable():
+    # Fewer than three ambient dimensions force [R psi | R^dag psi | psi]
+    # to be dependent; the rank test must still give three coefficients.
+    bundle = random_triple([1, 1], 1.0, seed=0)
+    report = cli.analyze_pair(bundle.h, bundle.m, Tolerance())
+    assert report["stability"]["counts"] == {"5": 2}
+
+
+SCAN_MODELS = {
+    "angular_l1": lambda: angular_block(1, -0.5, 0.1),
+    "angular_l3": lambda: angular_block(3, -0.5, 0.1),
+    "jc_degenerate_h": lambda: jaynes_cummings(1.0, 1.0, 0.0, cutoff=4),
+    "hardcore_4": lambda: hardcore_chain(4, 0.3 + 0.1j),
+    "random_triple": lambda: random_triple((3, 4, 3), 1.0, seed=17),
+    "random_triple_dim2": lambda: random_triple([1, 1], 1.0, seed=0),
+}
+
+
+def _rank_at_most_one(triple, psi):
+    r = triple.r.entries
+    s = np.linalg.svd(np.column_stack([r @ psi, r.conj().T @ psi, psi]),
+                      compute_uv=False)
+    return s[1] <= STABILITY_CUTOFF * s[0]
+
+
+@pytest.mark.parametrize("name", SCAN_MODELS)
+def test_scan_matches_per_vector_classify(name):
+    bundle = SCAN_MODELS[name]()
+    triple = canonicalize(
+        reconstruct_case2(bundle.h, bundle.m, bundle.known.gamma))
+    h_spec = canonical_eigenbasis(bundle.h, bundle.m)
+    m_spec = hermitian_eigh(bundle.m)
+    records = scan_spectrum_stability(h_spec, triple, m_spec)
+    assert [rec.index for rec in records] == list(range(h_spec.dim))
+    for rec in records:
+        psi = h_spec.eigenvectors[:, rec.index]
+        one = classify(psi, rec.eigenvalue, triple, m_spec, index=rec.index)
+        assert (rec.stable, rec.cases, rec.primary_case) == (
+            one.stable, one.cases, one.primary_case)
+        assert (rec.r_annihilates, rec.rd_annihilates,
+                rec.sum_annihilates) == (one.r_annihilates,
+                                         one.rd_annihilates,
+                                         one.sum_annihilates)
+        if not _rank_at_most_one(triple, psi):
+            # The null vector is unique up to a phase (cases 2-5 fix it
+            # by u = 1); below rank 2 it is not unique at all.
+            overlap = np.vdot(one.coeffs, rec.coeffs)
+            np.testing.assert_allclose(
+                rec.coeffs, np.multiply(one.coeffs, overlap / abs(overlap)),
+                rtol=0, atol=1e-12)
+        assert (rec.partner is None) == (one.partner is None)
+        if rec.partner is None:
+            continue
+        z = rec.partner.z
+        assert abs(z - one.partner.z) <= 1e-12 * abs(z)
+        assert rec.partner.e_second == pytest.approx(one.partner.e_second,
+                                                     rel=1e-12, abs=1e-12)
+        dense = matrix_function(m_spec, lambda lam: cmath.exp(-z * lam))
+        chi = dense.entries @ psi
+        np.testing.assert_allclose(rec.partner.chi,
+                                   chi / np.linalg.norm(chi),
+                                   rtol=0, atol=1e-12)
+
+
+def test_scan_makes_no_matrix_function_call(monkeypatch):
+    # Cost model: each partner is O(n^2) through the eigenbasis of M,
+    # never a dense O(n^3) matrix function.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return matrix_function(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "matrix_function", counted)
+    monkeypatch.setattr(stability, "matrix_function", counted, raising=False)
+    triple, h_spec, m_spec = angular_setup(3)
+    records = scan_spectrum_stability(h_spec, triple, m_spec)
+    assert sum(rec.partner is not None for rec in records) == 6
+    assert calls == []
