@@ -18,10 +18,11 @@ from .detection import (
     CASE2,
     GENUINE,
     NO_GENSYM,
+    _detect,
+    _reconstruct_case2,
     canonicalize,
     detect,
     reconstruct_case1,
-    reconstruct_case2,
     verify_triple,
 )
 from .models import (
@@ -33,7 +34,7 @@ from .models import (
     jaynes_cummings,
     projection_example,
 )
-from .multiplets import canonical_eigenbasis, partition
+from .multiplets import _refine_eigenbasis, canonical_eigenbasis, partition
 from .operators import NumericalError, Tolerance, hermitian_eigh
 from .serialization import (
     complex_pair,
@@ -129,9 +130,9 @@ def _detection_record(result) -> dict:
 def _triple_record(triple, report) -> dict:
     return {
         "gamma": complex_pair(triple.gamma),
-        "residual_sum": triple.residual_sum,
-        "residual_h0m": triple.residual_h0m,
-        "residual_ladder": triple.residual_ladder,
+        "residual_sum": report.residual_sum,
+        "residual_h0m": report.residual_h0m,
+        "residual_ladder": report.residual_ladder,
         "commutes_rdr_m": triple.commutes_rdr_m,
         "commutes_rrd_m": triple.commutes_rrd_m,
         "commutes_rdr_h0": triple.commutes_rdr_h0,
@@ -146,7 +147,7 @@ def _partition_record(part, h_spec, m_spec) -> dict:
     for members, sig, label in zip(part.classes, part.signatures, part.labels):
         classes.append({
             "members": list(members),
-            "eigenvalues": [float(h_spec.eigenvalues[i]) for i in members],
+            "eigenvalues": h_spec.eigenvalues[list(members)].tolist(),
             "support_clusters": list(sig),
             "support_eigenvalues": [m_spec.cluster_value(k) for k in sig],
             "label": label,
@@ -187,10 +188,10 @@ def analyze_pair(h, m, tol: Tolerance, digests: Optional[dict] = None) -> dict:
         "tolerances": {"atol": tol.atol, "rtol": tol.rtol},
         "inputs": digests or {},
     }
-    result = detect(h, m, tol)
+    result, commutators = _detect(h, m, tol)
     report["detection"] = _detection_record(result)
     h_spec = hermitian_eigh(h, tol)
-    report["spectrum"] = [float(v) for v in h_spec.eigenvalues]
+    report["spectrum"] = h_spec.eigenvalues.tolist()
     report["triple"] = None
     report["multiplets"] = None
     report["stability"] = None
@@ -209,7 +210,9 @@ def analyze_pair(h, m, tol: Tolerance, digests: Optional[dict] = None) -> dict:
         report["skipped"] = "case 1 (imaginary gamma): stability needs real gamma"
         return report
 
-    triple = canonicalize(reconstruct_case2(h, m, result.gamma, tol))
+    triple = canonicalize(_reconstruct_case2(h, m, commutators,
+                                             result.gamma, tol))
+    del commutators
     verification = verify_triple(h, m, triple, tol)
     report["triple"] = _triple_record(triple, verification)
     if not result.real_gamma:
@@ -217,7 +220,7 @@ def analyze_pair(h, m, tol: Tolerance, digests: Optional[dict] = None) -> dict:
         return report
 
     m_spec = hermitian_eigh(m, tol)
-    h_spec = canonical_eigenbasis(h, m, tol)
+    h_spec = _refine_eigenbasis(h_spec, m.entries)
     part = partition(h_spec, m_spec, tol)
     report["multiplets"] = _partition_record(part, h_spec, m_spec)
     records = scan_spectrum_stability(h_spec, triple, m_spec, tol)

@@ -10,6 +10,7 @@ nested commutators of H with M against the first, and the triple
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -61,19 +62,16 @@ class DetectionResult:
 
 @dataclass(frozen=True)
 class GenSymTriple:
-    """Reconstructed (H0, R, gamma) with verification residuals.
+    """Reconstructed (H0, R, gamma).
 
-    Residuals are raw Frobenius norms; verify_triple compares them against
-    rtol * max(1, ||H||_F).  The commutes_* flags report whether R^dag R
-    and R R^dag commute with M and H0 (informational only).
+    verify_triple grades the triple against (H, M).  The commutes_* flags
+    report whether R^dag R and R R^dag commute with M and H0
+    (informational only).
     """
 
     h0: Operator
     r: Operator
     gamma: complex
-    residual_sum: float
-    residual_h0m: float
-    residual_ladder: float
     commutes_rdr_m: bool
     commutes_rrd_m: bool
     commutes_rdr_h0: bool
@@ -90,6 +88,24 @@ def _require_hermitian_pair(h: Operator, m: Operator):
         raise ValueError(f"M ({m.label!r}) is not Hermitian within gate")
 
 
+def _commutator_chain(he: np.ndarray, me: np.ndarray):
+    """Yield C_1, C_2, ... with C_k = [C_{k-1}, M] and C_0 = H.
+
+    For Hermitian H and M, C_k is anti-Hermitian for odd k and Hermitian
+    for even k, so C_k = X - X^dag or X + X^dag with X = C_{k-1} M: one
+    gemm per commutator, and each C_k is exactly (anti-)Hermitian.
+    Lazy, so a caller pays only for the commutators it takes.
+    """
+    c = he
+    for k in itertools.count(1):
+        c = c @ me
+        if k % 2:
+            c -= c.conj().T
+        else:
+            c += c.conj().T
+        yield c
+
+
 def fit_case2(c1: Operator, c2: Operator, c3: Operator,
               tol: Tolerance = DEFAULT_TOL):
     """Least-squares fit of C3 = 2i*g2*C2 + (g1^2 + g2^2)*C1.
@@ -100,23 +116,27 @@ def fit_case2(c1: Operator, c2: Operator, c3: Operator,
     (gamma1, gamma2, residual, conditioning); gamma1 is NaN when the
     gamma1^2 floor fails (the fit is then rejected).
     """
-    n1 = fro(c1.entries)
+    return _fit_case2(c1.entries, c2.entries, c3.entries, tol)
+
+
+def _fit_case2(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray,
+               tol: Tolerance):
+    n1 = fro(c1)
     if n1 == 0.0:
         raise ValueError("fit_case2 requires [H,M] != 0")
-    b1 = 1j * c2.entries
-    b2 = c1.entries
+    b1 = 1j * c2
+    b2 = c1
     gram = np.array([
         [np.vdot(b1, b1).real, np.vdot(b1, b2).real],
         [np.vdot(b2, b1).real, np.vdot(b2, b2).real],
     ])
-    rhs = np.array([np.vdot(b1, c3.entries).real,
-                    np.vdot(b2, c3.entries).real])
+    rhs = np.array([np.vdot(b1, c3).real, np.vdot(b2, c3).real])
     conditioning = bool(np.linalg.cond(gram) > CONDITIONING_LIMIT)
     alpha, beta = np.linalg.lstsq(gram, rhs, rcond=None)[0]
     gamma2 = alpha / 2.0
     gamma1_sq = beta - gamma2 ** 2
-    denom = max(fro(c3.entries), n1, tol.atol)
-    residual = fro(c3.entries - 1j * alpha * c2.entries - beta * c1.entries) / denom
+    denom = max(fro(c3), n1, tol.atol)
+    residual = fro(c3 - 1j * alpha * c2 - beta * c1) / denom
     if gamma1_sq <= max(tol.atol, 1e-10 * (gamma2 ** 2 + 1.0)):
         return float("nan"), gamma2, residual, conditioning
     return float(np.sqrt(gamma1_sq)), float(gamma2), float(residual), conditioning
@@ -124,12 +144,16 @@ def fit_case2(c1: Operator, c2: Operator, c3: Operator,
 
 def fit_case1(c1: Operator, c2: Operator, tol: Tolerance = DEFAULT_TOL):
     """Least-squares fit of C2 = i*gamma2*C1 over real gamma2."""
-    n1 = fro(c1.entries)
+    return _fit_case1(c1.entries, c2.entries, tol)
+
+
+def _fit_case1(c1: np.ndarray, c2: np.ndarray, tol: Tolerance):
+    n1 = fro(c1)
     if n1 == 0.0:
         raise ValueError("fit_case1 requires [H,M] != 0")
-    gamma2 = np.vdot(1j * c1.entries, c2.entries).real / (n1 ** 2)
-    denom = max(fro(c2.entries), n1, tol.atol)
-    residual = fro(c2.entries - 1j * gamma2 * c1.entries) / denom
+    gamma2 = np.vdot(1j * c1, c2).real / (n1 ** 2)
+    denom = max(fro(c2), n1, tol.atol)
+    residual = fro(c2 - 1j * gamma2 * c1) / denom
     return float(gamma2), float(residual)
 
 
@@ -140,57 +164,68 @@ def detect(h: Operator, m: Operator, tol: Tolerance = DEFAULT_TOL) -> DetectionR
     for Hermitian pairs in finite dimension an accepted case 1 with
     gamma2 != 0 collapses to a genuine symmetry (trace argument).
     """
+    return _detect(h, m, tol)[0]
+
+
+def _detect(h: Operator, m: Operator, tol: Tolerance):
+    """detect, plus the commutators (C1, C2) when the verdict is case 2.
+
+    The commutators are what reconstruction needs, so a caller that goes
+    on to reconstruct does not form them again; for any other verdict
+    they are dropped here.
+    """
     _require_hermitian_pair(h, m)
     he, me = h.entries, m.entries
-    c1 = he @ me - me @ he
+    chain = _commutator_chain(he, me)
+    c1 = next(chain)
     genuine_scale = max(1.0, fro(he) * fro(me))
     genuine_residual = fro(c1) / genuine_scale
     if genuine_residual <= tol.rtol:
-        return DetectionResult(kind=GENUINE, residual=genuine_residual)
+        return DetectionResult(kind=GENUINE, residual=genuine_residual), None
 
-    c2 = c1 @ me - me @ c1
-    c3 = c2 @ me - me @ c2
-    c1_op = make_operator(h.dim, c1)
-    c2_op = make_operator(h.dim, c2)
-    c3_op = make_operator(h.dim, c3)
-
-    g1, g2, res2, conditioning = fit_case2(c1_op, c2_op, c3_op, tol)
+    c2 = next(chain)
+    c3 = next(chain)
+    g1, g2, res2, conditioning = _fit_case2(c1, c2, c3, tol)
     if not np.isnan(g1) and res2 <= tol.rtol:
-        return DetectionResult(kind=CASE2, gamma1=g1, gamma2=g2,
-                               residual=res2, conditioning_flag=conditioning)
+        result = DetectionResult(kind=CASE2, gamma1=g1, gamma2=g2,
+                                 residual=res2, conditioning_flag=conditioning)
+        return result, (c1, c2)
 
-    g2_only, res1 = fit_case1(c1_op, c2_op, tol)
+    g2_only, res1 = _fit_case1(c1, c2, tol)
     if abs(g2_only) > tol.atol and res1 <= tol.rtol:
         return DetectionResult(kind=CASE1, gamma2=g2_only, residual=res1,
-                               conditioning_flag=conditioning)
+                               conditioning_flag=conditioning), None
 
     return DetectionResult(kind=NO_GENSYM, residual=min(res2, res1),
-                           conditioning_flag=conditioning)
+                           conditioning_flag=conditioning), None
 
 
-def _commutes(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> bool:
-    return fro(a @ b - b @ a) <= tol.rtol * max(1.0, fro(a) * fro(b))
+def _commutes(a: np.ndarray, b: np.ndarray, tol: Tolerance,
+              hermitian: bool = False) -> bool:
+    """||[A, B]|| <= rtol * max(1, ||A|| ||B||).
+
+    With ``hermitian`` set, both operands are Hermitian by construction,
+    so [A, B] = X - X^dag with X = AB: one gemm instead of two.
+    """
+    x = a @ b
+    x -= x.conj().T if hermitian else b @ a
+    return fro(x) <= tol.rtol * max(1.0, fro(a) * fro(b))
 
 
 def _build_triple(h: Operator, m: Operator, h0: np.ndarray, r: np.ndarray,
                   gamma: complex, tol: Tolerance,
                   degenerate: bool = False) -> GenSymTriple:
-    he, me = h.entries, m.entries
+    me = m.entries
     rd = r.conj().T
-    residual_sum = fro(he - h0 - r - rd)
-    residual_h0m = fro(h0 @ me - me @ h0)
-    residual_ladder = fro((r @ me - me @ r) - gamma * r)
     rdr = rd @ r
     rrd = r @ rd
     return GenSymTriple(
         h0=make_operator(h.dim, h0, f"H0[{h.label}]"),
         r=make_operator(h.dim, r, f"R[{h.label}]"),
         gamma=complex(gamma),
-        residual_sum=residual_sum,
-        residual_h0m=residual_h0m,
-        residual_ladder=residual_ladder,
-        commutes_rdr_m=_commutes(rdr, me, tol),
-        commutes_rrd_m=_commutes(rrd, me, tol),
+        commutes_rdr_m=_commutes(rdr, me, tol, hermitian=True),
+        commutes_rrd_m=_commutes(rrd, me, tol, hermitian=True),
+        # H0 is Hermitian only to H0_HERMITICITY_BOUND: two gemms.
         commutes_rdr_h0=_commutes(rdr, h0, tol),
         commutes_rrd_h0=_commutes(rrd, h0, tol),
         degenerate=degenerate,
@@ -200,16 +235,21 @@ def _build_triple(h: Operator, m: Operator, h0: np.ndarray, r: np.ndarray,
 def reconstruct_case2(h: Operator, m: Operator, gamma: complex,
                       tol: Tolerance = DEFAULT_TOL) -> GenSymTriple:
     """Closed-form (H0, R) for case 2 from the first two commutators."""
+    return _reconstruct_case2(h, m, _commutator_chain(h.entries, m.entries),
+                              gamma, tol)
+
+
+def _reconstruct_case2(h: Operator, m: Operator, commutators,
+                       gamma: complex, tol: Tolerance) -> GenSymTriple:
+    """reconstruct_case2 from the first two of ``commutators`` (C1, C2)."""
     gamma = complex(gamma)
     gamma1, gamma2 = gamma.real, gamma.imag
     if gamma1 == 0.0:
         raise ValueError("reconstruct_case2 requires Re(gamma) != 0")
-    he, me = h.entries, m.entries
-    c1 = he @ me - me @ he
-    c2 = c1 @ me - me @ c1
+    c1, c2 = itertools.islice(commutators, 2)
     mod_sq = abs(gamma) ** 2
     r = (gamma.conjugate() / (2.0 * gamma1 * mod_sq)) * (c2 + gamma.conjugate() * c1)
-    h0 = (-c2 + 2j * gamma2 * c1 + mod_sq * he) / mod_sq
+    h0 = (-c2 + 2j * gamma2 * c1 + mod_sq * h.entries) / mod_sq
     return _build_triple(h, m, h0, r, gamma, tol)
 
 
@@ -219,7 +259,7 @@ def reconstruct_case1(h: Operator, m: Operator, gamma2: float,
     if gamma2 == 0.0:
         raise ValueError("reconstruct_case1 requires gamma2 != 0")
     he, me = h.entries, m.entries
-    c1 = he @ me - me @ he
+    c1 = next(_commutator_chain(he, me))
     h0 = (1j / gamma2) * c1 + he
     r = (-1j / (2.0 * gamma2)) * c1
     degenerate = fro(c1) <= tol.rtol * max(1.0, fro(he) * fro(me))

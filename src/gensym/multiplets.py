@@ -61,13 +61,18 @@ def canonical_eigenbasis(h: Operator, m: Operator,
     """
     if not is_hermitian(m.entries):
         raise ValueError(f"M ({m.label!r}) is not Hermitian within gate")
-    spec = hermitian_eigh(h, tol)
+    return _refine_eigenbasis(hermitian_eigh(h, tol), m.entries)
+
+
+def _refine_eigenbasis(spec: SpectralDecomposition,
+                       me: np.ndarray) -> SpectralDecomposition:
+    """canonical_eigenbasis from an existing eigendecomposition of H."""
     vectors = np.array(spec.eigenvectors)
     for start, stop in spec.clusters:
         if stop - start < 2:
             continue
         block = vectors[:, start:stop]
-        compressed = block.conj().T @ m.entries @ block
+        compressed = block.conj().T @ me @ block
         compressed = (compressed + compressed.conj().T) / 2
         _, u = np.linalg.eigh(compressed)
         vectors[:, start:stop] = block @ u

@@ -8,6 +8,7 @@ dense matrices; all functions are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -54,7 +55,6 @@ class Operator:
     dim: int
     entries: np.ndarray
     label: str = ""
-    hermitian_hint: bool = False
 
     @property
     def norm(self) -> float:
@@ -75,8 +75,7 @@ def make_operator(dim: int, entries, label: str = "") -> Operator:
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError("entries contain non-finite values")
     a.setflags(write=False)
-    return Operator(dim=dim, entries=a, label=label,
-                    hermitian_hint=is_hermitian(a))
+    return Operator(dim=dim, entries=a, label=label)
 
 
 def adjoint(a: Operator) -> Operator:
@@ -134,13 +133,18 @@ class SpectralDecomposition:
     def n_clusters(self) -> int:
         return len(self.clusters)
 
+    @cached_property
+    def _cluster_means(self) -> tuple:
+        """Mean eigenvalue of each cluster, computed on first use."""
+        return tuple(float(np.mean(self.eigenvalues[start:stop]))
+                     for start, stop in self.clusters)
+
     def cluster_value(self, k: int) -> float:
-        start, stop = self.clusters[k]
-        return float(np.mean(self.eigenvalues[start:stop]))
+        return self._cluster_means[k]
 
     def cluster_values(self) -> np.ndarray:
         """cluster_value of every index's cluster, one entry per index."""
-        return np.repeat([self.cluster_value(k) for k in range(self.n_clusters)],
+        return np.repeat(self._cluster_means,
                          [stop - start for start, stop in self.clusters])
 
     def cluster_basis(self, k: int) -> np.ndarray:

@@ -5,6 +5,8 @@ PASS/FAIL line directly to the terminal (bypassing capture) so the
 verdicts are visible in any pytest run.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -313,7 +315,7 @@ def test_11_byte_determinism(announce, tmp_path):
                          "--symmetry", prefix + "M.json", "--out", out])
         if code != 0:
             failures.append(f"analyze run {tag} exit code {code}")
-        reports.append(open(out, "rb").read())
+        reports.append(Path(out).read_bytes())
     if reports[0] != reports[1]:
         failures.append("analyze outputs differ between runs")
     sweeps = []
@@ -324,7 +326,7 @@ def test_11_byte_determinism(announce, tmp_path):
                          "--steps", "5", "--out", out])
         if code != 0:
             failures.append(f"sweep run {tag} exit code {code}")
-        sweeps.append(open(out, "rb").read())
+        sweeps.append(Path(out).read_bytes())
     if sweeps[0] != sweeps[1]:
         failures.append("sweep outputs differ between runs")
     announce(11, "byte-determinism of analyze and sweep", failures)

@@ -1,16 +1,20 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gensym import load_operator, make_operator, save_operator
+from gensym import detection, load_operator, make_operator, save_operator
 from gensym.cli import (
     EXIT_INPUT,
     EXIT_NOT_FOUND,
     EXIT_OK,
+    analyze_pair,
     main,
     parse_complex,
 )
+from gensym.models import angular_block, hardcore_chain, jaynes_cummings
+from gensym.operators import Tolerance, is_hermitian
 from gensym.serialization import operator_from_dict, operator_to_dict
 
 from conftest import SX, op, random_hermitian
@@ -39,7 +43,7 @@ class TestSerialization:
         b = load_operator(path)
         np.testing.assert_array_equal(a.entries, b.entries)
         assert b.label == "probe"
-        assert b.hermitian_hint
+        assert is_hermitian(b.entries)
 
     def test_repeated_save_identical_bytes(self, tmp_path, rng):
         a = make_operator(4, random_hermitian(rng, 4))
@@ -87,7 +91,7 @@ class TestModelCommand:
         m = load_operator(prefix + "M.json")
         r = load_operator(prefix + "R.json")
         assert h.dim == m.dim == r.dim == 3
-        meta = json.loads(open(prefix + "meta.json").read())
+        meta = json.loads(Path(prefix + "meta.json").read_text(encoding="utf-8"))
         assert meta["model"] == "angular"
         assert meta["known_gamma"] == [1.0, 0.0]
 
@@ -126,7 +130,7 @@ class TestAnalyzeCommand:
         code = main(["analyze", "--hamiltonian", prefix + "H.json",
                      "--symmetry", prefix + "M.json", "--out", out,
                      *extra])
-        report = json.loads(open(out).read())
+        report = json.loads(Path(out).read_text(encoding="utf-8"))
         return code, report
 
     def test_angular_full_report(self, tmp_path):
@@ -154,7 +158,7 @@ class TestAnalyzeCommand:
         code = main(["analyze", "--hamiltonian", hp, "--symmetry", mp,
                      "--out", out])
         assert code == EXIT_OK
-        report = json.loads(open(out).read())
+        report = json.loads(Path(out).read_text(encoding="utf-8"))
         assert report["detection"]["kind"] == "genuine"
         assert report["triple"] is None
         assert report["stability"] is None
@@ -194,7 +198,7 @@ class TestSweepCommand:
                      "--param", "g", "--from", "0.0", "--to", "0.25",
                      "--steps", "6", "--out", out])
         assert code == EXIT_OK
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text(encoding="utf-8").splitlines()
         assert lines[0] == "param,index,eigenvalue,multiplet_class"
         assert len(lines) == 1 + 6 * 3
         first = lines[1].split(",")
@@ -207,7 +211,7 @@ class TestSweepCommand:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert main(argv + ["--out", p1]) == EXIT_OK
         assert main(argv + ["--out", p2]) == EXIT_OK
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_rejects_unknown_param(self, tmp_path):
         code = main(["sweep", "angular", "--param", "seed",
@@ -220,3 +224,51 @@ class TestSweepCommand:
                      "--from", "0", "--to", "1", "--steps", "1",
                      "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_INPUT
+
+
+class TestCostModel:
+    """analyze_pair forms each eigendecomposition and commutator once."""
+
+    def analyze_counting(self, monkeypatch, h, m):
+        """The report, full-size eigh calls and commutator-chain calls."""
+        shapes, chains = [], []
+        eigh, chain = np.linalg.eigh, detection._commutator_chain
+
+        def counting_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        def counting_chain(*args):
+            chains.append(args)
+            return chain(*args)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(detection, "_commutator_chain", counting_chain)
+        report = analyze_pair(h, m, Tolerance())
+        return report, shapes.count((h.dim, h.dim)), len(chains)
+
+    @pytest.mark.parametrize("bundle", [
+        angular_block(2, -0.5, 0.1),
+        hardcore_chain(4, 0.3 + 0.1j),  # degenerate H: refined per cluster
+    ], ids=["angular_l2", "hardcore_4"])
+    def test_case2_two_eigh_one_chain(self, monkeypatch, bundle):
+        report, full_eigh, chains = self.analyze_counting(
+            monkeypatch, bundle.h, bundle.m)
+        assert report["detection"]["kind"] == "case2"
+        assert report["stability"] is not None
+        assert full_eigh == 2
+        assert chains == 1
+
+    def test_genuine_one_eigh(self, monkeypatch):
+        jc = jaynes_cummings(1.3, 1.0, 0.2, cutoff=8)
+        report, full_eigh, chains = self.analyze_counting(
+            monkeypatch, jc.h, jc.extras["m_exc"])
+        assert report["detection"]["kind"] == "genuine"
+        assert (full_eigh, chains) == (1, 1)
+
+    def test_no_gensym_one_eigh(self, monkeypatch, rng):
+        report, full_eigh, chains = self.analyze_counting(
+            monkeypatch, op(random_hermitian(rng, 12)),
+            op(random_hermitian(rng, 12)))
+        assert report["detection"]["kind"] == "no_gensym"
+        assert (full_eigh, chains) == (1, 1)

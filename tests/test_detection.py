@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,14 +20,17 @@ from gensym import (
     similarity_transform,
     verify_triple,
 )
+from gensym.detection import CASE1, _commutator_chain
 from gensym.models import (
     angular_block,
+    fermion_chain,
     hardcore_chain,
     involution_example,
     jaynes_cummings,
     projection_example,
     random_triple,
 )
+from gensym.operators import fro
 
 from conftest import SX, SZ, op, random_hermitian
 
@@ -35,6 +40,71 @@ PROJ = np.diag([1.0, 0.0])
 def commutator_chain(h, m, depth=3):
     ops = [iterated_commutator(op(h), op(m), n) for n in range(1, depth + 1)]
     return ops
+
+
+def acceptance_pairs():
+    """(name, H, M) for the acceptance-suite models, one of each kind."""
+    jc = jaynes_cummings(1.3, 1.0, 0.2, cutoff=16)
+    bundles = {
+        "angular_l1": angular_block(1, -0.5, 0.1),
+        "angular_l3": angular_block(3, 0.2, 0.1),
+        "jc_16": jc,
+        "hardcore_4": hardcore_chain(4, 0.3 + 0.1j),
+        "fermion_4": fermion_chain(4, 1.0, [0.2, 0.1j, 0.3 - 0.1j, 0.05]),
+        "projection_8": projection_example(8, seed=0),
+        "involution_8": involution_example(8, seed=1),
+        "random_triple": random_triple((4, 4, 4), 1.0, seed=3),
+    }
+    pairs = [(name, b.h, b.m) for name, b in bundles.items()]
+    pairs.append(("jc_16_excitations", jc.h, jc.extras["m_exc"]))
+    return pairs
+
+
+def random_pairs():
+    rng = np.random.default_rng(7)
+    return [(f"random_{dim}", op(random_hermitian(rng, dim)),
+             op(random_hermitian(rng, dim)))
+            for dim in (2, 3, 5, 8, 13, 21, 40)]
+
+
+def reference_detect(h, m, tol=Tolerance()):
+    """detect's decision rule on iterated_commutator output."""
+    c1, c2, c3 = (iterated_commutator(h, m, n) for n in (1, 2, 3))
+    if fro(c1.entries) <= tol.rtol * max(1.0, h.norm * m.norm):
+        return GENUINE, 0.0
+    g1, _, res2, _ = fit_case2(c1, c2, c3, tol)
+    if not np.isnan(g1) and res2 <= tol.rtol:
+        return CASE2, g1
+    g2, res1 = fit_case1(c1, c2, tol)
+    if abs(g2) > tol.atol and res1 <= tol.rtol:
+        return CASE1, 0.0
+    return NO_GENSYM, 0.0
+
+
+PAIRS = acceptance_pairs() + random_pairs()
+
+
+@pytest.mark.parametrize("name,h,m", PAIRS, ids=[p[0] for p in PAIRS])
+class TestCommutatorChain:
+    def test_matches_iterated_commutator(self, name, h, m):
+        chain = _commutator_chain(h.entries, m.entries)
+        for k in (1, 2, 3):
+            expected = iterated_commutator(h, m, k).entries
+            bound = 1e-13 * h.norm * m.norm ** k
+            assert fro(next(chain) - expected) <= bound
+
+    def test_exact_hermitian_parity(self, name, h, m):
+        c1, c2, c3 = itertools.islice(
+            _commutator_chain(h.entries, m.entries), 3)
+        np.testing.assert_array_equal(c1, -c1.conj().T)
+        np.testing.assert_array_equal(c2, c2.conj().T)
+        np.testing.assert_array_equal(c3, -c3.conj().T)
+
+    def test_detect_matches_fit_on_iterated_commutators(self, name, h, m):
+        kind, gamma1 = reference_detect(h, m)
+        result = detect(h, m)
+        assert result.kind == kind
+        assert abs(result.gamma1 - gamma1) <= 1e-12 * max(1.0, abs(gamma1))
 
 
 class TestFitCase2:
@@ -128,9 +198,10 @@ class TestReconstructCase2:
         np.testing.assert_allclose(triple.r.entries, [[0, 0], [1, 0]],
                                    atol=1e-14)
         np.testing.assert_allclose(triple.h0.entries, 0, atol=1e-14)
-        assert triple.residual_sum <= 1e-14
-        assert triple.residual_h0m <= 1e-14
-        assert triple.residual_ladder <= 1e-14
+        report = verify_triple(op(SX), op(PROJ), triple)
+        assert report.residual_sum <= 1e-14
+        assert report.residual_h0m <= 1e-14
+        assert report.residual_ladder <= 1e-14
 
     def test_angular_block_recovers_lowering(self):
         bundle = angular_block(1, -0.5, 0.1)

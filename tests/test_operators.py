@@ -12,19 +12,20 @@ from gensym import (
     make_operator,
     matrix_function,
 )
+from gensym.operators import is_hermitian
 
 from conftest import SX, SY, SZ, op, random_hermitian
 
 
 class TestMakeOperator:
     def test_zero_matrix_is_hermitian(self):
-        assert make_operator(1, [[0]], "zero").hermitian_hint
+        assert is_hermitian(make_operator(1, [[0]], "zero").entries)
 
     def test_pauli_is_hermitian(self):
-        assert make_operator(2, SX, "sx").hermitian_hint
+        assert is_hermitian(make_operator(2, SX, "sx").entries)
 
     def test_raising_is_not_hermitian(self):
-        assert not make_operator(2, [[0, 1], [0, 0]], "sp").hermitian_hint
+        assert not is_hermitian(make_operator(2, [[0, 1], [0, 0]], "sp").entries)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -176,6 +177,17 @@ class TestHermitianEigh:
         s2 = hermitian_eigh(a)
         np.testing.assert_array_equal(s1.eigenvalues, s2.eigenvalues)
         np.testing.assert_array_equal(s1.eigenvectors, s2.eigenvectors)
+
+
+class TestSpectralDecomposition:
+    def test_cluster_values_are_cluster_means(self):
+        spec = hermitian_eigh(op(np.diag([0.3, 0.1, 0.1 + 1e-12, 0.7])))
+        means = [float(np.mean(spec.eigenvalues[start:stop]))
+                 for start, stop in spec.clusters]
+        assert spec.n_clusters == 3
+        assert [spec.cluster_value(k) for k in range(3)] == means
+        np.testing.assert_array_equal(spec.cluster_values(),
+                                      np.repeat(means, [2, 1, 1]))
 
 
 class TestMatrixFunction:
