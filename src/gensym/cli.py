@@ -34,8 +34,13 @@ from .models import (
     jaynes_cummings,
     projection_example,
 )
-from .multiplets import _refine_eigenbasis, canonical_eigenbasis, partition
-from .operators import NumericalError, Tolerance, hermitian_eigh
+from .multiplets import _refine_eigenbasis, partition
+from .operators import (
+    NumericalError,
+    Tolerance,
+    _hermitian_eigh,
+    _hermitian_eigvalsh,
+)
 from .serialization import (
     complex_pair,
     dump_json,
@@ -188,10 +193,15 @@ def analyze_pair(h, m, tol: Tolerance, digests: Optional[dict] = None) -> dict:
         "tolerances": {"atol": tol.atol, "rtol": tol.rtol},
         "inputs": digests or {},
     }
+    # _detect gates the Hermiticity of H and M; nothing below repeats it.
     result, commutators = _detect(h, m, tol)
     report["detection"] = _detection_record(result)
-    h_spec = hermitian_eigh(h, tol)
-    report["spectrum"] = h_spec.eigenvalues.tolist()
+    # Only a case-2 verdict with real gamma goes on to use eigenvectors.
+    if result.real_gamma:
+        h_spec = _hermitian_eigh(h, tol)
+        report["spectrum"] = h_spec.eigenvalues.tolist()
+    else:
+        report["spectrum"] = _hermitian_eigvalsh(h).tolist()
     report["triple"] = None
     report["multiplets"] = None
     report["stability"] = None
@@ -219,7 +229,7 @@ def analyze_pair(h, m, tol: Tolerance, digests: Optional[dict] = None) -> dict:
         report["skipped"] = "complex gamma: stability needs real gamma"
         return report
 
-    m_spec = hermitian_eigh(m, tol)
+    m_spec = _hermitian_eigh(m, tol)
     h_spec = _refine_eigenbasis(h_spec, m.entries)
     part = partition(h_spec, m_spec, tol)
     report["multiplets"] = _partition_record(part, h_spec, m_spec)
@@ -260,11 +270,12 @@ def run_sweep(args: argparse.Namespace) -> int:
     for value in values:
         setattr(args, args.param, float(value))
         bundle = build_model(args)
-        result = detect(bundle.h, bundle.m, tol)
+        result = detect(bundle.h, bundle.m, tol)  # gates H and M
         if result.kind == CASE2:
             gammas.append(result.gamma1)
-        m_spec = hermitian_eigh(bundle.m, tol)
-        h_spec = canonical_eigenbasis(bundle.h, bundle.m, tol)
+        m_spec = _hermitian_eigh(bundle.m, tol)
+        h_spec = _refine_eigenbasis(_hermitian_eigh(bundle.h, tol),
+                                    bundle.m.entries)
         part = partition(h_spec, m_spec, tol)
         class_of = {}
         for c, members in enumerate(part.classes):
@@ -318,7 +329,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NumericalError as exc:
+    # LinAlgError is a ValueError, so it must be caught before the input
+    # errors: a solver that does not converge is a numerical failure.
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"gensym: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:

@@ -192,6 +192,11 @@ def hermitian_eigh(a: Operator, tol: Tolerance = DEFAULT_TOL) -> SpectralDecompo
     """Eigendecomposition of a Hermitian operator with canonical phases."""
     if not is_hermitian(a.entries):
         raise ValueError(f"operator {a.label!r} is not Hermitian within gate")
+    return _hermitian_eigh(a, tol)
+
+
+def _hermitian_eigh(a: Operator, tol: Tolerance) -> SpectralDecomposition:
+    """hermitian_eigh for an operator whose Hermiticity is already gated."""
     sym = (a.entries + a.entries.conj().T) / 2
     w, v = np.linalg.eigh(sym)
     v = phase_canonicalize(v)
@@ -205,6 +210,33 @@ def hermitian_eigh(a: Operator, tol: Tolerance = DEFAULT_TOL) -> SpectralDecompo
     w.setflags(write=False)
     v.setflags(write=False)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v, clusters=clusters)
+
+
+def _hermitian_eigvalsh(a: Operator) -> np.ndarray:
+    """Ascending eigenvalues of an operator whose Hermiticity is already gated.
+
+    Values only: no eigenvectors, so the eigenpair residual of
+    hermitian_eigh cannot be formed.  A backward-stable solver returns the
+    exact eigenvalues of sym + E with ||E||_F <= e = EIGH_RESIDUAL_BOUND *
+    max(1, ||A||_F), which implies
+    |sum(w) - tr(sym)| = |tr E| <= sqrt(n) e and
+    |sum(w^2) - ||sym||_F^2| <= 2 ||sym||_F e + e^2 (Hoffman-Wielandt).
+    Both are O(n^2) to check, and a violation of either raises.
+    """
+    sym = (a.entries + a.entries.conj().T) / 2
+    w = np.linalg.eigvalsh(sym)
+    scale = max(1.0, fro(a.entries))  # >= ||sym||_F
+    e = EIGH_RESIDUAL_BOUND * scale
+    trace_error = abs(float(np.sum(w)) - float(np.trace(sym).real))
+    square_error = abs(float(w @ w) - fro(sym) ** 2)
+    # Written as "not <=" so a NaN from the solver fails the check too.
+    if not (trace_error <= np.sqrt(len(w)) * e
+            and square_error <= (2.0 * scale + e) * e):
+        raise NumericalError(
+            f"eigenvalues of {a.label!r} violate the eigensolver contract: "
+            f"trace error {trace_error:.3e}, squared-sum error {square_error:.3e}")
+    w.setflags(write=False)
+    return w
 
 
 def matrix_function(m_spec: SpectralDecomposition,

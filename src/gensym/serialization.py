@@ -21,8 +21,8 @@ FORMAT_ERROR = "malformed operator document"
 
 
 def operator_to_dict(op: Operator) -> dict:
-    entries = [[[float(op.entries[i, j].real), float(op.entries[i, j].imag)]
-                for j in range(op.dim)] for i in range(op.dim)]
+    a = op.entries
+    entries = np.stack([a.real, a.imag], axis=-1).tolist()
     return {"dim": op.dim, "label": op.label, "entries": entries}
 
 

@@ -4,10 +4,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gensym import detection, load_operator, make_operator, save_operator
+from gensym import (
+    detection,
+    load_operator,
+    make_operator,
+    multiplets,
+    operators,
+    save_operator,
+)
 from gensym.cli import (
     EXIT_INPUT,
     EXIT_NOT_FOUND,
+    EXIT_NUMERICAL,
     EXIT_OK,
     analyze_pair,
     main,
@@ -51,6 +59,26 @@ class TestSerialization:
         save_operator(a, p1)
         save_operator(a, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["random", "real", "signed_zero",
+                                      "subnormal"])
+    def test_file_matches_per_element_encoding(self, tmp_path, rng, kind):
+        entries = {
+            "random": rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)),
+            "real": rng.normal(size=(5, 5)).astype(complex),
+            "signed_zero": np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)],
+                                     [complex(-0.0, -0.0), 1.0]]),
+            "subnormal": np.array([[5e-324 + 2.2e-310j, -1e-315],
+                                   [1e-320j, 1e300 - 3e-308j]]),
+        }[kind]
+        a = make_operator(len(entries), entries, "probe")
+        per_element = {"dim": a.dim, "label": a.label, "entries": [
+            [[float(a.entries[i, j].real), float(a.entries[i, j].imag)]
+             for j in range(a.dim)] for i in range(a.dim)]}
+        path = tmp_path / "a.json"
+        save_operator(a, path)
+        assert path.read_text(encoding="utf-8") == \
+            json.dumps(per_element, indent=1) + "\n"
 
     def test_dict_round_trip(self):
         a = op(SX, "sx")
@@ -227,48 +255,137 @@ class TestSweepCommand:
 
 
 class TestCostModel:
-    """analyze_pair forms each eigendecomposition and commutator once."""
+    """analyze_pair forms each eigendecomposition and commutator once, and
+    H's eigenvectors only when the verdict goes on to use them."""
 
     def analyze_counting(self, monkeypatch, h, m):
-        """The report, full-size eigh calls and commutator-chain calls."""
-        shapes, chains = [], []
-        eigh, chain = np.linalg.eigh, detection._commutator_chain
+        """The report and the full-size eigh, eigvalsh and chain calls."""
+        calls = {"eigh": [], "eigvalsh": []}
+        chains = []
+        chain = detection._commutator_chain
 
-        def counting_eigh(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return eigh(a, *args, **kwargs)
+        def counting(name):
+            solver = getattr(np.linalg, name)
+
+            def counted(a, *args, **kwargs):
+                calls[name].append(np.shape(a))
+                return solver(a, *args, **kwargs)
+            return counted
 
         def counting_chain(*args):
             chains.append(args)
             return chain(*args)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name))
         monkeypatch.setattr(detection, "_commutator_chain", counting_chain)
         report = analyze_pair(h, m, Tolerance())
-        return report, shapes.count((h.dim, h.dim)), len(chains)
+        full = (h.dim, h.dim)
+        return (report, calls["eigh"].count(full),
+                calls["eigvalsh"].count(full), len(chains))
 
     @pytest.mark.parametrize("bundle", [
         angular_block(2, -0.5, 0.1),
         hardcore_chain(4, 0.3 + 0.1j),  # degenerate H: refined per cluster
     ], ids=["angular_l2", "hardcore_4"])
     def test_case2_two_eigh_one_chain(self, monkeypatch, bundle):
-        report, full_eigh, chains = self.analyze_counting(
+        report, full_eigh, full_eigvalsh, chains = self.analyze_counting(
             monkeypatch, bundle.h, bundle.m)
         assert report["detection"]["kind"] == "case2"
         assert report["stability"] is not None
-        assert full_eigh == 2
-        assert chains == 1
+        assert (full_eigh, full_eigvalsh, chains) == (2, 0, 1)
 
-    def test_genuine_one_eigh(self, monkeypatch):
+    def test_genuine_values_only(self, monkeypatch):
         jc = jaynes_cummings(1.3, 1.0, 0.2, cutoff=8)
-        report, full_eigh, chains = self.analyze_counting(
+        report, full_eigh, full_eigvalsh, chains = self.analyze_counting(
             monkeypatch, jc.h, jc.extras["m_exc"])
         assert report["detection"]["kind"] == "genuine"
-        assert (full_eigh, chains) == (1, 1)
+        assert (full_eigh, full_eigvalsh, chains) == (0, 1, 1)
 
-    def test_no_gensym_one_eigh(self, monkeypatch, rng):
-        report, full_eigh, chains = self.analyze_counting(
+    def test_no_gensym_values_only(self, monkeypatch, rng):
+        report, full_eigh, full_eigvalsh, chains = self.analyze_counting(
             monkeypatch, op(random_hermitian(rng, 12)),
             op(random_hermitian(rng, 12)))
         assert report["detection"]["kind"] == "no_gensym"
-        assert (full_eigh, chains) == (1, 1)
+        assert (full_eigh, full_eigvalsh, chains) == (0, 1, 1)
+
+
+class TestHermiticityGate:
+    """analyze_pair gates each operand once, whatever the verdict."""
+
+    @staticmethod
+    def count_full_size_gates(monkeypatch, dim):
+        """Patch is_hermitian wherever gensym imported it; count n x n calls."""
+        shapes = []
+        gate = operators.is_hermitian
+
+        def counting_gate(entries, *args, **kwargs):
+            shapes.append(np.shape(entries))
+            return gate(entries, *args, **kwargs)
+
+        for module in (operators, detection, multiplets):
+            monkeypatch.setattr(module, "is_hermitian", counting_gate)
+        return lambda: shapes.count((dim, dim))
+
+    @pytest.mark.parametrize("kind", ["case2", "genuine", "no_gensym"])
+    def test_two_gates_per_analyze(self, monkeypatch, rng, kind):
+        if kind == "case2":
+            bundle = hardcore_chain(4, 0.3 + 0.1j)
+            h, m = bundle.h, bundle.m
+        elif kind == "genuine":
+            jc = jaynes_cummings(1.3, 1.0, 0.2, cutoff=8)
+            h, m = jc.h, jc.extras["m_exc"]
+        else:
+            h, m = op(random_hermitian(rng, 12)), op(random_hermitian(rng, 12))
+        gates = self.count_full_size_gates(monkeypatch, h.dim)
+        report = analyze_pair(h, m, Tolerance())
+        assert report["detection"]["kind"] == kind
+        assert gates() == 2
+
+    def test_two_gates_per_sweep_step(self, monkeypatch, tmp_path):
+        gates = self.count_full_size_gates(monkeypatch, 3)
+        assert main(["sweep", "angular", "--l", "1", "--param", "g",
+                     "--from", "0.0", "--to", "0.2", "--steps", "3",
+                     "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+        assert gates() == 2 * 3
+
+    @pytest.mark.parametrize("bad", ["H", "M"])
+    def test_non_hermitian_operand_is_rejected(self, tmp_path, rng, bad):
+        ops = {"H": random_hermitian(rng, 4), "M": random_hermitian(rng, 4)}
+        ops[bad] = ops[bad] + np.triu(np.ones((4, 4)), 1)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            analyze_pair(op(ops["H"]), op(ops["M"]), Tolerance())
+        paths = {}
+        for name, entries in ops.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            save_operator(op(entries), paths[name])
+        assert main(["analyze", "--hamiltonian", paths["H"],
+                     "--symmetry", paths["M"]]) == EXIT_INPUT
+
+
+class TestNumericalFailureExitCode:
+    """Eigensolver failures are internal numerical failures: exit 2."""
+
+    def analyze_random_pair(self, tmp_path, rng):
+        paths = []
+        for name in ("h", "m"):
+            paths.append(str(tmp_path / f"{name}.json"))
+            save_operator(op(random_hermitian(rng, 6)), paths[-1])
+        return main(["analyze", "--hamiltonian", paths[0],
+                     "--symmetry", paths[1], "--out", str(tmp_path / "r.json")])
+
+    def test_solver_non_convergence(self, monkeypatch, tmp_path, rng):
+        def failing_eigvalsh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+        assert self.analyze_random_pair(tmp_path, rng) == EXIT_NUMERICAL
+
+    def test_values_outside_the_contract(self, monkeypatch, tmp_path, rng):
+        eigvalsh = np.linalg.eigvalsh
+
+        def shifted_eigvalsh(a):
+            return eigvalsh(a) + 1e-8 * np.linalg.norm(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", shifted_eigvalsh)
+        assert self.analyze_random_pair(tmp_path, rng) == EXIT_NUMERICAL

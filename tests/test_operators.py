@@ -12,9 +12,30 @@ from gensym import (
     make_operator,
     matrix_function,
 )
-from gensym.operators import is_hermitian
+from gensym.models import (
+    angular_block,
+    fermion_chain,
+    hardcore_chain,
+    involution_example,
+    jaynes_cummings,
+    projection_example,
+    random_triple,
+)
+from gensym.operators import NumericalError, _hermitian_eigvalsh, is_hermitian
 
 from conftest import SX, SY, SZ, op, random_hermitian
+
+# Hamiltonians of the acceptance models.
+MODEL_HAMILTONIANS = [
+    ("angular_l1", angular_block(1, -0.5, 0.1).h),
+    ("angular_l2", angular_block(2, -0.125, 0.1).h),
+    ("jc_16", jaynes_cummings(1.3, 1.0, 0.2, cutoff=16).h),
+    ("hardcore_6", hardcore_chain(6, 0.2).h),
+    ("fermion_4", fermion_chain(4, 0.5, [0.3, 0, 0, 0]).h),
+    ("projection_6", projection_example(6, seed=0).h),
+    ("involution_6", involution_example(6, seed=0).h),
+    ("random_triple", random_triple((3, 4, 5), 1.0, seed=1000).h),
+]
 
 
 class TestMakeOperator:
@@ -177,6 +198,60 @@ class TestHermitianEigh:
         s2 = hermitian_eigh(a)
         np.testing.assert_array_equal(s1.eigenvalues, s2.eigenvalues)
         np.testing.assert_array_equal(s1.eigenvectors, s2.eigenvectors)
+
+
+class TestHermitianEigvalsh:
+    """The values-only spectrum and its trace and squared-sum checks."""
+
+    @staticmethod
+    def assert_matches_eigh(a):
+        bound = 1e-12 * max(1.0, a.norm)
+        w = _hermitian_eigvalsh(a)
+        assert np.max(np.abs(w - hermitian_eigh(a).eigenvalues)) <= bound
+
+    @pytest.mark.parametrize("h", [h for _, h in MODEL_HAMILTONIANS],
+                             ids=[name for name, _ in MODEL_HAMILTONIANS])
+    def test_matches_hermitian_eigh_on_models(self, h):
+        self.assert_matches_eigh(h)
+
+    def test_matches_hermitian_eigh_on_random(self, rng):
+        for dim in (2, 3, 7, 16, 50, 120, 200):
+            a = random_hermitian(rng, dim)
+            for entries in (a, 1e6 * a, 1e-6 * a, a + 1e4 * np.eye(dim)):
+                self.assert_matches_eigh(op(entries))
+
+    @pytest.mark.parametrize("perturb", ["shift", "spread", "flip"])
+    def test_contract_violation_raises(self, monkeypatch, rng, perturb):
+        # "shift" moves every value by delta; "spread" moves the extremes
+        # apart by delta each and keeps the sum, so only the squared-sum
+        # check sees it; "flip" negates the largest value and keeps the
+        # squared sum, so only the trace check sees it.
+        a = op(random_hermitian(rng, 40), "probe")
+        delta = 1e-8 * a.norm
+        eigvalsh = np.linalg.eigvalsh
+
+        def perturbed_eigvalsh(x):
+            w = eigvalsh(x)
+            if perturb == "shift":
+                return w + delta
+            if perturb == "spread":
+                w[0] -= delta
+                w[-1] += delta
+            else:
+                k = np.argmax(np.abs(w))
+                w[k] = -w[k]
+            return w
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", perturbed_eigvalsh)
+        with pytest.raises(NumericalError, match="probe"):
+            _hermitian_eigvalsh(a)
+
+    def test_nan_fails_the_check(self, monkeypatch, rng):
+        a = op(random_hermitian(rng, 8))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda x: np.full(len(x), np.nan))
+        with pytest.raises(NumericalError):
+            _hermitian_eigvalsh(a)
 
 
 class TestSpectralDecomposition:
