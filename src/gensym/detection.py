@@ -248,8 +248,15 @@ def _reconstruct_case2(h: Operator, m: Operator, commutators,
         raise ValueError("reconstruct_case2 requires Re(gamma) != 0")
     c1, c2 = itertools.islice(commutators, 2)
     mod_sq = abs(gamma) ** 2
-    r = (gamma.conjugate() / (2.0 * gamma1 * mod_sq)) * (c2 + gamma.conjugate() * c1)
-    h0 = (-c2 + 2j * gamma2 * c1 + mod_sq * h.entries) / mod_sq
+    if gamma2 == 0.0 and not np.iscomplexobj(c1):
+        # Real (C1, C2) and real gamma: real coefficients keep R and H0
+        # real, where complex scalars with zero imaginary part would not.
+        r = (gamma1 / (2.0 * gamma1 * mod_sq)) * (c2 + gamma1 * c1)
+        h0 = (-c2 + mod_sq * h.entries) / mod_sq
+    else:
+        conj = gamma.conjugate()
+        r = (conj / (2.0 * gamma1 * mod_sq)) * (c2 + conj * c1)
+        h0 = (-c2 + 2j * gamma2 * c1 + mod_sq * h.entries) / mod_sq
     return _build_triple(h, m, h0, r, gamma, tol)
 
 

@@ -66,8 +66,12 @@ def canonical_eigenbasis(h: Operator, m: Operator,
 
 def _refine_eigenbasis(spec: SpectralDecomposition,
                        me: np.ndarray) -> SpectralDecomposition:
-    """canonical_eigenbasis from an existing eigendecomposition of H."""
-    vectors = np.array(spec.eigenvectors)
+    """canonical_eigenbasis from an existing eigendecomposition of H.
+
+    The basis is complex when either H's eigenvectors or M is complex.
+    """
+    vectors = np.array(spec.eigenvectors,
+                       dtype=np.result_type(spec.eigenvectors, me))
     for start, stop in spec.clusters:
         if stop - start < 2:
             continue
@@ -92,7 +96,7 @@ def _cluster_coordinates(vectors: np.ndarray, m_spec: SpectralDecomposition,
     M-cluster k, and ``mask[k, j]`` whether that norm exceeds
     ``eps_supp * ||v_j||``.  One gemm and one segmented sum.
     """
-    vectors = np.asarray(vectors, dtype=complex)
+    vectors = np.asarray(vectors)
     coords = m_spec.eigenvectors.conj().T @ vectors
     starts = [start for start, _ in m_spec.clusters]
     norms = np.sqrt(np.add.reduceat(np.abs(coords) ** 2, starts, axis=0))

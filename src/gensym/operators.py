@@ -1,8 +1,15 @@
-"""Dense complex operators, commutators, and Hermitian eigendecomposition.
+"""Dense operators, commutators, and Hermitian eigendecomposition.
 
 Everything downstream (symmetry detection, multiplets, stability) is built
 on the small set of primitives in this module.  Operators are immutable
 dense matrices; all functions are pure.
+
+Storage rule, applied once in make_operator: an operator is float64 when
+the imaginary part of every entry is +0.0 bit for bit, and complex128
+otherwise.  Downstream code follows the dtype of its operands, so a pair
+of real operators runs every gemm and eigensolve in real arithmetic.  A
+-0.0 imaginary part keeps an operator complex, so a saved file, which
+writes every imaginary part, is byte-identical either way.
 """
 
 from __future__ import annotations
@@ -50,7 +57,10 @@ def fro(a: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Immutable dense complex square matrix with a label."""
+    """Immutable dense square matrix with a label.
+
+    ``entries`` is float64 or complex128 by make_operator's storage rule.
+    """
 
     dim: int
     entries: np.ndarray
@@ -66,14 +76,23 @@ def is_hermitian(entries: np.ndarray, gate: float = HERMITICITY_GATE) -> bool:
 
 
 def make_operator(dim: int, entries, label: str = "") -> Operator:
-    """Validate and freeze a dense complex matrix into an Operator."""
+    """Validate and freeze a dense square matrix into an Operator.
+
+    The entries are stored as float64 when every imaginary part is +0.0
+    bit for bit, and as complex128 otherwise, in a frozen copy that never
+    shares memory with ``entries``.
+    """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    a = np.array(entries, dtype=complex)
+    a = np.asarray(entries)
+    a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
     if a.shape != (dim, dim):
         raise ValueError(f"entries must be {dim}x{dim}, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.all(np.isfinite(a)):
         raise ValueError("entries contain non-finite values")
+    if np.iscomplexobj(a) and not a.imag.view(np.uint64).any():
+        a = a.real
+    a = np.array(a)
     a.setflags(write=False)
     return Operator(dim=dim, entries=a, label=label)
 
@@ -176,9 +195,10 @@ def cluster_eigenvalues(values: Sequence[float], scale: float,
 def phase_canonicalize(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive.
 
-    Ties break to the lowest index (argmax picks the first maximum).
+    Ties break to the lowest index (argmax picks the first maximum).  Real
+    columns stay real: their phase is a sign.
     """
-    out = np.array(vectors, dtype=complex)
+    out = np.array(vectors, dtype=np.result_type(vectors, float))
     for j in range(out.shape[1]):
         col = out[:, j]
         i = int(np.argmax(np.abs(col)))

@@ -9,8 +9,8 @@ byte-identical.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
-import math
 from typing import Optional
 
 import numpy as np
@@ -27,6 +27,12 @@ def operator_to_dict(op: Operator) -> dict:
 
 
 def operator_from_dict(doc: dict) -> Operator:
+    """Validate an operator document and build its Operator.
+
+    Rows, cells and number types are checked in bulk and the numbers are
+    converted in one numpy call; only when a check fails does a scan find
+    the first offending row or cell for the message.
+    """
     if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
         raise ValueError(FORMAT_ERROR)
     dim = doc["dim"]
@@ -35,20 +41,49 @@ def operator_from_dict(doc: dict) -> Operator:
         raise ValueError(f"{FORMAT_ERROR}: bad dim {dim!r}")
     if not isinstance(rows, list) or len(rows) != dim:
         raise ValueError(f"{FORMAT_ERROR}: entries are not {dim} rows")
-    entries = np.empty((dim, dim), dtype=complex)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ValueError(f"{FORMAT_ERROR}: row {i} is not length {dim}")
-        for j, cell in enumerate(row):
-            if (not isinstance(cell, list) or len(cell) != 2
-                    or not all(isinstance(v, (int, float))
-                               and not isinstance(v, bool) for v in cell)):
-                raise ValueError(f"{FORMAT_ERROR}: entry [{i}][{j}] is not [re, im]")
-            re, im = float(cell[0]), float(cell[1])
-            if not (math.isfinite(re) and math.isfinite(im)):
-                raise ValueError(f"{FORMAT_ERROR}: non-finite entry [{i}][{j}]")
-            entries[i, j] = complex(re, im)
+    if not _all_lists_of_length(rows, dim):
+        i = next(i for i, row in enumerate(rows)
+                 if not (isinstance(row, list) and len(row) == dim))
+        raise ValueError(f"{FORMAT_ERROR}: row {i} is not length {dim}")
+    cells = list(itertools.chain.from_iterable(rows))
+    values = _flat_numbers(cells)
+    if values is None:
+        k = next(k for k, cell in enumerate(cells) if not _is_number_pair(cell))
+        raise ValueError(
+            f"{FORMAT_ERROR}: entry [{k // dim}][{k % dim}] is not [re, im]")
+    try:
+        parts = np.array(values, dtype=float)
+    except OverflowError as exc:  # an int beyond the float range
+        raise ValueError(f"{FORMAT_ERROR}: {exc}") from exc
+    bad = np.flatnonzero(~np.isfinite(parts))
+    if bad.size:
+        k = bad[0] // 2
+        raise ValueError(
+            f"{FORMAT_ERROR}: non-finite entry [{k // dim}][{k % dim}]")
+    entries = parts.view(complex).reshape(dim, dim)
     return make_operator(dim, entries, str(doc.get("label", "")))
+
+
+def _all_lists_of_length(items: list, n: int) -> bool:
+    return (all(issubclass(t, list) for t in set(map(type, items)))
+            and set(map(len, items)) <= {n})
+
+
+def _is_number_type(t: type) -> bool:
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
+
+
+def _is_number_pair(cell) -> bool:
+    return (isinstance(cell, list) and len(cell) == 2
+            and all(_is_number_type(type(v)) for v in cell))
+
+
+def _flat_numbers(cells: list) -> Optional[list]:
+    """[re, im, re, im, ...] when every cell is a pair of numbers, else None."""
+    if not _all_lists_of_length(cells, 2):
+        return None
+    values = list(itertools.chain.from_iterable(cells))
+    return values if all(map(_is_number_type, set(map(type, values)))) else None
 
 
 def save_operator(op: Operator, path) -> None:

@@ -97,7 +97,7 @@ def _rank_tests(a: np.ndarray, b: np.ndarray, psi: np.ndarray,
     taken from the right-singular vector of the smallest singular value.
     """
     n, k = psi.shape
-    stack = np.zeros((k, max(n, 3), 3), dtype=complex)
+    stack = np.zeros((k, max(n, 3), 3), dtype=np.result_type(a, b, psi, float))
     stack[:, :n, 0] = a.T
     stack[:, :n, 1] = b.T
     stack[:, :n, 2] = psi.T
@@ -114,11 +114,11 @@ def linear_dependence(psi: np.ndarray, a: np.ndarray, b: np.ndarray,
     x*a + y*b = u*psi.  The coefficient triple is the right-singular
     vector of the smallest singular value, as a unit vector.
     """
-    psi = np.asarray(psi, dtype=complex)
+    psi = np.asarray(psi)
     if np.linalg.norm(psi) == 0:
         raise ValueError("psi must be nonzero")
     stable, x, y, u = _rank_tests(
-        *(np.reshape(np.asarray(v, dtype=complex), (-1, 1))
+        *(np.reshape(np.asarray(v), (-1, 1))
           for v in (a, b, psi)), cutoff)
     return bool(stable[0]), (complex(x[0]), complex(y[0]), complex(u[0]))
 
@@ -192,7 +192,7 @@ def classify(psi: np.ndarray, eigenvalue: float, triple: GenSymTriple,
     cases are recorded; the primary case is the smallest.
     """
     _require_real_gamma(triple.gamma, tol)
-    psi = np.reshape(np.asarray(psi, dtype=complex), (-1, 1))
+    psi = np.reshape(np.asarray(psi), (-1, 1))
     return _classify_block(_ladder(triple, m_spec), psi,
                            np.array([float(eigenvalue)]), [index], tol)[0]
 
@@ -259,7 +259,7 @@ def partner_eigenvector(psi: np.ndarray, eigenvalue: float,
     Im(z*gamma) = +pi, so rounding cannot flip the branch; the eigenvalue
     shift is eps = (exp(-z*gamma) - 1)/x.
     """
-    psi = np.reshape(np.asarray(psi, dtype=complex), (-1, 1))
+    psi = np.reshape(np.asarray(psi), (-1, 1))
     return _partners(_ladder(triple, m_spec), psi,
                      np.array([float(eigenvalue)]), [coeffs], tol)[0]
 

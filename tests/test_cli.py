@@ -22,7 +22,7 @@ from gensym.cli import (
     parse_complex,
 )
 from gensym.models import angular_block, hardcore_chain, jaynes_cummings
-from gensym.operators import Tolerance, is_hermitian
+from gensym.operators import Operator, Tolerance, is_hermitian
 from gensym.serialization import operator_from_dict, operator_to_dict
 
 from conftest import SX, op, random_hermitian
@@ -61,7 +61,7 @@ class TestSerialization:
         assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize("kind", ["random", "real", "signed_zero",
-                                      "subnormal"])
+                                      "subnormal", "jc_model"])
     def test_file_matches_per_element_encoding(self, tmp_path, rng, kind):
         entries = {
             "random": rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)),
@@ -70,6 +70,7 @@ class TestSerialization:
                                      [complex(-0.0, -0.0), 1.0]]),
             "subnormal": np.array([[5e-324 + 2.2e-310j, -1e-315],
                                    [1e-320j, 1e300 - 3e-308j]]),
+            "jc_model": jaynes_cummings(1.0, 1.0, 0.1, cutoff=7).h.entries,
         }[kind]
         a = make_operator(len(entries), entries, "probe")
         per_element = {"dim": a.dim, "label": a.label, "entries": [
@@ -101,6 +102,96 @@ class TestSerialization:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             operator_from_dict({"dim": 1, "entries": [[[float("inf"), 0.0]]]})
+
+    @staticmethod
+    def document(**replace):
+        """A dim-3 document with row 1 or cell [1][2] replaced."""
+        rows = [[[float(i), 0.5 * j] for j in range(3)] for i in range(3)]
+        if "row" in replace:
+            rows[1] = replace["row"]
+        if "cell" in replace:
+            rows[1][2] = replace["cell"]
+        return {"dim": 3, "label": "probe", "entries": rows}
+
+    @pytest.mark.parametrize("cell", [
+        [True, 0.0], [0.0, False], [1.0], [1.0, 2.0, 3.0], [], "x", "12",
+        1.5, None, {"re": 1.0, "im": 0.0}, (1.0, 0.0), ["1.0", 0.0],
+        [None, 0.0], [1.0, [0.0]],
+    ], ids=["bool_re", "bool_im", "short", "long", "empty", "string",
+            "two_char_string", "number", "null", "dict", "tuple",
+            "numeric_string", "null_part", "nested"])
+    def test_rejects_cell_that_is_not_a_number_pair(self, cell):
+        with pytest.raises(ValueError, match=r"entry \[1\]\[2\] is not"):
+            operator_from_dict(self.document(cell=cell))
+
+    @pytest.mark.parametrize("row", [
+        [[0.0, 0.0]] * 2, [[0.0, 0.0]] * 4, "abc", None,
+        ([0.0, 0.0],) * 3,
+    ], ids=["short", "long", "string", "null", "tuple"])
+    def test_rejects_row_of_wrong_length_or_type(self, row):
+        with pytest.raises(ValueError, match="row 1 is not length 3"):
+            operator_from_dict(self.document(row=row))
+
+    @pytest.mark.parametrize("cell", [
+        [float("inf"), 0.0], [0.0, float("-inf")], [float("nan"), 0.0],
+        [0.0, float("nan")],
+    ], ids=["inf_re", "minus_inf_im", "nan_re", "nan_im"])
+    def test_rejects_non_finite_cell(self, cell):
+        with pytest.raises(ValueError, match=r"non-finite entry \[1\]\[2\]"):
+            operator_from_dict(self.document(cell=cell))
+
+    def test_rejects_int_beyond_float_range(self):
+        with pytest.raises(ValueError, match="malformed operator document"):
+            operator_from_dict(self.document(cell=[10 ** 400, 0]))
+
+    def test_reads_ints_and_floats(self):
+        doc = self.document(cell=[2, -3])
+        a = operator_from_dict(doc)
+        assert a.label == "probe"
+        assert a.entries[1, 2] == 2 - 3j
+        assert a.entries[2, 1] == 2.0 + 0.5j
+
+    @pytest.mark.parametrize("imag, dtype", [
+        (0.0, np.float64), (0, np.float64), (-0.0, np.complex128),
+        (1e-300, np.complex128),
+    ], ids=["zero", "int_zero", "negative_zero", "tiny"])
+    def test_loaded_dtype_follows_the_storage_rule(self, imag, dtype):
+        doc = {"dim": 2, "entries": [[[1.0, 0.0], [2.0, 0.0]],
+                                     [[2.0, imag], [3.0, 0.0]]]}
+        a = operator_from_dict(doc)
+        assert a.entries.dtype == dtype
+        assert np.signbit(a.entries.imag[1, 0]) == np.signbit(imag)
+
+    def test_real_storage_writes_the_complex_file(self, tmp_path):
+        # The file of a float64 operator is the file the same matrix stored
+        # as complex128 with +0.0 imaginary parts would give.
+        a = jaynes_cummings(1.0, 1.0, 0.1, cutoff=7).h
+        assert a.entries.dtype == np.float64
+        as_complex = Operator(a.dim, a.entries.astype(complex), a.label)
+        save_operator(a, tmp_path / "real.json")
+        save_operator(as_complex, tmp_path / "complex.json")
+        assert (tmp_path / "real.json").read_bytes() == \
+            (tmp_path / "complex.json").read_bytes()
+
+    @pytest.mark.parametrize("name, dtypes", [
+        ("jc", {"H": np.float64, "M": np.float64, "R": np.float64}),
+        # R = -g L_- has -0.0 real parts, which the float64 copy keeps.
+        ("angular", {"H": np.float64, "M": np.float64, "R": np.float64}),
+        ("hardcore", {"H": np.complex128, "M": np.float64,
+                      "R": np.complex128}),
+    ])
+    def test_model_files_load_by_the_storage_rule(self, tmp_path, name,
+                                                  dtypes):
+        prefix = str(tmp_path / "m_")
+        args = {"jc": ["--cutoff", "7"], "angular": ["--l", "2"],
+                "hardcore": ["--sites", "3", "--z", "0.3+0.1i"]}[name]
+        assert main(["model", name, *args, "--out-prefix", prefix]) == EXIT_OK
+        for part, dtype in dtypes.items():
+            path = Path(prefix + f"{part}.json")
+            a = load_operator(path)
+            assert a.entries.dtype == dtype
+            save_operator(a, tmp_path / "again.json")
+            assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -258,31 +349,54 @@ class TestCostModel:
     """analyze_pair forms each eigendecomposition and commutator once, and
     H's eigenvectors only when the verdict goes on to use them."""
 
-    def analyze_counting(self, monkeypatch, h, m):
-        """The report and the full-size eigh, eigvalsh and chain calls."""
-        calls = {"eigh": [], "eigvalsh": []}
-        chains = []
+    def analyze_recording(self, monkeypatch, h, m):
+        """The report, and the operand dtypes of every eigh, eigvalsh and
+        svd call (full-size eigh/eigvalsh only), of every chain and of the
+        partition's cluster coordinates, and of the (H0, R) a triple is
+        built from."""
+        calls = {"eigh": [], "eigvalsh": [], "svd": [], "chain": [],
+                 "coords": [], "triple": []}
         chain = detection._commutator_chain
+        coordinates = multiplets._cluster_coordinates
+        build_triple = detection._build_triple
 
-        def counting(name):
+        def recording(name):
             solver = getattr(np.linalg, name)
 
-            def counted(a, *args, **kwargs):
-                calls[name].append(np.shape(a))
+            def recorded(a, *args, **kwargs):
+                if name == "svd" or np.shape(a) == (h.dim, h.dim):
+                    calls[name].append(np.asarray(a).dtype)
                 return solver(a, *args, **kwargs)
-            return counted
+            return recorded
 
-        def counting_chain(*args):
-            chains.append(args)
-            return chain(*args)
+        def recording_chain(he, me):
+            calls["chain"].append((he.dtype, me.dtype))
+            return chain(he, me)
 
-        for name in calls:
-            monkeypatch.setattr(np.linalg, name, counting(name))
-        monkeypatch.setattr(detection, "_commutator_chain", counting_chain)
+        def recording_coordinates(*args):
+            result = coordinates(*args)
+            calls["coords"].append(result[0].dtype)
+            return result
+
+        def recording_build_triple(h, m, h0, r, *args, **kwargs):
+            calls["triple"].append((h0.dtype, r.dtype))
+            return build_triple(h, m, h0, r, *args, **kwargs)
+
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, recording(name))
+        monkeypatch.setattr(detection, "_commutator_chain", recording_chain)
+        monkeypatch.setattr(multiplets, "_cluster_coordinates",
+                            recording_coordinates)
+        monkeypatch.setattr(detection, "_build_triple",
+                            recording_build_triple)
         report = analyze_pair(h, m, Tolerance())
-        full = (h.dim, h.dim)
-        return (report, calls["eigh"].count(full),
-                calls["eigvalsh"].count(full), len(chains))
+        return report, calls
+
+    def analyze_counting(self, monkeypatch, h, m):
+        """The report and the full-size eigh, eigvalsh and chain calls."""
+        report, calls = self.analyze_recording(monkeypatch, h, m)
+        return (report, len(calls["eigh"]), len(calls["eigvalsh"]),
+                len(calls["chain"]))
 
     @pytest.mark.parametrize("bundle", [
         angular_block(2, -0.5, 0.1),
@@ -294,6 +408,35 @@ class TestCostModel:
         assert report["detection"]["kind"] == "case2"
         assert report["stability"] is not None
         assert (full_eigh, full_eigvalsh, chains) == (2, 0, 1)
+
+    @pytest.mark.parametrize("bundle", [
+        angular_block(2, -0.5, 0.1),
+        jaynes_cummings(1.0, 1.0, 0.1, cutoff=7),
+    ], ids=["angular_l2", "jc_7"])
+    def test_real_pair_runs_in_float64(self, monkeypatch, bundle):
+        report, calls = self.analyze_recording(monkeypatch, bundle.h, bundle.m)
+        assert report["detection"]["kind"] == "case2"
+        assert report["stability"] is not None
+        f64 = np.dtype(np.float64)
+        assert calls["chain"] == [(f64, f64)]
+        assert calls["triple"] == [(f64, f64)]
+        assert calls["eigh"] == [f64, f64]
+        assert calls["coords"] == [f64]
+        # Every stacked rank-test SVD of the stability scan.
+        assert calls["svd"] and set(calls["svd"]) == {f64}
+
+    def test_complex_pair_stays_complex(self, monkeypatch):
+        bundle = hardcore_chain(4, 0.3 + 0.1j)
+        report, calls = self.analyze_recording(monkeypatch, bundle.h, bundle.m)
+        assert report["detection"]["kind"] == "case2"
+        c128, f64 = np.dtype(np.complex128), np.dtype(np.float64)
+        # H is complex; the number operator M is real on its own, so only
+        # its eigendecomposition (the second eigh) runs in float64.
+        assert calls["chain"] == [(c128, f64)]
+        assert calls["triple"] == [(c128, c128)]
+        assert calls["eigh"] == [c128, f64]
+        assert calls["coords"] == [c128]
+        assert calls["svd"] and set(calls["svd"]) == {c128}
 
     def test_genuine_values_only(self, monkeypatch):
         jc = jaynes_cummings(1.3, 1.0, 0.2, cutoff=8)

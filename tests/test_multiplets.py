@@ -48,6 +48,23 @@ class TestCanonicalEigenbasis:
             diag = np.diag(block).real
             assert np.all(np.diff(diag) >= -1e-10)
 
+    def test_real_h_with_complex_m(self):
+        # A real H keeps real eigenvectors until a complex M rotates its
+        # degenerate clusters, so the refined basis must turn complex.
+        bundle = jaynes_cummings(1.0, 1.0, 0.0, cutoff=4)
+        a = np.triu(np.ones((bundle.h.dim, bundle.h.dim)), 1)
+        m = op(bundle.m.entries + 0.1j * (a - a.T))
+        assert bundle.h.entries.dtype == np.float64
+        h_spec = canonical_eigenbasis(bundle.h, m)
+        v = h_spec.eigenvectors
+        assert v.dtype == np.complex128
+        np.testing.assert_allclose(v.conj().T @ v, np.eye(bundle.h.dim),
+                                   atol=1e-12)
+        compressed = v.conj().T @ m.entries @ v
+        for start, stop in h_spec.clusters:
+            block = compressed[start:stop, start:stop]
+            assert np.linalg.norm(block - np.diag(np.diag(block))) <= 1e-10
+
     def test_rejects_non_hermitian_m(self, rng):
         h = op(random_hermitian(rng, 3))
         with pytest.raises(ValueError):

@@ -21,7 +21,12 @@ from gensym.models import (
     projection_example,
     random_triple,
 )
-from gensym.operators import NumericalError, _hermitian_eigvalsh, is_hermitian
+from gensym.operators import (
+    NumericalError,
+    _hermitian_eigvalsh,
+    is_hermitian,
+    phase_canonicalize,
+)
 
 from conftest import SX, SY, SZ, op, random_hermitian
 
@@ -59,6 +64,92 @@ class TestMakeOperator:
     def test_rejects_wrong_dim(self):
         with pytest.raises(ValueError):
             make_operator(3, SX)
+
+
+class TestStorageRule:
+    """float64 when every imaginary part is +0.0 bit for bit, else complex128."""
+
+    @pytest.mark.parametrize("entries", [
+        np.array([[1.5, -2.0], [0.0, 3.0]]),
+        [[1, 2], [3, 4]],
+        np.array([[1.5, -2.0], [0.0, 3.0]], dtype=np.float32),
+        np.array([[1.5, -2.0], [-0.0, 3.0]], dtype=complex),
+        [[1 + 0j, 2], [3, 4]],
+    ], ids=["float64", "int_list", "float32", "complex_zero_imag",
+            "complex_list"])
+    def test_real_values_are_float64(self, entries):
+        a = make_operator(2, entries)
+        assert a.entries.dtype == np.float64
+        np.testing.assert_array_equal(a.entries, np.real(np.asarray(entries)))
+
+    @pytest.mark.parametrize("imag", [1e-300, -2.0, 5e-324, -0.0])
+    def test_any_other_imaginary_part_is_complex(self, imag):
+        entries = np.eye(3, dtype=complex)
+        entries[2, 1] = complex(0.0, imag)
+        a = make_operator(3, entries)
+        assert a.entries.dtype == np.complex128
+        # Bit for bit, the sign of a zero included.
+        assert a.entries.tobytes() == entries.tobytes()
+
+    def test_real_part_keeps_its_signed_zeros(self):
+        a = make_operator(1, np.array([[complex(-0.0, 0.0)]]))
+        assert a.entries.dtype == np.float64
+        assert np.signbit(a.entries[0, 0])
+
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(np.inf, 0.0),
+                                     complex(0.0, np.nan), complex(0.0, -np.inf),
+                                     complex(-np.inf, 1.0)],
+                             ids=["nan_re", "inf_re", "nan_im", "inf_im",
+                                  "inf_re_complex"])
+    def test_rejects_non_finite_in_either_part(self, bad):
+        entries = np.zeros((2, 2), dtype=complex)
+        entries[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            make_operator(2, entries)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stored_copy_is_frozen_and_unaliased(self, dtype):
+        entries = np.ones((2, 2), dtype=dtype)
+        a = make_operator(2, entries)
+        entries[0, 0] = 7.0
+        assert a.entries[0, 0] == 1.0
+        assert not a.entries.flags.writeable
+        assert a.entries.flags.c_contiguous
+
+    @pytest.mark.parametrize("bundle, real", [
+        (angular_block(3, -0.5, 0.1), True),
+        (jaynes_cummings(1.0, 1.0, 0.1, cutoff=7), True),
+        (fermion_chain(4, 0.5, [0.3, 0, -0.2, 0]), True),
+        (fermion_chain(4, 0.5, [0.3 + 0.1j, 0, 0, 0]), False),
+        (hardcore_chain(4, 0.3 + 0.1j), False),
+    ], ids=["angular", "jc", "fermion_real", "fermion_complex",
+            "hardcore_complex"])
+    def test_model_hamiltonians(self, bundle, real):
+        expected = np.float64 if real else np.complex128
+        assert bundle.h.entries.dtype == expected
+        # Every number operator and sigma_z is real.
+        assert bundle.m.entries.dtype == np.float64
+
+    def test_real_pair_commutator_is_real(self):
+        lz = angular_block(2, 0.0, 0.1)
+        assert commutator(lz.h, lz.m).entries.dtype == np.float64
+        assert adjoint(lz.h).entries.dtype == np.float64
+
+    def test_phase_canonicalize_keeps_real_columns_real(self, rng):
+        v = rng.normal(size=(6, 4))
+        out = phase_canonicalize(v)
+        assert out.dtype == np.float64
+        pivots = out[np.argmax(np.abs(out), axis=0), np.arange(4)]
+        assert np.all(pivots > 0)
+        np.testing.assert_array_equal(np.abs(out), np.abs(v))
+
+    def test_phase_canonicalize_of_complex_is_complex(self, rng):
+        v = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+        out = phase_canonicalize(v)
+        pivots = out[np.argmax(np.abs(out), axis=0), np.arange(4)]
+        assert out.dtype == np.complex128
+        np.testing.assert_allclose(pivots.imag, 0.0, atol=1e-15)
+        assert np.all(pivots.real > 0)
 
 
 class TestAdjoint:
