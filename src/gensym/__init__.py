@@ -1,10 +1,9 @@
 """Generalised-symmetry detection, multiplet partitioning, and eigenvector
 stability analysis for finite Hermitian operator pairs."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .detection import (
-    CASE1,
     CASE2,
     GENUINE,
     NO_GENSYM,
@@ -12,9 +11,7 @@ from .detection import (
     GenSymTriple,
     canonicalize,
     detect,
-    fit_case1,
     fit_case2,
-    reconstruct_case1,
     reconstruct_case2,
     similarity_transform,
     verify_triple,

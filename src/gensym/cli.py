@@ -14,7 +14,6 @@ import numpy as np
 
 from . import __version__
 from .detection import (
-    CASE1,
     CASE2,
     GENUINE,
     NO_GENSYM,
@@ -22,7 +21,6 @@ from .detection import (
     _reconstruct_case2,
     canonicalize,
     detect,
-    reconstruct_case1,
     verify_triple,
 )
 from .models import (
@@ -126,9 +124,7 @@ def _detection_record(result) -> dict:
     return {
         "kind": result.kind,
         "gamma1": result.gamma1,
-        "gamma2": result.gamma2,
         "residual": result.residual,
-        "conditioning_flag": result.conditioning_flag,
     }
 
 
@@ -196,8 +192,8 @@ def analyze_pair(h, m, tol: Tolerance, digests: Optional[dict] = None) -> dict:
     # _detect gates the Hermiticity of H and M; nothing below repeats it.
     result, commutators = _detect(h, m, tol)
     report["detection"] = _detection_record(result)
-    # Only a case-2 verdict with real gamma goes on to use eigenvectors.
-    if result.real_gamma:
+    # Only a case-2 verdict goes on to use eigenvectors.
+    if result.kind == CASE2:
         h_spec = _hermitian_eigh(h, tol)
         report["spectrum"] = h_spec.eigenvalues.tolist()
     else:
@@ -214,21 +210,10 @@ def analyze_pair(h, m, tol: Tolerance, digests: Optional[dict] = None) -> dict:
         report["skipped"] = "no generalised symmetry detected"
         return report
 
-    if result.kind == CASE1:
-        triple = reconstruct_case1(h, m, result.gamma2, tol)
-        report["triple"] = _triple_record(triple, verify_triple(h, m, triple, tol))
-        report["skipped"] = "case 1 (imaginary gamma): stability needs real gamma"
-        return report
-
     triple = canonicalize(_reconstruct_case2(h, m, commutators,
-                                             result.gamma, tol))
+                                             result.gamma1, tol))
     del commutators
-    verification = verify_triple(h, m, triple, tol)
-    report["triple"] = _triple_record(triple, verification)
-    if not result.real_gamma:
-        report["skipped"] = "complex gamma: stability needs real gamma"
-        return report
-
+    report["triple"] = _triple_record(triple, verify_triple(h, m, triple, tol))
     m_spec = _hermitian_eigh(m, tol)
     h_spec = _refine_eigenbasis(h_spec, m.entries)
     part = partition(h_spec, m_spec, tol)

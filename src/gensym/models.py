@@ -20,7 +20,7 @@ from .operators import Operator, make_operator, phase_canonicalize
 @dataclass(frozen=True)
 class KnownTriple:
     r: Operator
-    gamma: complex
+    gamma: float
     h0: Operator
 
 
@@ -64,7 +64,7 @@ def angular_block(l: int, e_n: float, g: float, hbar: float = 1.0) -> ModelBundl
         h=make_operator(dim, h, f"angular(l={l})"),
         m=make_operator(dim, lz, "Lz"),
         known=KnownTriple(r=make_operator(dim, r, "R"),
-                          gamma=complex(hbar),
+                          gamma=float(hbar),
                           h0=make_operator(dim, h0, "H0")),
         params={"l": l, "e_n": e_n, "g": g, "hbar": hbar},
         basis_doc="rows/cols ordered by m = l, l-1, ..., -l",
@@ -134,7 +134,7 @@ def jaynes_cummings(omega0: float, omega: float, kappa: float, cutoff: int,
         h=make_operator(dim, h, "jaynes_cummings"),
         m=make_operator(dim, m, "sigma_z"),
         known=KnownTriple(r=make_operator(dim, r, "R"),
-                          gamma=2.0 + 0.0j,
+                          gamma=2.0,
                           h0=make_operator(dim, h0, "H0")),
         params={"omega0": omega0, "omega": omega, "kappa": kappa,
                 "cutoff": cutoff, "hbar": hbar},
@@ -187,7 +187,7 @@ def fermion_chain(sites: int, eps: float,
         h=make_operator(dim, h, f"fermion_chain(L={sites})"),
         m=make_operator(dim, m, "number"),
         known=KnownTriple(r=make_operator(dim, r, "R"),
-                          gamma=1.0 + 0.0j,
+                          gamma=1.0,
                           h0=make_operator(dim, h0, "H0")),
         params={"sites": sites, "eps": eps,
                 "sources": [[z.real, z.imag] for z in sources]},
@@ -225,7 +225,7 @@ def hardcore_chain(sites: int, z: complex) -> ModelBundle:
         h=make_operator(dim, h, f"hardcore_chain(L={sites})"),
         m=make_operator(dim, m, "number"),
         known=KnownTriple(r=make_operator(dim, r, "R"),
-                          gamma=-1.0 + 0.0j,
+                          gamma=-1.0,
                           h0=make_operator(dim, h0, "H0")),
         params={"sites": sites, "z": [z.real, z.imag]},
         basis_doc="occupation bit strings; site 1 = least significant bit",
@@ -281,17 +281,15 @@ def involution_example(dim: int, seed: int) -> ModelBundle:
     )
 
 
-def random_triple(level_dims: Sequence[int], gamma: complex,
+def random_triple(level_dims: Sequence[int], gamma: float,
                   seed: int) -> ModelBundle:
     """Synthetic exact triple: block-ladder R against a block-diagonal M.
 
     M is constant mu_k = -k*gamma on level k, so any R mapping level k to
     level k+1 satisfies [R, M] = gamma*R exactly.  H0 is block-diagonal
-    Hermitian, hence [H0, M] = 0 exactly.  For complex gamma the M matrix
-    is non-Hermitian; the exact commutators C1, C2, C3 are exported in
-    extras for fitting tests.
+    Hermitian, hence [H0, M] = 0 exactly.
     """
-    gamma = complex(gamma)
+    gamma = float(gamma)
     if gamma == 0:
         raise ValueError("gamma must be nonzero")
     level_dims = list(level_dims)
@@ -300,7 +298,7 @@ def random_triple(level_dims: Sequence[int], gamma: complex,
     rng = np.random.default_rng(seed)
     dim = sum(level_dims)
     offsets = np.cumsum([0] + level_dims)
-    m = np.zeros((dim, dim), dtype=complex)
+    m = np.zeros((dim, dim))
     h0 = np.zeros((dim, dim), dtype=complex)
     for k, d in enumerate(level_dims):
         sl = slice(offsets[k], offsets[k + 1])
@@ -314,27 +312,12 @@ def random_triple(level_dims: Sequence[int], gamma: complex,
                  + 1j * rng.normal(size=(level_dims[k + 1], level_dims[k])))
         r[rows, cols] = block
     h = h0 + r + r.conj().T
-    rd = r.conj().T
-    extras = {}
-    hermitian = gamma.imag == 0.0
-    if not hermitian:
-        extras = {
-            "c1": make_operator(dim, gamma * r - gamma.conjugate() * rd, "C1"),
-            "c2": make_operator(dim, gamma ** 2 * r
-                                + gamma.conjugate() ** 2 * rd, "C2"),
-            "c3": make_operator(dim, gamma ** 3 * r
-                                - gamma.conjugate() ** 3 * rd, "C3"),
-        }
     return ModelBundle(
         h=make_operator(dim, h, "synthetic"),
         m=make_operator(dim, m, "synthetic_M"),
         known=KnownTriple(r=make_operator(dim, r, "R"),
                           gamma=gamma,
                           h0=make_operator(dim, h0, "H0")),
-        params={"level_dims": level_dims,
-                "gamma": [gamma.real, gamma.imag],
-                "seed": seed,
-                "hermitian": hermitian},
+        params={"level_dims": level_dims, "gamma": gamma, "seed": seed},
         basis_doc="levels concatenated in order; M = -k*gamma on level k",
-        extras=extras,
     )

@@ -9,7 +9,7 @@ clusters plus parallel components within each supported cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 

@@ -3,7 +3,7 @@
 An eigenvector psi is stable when {psi, R psi, R^dag psi} are linearly
 dependent.  Stable vectors fall into five cases; the generic case 5
 produces a partner eigenvector chi = exp(-zM) psi at a shifted eigenvalue.
-Requires real gamma.
+GenSymTriple guarantees the real, nonzero gamma this classification needs.
 """
 
 from __future__ import annotations
@@ -75,14 +75,9 @@ def _ladder(triple: GenSymTriple, m_spec: SpectralDecomposition) -> _Ladder:
     r_dag = r.conj().T
     h = triple.h0.entries + r + r_dag
     return _Ladder(h=h, h_norm=fro(h), r=r, r_dag=r_dag,
-                   r_scale=max(1.0, fro(r)), gamma=triple.gamma.real,
+                   r_scale=max(1.0, fro(r)), gamma=triple.gamma,
                    w=m_spec.eigenvectors, w_dag=m_spec.eigenvectors.conj().T,
                    mu=m_spec.cluster_values())
-
-
-def _require_real_gamma(gamma: complex, tol: Tolerance):
-    if abs(gamma.imag) > tol.atol * max(1.0, abs(gamma.real)):
-        raise ValueError("stability classification requires real gamma")
 
 
 def _rank_tests(a: np.ndarray, b: np.ndarray, psi: np.ndarray,
@@ -191,7 +186,6 @@ def classify(psi: np.ndarray, eigenvalue: float, triple: GenSymTriple,
     else is case 5 with an explicitly constructed partner.  All matching
     cases are recorded; the primary case is the smallest.
     """
-    _require_real_gamma(triple.gamma, tol)
     psi = np.reshape(np.asarray(psi), (-1, 1))
     return _classify_block(_ladder(triple, m_spec), psi,
                            np.array([float(eigenvalue)]), [index], tol)[0]
@@ -225,8 +219,6 @@ def _partners(ladder: _Ladder, vectors: np.ndarray, eigenvalues: np.ndarray,
     W diag(exp(-z mu)) W^dag psi, with mu the per-cluster value that
     matrix_function uses: O(n^2) per vector instead of O(n^3).
     """
-    if ladder.gamma == 0.0:
-        raise ValueError("partner construction requires gamma != 0")
     zs, e_second = [], []
     for (x, y), eigenvalue in zip(coeffs, eigenvalues):
         z, eps = _ladder_exponent(complex(x), complex(y), ladder.gamma, tol)
@@ -281,7 +273,6 @@ def scan_spectrum_stability(h_spec: SpectralDecomposition,
     Memory: besides the n x n operators, O(n * _BLOCK) workspace per
     block, so no (n, n, 3) stack is ever formed.
     """
-    _require_real_gamma(triple.gamma, tol)
     ladder = _ladder(triple, m_spec)
     records: List[StabilityRecord] = []
     for start in range(0, h_spec.dim, _BLOCK):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -10,17 +11,15 @@ from gensym import (
     Tolerance,
     canonicalize,
     detect,
-    fit_case1,
     fit_case2,
     hermitian_eigh,
     iterated_commutator,
     make_operator,
-    reconstruct_case1,
     reconstruct_case2,
     similarity_transform,
     verify_triple,
 )
-from gensym.detection import CASE1, _commutator_chain
+from gensym.detection import _commutator_chain
 from gensym.models import (
     angular_block,
     fermion_chain,
@@ -69,15 +68,12 @@ def random_pairs():
 
 def reference_detect(h, m, tol=Tolerance()):
     """detect's decision rule on iterated_commutator output."""
-    c1, c2, c3 = (iterated_commutator(h, m, n) for n in (1, 2, 3))
+    c1, c3 = (iterated_commutator(h, m, n) for n in (1, 3))
     if fro(c1.entries) <= tol.rtol * max(1.0, h.norm * m.norm):
         return GENUINE, 0.0
-    g1, _, res2, _ = fit_case2(c1, c2, c3, tol)
-    if not np.isnan(g1) and res2 <= tol.rtol:
-        return CASE2, g1
-    g2, res1 = fit_case1(c1, c2, tol)
-    if abs(g2) > tol.atol and res1 <= tol.rtol:
-        return CASE1, 0.0
+    gamma, residual = fit_case2(c1, c3, tol)
+    if not np.isnan(gamma) and residual <= tol.rtol:
+        return CASE2, gamma
     return NO_GENSYM, 0.0
 
 
@@ -109,54 +105,21 @@ class TestCommutatorChain:
 
 class TestFitCase2:
     def test_pauli_projection(self):
-        c1, c2, c3 = commutator_chain(SX, PROJ)
-        g1, g2, residual, _ = fit_case2(c1, c2, c3)
-        assert (g1, g2) == pytest.approx((1.0, 0.0), abs=1e-12)
+        c1, _, c3 = commutator_chain(SX, PROJ)
+        gamma, residual = fit_case2(c1, c3)
+        assert gamma == pytest.approx(1.0, abs=1e-12)
         assert residual <= 1e-12
 
     def test_pauli_involution(self):
-        c1, c2, c3 = commutator_chain(SX, SZ)
-        g1, g2, residual, _ = fit_case2(c1, c2, c3)
-        assert (g1, g2) == pytest.approx((2.0, 0.0), abs=1e-12)
+        c1, _, c3 = commutator_chain(SX, SZ)
+        gamma, residual = fit_case2(c1, c3)
+        assert gamma == pytest.approx(2.0, abs=1e-12)
         assert residual <= 1e-12
-
-    def test_complex_gamma_recovery(self):
-        bundle = random_triple((4, 4, 4), 1.5 + 0.7j, seed=11)
-        g1, g2, residual, _ = fit_case2(
-            bundle.extras["c1"], bundle.extras["c2"], bundle.extras["c3"])
-        assert (g1, g2) == pytest.approx((1.5, 0.7), abs=1e-8)
-        assert residual <= 1e-10
 
     def test_rejects_zero_first_commutator(self):
         zero = op(np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            fit_case2(zero, zero, zero)
-
-
-class TestFitCase1:
-    def test_exact_multiple(self, rng):
-        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        c1 = op(a - a.conj().T)
-        c2 = op(3j * c1.entries)
-        g2, residual = fit_case1(c1, c2)
-        assert g2 == pytest.approx(3.0, abs=1e-12)
-        assert residual <= 1e-12
-
-    def test_orthogonal_case(self, rng):
-        # <iC1, C1> is purely imaginary for anti-Hermitian C1, so the
-        # real-part fit sees an orthogonal target.
-        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        c1 = op(a - a.conj().T)
-        g2, residual = fit_case1(c1, c1)
-        assert g2 == pytest.approx(0.0, abs=1e-12)
-        assert residual == pytest.approx(1.0, rel=1e-12)
-
-    def test_involution_pair_is_rejected(self):
-        # C2 = 4*sx is Hermitian while i*C1 is anti-Hermitian; the fit
-        # residual stays at 1, so this pair cannot pass as case 1.
-        c1, c2, _ = commutator_chain(SX, SZ)
-        g2, residual = fit_case1(c1, c2)
-        assert residual == pytest.approx(1.0, rel=1e-12)
+            fit_case2(zero, zero)
 
 
 class TestDetect:
@@ -164,17 +127,14 @@ class TestDetect:
         bundle = projection_example(8, seed=3)
         result = detect(bundle.h, bundle.m)
         assert result.kind == CASE2
-        assert result.gamma2 == pytest.approx(0.0, abs=1e-10)
-        assert result.gamma1 ** 2 + result.gamma2 ** 2 == \
-            pytest.approx(1.0, abs=1e-10)
+        assert result.gamma1 ** 2 == pytest.approx(1.0, abs=1e-10)
         assert result.residual <= 1e-10
 
     def test_involution_symmetry(self):
         bundle = involution_example(8, seed=4)
         result = detect(bundle.h, bundle.m)
         assert result.kind == CASE2
-        assert result.gamma1 ** 2 + result.gamma2 ** 2 == \
-            pytest.approx(4.0, abs=1e-9)
+        assert result.gamma1 ** 2 == pytest.approx(4.0, abs=1e-9)
 
     def test_identity_is_genuine(self, rng):
         h = op(random_hermitian(rng, 4))
@@ -231,29 +191,19 @@ class TestReconstructCase2:
             reconstruct_case2(op(SX), op(PROJ), 1j)
 
 
-class TestReconstructCase1:
-    def test_genuine_input_degenerates(self, rng):
-        h = op(random_hermitian(rng, 4))
-        m = op(np.eye(4))
-        triple = reconstruct_case1(h, m, 2.0)
-        np.testing.assert_allclose(triple.h0.entries, h.entries, atol=1e-14)
-        np.testing.assert_allclose(triple.r.entries, 0, atol=1e-14)
-        assert triple.degenerate
+class TestGenSymTriple:
+    def test_gamma_is_stored_as_float(self):
+        triple = reconstruct_case2(op(SX), op(PROJ), 1.0 + 0.0j)
+        assert type(triple.gamma) is float and triple.gamma == 1.0
 
-    def test_sum_identity_by_construction(self, rng):
-        h = op(random_hermitian(rng, 6))
-        m = op(random_hermitian(rng, 6))
-        triple = reconstruct_case1(h, m, 0.7)
-        # H = H0 + 2R holds identically whatever the pair.
-        np.testing.assert_allclose(
-            triple.h0.entries + 2 * triple.r.entries, h.entries, atol=1e-12)
-        np.testing.assert_array_equal(triple.r.entries,
-                                      triple.r.entries.conj().T.conj().T)
-
-    def test_rejects_zero_gamma2(self, rng):
-        h = op(random_hermitian(rng, 4))
+    @pytest.mark.parametrize("gamma", [1j, 1.0 + 1e-300j, 0.0, -0.0,
+                                       float("nan"), float("inf")])
+    def test_rejects_gamma_that_is_not_real_and_nonzero(self, gamma):
+        triple = reconstruct_case2(op(SX), op(PROJ), 1.0)
         with pytest.raises(ValueError):
-            reconstruct_case1(h, h, 0.0)
+            dataclasses.replace(triple, gamma=gamma)
+        with pytest.raises(ValueError):
+            reconstruct_case2(op(SX), op(PROJ), gamma)
 
 
 class TestVerifyTriple:
@@ -265,7 +215,6 @@ class TestVerifyTriple:
     def test_perturbed_ladder_fails(self, rng):
         bundle = random_triple((4, 4), 1.0, seed=9)
         triple = reconstruct_case2(bundle.h, bundle.m, 1.0)
-        import dataclasses
         noisy = dataclasses.replace(
             triple,
             r=op(triple.r.entries + 1e-3 * random_hermitian(rng, 8)))
@@ -273,9 +222,12 @@ class TestVerifyTriple:
         assert not report.ladder_ok
 
     def test_genuine_triple_flagged_degenerate(self, rng):
+        # A commuting pair reconstructs to R = 0, H0 = H: the ladder
+        # relation then holds for any gamma, so the report flags it.
         h = op(random_hermitian(rng, 4))
         m = op(np.eye(4))
-        triple = reconstruct_case1(h, m, 1.0)
+        triple = reconstruct_case2(h, m, 1.0)
+        np.testing.assert_array_equal(triple.r.entries, 0)
         report = verify_triple(h, m, triple)
         assert report.sum_ok and report.h0_commutes_ok
         assert report.degenerate
@@ -386,18 +338,3 @@ class TestInvariants:
         gamma = np.vdot(q, c) / np.vdot(q, q).real
         residual = np.linalg.norm(c - gamma * q) / np.linalg.norm(c)
         assert residual <= 1e-12
-
-    def test_case1_collapse_on_hermitian_inputs(self, rng):
-        # Any accepted case 1 with nonzero gamma2 must be a genuine
-        # symmetry in disguise.
-        tol = Tolerance(rtol=1e-9)
-        for _ in range(50):
-            dim = int(rng.integers(4, 17))
-            h = op(random_hermitian(rng, dim))
-            m = op(random_hermitian(rng, dim))
-            result = detect(h, m, tol)
-            if result.kind == "case1" and abs(result.gamma2) > 0:
-                c1 = iterated_commutator(h, m, 1).entries
-                bound = 1e-6 * max(1.0, np.linalg.norm(h.entries)
-                                   * np.linalg.norm(m.entries))
-                assert np.linalg.norm(c1) <= bound

@@ -4,9 +4,8 @@ Conjugating a real pair by D = diag(exp(i theta)) makes H complex and
 leaves a diagonal M unchanged, so the complex pair (D H D^dag, M) runs the
 complex-arithmetic code on the same physics as the real pair (H, M): the
 verdict, multiplet classes, labels and primary stability cases must be
-identical, and gamma and the spectrum must agree to rounding (the complex
-fit leaves an imaginary part of order 1e-18 in gamma where the real fit
-gives 0.0).
+identical, and gamma and the spectrum must agree to rounding (gamma comes
+from sums over complex entries in one case and real entries in the other).
 
 Hard-core chains are left out: their classes already change under such a
 phase when every operator is stored complex (3 of 10 uniform draws of

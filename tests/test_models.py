@@ -274,20 +274,6 @@ class TestRandomTriple:
                    report.residual_ladder) <= 1e-12 * max(
                        1.0, np.linalg.norm(bundle.h.entries))
 
-    def test_complex_gamma_commutator_export(self):
-        # The exported chain must satisfy the case-2 relation
-        # C3 = 2i*g2*C2 + (g1^2 + g2^2)*C1 and be anti/Hermitian in turn.
-        gamma = 1.5 + 0.7j
-        bundle = random_triple((3, 3, 3), gamma, seed=7)
-        assert not bundle.params["hermitian"]
-        c1 = bundle.extras["c1"].entries
-        c2 = bundle.extras["c2"].entries
-        c3 = bundle.extras["c3"].entries
-        np.testing.assert_allclose(
-            c3, 2j * gamma.imag * c2 + abs(gamma) ** 2 * c1, atol=1e-12)
-        np.testing.assert_allclose(c1.conj().T, -c1, atol=1e-12)
-        np.testing.assert_allclose(c2.conj().T, c2, atol=1e-12)
-
     def test_real_gamma_commutator_matches(self):
         bundle = random_triple((3, 4), 1.5, seed=7)
         r = bundle.known.r.entries
@@ -300,6 +286,11 @@ class TestRandomTriple:
             random_triple((4,), 1.0, seed=0)
         with pytest.raises(ValueError):
             random_triple((2, 2), 0.0, seed=0)
+
+    def test_rejects_complex_gamma(self):
+        # A Hermitian M has a real ladder constant.
+        with pytest.raises(TypeError):
+            random_triple((3, 3), 1.5 + 0.7j, seed=7)
 
 
 def _hm(bundle):

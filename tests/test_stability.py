@@ -114,9 +114,11 @@ class TestClassify:
             classify(h_spec.eigenvectors[:, 0], 0.0, triple, m_spec)
 
     def test_rejects_complex_gamma(self):
+        # The triple itself refuses a non-real gamma, so no classification
+        # can ever see one.
         triple, h_spec, m_spec = angular_setup(1)
-        skewed = dataclasses.replace(triple, gamma=1.0 + 1.0j)
         with pytest.raises(ValueError):
+            skewed = dataclasses.replace(triple, gamma=1.0 + 1.0j)
             classify(h_spec.eigenvectors[:, 1], -0.5, skewed, m_spec)
 
 
