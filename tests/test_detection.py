@@ -338,3 +338,26 @@ class TestInvariants:
         gamma = np.vdot(q, c) / np.vdot(q, q).real
         residual = np.linalg.norm(c - gamma * q) / np.linalg.norm(c)
         assert residual <= 1e-12
+
+    def test_case1_collapse_on_hermitian_inputs(self, rng):
+        # Case 1 (C2 = i gamma2 C1) collapses on Hermitian pairs: the
+        # projection <iC1, C2> is zero up to rounding, so no verdict can
+        # carry an imaginary gamma, and an accepted symmetry without a
+        # real gamma is a genuine one.
+        tol = Tolerance(rtol=1e-9)
+        for _ in range(50):
+            dim = int(rng.integers(4, 17))
+            h = op(random_hermitian(rng, dim))
+            m = op(random_hermitian(rng, dim))
+            c1 = iterated_commutator(h, m, 1).entries
+            c2 = iterated_commutator(h, m, 2).entries
+            gamma2 = np.vdot(1j * c1, c2).real / np.vdot(c1, c1).real
+            assert abs(gamma2) <= 1e-12 * max(1.0, np.linalg.norm(c2)
+                                              / np.linalg.norm(c1))
+            result = detect(h, m, tol)
+            assert result.kind in (GENUINE, CASE2, NO_GENSYM)
+            assert np.isrealobj(result.gamma)
+            if result.kind == GENUINE:
+                bound = 1e-6 * max(1.0, np.linalg.norm(h.entries)
+                                   * np.linalg.norm(m.entries))
+                assert np.linalg.norm(c1) <= bound
