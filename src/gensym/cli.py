@@ -19,8 +19,6 @@ from .detection import (
     NO_GENSYM,
     _detect,
     _reconstruct_case2,
-    canonicalize,
-    detect,
     verify_triple,
 )
 from .models import (
@@ -134,10 +132,10 @@ def _triple_record(triple, report) -> dict:
         "residual_sum": report.residual_sum,
         "residual_h0m": report.residual_h0m,
         "residual_ladder": report.residual_ladder,
-        "commutes_rdr_m": triple.commutes_rdr_m,
-        "commutes_rrd_m": triple.commutes_rrd_m,
-        "commutes_rdr_h0": triple.commutes_rdr_h0,
-        "commutes_rrd_h0": triple.commutes_rrd_h0,
+        "commutes_rdr_m": report.commutes_rdr_m,
+        "commutes_rrd_m": report.commutes_rrd_m,
+        "commutes_rdr_h0": report.commutes_rdr_h0,
+        "commutes_rrd_h0": report.commutes_rrd_h0,
         "degenerate": report.degenerate,
         "verified": report.passed,
     }
@@ -182,41 +180,46 @@ def _stability_record(records) -> dict:
             "counts": {str(k): v for k, v in sorted(counts.items())}}
 
 
+def _multiplet_stage(h, m, tol: Tolerance):
+    """eigh(H), eigh(M), the canonical basis of H and its partition.
+
+    The stage analyze and sweep share, on a pair detection has gated.
+    """
+    h_spec = _hermitian_eigh(h, tol)
+    m_spec = _hermitian_eigh(m, tol)
+    h_spec = _refine_eigenbasis(h_spec, m.entries)
+    return h_spec, m_spec, partition(h_spec, m_spec, tol)
+
+
 def analyze_pair(h, m, tol: Tolerance, digests: Optional[dict] = None) -> dict:
     """Full pipeline on one (H, M) pair; returns the report document."""
+    # _detect gates the Hermiticity of H and M; nothing below repeats it.
+    result, commutators = _detect(h, m, tol)
     report = {
         "tool": {"name": "gensym", "version": __version__},
         "tolerances": {"atol": tol.atol, "rtol": tol.rtol},
         "inputs": digests or {},
+        "detection": _detection_record(result),
+        "spectrum": None,
+        "triple": None,
+        "multiplets": None,
+        "stability": None,
+        "skipped": None,
     }
-    # _detect gates the Hermiticity of H and M; nothing below repeats it.
-    result, commutators = _detect(h, m, tol)
-    report["detection"] = _detection_record(result)
     # Only a case-2 verdict goes on to use eigenvectors.
-    if result.kind == CASE2:
-        h_spec = _hermitian_eigh(h, tol)
-        report["spectrum"] = h_spec.eigenvalues.tolist()
-    else:
+    if result.kind != CASE2:
         report["spectrum"] = _hermitian_eigvalsh(h).tolist()
-    report["triple"] = None
-    report["multiplets"] = None
-    report["stability"] = None
-    report["skipped"] = None
-
-    if result.kind == GENUINE:
-        report["skipped"] = "genuine symmetry: H and M commute, R = 0"
-        return report
-    if result.kind == NO_GENSYM:
-        report["skipped"] = "no generalised symmetry detected"
+        report["skipped"] = ("genuine symmetry: H and M commute, R = 0"
+                             if result.kind == GENUINE
+                             else "no generalised symmetry detected")
         return report
 
-    triple = canonicalize(_reconstruct_case2(h, m, commutators,
-                                             result.gamma1, tol))
+    # The fit returns gamma = sqrt(gamma^2) > 0: the triple is canonical.
+    triple = _reconstruct_case2(h, *commutators, result.gamma1)
     del commutators
     report["triple"] = _triple_record(triple, verify_triple(h, m, triple, tol))
-    m_spec = _hermitian_eigh(m, tol)
-    h_spec = _refine_eigenbasis(h_spec, m.entries)
-    part = partition(h_spec, m_spec, tol)
+    h_spec, m_spec, part = _multiplet_stage(h, m, tol)
+    report["spectrum"] = h_spec.eigenvalues.tolist()
     report["multiplets"] = _partition_record(part, h_spec, m_spec)
     records = scan_spectrum_stability(h_spec, triple, m_spec, tol)
     report["stability"] = _stability_record(records)
@@ -255,17 +258,12 @@ def run_sweep(args: argparse.Namespace) -> int:
     for value in values:
         setattr(args, args.param, float(value))
         bundle = build_model(args)
-        result = detect(bundle.h, bundle.m, tol)  # gates H and M
+        result = _detect(bundle.h, bundle.m, tol)[0]  # gates H and M
         if result.kind == CASE2:
             gammas.append(result.gamma1)
-        m_spec = _hermitian_eigh(bundle.m, tol)
-        h_spec = _refine_eigenbasis(_hermitian_eigh(bundle.h, tol),
-                                    bundle.m.entries)
-        part = partition(h_spec, m_spec, tol)
-        class_of = {}
-        for c, members in enumerate(part.classes):
-            for i in members:
-                class_of[i] = c
+        h_spec, _, part = _multiplet_stage(bundle.h, bundle.m, tol)
+        class_of = {i: c for c, members in enumerate(part.classes)
+                    for i in members}
         for i in range(h_spec.dim):
             lines.append(f"{float(value)!r},{i},"
                          f"{float(h_spec.eigenvalues[i])!r},{class_of[i]}")

