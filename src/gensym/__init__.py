@@ -1,7 +1,7 @@
 """Generalised-symmetry detection, multiplet partitioning, and eigenvector
 stability analysis for finite Hermitian operator pairs."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .detection import (
     CASE2,
@@ -11,19 +11,14 @@ from .detection import (
     GenSymTriple,
     canonicalize,
     detect,
-    fit_case2,
     reconstruct_case2,
     similarity_transform,
     verify_triple,
 )
 from .multiplets import (
     MultipletPartition,
-    SupportSignature,
     canonical_eigenbasis,
     partition,
-    recover_f,
-    same_multiplet,
-    support_signature,
 )
 from .operators import (
     DEFAULT_TOL,
@@ -31,10 +26,7 @@ from .operators import (
     Operator,
     SpectralDecomposition,
     Tolerance,
-    adjoint,
     cluster_eigenvalues,
-    commutator,
-    frobenius_inner,
     hermitian_eigh,
     iterated_commutator,
     make_operator,
@@ -43,8 +35,5 @@ from .operators import (
 from .serialization import load_operator, save_operator
 from .stability import (
     StabilityRecord,
-    classify,
-    linear_dependence,
-    partner_eigenvector,
     scan_spectrum_stability,
 )

@@ -215,7 +215,7 @@ def analyze_pair(h, m, tol: Tolerance, digests: Optional[dict] = None) -> dict:
         return report
 
     # The fit returns gamma = sqrt(gamma^2) > 0: the triple is canonical.
-    triple = _reconstruct_case2(h, *commutators, result.gamma1)
+    triple = _reconstruct_case2(h.entries, *commutators, result.gamma1)
     del commutators
     report["triple"] = _triple_record(triple, verify_triple(h, m, triple, tol))
     h_spec, m_spec, part = _multiplet_stage(h, m, tol)

@@ -22,7 +22,7 @@ from .operators import (
     Operator,
     SpectralDecomposition,
     Tolerance,
-    adjoint,
+    _freeze,
     fro,
     is_hermitian,
     make_operator,
@@ -61,20 +61,22 @@ def _real_nonzero(gamma) -> float:
     return value.real
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GenSymTriple:
-    """Reconstructed (H0, R, gamma).
+    """Reconstructed (H0, R, gamma) as two read-only arrays and a float.
 
-    gamma is a real, finite, nonzero float; building a triple with any
-    other gamma raises ValueError.  verify_triple grades the triple
-    against (H, M).
+    The arrays are stored as make_operator stores entries.  gamma is real,
+    finite and nonzero; any other gamma raises ValueError.  verify_triple
+    grades the triple against (H, M).
     """
 
-    h0: Operator
-    r: Operator
+    h0: np.ndarray
+    r: np.ndarray
     gamma: float
 
     def __post_init__(self):
+        object.__setattr__(self, "h0", _freeze(self.h0))
+        object.__setattr__(self, "r", _freeze(self.r))
         object.__setattr__(self, "gamma", _real_nonzero(self.gamma))
 
 
@@ -105,19 +107,15 @@ def _commutator_chain(he: np.ndarray, me: np.ndarray):
         yield c
 
 
-def fit_case2(c1: Operator, c3: Operator, tol: Tolerance = DEFAULT_TOL):
+def _fit_case2(c1: np.ndarray, c3: np.ndarray, tol: Tolerance):
     """Least-squares fit of C3 = gamma^2 * C1 over real gamma^2.
 
     Returns (gamma, residual) with gamma >= 0; gamma is NaN when gamma^2
     is not above max(atol, 1e-10) (the fit is then rejected).
     """
-    return _fit_case2(c1.entries, c3.entries, tol)
-
-
-def _fit_case2(c1: np.ndarray, c3: np.ndarray, tol: Tolerance):
     n1 = fro(c1)
     if n1 == 0.0:
-        raise ValueError("fit_case2 requires [H,M] != 0")
+        raise ValueError("the case-2 fit requires [H,M] != 0")
     gamma_sq = np.vdot(c1, c3).real / (n1 ** 2)
     residual = float(fro(c3 - gamma_sq * c1) / max(fro(c3), n1, tol.atol))
     if gamma_sq <= max(tol.atol, 1e-10):
@@ -173,12 +171,12 @@ def reconstruct_case2(h: Operator, m: Operator, gamma: float,
     ``tol`` is not read: verify_triple grades the triple.
     """
     c1, c2 = itertools.islice(_commutator_chain(h.entries, m.entries), 2)
-    return _reconstruct_case2(h, c1, c2, gamma)
+    return _reconstruct_case2(h.entries, c1, c2, gamma)
 
 
-def _reconstruct_case2(h: Operator, c1: np.ndarray, c2: np.ndarray,
+def _reconstruct_case2(he: np.ndarray, c1: np.ndarray, c2: np.ndarray,
                        gamma: float) -> GenSymTriple:
-    """reconstruct_case2 from the commutators C1 and C2 already formed.
+    """reconstruct_case2 from H and the commutators C1 and C2 already formed.
 
     With C1 = gamma (R - R^dag) and C2 = gamma^2 (R + R^dag):
     R = (C2 + gamma C1) / (2 gamma^2) and H0 = H - C2 / gamma^2.
@@ -186,10 +184,8 @@ def _reconstruct_case2(h: Operator, c1: np.ndarray, c2: np.ndarray,
     gamma = _real_nonzero(gamma)
     gamma_sq = gamma ** 2
     r = (c2 + gamma * c1) / (2.0 * gamma_sq)
-    h0 = (-c2 + gamma_sq * h.entries) / gamma_sq
-    return GenSymTriple(h0=make_operator(h.dim, h0, f"H0[{h.label}]"),
-                        r=make_operator(h.dim, r, f"R[{h.label}]"),
-                        gamma=gamma)
+    h0 = (-c2 + gamma_sq * he) / gamma_sq
+    return GenSymTriple(h0=h0, r=r, gamma=gamma)
 
 
 @dataclass(frozen=True)
@@ -222,10 +218,10 @@ class TripleReport:
 def verify_triple(h: Operator, m: Operator, triple: GenSymTriple,
                   tol: Tolerance = DEFAULT_TOL) -> TripleReport:
     """Recompute the triple residuals against (H, M) and grade each one."""
-    if not (h.dim == m.dim == triple.h0.dim == triple.r.dim):
+    h0, r = triple.h0, triple.r
+    if not (h0.shape == r.shape == (h.dim, h.dim) and h.dim == m.dim):
         raise ValueError("dimension mismatch between (H, M) and triple")
     he, me = h.entries, m.entries
-    h0, r = triple.h0.entries, triple.r.entries
     rd = r.conj().T
     rdr = rd @ r
     rrd = r @ rd
@@ -262,7 +258,7 @@ def canonicalize(triple: GenSymTriple) -> GenSymTriple:
     """
     if triple.gamma > 0:
         return triple
-    return replace(triple, r=adjoint(triple.r), gamma=-triple.gamma)
+    return replace(triple, r=triple.r.conj().T, gamma=-triple.gamma)
 
 
 def similarity_transform(triple: GenSymTriple, m_spec: SpectralDecomposition,
@@ -275,7 +271,7 @@ def similarity_transform(triple: GenSymTriple, m_spec: SpectralDecomposition,
     """
     z = complex(z)
     gamma = triple.gamma
-    h0, r = triple.h0.entries, triple.r.entries
+    h0, r = triple.h0, triple.r
     h = h0 + r + r.conj().T
     ladder = (h0 + cmath.exp(z * gamma) * r
               + cmath.exp(-z * gamma) * r.conj().T)
@@ -286,4 +282,4 @@ def similarity_transform(triple: GenSymTriple, m_spec: SpectralDecomposition,
     if deviation > tol.rtol * max(1.0, fro(direct), fro(ladder)):
         raise NumericalError(
             f"direct and ladder-form transforms disagree by {deviation:.3e}")
-    return make_operator(triple.h0.dim, ladder, "transformed")
+    return make_operator(len(h0), ladder, "transformed")

@@ -1,9 +1,9 @@
 """Partition of H-eigenvectors into M-multiplets.
 
-Two eigenvectors belong to the same M-multiplet when one is f(M) times the
-other for an invertible f, i.e. f nonzero on the spectrum of M.  On a
-finite space this is equivalent to equal support over the M-eigenvalue
-clusters plus parallel components within each supported cluster.
+Two eigenvectors are in the same M-multiplet when one is f(M) times the
+other for an f nonzero on the spectrum of M: equivalently, they have equal
+support over the M-eigenvalue clusters and parallel components within each
+supported cluster.  partition decides this for a whole eigenbasis at once.
 """
 
 from __future__ import annotations
@@ -32,14 +32,6 @@ _SIZE_LABELS = {1: "singlet", 2: "doublet", 3: "triplet",
 
 def size_label(n: int) -> str:
     return _SIZE_LABELS.get(n, f"{n}-plet")
-
-
-@dataclass(frozen=True, eq=False)
-class SupportSignature:
-    """Which M-eigenvalue clusters an eigenvector lives on."""
-
-    present_clusters: Tuple[int, ...]
-    components: Dict[int, np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,32 +132,6 @@ def _greedy_classes(vectors: np.ndarray, m_spec: SpectralDecomposition,
     return classes, mask
 
 
-def support_signature(psi: np.ndarray,
-                      m_spec: SpectralDecomposition) -> SupportSignature:
-    """Project psi on each M-eigenvalue cluster and record the support."""
-    coords, norms, mask = _cluster_coordinates(np.reshape(psi, (-1, 1)),
-                                               m_spec)
-    present = tuple(int(k) for k in np.flatnonzero(mask[:, 0]))
-    components = {}
-    for k in present:
-        start, stop = m_spec.clusters[k]
-        components[k] = (m_spec.cluster_basis(k)
-                         @ (coords[start:stop, 0] / norms[k, 0]))
-    return SupportSignature(present_clusters=present, components=components)
-
-
-def same_multiplet(psi: np.ndarray, phi: np.ndarray,
-                   m_spec: SpectralDecomposition,
-                   tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when phi = f(M) psi for some invertible f.
-
-    Equal cluster support and, per supported cluster, components parallel
-    up to a complex scalar.
-    """
-    classes, _ = _greedy_classes(np.column_stack([psi, phi]), m_spec, tol)
-    return len(classes) == 1
-
-
 def partition(h_spec: SpectralDecomposition, m_spec: SpectralDecomposition,
               tol: Tolerance = DEFAULT_TOL) -> MultipletPartition:
     """Group all eigenvectors into M-multiplets.
@@ -179,7 +145,7 @@ def partition(h_spec: SpectralDecomposition, m_spec: SpectralDecomposition,
 
     Ordering: classes are built greedily against the first-seen
     representative of each class, in eigenvector-index order, exactly as
-    pairwise ``same_multiplet`` tests would build them.  Classes are
+    pairwise multiplet tests would build them.  Classes are
     listed in order of their representative's index, members ascending,
     and each signature is the representative's support.
     """
@@ -190,31 +156,3 @@ def partition(h_spec: SpectralDecomposition, m_spec: SpectralDecomposition,
                          for c in classes),
         labels=tuple(size_label(len(c)) for c in classes),
     )
-
-
-def recover_f(psi: np.ndarray, phi: np.ndarray,
-              m_spec: SpectralDecomposition,
-              tol: Tolerance = DEFAULT_TOL) -> Dict[int, complex]:
-    """Recover the connecting function f with phi = f(M) psi, per cluster.
-
-    f is set to 1 on clusters outside the common support.  Raises when the
-    vectors are not in the same multiplet or the reconstruction check
-    fails.
-    """
-    if not same_multiplet(psi, phi, m_spec, tol):
-        raise ValueError("vectors are not in the same M-multiplet")
-    phi = np.asarray(phi, dtype=complex)
-    coords, _, mask = _cluster_coordinates(np.column_stack([psi, phi]), m_spec)
-    values: Dict[int, complex] = {}
-    diag = np.ones(m_spec.dim, dtype=complex)
-    for k, (start, stop) in enumerate(m_spec.clusters):
-        if not mask[k, 0]:
-            values[k] = 1.0
-            continue
-        c_psi, c_phi = coords[start:stop, 0], coords[start:stop, 1]
-        values[k] = complex(np.vdot(c_psi, c_phi) / np.vdot(c_psi, c_psi).real)
-        diag[start:stop] = values[k]
-    rebuilt = m_spec.eigenvectors @ (diag * coords[:, 0])
-    if np.linalg.norm(phi - rebuilt) > tol.gap(float(np.linalg.norm(phi))):
-        raise ValueError("recovered f does not reproduce phi within tolerance")
-    return values

@@ -4,12 +4,12 @@ Everything downstream (symmetry detection, multiplets, stability) is built
 on the small set of primitives in this module.  Operators are immutable
 dense matrices; all functions are pure.
 
-Storage rule, applied once in make_operator: an operator is float64 when
-the imaginary part of every entry is +0.0 bit for bit, and complex128
-otherwise.  Downstream code follows the dtype of its operands, so a pair
-of real operators runs every gemm and eigensolve in real arithmetic.  A
--0.0 imaginary part keeps an operator complex, so a saved file, which
-writes every imaginary part, is byte-identical either way.
+Storage rule, applied to every Operator and GenSymTriple: a matrix is
+float64 when the imaginary part of every entry is +0.0 bit for bit, and
+complex128 otherwise.  Downstream code follows the dtype of its operands,
+so a pair of real operators runs every gemm and eigensolve in real
+arithmetic.  A -0.0 imaginary part keeps an operator complex, so a saved
+file, which writes every imaginary part, is byte-identical either way.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ class Tolerance:
     rtol: float = 1e-8
 
     def __post_init__(self):
-        if self.atol < 0 or self.rtol < 0:
-            raise ValueError("tolerances must be non-negative")
+        if not all(0 <= t < np.inf for t in (self.atol, self.rtol)):
+            raise ValueError("tolerances must be finite and non-negative")
 
     def gap(self, scale: float) -> float:
         """Gap threshold for clustering at the given scale."""
@@ -76,6 +76,19 @@ def is_hermitian(entries: np.ndarray) -> bool:
             <= HERMITICITY_GATE * max(1.0, fro(entries)))
 
 
+def _freeze(entries) -> np.ndarray:
+    """Finite entries as a read-only copy, stored by the rule above."""
+    a = np.asarray(entries)
+    a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("entries contain non-finite values")
+    if np.iscomplexobj(a) and not a.imag.view(np.uint64).any():
+        a = a.real
+    a = np.array(a)
+    a.setflags(write=False)
+    return a
+
+
 def make_operator(dim: int, entries, label: str = "") -> Operator:
     """Validate and freeze a dense square matrix into an Operator.
 
@@ -85,51 +98,22 @@ def make_operator(dim: int, entries, label: str = "") -> Operator:
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    a = np.asarray(entries)
-    a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
+    a = _freeze(entries)
     if a.shape != (dim, dim):
         raise ValueError(f"entries must be {dim}x{dim}, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("entries contain non-finite values")
-    if np.iscomplexobj(a) and not a.imag.view(np.uint64).any():
-        a = a.real
-    a = np.array(a)
-    a.setflags(write=False)
     return Operator(dim=dim, entries=a, label=label)
-
-
-def adjoint(a: Operator) -> Operator:
-    """Conjugate transpose."""
-    return make_operator(a.dim, a.entries.conj().T, a.label)
-
-
-def _check_dims(a: Operator, b: Operator):
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-
-
-def commutator(a: Operator, b: Operator) -> Operator:
-    """AB - BA."""
-    _check_dims(a, b)
-    return make_operator(a.dim, a.entries @ b.entries - b.entries @ a.entries,
-                         f"[{a.label},{b.label}]")
 
 
 def iterated_commutator(h: Operator, m: Operator, n: int) -> Operator:
     """n-fold nested commutator [...[[h, m], m], ..., m]."""
-    _check_dims(h, m)
+    if h.dim != m.dim:
+        raise ValueError(f"dimension mismatch: {h.dim} vs {m.dim}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     c = h.entries
     for _ in range(n):
         c = c @ m.entries - m.entries @ c
     return make_operator(h.dim, c, f"[{h.label},{m.label}]_{n}")
-
-
-def frobenius_inner(a: Operator, b: Operator) -> complex:
-    """trace(A^dag B)."""
-    _check_dims(a, b)
-    return complex(np.vdot(a.entries, b.entries))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,10 +150,6 @@ class SpectralDecomposition:
         """cluster_value of every index's cluster, one entry per index."""
         return np.repeat(self._cluster_means,
                          [stop - start for start, stop in self.clusters])
-
-    def cluster_basis(self, k: int) -> np.ndarray:
-        start, stop = self.clusters[k]
-        return self.eigenvectors[:, start:stop]
 
 
 def cluster_eigenvalues(values: Sequence[float], scale: float,

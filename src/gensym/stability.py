@@ -1,9 +1,9 @@
 """Stability classification of H-eigenvectors relative to a ladder triple.
 
 An eigenvector psi is stable when {psi, R psi, R^dag psi} are linearly
-dependent.  Stable vectors fall into five cases; the generic case 5
-produces a partner eigenvector chi = exp(-zM) psi at a shifted eigenvalue.
-GenSymTriple guarantees the real, nonzero gamma this classification needs.
+dependent.  scan_spectrum_stability sorts every eigenvector of H into
+five cases; in the generic case 5 it builds a partner chi = exp(-zM) psi
+at a shifted eigenvalue.  GenSymTriple guarantees the real, nonzero gamma.
 """
 
 from __future__ import annotations
@@ -71,9 +71,9 @@ class _Ladder:
 
 
 def _ladder(triple: GenSymTriple, m_spec: SpectralDecomposition) -> _Ladder:
-    r = triple.r.entries
+    r = triple.r
     r_dag = r.conj().T
-    h = triple.h0.entries + r + r_dag
+    h = triple.h0 + r + r_dag
     return _Ladder(h=h, h_norm=fro(h), r=r, r_dag=r_dag,
                    r_scale=max(1.0, fro(r)), gamma=triple.gamma,
                    w=m_spec.eigenvectors, w_dag=m_spec.eigenvectors.conj().T,
@@ -99,21 +99,6 @@ def _rank_tests(a: np.ndarray, b: np.ndarray, psi: np.ndarray):
     null = vh[:, 2].conj()
     return (s[:, 2] <= STABILITY_CUTOFF * s[:, 0], null[:, 0], null[:, 1],
             -null[:, 2])
-
-
-def linear_dependence(psi: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """SVD rank test on the columns [a | b | psi].
-
-    Returns (stable, (x, y, u)) where the null relation reads
-    x*a + y*b = u*psi.  The coefficient triple is the right-singular
-    vector of the smallest singular value, as a unit vector.
-    """
-    psi = np.asarray(psi)
-    if np.linalg.norm(psi) == 0:
-        raise ValueError("psi must be nonzero")
-    stable, x, y, u = _rank_tests(
-        *(np.reshape(np.asarray(v), (-1, 1)) for v in (a, b, psi)))
-    return bool(stable[0]), (complex(x[0]), complex(y[0]), complex(u[0]))
 
 
 def _screen(x: complex, y: complex, u: complex):
@@ -174,29 +159,11 @@ def _classify_block(ladder: _Ladder, vectors: np.ndarray,
     ]
 
 
-def classify(psi: np.ndarray, eigenvalue: float, triple: GenSymTriple,
-             m_spec: SpectralDecomposition, tol: Tolerance = DEFAULT_TOL,
-             index: int = 0) -> StabilityRecord:
-    """Assign the stability case(s) of one eigenvector.
-
-    Coefficient screening: u ~ 0 is case 1; otherwise (normalized u = 1)
-    y ~ 0 is case 2, x ~ 0 is case 3, x + y ~ 0 is case 4, and anything
-    else is case 5 with an explicitly constructed partner.  All matching
-    cases are recorded; the primary case is the smallest.
-    """
-    psi = np.reshape(np.asarray(psi), (-1, 1))
-    return _classify_block(_ladder(triple, m_spec), psi,
-                           np.array([float(eigenvalue)]), [index], tol)[0]
-
-
 def _ladder_exponent(x: complex, y: complex, gamma: float,
                      tol: Tolerance) -> Tuple[complex, float]:
     """z with exp(z*gamma) = -y/x, and the real eigenvalue shift."""
-    if x == 0 or y == 0:
-        raise ValueError("partner construction requires x != 0 and y != 0")
+    # _screen passes only case-5 (x, y): x, y != 0 and |-y/x - 1| > cutoff.
     ratio = -y / x
-    if abs(ratio - 1.0) <= STABILITY_CUTOFF:
-        raise ValueError("x + y = 0 belongs to case 4, no partner exists")
     log_ratio = cmath.log(ratio)
     if ratio.real < 0 and abs(ratio.imag) <= STABILITY_CUTOFF * abs(ratio):
         # On the branch cut up to rounding: the principal branch would
@@ -237,23 +204,6 @@ def _partners(ladder: _Ladder, vectors: np.ndarray, eigenvalues: np.ndarray,
             for j, z in enumerate(zs)]
 
 
-def partner_eigenvector(psi: np.ndarray, eigenvalue: float,
-                        coeffs: Tuple[complex, complex],
-                        triple: GenSymTriple,
-                        m_spec: SpectralDecomposition,
-                        tol: Tolerance = DEFAULT_TOL) -> PartnerRecord:
-    """Construct the case-5 partner chi = exp(-zM) psi.
-
-    z solves exp(z*gamma) = -y/x on the principal logarithm branch, except
-    that a ratio on the negative real axis up to STABILITY_CUTOFF takes
-    Im(z*gamma) = +pi, so rounding cannot flip the branch; the eigenvalue
-    shift is eps = (exp(-z*gamma) - 1)/x.
-    """
-    psi = np.reshape(np.asarray(psi), (-1, 1))
-    return _partners(_ladder(triple, m_spec), psi,
-                     np.array([float(eigenvalue)]), [coeffs], tol)[0]
-
-
 def scan_spectrum_stability(h_spec: SpectralDecomposition,
                             triple: GenSymTriple,
                             m_spec: SpectralDecomposition,
@@ -266,7 +216,7 @@ def scan_spectrum_stability(h_spec: SpectralDecomposition,
     checked at once, the n x 3 rank tests are one stacked thin SVD, and
     the case-5 partners W diag(exp(-z mu)) W^dag psi and their residuals
     are three more gemms.
-    Each record is the one ``classify`` gives for that vector.
+    Each record depends on its own eigenvector only, not on its block.
 
     Memory: besides the n x n operators, O(n * _BLOCK) workspace per
     block, so no (n, n, 3) stack is ever formed.

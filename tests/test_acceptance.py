@@ -96,9 +96,9 @@ def test_02_synthetic_round_trip(announce):
                                                 result.gamma))
         r_true = bundle.known.r.entries
         h0_true = bundle.known.h0.entries
-        r_err = (np.linalg.norm(triple.r.entries - r_true)
+        r_err = (np.linalg.norm(triple.r - r_true)
                  / max(1.0, np.linalg.norm(r_true)))
-        h0_err = (np.linalg.norm(triple.h0.entries - h0_true)
+        h0_err = (np.linalg.norm(triple.h0 - h0_true)
                   / max(1.0, np.linalg.norm(h0_true)))
         if r_err > 1e-8 or h0_err > 1e-8:
             failures.append(f"instance {i}: r_err={r_err:.2e} "
@@ -195,7 +195,7 @@ def test_06_jaynes_cummings(announce):
         failures.append(f"detect: kind={result.kind} gamma={result.gamma} "
                         f"residual={result.residual:.2e}")
     triple = canonicalize(reconstruct_case2(bundle.h, bundle.m, result.gamma))
-    r, m = triple.r.entries, bundle.m.entries
+    r, m = triple.r, bundle.m.entries
     for name, quad in (("RdagR", r.conj().T @ r), ("RRdag", r @ r.conj().T)):
         defect = np.linalg.norm(quad @ m - m @ quad)
         if defect > 1e-12:

@@ -297,6 +297,20 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--hamiltonian", hp, "--symmetry", mp,
                      "--out", out, "--require"]) == EXIT_NOT_FOUND
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-8"])
+    def test_tolerance_that_is_not_finite_and_non_negative(self, tmp_path,
+                                                           tol):
+        # NaN would fail every gate and inf pass every one; neither is a
+        # number the JSON report could hold.
+        prefix = str(tmp_path / "m_")
+        assert main(["model", "angular", "--l", "2",
+                     "--out-prefix", prefix]) == EXIT_OK
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--hamiltonian", prefix + "H.json",
+                     "--symmetry", prefix + "M.json", f"--tol={tol}",
+                     "--require", "--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         code = main(["analyze", "--hamiltonian", str(tmp_path / "no.json"),
                      "--symmetry", str(tmp_path / "no.json")])
@@ -354,13 +368,13 @@ class TestCostModel:
     @staticmethod
     def recording(monkeypatch, dim):
         """Patch the solvers, the chain, the partition's cluster coordinates
-        and detection's make_operator to record their operand dtypes
-        (full-size eigh/eigvalsh only); returns the record."""
+        and the freeze helper GenSymTriple calls to record their operand
+        dtypes (full-size eigh/eigvalsh only); returns the record."""
         calls = {"eigh": [], "eigvalsh": [], "svd": [], "chain": [],
                  "coords": [], "triple": []}
         chain = detection._commutator_chain
         coordinates = multiplets._cluster_coordinates
-        make = detection.make_operator
+        freeze = detection._freeze
 
         def recording(name):
             solver = getattr(np.linalg, name)
@@ -380,26 +394,26 @@ class TestCostModel:
             calls["coords"].append(result[0].dtype)
             return result
 
-        def recording_make(dim, entries, *args):
+        def recording_freeze(entries):
             calls["triple"].append(np.asarray(entries).dtype)
-            return make(dim, entries, *args)
+            return freeze(entries)
 
         for name in ("eigh", "eigvalsh", "svd"):
             monkeypatch.setattr(np.linalg, name, recording(name))
         monkeypatch.setattr(detection, "_commutator_chain", recording_chain)
         monkeypatch.setattr(multiplets, "_cluster_coordinates",
                             recording_coordinates)
-        monkeypatch.setattr(detection, "make_operator", recording_make)
+        monkeypatch.setattr(detection, "_freeze", recording_freeze)
         return calls
 
     def analyze_recording(self, monkeypatch, h, m):
         """The report, and the operand dtypes of every eigh, eigvalsh and
         svd call (full-size eigh/eigvalsh only), of every chain and of the
         partition's cluster coordinates, and of the (H0, R) arrays the
-        reconstruction makes its operators from."""
+        reconstruction builds its triple from."""
         calls = self.recording(monkeypatch, h.dim)
         report = analyze_pair(h, m, Tolerance())
-        # detection makes operators only for the triple: H0, then R.
+        # detection freezes arrays only for the triple: H0, then R.
         calls["triple"] = list(zip(calls["triple"][::2],
                                    calls["triple"][1::2]))
         return report, calls

@@ -5,9 +5,9 @@ from gensym import (
     CASE2,
     GENUINE,
     canonicalize,
-    commutator,
     detect,
     hermitian_eigh,
+    iterated_commutator,
     reconstruct_case2,
     verify_triple,
 )
@@ -279,7 +279,8 @@ class TestRandomTriple:
         r = bundle.known.r.entries
         expected = 1.5 * r - 1.5 * r.conj().T
         np.testing.assert_allclose(
-            commutator(bundle.h, bundle.m).entries, expected, atol=1e-12)
+            iterated_commutator(bundle.h, bundle.m, 1).entries, expected,
+            atol=1e-12)
 
     def test_rejects_degenerate_input(self):
         with pytest.raises(ValueError):

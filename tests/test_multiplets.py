@@ -8,12 +8,9 @@ from gensym import (
     hermitian_eigh,
     matrix_function,
     partition,
-    recover_f,
-    same_multiplet,
-    support_signature,
 )
-from gensym import multiplets
-from gensym.multiplets import DEFAULT_SUPPORT_EPS, size_label
+from gensym.multiplets import (DEFAULT_SUPPORT_EPS, _cluster_coordinates,
+                               size_label)
 from gensym.models import (angular_block, hardcore_chain, jaynes_cummings,
                            random_triple)
 
@@ -25,6 +22,25 @@ def angular_setup(l, e_n=-0.5, g=0.1):
     h_spec = canonical_eigenbasis(bundle.h, bundle.m)
     m_spec = hermitian_eigh(bundle.m)
     return bundle, h_spec, m_spec
+
+
+def column_partition(m_spec, *vectors, tol=Tolerance()):
+    """partition of the given vectors, taken as the columns of a basis."""
+    spec = SpectralDecomposition(
+        eigenvalues=np.zeros(len(vectors)),
+        eigenvectors=np.column_stack(vectors),
+        clusters=tuple((j, j + 1) for j in range(len(vectors))))
+    return partition(spec, m_spec, tol)
+
+
+def support(psi, m_spec):
+    """The M-clusters psi lives on: partition's signature of one column."""
+    return column_partition(m_spec, psi).signatures[0]
+
+
+def same_class(psi, phi, m_spec, tol=Tolerance()):
+    """True when partition puts psi and phi in one class."""
+    return len(column_partition(m_spec, psi, phi, tol=tol).classes) == 1
 
 
 class TestCanonicalEigenbasis:
@@ -74,47 +90,47 @@ class TestCanonicalEigenbasis:
 class TestSupportSignature:
     def test_m_eigenvector_single_cluster(self):
         _, _, m_spec = angular_setup(1)
-        sig = support_signature(np.array([0.0, 1.0, 0.0]), m_spec)
-        assert sig.present_clusters == (1,)
+        assert support(np.array([0.0, 1.0, 0.0]), m_spec) == (1,)
 
     def test_balanced_superposition(self):
         # (|m=1> - |m=-1>)/sqrt(2): present on the m = -1 and m = +1
-        # clusters (ascending order puts m = -1 first).
+        # clusters (ascending order puts m = -1 first), half the weight on
+        # each.
         _, _, m_spec = angular_setup(1)
         psi = np.array([1.0, 0.0, -1.0]) / np.sqrt(2)
-        sig = support_signature(psi, m_spec)
-        assert sig.present_clusters == (0, 2)
-        for k in (0, 2):
-            assert np.linalg.norm(sig.components[k]) == pytest.approx(1.0)
+        assert support(psi, m_spec) == (0, 2)
+        _, norms, _ = _cluster_coordinates(np.reshape(psi, (-1, 1)), m_spec)
+        np.testing.assert_allclose(norms[:, 0], [0.5 ** 0.5, 0, 0.5 ** 0.5],
+                                   atol=1e-15)
 
     def test_tiny_component_dropped(self):
         _, _, m_spec = angular_setup(1)
         psi = np.array([1.0, 1e-12, 0.0])
-        assert support_signature(psi, m_spec).present_clusters == (2,)
+        assert support(psi, m_spec) == (2,)
 
     def test_eps_supp_override(self):
         # 1e-5 is above DEFAULT_SUPPORT_EPS, so the m = 0 cluster counts.
         _, _, m_spec = angular_setup(1)
         psi = np.array([1.0, 1e-5, 0.0])
-        assert support_signature(psi, m_spec).present_clusters == (1, 2)
+        assert support(psi, m_spec) == (1, 2)
 
 
 class TestSameMultiplet:
     def test_scalar_multiple(self):
         _, h_spec, m_spec = angular_setup(1)
         psi = h_spec.eigenvectors[:, 0]
-        assert same_multiplet(psi, (2.0 - 1.0j) * psi, m_spec)
+        assert same_class(psi, (2.0 - 1.0j) * psi, m_spec)
 
     def test_diagonal_rescaling(self):
         _, h_spec, m_spec = angular_setup(1)
         psi = h_spec.eigenvectors[:, 0]
         f_m = matrix_function(m_spec, lambda lam: 3.0 + lam).entries
-        assert same_multiplet(psi, f_m @ psi, m_spec)
+        assert same_class(psi, f_m @ psi, m_spec)
 
     def test_different_support_rejected(self):
         _, h_spec, m_spec = angular_setup(1)
         # Middle eigenvector lives on m = 0 only; the outer ones on m = +-1.
-        assert not same_multiplet(h_spec.eigenvectors[:, 0],
+        assert not same_class(h_spec.eigenvectors[:, 0],
                                   h_spec.eigenvectors[:, 1], m_spec)
 
     def test_non_parallel_within_degenerate_cluster(self):
@@ -123,7 +139,7 @@ class TestSameMultiplet:
         phi = np.array([0.0, 1.0, 1.0])
         # Both supported on the degenerate +1 cluster and on -1, but the
         # +1 components point in different directions.
-        assert not same_multiplet(psi, phi, m_spec)
+        assert not same_class(psi, phi, m_spec)
 
 
 class TestPartition:
@@ -166,6 +182,96 @@ class TestPartition:
         assert size_label(7) == "7-plet"
 
 
+class TestEquivalenceRelation:
+    def test_partition_is_an_equivalence(self):
+        loose = Tolerance(atol=1e-8, rtol=1e-7)
+        for l in (1, 2, 3, 4):
+            _, h_spec, m_spec = angular_setup(l)
+            part = partition(h_spec, m_spec)
+            vectors = h_spec.eigenvectors
+            for cls in part.classes:
+                for i in cls:
+                    assert same_class(vectors[:, i], vectors[:, i],
+                                          m_spec, loose)
+                    for j in cls:
+                        assert same_class(vectors[:, i], vectors[:, j],
+                                              m_spec, loose)
+                        assert same_class(vectors[:, j], vectors[:, i],
+                                              m_spec, loose)
+            for ca in part.classes:
+                for cb in part.classes:
+                    if ca is cb:
+                        continue
+                    assert not same_class(vectors[:, ca[0]],
+                                              vectors[:, cb[0]], m_spec)
+
+    def test_invariance_under_exponential_transform(self):
+        # exp(-zM) is an invertible f(M), so applying it to every
+        # eigenvector must leave the partition unchanged.
+        _, h_spec, m_spec = angular_setup(2)
+        base = partition(h_spec, m_spec)
+        for z in (0.2, -0.5):
+            g = matrix_function(m_spec, lambda lam: np.exp(-z * lam)).entries
+            transformed = g @ h_spec.eigenvectors
+            transformed = transformed / np.linalg.norm(transformed, axis=0)
+            spec = SpectralDecomposition(
+                eigenvalues=h_spec.eigenvalues,
+                eigenvectors=transformed,
+                clusters=h_spec.clusters)
+            assert partition(spec, m_spec).classes == base.classes
+
+
+def reference_signature(v, m_spec):
+    """Reference support of v: its clusters and unit component on each.
+
+    One projector per M-cluster, built from that cluster's eigenvectors.
+    """
+    v = np.asarray(v, dtype=complex)
+    present, components = [], {}
+    for k, (start, stop) in enumerate(m_spec.clusters):
+        basis = m_spec.eigenvectors[:, start:stop]
+        projected = basis @ (basis.conj().T @ v)
+        p_norm = np.linalg.norm(projected)
+        if p_norm > DEFAULT_SUPPORT_EPS * np.linalg.norm(v):
+            present.append(k)
+            components[k] = projected / p_norm
+    return tuple(present), components
+
+
+def pairwise_same_multiplet(psi, phi, m_spec, tol=Tolerance()):
+    """Reference definition: per-cluster projectors, one pair at a time."""
+    sig_a, comp_a = reference_signature(psi, m_spec)
+    sig_b, comp_b = reference_signature(phi, m_spec)
+    return sig_a == sig_b and all(
+        abs(np.vdot(comp_a[k], comp_b[k])) >= 1.0 - tol.rtol for k in sig_a)
+
+
+def recover_f(psi, phi, m_spec, tol=Tolerance()):
+    """Reference: the connecting function f with phi = f(M) psi, per cluster.
+
+    f is set to 1 on clusters outside the common support.  Raises when the
+    vectors are not in the same multiplet or the reconstruction check
+    fails.
+    """
+    if not pairwise_same_multiplet(psi, phi, m_spec, tol):
+        raise ValueError("vectors are not in the same M-multiplet")
+    phi = np.asarray(phi, dtype=complex)
+    coords, _, mask = _cluster_coordinates(np.column_stack([psi, phi]), m_spec)
+    values = {}
+    diag = np.ones(m_spec.dim, dtype=complex)
+    for k, (start, stop) in enumerate(m_spec.clusters):
+        if not mask[k, 0]:
+            values[k] = 1.0
+            continue
+        c_psi, c_phi = coords[start:stop, 0], coords[start:stop, 1]
+        values[k] = complex(np.vdot(c_psi, c_phi) / np.vdot(c_psi, c_psi).real)
+        diag[start:stop] = values[k]
+    rebuilt = m_spec.eigenvectors @ (diag * coords[:, 0])
+    if np.linalg.norm(phi - rebuilt) > tol.gap(float(np.linalg.norm(phi))):
+        raise ValueError("recovered f does not reproduce phi within tolerance")
+    return values
+
+
 class TestRecoverF:
     def test_scalar_multiple(self):
         _, h_spec, m_spec = angular_setup(1)
@@ -194,7 +300,7 @@ class TestRecoverF:
         for k in values:
             mu = m_spec.cluster_value(k)
             expected = np.exp(-1j * np.pi * mu)
-            if k in support_signature(psi, m_spec).present_clusters:
+            if k in support(psi, m_spec):
                 assert values[k] == pytest.approx(expected, abs=1e-10)
 
     def test_rejects_cross_multiplet(self):
@@ -204,81 +310,19 @@ class TestRecoverF:
                       h_spec.eigenvectors[:, 1], m_spec)
 
 
-class TestEquivalenceRelation:
-    def test_partition_is_an_equivalence(self):
-        loose = Tolerance(atol=1e-8, rtol=1e-7)
-        for l in (1, 2, 3, 4):
-            _, h_spec, m_spec = angular_setup(l)
-            part = partition(h_spec, m_spec)
-            vectors = h_spec.eigenvectors
-            for cls in part.classes:
-                for i in cls:
-                    assert same_multiplet(vectors[:, i], vectors[:, i],
-                                          m_spec, loose)
-                    for j in cls:
-                        assert same_multiplet(vectors[:, i], vectors[:, j],
-                                              m_spec, loose)
-                        assert same_multiplet(vectors[:, j], vectors[:, i],
-                                              m_spec, loose)
-            for ca in part.classes:
-                for cb in part.classes:
-                    if ca is cb:
-                        continue
-                    assert not same_multiplet(vectors[:, ca[0]],
-                                              vectors[:, cb[0]], m_spec)
-
-    def test_invariance_under_exponential_transform(self):
-        # exp(-zM) is an invertible f(M), so applying it to every
-        # eigenvector must leave the partition unchanged.
-        _, h_spec, m_spec = angular_setup(2)
-        base = partition(h_spec, m_spec)
-        for z in (0.2, -0.5):
-            g = matrix_function(m_spec, lambda lam: np.exp(-z * lam)).entries
-            transformed = g @ h_spec.eigenvectors
-            transformed = transformed / np.linalg.norm(transformed, axis=0)
-            spec = SpectralDecomposition(
-                eigenvalues=h_spec.eigenvalues,
-                eigenvectors=transformed,
-                clusters=h_spec.clusters)
-            assert partition(spec, m_spec).classes == base.classes
-
-
-def pairwise_same_multiplet(psi, phi, m_spec, tol=Tolerance(),
-                            eps_supp=DEFAULT_SUPPORT_EPS):
-    """Reference definition: per-cluster projectors, one pair at a time."""
-    def signature(v):
-        present, components = [], {}
-        for k in range(m_spec.n_clusters):
-            basis = m_spec.cluster_basis(k)
-            projected = basis @ (basis.conj().T @ v)
-            p_norm = np.linalg.norm(projected)
-            if p_norm > eps_supp * np.linalg.norm(v):
-                present.append(k)
-                components[k] = projected / p_norm
-        return tuple(present), components
-
-    sig_a, comp_a = signature(np.asarray(psi, dtype=complex))
-    sig_b, comp_b = signature(np.asarray(phi, dtype=complex))
-    return sig_a == sig_b and all(
-        abs(np.vdot(comp_a[k], comp_b[k])) >= 1.0 - tol.rtol for k in sig_a)
-
-
 def greedy_reference(h_spec, m_spec):
     """partition() as a brute-force greedy over pairwise tests."""
     classes, reps = [], []
     for i in range(h_spec.dim):
         psi = h_spec.eigenvectors[:, i]
         for c, rep in enumerate(reps):
-            assert (same_multiplet(rep, psi, m_spec)
-                    == pairwise_same_multiplet(rep, psi, m_spec))
             if pairwise_same_multiplet(rep, psi, m_spec):
                 classes[c].append(i)
                 break
         else:
             classes.append([i])
             reps.append(psi)
-    signatures = tuple(support_signature(rep, m_spec).present_clusters
-                       for rep in reps)
+    signatures = tuple(reference_signature(rep, m_spec)[0] for rep in reps)
     return tuple(tuple(c) for c in classes), signatures
 
 
@@ -322,26 +366,19 @@ class TestPartitionMatchesPairwiseGreedy:
         assert part.signatures == signatures
         assert part.labels == tuple(size_label(len(c)) for c in classes)
 
+    @pytest.mark.parametrize("name", PARTITION_CASES)
+    def test_classes_are_connected_by_f_of_m(self, name):
+        # The paper's definition of a multiplet: phi = f(M) psi with f
+        # nonzero on the spectrum of M.  recover_f checks f(M) psi = phi.
+        h_spec, m_spec = PARTITION_CASES[name]()
+        vectors = h_spec.eigenvectors
+        for members in partition(h_spec, m_spec).classes:
+            for j in members[1:]:
+                values = recover_f(vectors[:, members[0]], vectors[:, j],
+                                   m_spec)
+                assert all(abs(f) > 0 for f in values.values())
+
     def test_equal_masks_split_by_direction(self):
         part = partition(*equal_masks_pair())
         assert part.classes == ((0, 2), (1,), (3,))
         assert part.signatures == ((0, 1), (0, 1), (0,))
-
-
-def test_partition_makes_no_pairwise_calls(monkeypatch):
-    # Cost model: partition is a few matrix products, never a per-vector
-    # or per-pair support computation.
-    calls = []
-
-    def counted(name, original):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-        return wrapper
-
-    for name in ("support_signature", "same_multiplet"):
-        monkeypatch.setattr(multiplets, name,
-                            counted(name, getattr(multiplets, name)))
-    _, h_spec, m_spec = angular_setup(3)
-    assert len(partition(h_spec, m_spec).classes) == 3
-    assert calls == []

@@ -3,14 +3,13 @@ import pytest
 
 from gensym import (
     Tolerance,
-    adjoint,
+    canonicalize,
     cluster_eigenvalues,
-    commutator,
-    frobenius_inner,
     hermitian_eigh,
     iterated_commutator,
     make_operator,
     matrix_function,
+    reconstruct_case2,
 )
 from gensym.models import (
     angular_block,
@@ -41,6 +40,18 @@ MODEL_HAMILTONIANS = [
     ("involution_6", involution_example(6, seed=0).h),
     ("random_triple", random_triple((3, 4, 5), 1.0, seed=1000).h),
 ]
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf"), -1e-12])
+    @pytest.mark.parametrize("field", ["atol", "rtol"])
+    def test_rejects_non_finite_or_negative(self, field, value):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            Tolerance(**{field: value})
+
+    def test_accepts_zero(self):
+        assert Tolerance(atol=0.0, rtol=0.0).gap(1.0) == 0.0
 
 
 class TestMakeOperator:
@@ -132,8 +143,10 @@ class TestStorageRule:
 
     def test_real_pair_commutator_is_real(self):
         lz = angular_block(2, 0.0, 0.1)
-        assert commutator(lz.h, lz.m).entries.dtype == np.float64
-        assert adjoint(lz.h).entries.dtype == np.float64
+        assert iterated_commutator(lz.h, lz.m, 1).entries.dtype == np.float64
+        # canonicalize swaps R for its adjoint, which stays real too.
+        triple = canonicalize(reconstruct_case2(lz.h, lz.m, -1.0))
+        assert triple.r.dtype == triple.h0.dtype == np.float64
 
     def test_phase_canonicalize_keeps_real_columns_real(self, rng):
         v = rng.normal(size=(6, 4))
@@ -182,42 +195,27 @@ class TestStorageRule:
         np.testing.assert_array_equal(phase_canonicalize(tied)[:, 2], 0.0)
 
 
-class TestAdjoint:
-    def test_hermitian_fixed_point(self):
-        np.testing.assert_array_equal(adjoint(op(SX)).entries, SX)
-
-    def test_real_transpose(self):
-        np.testing.assert_array_equal(
-            adjoint(op([[0, 1], [0, 0]])).entries, [[0, 0], [1, 0]])
-
-    def test_conjugation(self):
-        np.testing.assert_array_equal(adjoint(op([[1j]])).entries, [[-1j]])
-
-    def test_involution_exact(self, rng):
-        a = op(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
-        np.testing.assert_array_equal(adjoint(adjoint(a)).entries, a.entries)
-
-
 class TestCommutator:
     def test_self_commutator_vanishes(self, rng):
         a = op(random_hermitian(rng, 4))
-        np.testing.assert_array_equal(commutator(a, a).entries, 0)
+        np.testing.assert_array_equal(iterated_commutator(a, a, 1).entries,
+                                      0)
 
     def test_identity_commutes(self, rng):
         a = op(random_hermitian(rng, 4))
         np.testing.assert_array_equal(
-            commutator(a, op(np.eye(4))).entries, 0)
+            iterated_commutator(a, op(np.eye(4)), 1).entries, 0)
 
     def test_pauli_pair(self):
         # Oracle: direct 2x2 matrix products.
         expected = SX @ SZ - SZ @ SX
         np.testing.assert_allclose(expected, -2j * SY)
         np.testing.assert_allclose(
-            commutator(op(SX), op(SZ)).entries, expected)
+            iterated_commutator(op(SX), op(SZ), 1).entries, expected)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            commutator(op(SX), op(np.eye(3)))
+            iterated_commutator(op(SX), op(np.eye(3)), 1)
 
 
 class TestIteratedCommutator:
@@ -229,7 +227,7 @@ class TestIteratedCommutator:
     def test_depth_one_is_commutator(self):
         np.testing.assert_array_equal(
             iterated_commutator(op(SX), op(SZ), 1).entries,
-            commutator(op(SX), op(SZ)).entries)
+            SX @ SZ - SZ @ SX)
 
     def test_two_explicit_commutators(self):
         c1 = SX @ SZ - SZ @ SX
@@ -257,24 +255,6 @@ class TestIteratedCommutator:
                 c = iterated_commutator(h, m, n).entries
                 defect = np.linalg.norm(c.conj().T - (-1.0) ** n * c)
                 assert defect <= 1e-12 * max(1.0, np.linalg.norm(c))
-
-
-class TestFrobeniusInner:
-    def test_pauli_norm(self):
-        assert frobenius_inner(op(SX), op(SX)) == pytest.approx(2)
-
-    def test_pauli_orthogonality(self):
-        assert frobenius_inner(op(SX), op(SY)) == pytest.approx(0)
-
-    def test_identity_trace(self):
-        i3 = op(np.eye(3))
-        assert frobenius_inner(i3, i3) == pytest.approx(3)
-
-    def test_self_inner_real_nonnegative(self, rng):
-        a = op(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        value = frobenius_inner(a, a)
-        assert value.imag == pytest.approx(0, abs=1e-12)
-        assert value.real >= 0
 
 
 class TestHermitianEigh:

@@ -3,27 +3,48 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gensym import (
     Tolerance,
     canonical_eigenbasis,
     canonicalize,
-    classify,
     cli,
     hermitian_eigh,
-    linear_dependence,
     matrix_function,
     operators,
-    partner_eigenvector,
     reconstruct_case2,
     scan_spectrum_stability,
     stability,
 )
-from gensym.stability import STABILITY_CUTOFF, case_counts
-from gensym.models import (angular_block, hardcore_chain, jaynes_cummings,
-                           random_triple)
+from gensym.stability import (STABILITY_CUTOFF, _classify_block, _ladder,
+                              _partners, _rank_tests, case_counts)
+from gensym.models import (angular_block, fermion_chain, hardcore_chain,
+                           involution_example, jaynes_cummings,
+                           projection_example, random_triple)
 
 from conftest import op
+
+
+def rank_test(psi, a, b):
+    """_rank_tests on one column: (stable, (x, y, u)), x a + y b = u psi."""
+    stable, x, y, u = _rank_tests(
+        *(np.reshape(np.asarray(v), (-1, 1)) for v in (a, b, psi)))
+    return bool(stable[0]), (complex(x[0]), complex(y[0]), complex(u[0]))
+
+
+def classify_column(psi, eigenvalue, triple, m_spec, index=0):
+    """_classify_block on one eigenvector, as a block of one column."""
+    return _classify_block(_ladder(triple, m_spec), np.reshape(psi, (-1, 1)),
+                           np.array([float(eigenvalue)]), [index],
+                           Tolerance())[0]
+
+
+def partner_column(psi, eigenvalue, coeffs, triple, m_spec):
+    """_partners on one eigenvector with the given (x, y)."""
+    return _partners(_ladder(triple, m_spec), np.reshape(psi, (-1, 1)),
+                     np.array([float(eigenvalue)]), [coeffs], Tolerance())[0]
 
 
 def angular_setup(l, e_n=-0.5, g=0.1):
@@ -50,14 +71,14 @@ def annihilation_setup(mu=0.3):
 class TestLinearDependence:
     def test_parallel_columns(self):
         psi = np.array([1.0, 2.0, 0.0])
-        stable, _ = linear_dependence(psi, psi, 2 * psi)
+        stable, _ = rank_test(psi, psi, 2 * psi)
         assert stable
 
     def test_generic_columns_independent(self, rng):
         psi = rng.normal(size=5) + 1j * rng.normal(size=5)
         a = rng.normal(size=5) + 1j * rng.normal(size=5)
         b = rng.normal(size=5) + 1j * rng.normal(size=5)
-        stable, _ = linear_dependence(psi, a, b)
+        stable, _ = rank_test(psi, a, b)
         assert not stable
 
     def test_middle_angular_vector_by_hand(self):
@@ -66,25 +87,21 @@ class TestLinearDependence:
         g = 0.1
         triple, h_spec, _ = angular_setup(1, g=g)
         psi = h_spec.eigenvectors[:, 1]
-        a = triple.r.entries @ psi
-        b = triple.r.entries.conj().T @ psi
+        a = triple.r @ psi
+        b = triple.r.conj().T @ psi
         np.testing.assert_allclose(a + b, 0, atol=1e-14)
         np.testing.assert_allclose(np.abs(a[1]), g, atol=1e-12)
-        stable, (x, y, u) = linear_dependence(psi, a, b)
+        stable, (x, y, u) = rank_test(psi, a, b)
         assert stable
         assert abs(u) <= 1e-12
         assert x == pytest.approx(y, abs=1e-12)
-
-    def test_rejects_zero_psi(self):
-        with pytest.raises(ValueError):
-            linear_dependence(np.zeros(3), np.ones(3), np.ones(3))
 
 
 class TestClassify:
     def test_middle_vector_is_case1(self):
         triple, h_spec, m_spec = angular_setup(1)
-        rec = classify(h_spec.eigenvectors[:, 1], -0.5, triple, m_spec,
-                       index=1)
+        rec = classify_column(h_spec.eigenvectors[:, 1], -0.5, triple,
+                              m_spec, index=1)
         assert rec.stable
         assert rec.primary_case == 1
         assert rec.sum_annihilates
@@ -93,16 +110,16 @@ class TestClassify:
     def test_outer_vectors_are_case5(self):
         triple, h_spec, m_spec = angular_setup(1)
         for i in (0, 2):
-            rec = classify(h_spec.eigenvectors[:, i],
-                           float(h_spec.eigenvalues[i]), triple, m_spec,
-                           index=i)
+            rec = classify_column(h_spec.eigenvectors[:, i],
+                                  float(h_spec.eigenvalues[i]), triple,
+                                  m_spec, index=i)
             assert rec.primary_case == 5
             assert rec.partner is not None
 
     def test_double_annihilation(self):
         triple, h, m = annihilation_setup()
-        rec = classify(np.array([0.0, 0.0, 1.0]), 5.0, triple,
-                       hermitian_eigh(m))
+        rec = classify_column(np.array([0.0, 0.0, 1.0]), 5.0, triple,
+                              hermitian_eigh(m))
         assert rec.stable
         assert rec.primary_case == 1
         assert rec.r_annihilates and rec.rd_annihilates
@@ -111,7 +128,7 @@ class TestClassify:
     def test_rejects_non_eigenvector(self):
         triple, h_spec, m_spec = angular_setup(1)
         with pytest.raises(ValueError):
-            classify(h_spec.eigenvectors[:, 0], 0.0, triple, m_spec)
+            classify_column(h_spec.eigenvectors[:, 0], 0.0, triple, m_spec)
 
     def test_rejects_complex_gamma(self):
         # The triple itself refuses a non-real gamma, so no classification
@@ -119,7 +136,7 @@ class TestClassify:
         triple, h_spec, m_spec = angular_setup(1)
         with pytest.raises(ValueError):
             skewed = dataclasses.replace(triple, gamma=1.0 + 1.0j)
-            classify(h_spec.eigenvectors[:, 1], -0.5, skewed, m_spec)
+            classify_column(h_spec.eigenvectors[:, 1], -0.5, skewed, m_spec)
 
 
 class TestPartner:
@@ -146,22 +163,10 @@ class TestPartner:
         triple, h_spec, m_spec = angular_setup(1)
         records = scan_spectrum_stability(h_spec, triple, m_spec)
         first = records[0].partner
-        back = classify(first.chi, first.e_second, triple, m_spec)
+        back = classify_column(first.chi, first.e_second, triple, m_spec)
         assert back.primary_case == 5
         assert back.partner.e_second == pytest.approx(
             records[0].eigenvalue, abs=1e-7)
-
-    def test_rejects_case4_coefficients(self):
-        triple, h_spec, m_spec = angular_setup(1)
-        with pytest.raises(ValueError):
-            partner_eigenvector(h_spec.eigenvectors[:, 1], -0.5,
-                                (1.0, -1.0), triple, m_spec)
-
-    def test_rejects_vanishing_coefficient(self):
-        triple, h_spec, m_spec = angular_setup(1)
-        with pytest.raises(ValueError):
-            partner_eigenvector(h_spec.eigenvectors[:, 1], -0.5,
-                                (0.0, 1.0), triple, m_spec)
 
 
 class TestScan:
@@ -176,9 +181,8 @@ class TestScan:
         # R vanishes identically for l = 0; build the triple by hand.
         triple, _, _ = annihilation_setup()
         triple = dataclasses.replace(
-            triple,
-            h0=bundle.h, r=op(np.zeros((1, 1))), gamma=1.0 + 0.0j)
-        rec = classify(np.array([1.0]), -0.5, triple, m_spec)
+            triple, h0=bundle.h.entries, r=np.zeros((1, 1)), gamma=1.0 + 0.0j)
+        rec = classify_column(np.array([1.0]), -0.5, triple, m_spec)
         assert rec.r_annihilates and rec.rd_annihilates
         assert rec.primary_case == 1
 
@@ -200,7 +204,7 @@ class TestScan:
             hits += 1
             psi = h_spec.eigenvectors[:, rec.index]
             defect = np.linalg.norm(
-                triple.h0.entries @ psi - rec.eigenvalue * psi)
+                triple.h0 @ psi - rec.eigenvalue * psi)
             assert defect <= 1e-8
         assert hits >= 1
 
@@ -213,12 +217,11 @@ class TestScan:
 def test_partner_z_is_stable_on_the_branch_cut():
     # -y/x = -1 up to a rounding error of either sign must give one z.
     triple, h_spec, m_spec = angular_setup(1)
-    rec = classify(h_spec.eigenvectors[:, 0], float(h_spec.eigenvalues[0]),
-                   triple, m_spec)
+    rec = classify_column(h_spec.eigenvectors[:, 0],
+                          float(h_spec.eigenvalues[0]), triple, m_spec)
     x = rec.coeffs[0]
-    zs = [partner_eigenvector(h_spec.eigenvectors[:, 0], rec.eigenvalue,
-                              (x, x * (1 + sign * 1e-17j)), triple,
-                              m_spec).z
+    zs = [partner_column(h_spec.eigenvectors[:, 0], rec.eigenvalue,
+                         (x, x * (1 + sign * 1e-17j)), triple, m_spec).z
           for sign in (1, -1)]
     assert zs[0] == zs[1]
     assert zs[0].imag * triple.gamma.real == pytest.approx(np.pi)
@@ -243,7 +246,7 @@ SCAN_MODELS = {
 
 
 def _rank_at_most_one(triple, psi):
-    r = triple.r.entries
+    r = triple.r
     s = np.linalg.svd(np.column_stack([r @ psi, r.conj().T @ psi, psi]),
                       compute_uv=False)
     return s[1] <= STABILITY_CUTOFF * s[0]
@@ -260,7 +263,8 @@ def test_scan_matches_per_vector_classify(name):
     assert [rec.index for rec in records] == list(range(h_spec.dim))
     for rec in records:
         psi = h_spec.eigenvectors[:, rec.index]
-        one = classify(psi, rec.eigenvalue, triple, m_spec, index=rec.index)
+        one = classify_column(psi, rec.eigenvalue, triple, m_spec,
+                              index=rec.index)
         assert (rec.stable, rec.cases, rec.primary_case) == (
             one.stable, one.cases, one.primary_case)
         assert (rec.r_annihilates, rec.rd_annihilates,
@@ -303,3 +307,43 @@ def test_scan_makes_no_matrix_function_call(monkeypatch):
     records = scan_spectrum_stability(h_spec, triple, m_spec)
     assert sum(rec.partner is not None for rec in records) == 6
     assert calls == []
+
+
+# Cases 2 (R psi = psi / x) and 3 (R^dag psi = psi / y) need R or R^dag to
+# have a nonzero eigenvalue.  [R, M] = gamma R with real gamma != 0 shifts
+# the finite spectrum of M, so R is nilpotent and neither case can occur.
+def _screened_cases(report):
+    return {c for rec in report["stability"]["records"] for c in rec["cases"]}
+
+
+CASE_MODELS = {
+    "angular_l1": lambda: angular_block(1, -0.5, 0.1),
+    "angular_l2": lambda: angular_block(2, -0.125, 0.1),
+    "angular_l10": lambda: angular_block(10, 0.0, 0.1),
+    "jc_7": lambda: jaynes_cummings(1.0, 1.0, 0.1, cutoff=7),
+    "jc_16": lambda: jaynes_cummings(1.3, 1.0, 0.2, cutoff=16),
+    "hardcore_4": lambda: hardcore_chain(4, 0.3 + 0.1j),
+    "hardcore_6": lambda: hardcore_chain(6, 0.2),
+    "fermion_4": lambda: fermion_chain(4, 0.5, [0.3 + 0.1j, 0, -0.2, 0]),
+    "projection_8": lambda: projection_example(8, seed=0),
+    "involution_8": lambda: involution_example(8, seed=1),
+}
+
+
+@pytest.mark.parametrize("name", CASE_MODELS)
+def test_acceptance_models_have_no_case_2_or_3(name):
+    bundle = CASE_MODELS[name]()
+    report = cli.analyze_pair(bundle.h, bundle.m, Tolerance())
+    assert report["detection"]["kind"] == "case2"
+    assert not _screened_cases(report) & {2, 3}
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(level_dims=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+       gamma=st.sampled_from([0.5, 1.0, 2.0, 3.7]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_random_triples_have_no_case_2_or_3(level_dims, gamma, seed):
+    bundle = random_triple(level_dims, gamma, seed=seed)
+    report = cli.analyze_pair(bundle.h, bundle.m, Tolerance())
+    assert report["detection"]["kind"] == "case2"
+    assert not _screened_cases(report) & {2, 3}
