@@ -23,11 +23,11 @@ from .detection import (
 )
 from .models import (
     ModelBundle,
+    _fermion_chain_family,
+    _jaynes_cummings_family,
     angular_block,
-    fermion_chain,
     hardcore_chain,
     involution_example,
-    jaynes_cummings,
     projection_example,
 )
 from .multiplets import _refine_eigenbasis, partition
@@ -81,23 +81,34 @@ def _model_args(sub: argparse.ArgumentParser):
 
 
 def build_model(args: argparse.Namespace) -> ModelBundle:
+    return _model_family(args)()
+
+
+def _model_family(args: argparse.Namespace):
+    """A builder of the model ``args`` names, read at each call.
+
+    A sweep changes one attribute of ``args`` between calls.  jc and
+    fermion build their parameter-free operators here, once per builder;
+    no sweepable parameter enters them.
+    """
     name = args.name
     if name == "angular":
-        return angular_block(args.l, args.en, args.g, args.hbar)
+        return lambda: angular_block(args.l, args.en, args.g, args.hbar)
     if name == "jc":
-        return jaynes_cummings(args.omega0, args.omega, args.kappa,
-                               args.cutoff, args.hbar)
+        jc = _jaynes_cummings_family(args.cutoff)
+        return lambda: jc(args.omega0, args.omega, args.kappa, args.hbar)
     if name == "fermion":
         sources = None
         if args.sources:
             sources = [parse_complex(s) for s in args.sources.split(",")]
-        return fermion_chain(args.sites, args.eps, sources)
+        chain = _fermion_chain_family(args.sites, sources)
+        return lambda: chain(args.eps)
     if name == "hardcore":
-        return hardcore_chain(args.sites, parse_complex(args.z))
+        return lambda: hardcore_chain(args.sites, parse_complex(args.z))
     if name == "projection":
-        return projection_example(args.dim, args.seed)
+        return lambda: projection_example(args.dim, args.seed)
     if name == "involution":
-        return involution_example(args.dim, args.seed)
+        return lambda: involution_example(args.dim, args.seed)
     raise ValueError(f"unknown model {name!r}")
 
 
@@ -180,13 +191,16 @@ def _stability_record(records) -> dict:
             "counts": {str(k): v for k, v in sorted(counts.items())}}
 
 
-def _multiplet_stage(h, m, tol: Tolerance):
+def _multiplet_stage(h, m, tol: Tolerance, m_spec=None):
     """eigh(H), eigh(M), the canonical basis of H and its partition.
 
     The stage analyze and sweep share, on a pair detection has gated.
+    A sweep passes the ``m_spec`` it holds for a bit-identical M, and
+    eigh(M) is skipped.
     """
     h_spec = _hermitian_eigh(h, tol)
-    m_spec = _hermitian_eigh(m, tol)
+    if m_spec is None:
+        m_spec = _hermitian_eigh(m, tol)
     h_spec = _refine_eigenbasis(h_spec, m.entries)
     return h_spec, m_spec, partition(h_spec, m_spec, tol)
 
@@ -251,25 +265,32 @@ def run_sweep(args: argparse.Namespace) -> int:
     sweepable = {"en", "g", "hbar", "omega", "omega0", "kappa", "eps"}
     if args.param not in sweepable:
         raise ValueError(f"--param must be one of {sorted(sweepable)}")
-    values = np.linspace(args.start, args.stop, args.steps)
+    values = np.linspace(args.start, args.stop, args.steps).tolist()
     tol = Tolerance()
-    gammas: List[float] = []
+    build = _model_family(args)
+    # eigh(M) and the case-2 gammas of the current run of steps whose M
+    # is bit-identical; gamma may move only with M (angular: gamma = hbar).
+    held_m, m_spec, gammas = None, None, []
     lines = ["param,index,eigenvalue,multiplet_class"]
     for value in values:
-        setattr(args, args.param, float(value))
-        bundle = build_model(args)
+        setattr(args, args.param, value)
+        bundle = build()
         result = _detect(bundle.h, bundle.m, tol)[0]  # gates H and M
+        me = bundle.m.entries
+        if (held_m is None or held_m.dtype != me.dtype
+                or held_m.tobytes() != me.tobytes()):
+            held_m, m_spec, gammas = me, None, []
         if result.kind == CASE2:
             gammas.append(result.gamma1)
-        h_spec, _, part = _multiplet_stage(bundle.h, bundle.m, tol)
+            if max(gammas) - min(gammas) > 1e-8:
+                raise NumericalError(
+                    f"gamma drifts at fixed M: {min(gammas)} .. {max(gammas)}")
+        h_spec, m_spec, part = _multiplet_stage(bundle.h, bundle.m, tol,
+                                                m_spec)
         class_of = {i: c for c, members in enumerate(part.classes)
                     for i in members}
-        for i in range(h_spec.dim):
-            lines.append(f"{float(value)!r},{i},"
-                         f"{float(h_spec.eigenvalues[i])!r},{class_of[i]}")
-    if gammas and max(gammas) - min(gammas) > 1e-8:
-        raise NumericalError(
-            f"gamma drifts across the sweep: {min(gammas)} .. {max(gammas)}")
+        for i, eigenvalue in enumerate(h_spec.eigenvalues.tolist()):
+            lines.append(f"{value!r},{i},{eigenvalue!r},{class_of[i]}")
     text = "\n".join(lines) + "\n"
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -108,6 +108,16 @@ def jaynes_cummings(omega0: float, omega: float, kappa: float, cutoff: int,
     and [R, M] = 2R so gamma = 2.  extras carry the excitation-number
     genuine symmetry and the resonance-form Hamiltonian H_star.
     """
+    return _jaynes_cummings_family(cutoff)(omega0, omega, kappa, hbar)
+
+
+def _jaynes_cummings_family(cutoff: int):
+    """jaynes_cummings at one cutoff, as a builder of
+    ``(omega0, omega, kappa, hbar)``.
+
+    The parameter-free operators are built here, once; each call combines
+    them with its coefficients and hands out the same M and m_exc.
+    """
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     nf = cutoff + 1
@@ -118,30 +128,39 @@ def jaynes_cummings(omega0: float, omega: float, kappa: float, cutoff: int,
     cd = c.conj().T
     i2 = np.eye(2, dtype=complex)
     i_f = np.eye(nf, dtype=complex)
+    sigma_z = np.kron(_SIGMA_Z, i_f)
+    number = np.kron(i2, cd @ c + c @ cd)
     interaction = np.kron(_SIGMA_MINUS, cd) + np.kron(_SIGMA_MINUS.conj().T, c)
-    h = (0.5 * hbar * omega0 * np.kron(_SIGMA_Z, i_f)
-         + 0.5 * hbar * omega * np.kron(i2, cd @ c + c @ cd)
-         + hbar * kappa * interaction)
-    m = np.kron(_SIGMA_Z, i_f)
-    r = hbar * kappa * np.kron(_SIGMA_MINUS, cd)
-    h0 = h - r - r.conj().T
+    raising = np.kron(_SIGMA_MINUS, cd)
     n_spin = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    m_exc = np.kron(n_spin, i_f) + np.kron(i2, cd @ c)
-    h_star = (hbar * omega * np.kron(n_spin, i_f)
-              + hbar * omega * np.kron(i2, cd @ c)
-              + hbar * kappa * interaction)
-    return ModelBundle(
-        h=make_operator(dim, h, "jaynes_cummings"),
-        m=make_operator(dim, m, "sigma_z"),
-        known=KnownTriple(r=make_operator(dim, r, "R"),
-                          gamma=2.0,
-                          h0=make_operator(dim, h0, "H0")),
-        params={"omega0": omega0, "omega": omega, "kappa": kappa,
-                "cutoff": cutoff, "hbar": hbar},
-        basis_doc="(spin up, spin down) x (0..N quanta); index = s*(N+1)+n",
-        extras={"m_exc": make_operator(dim, m_exc, "excitations"),
-                "h_star": make_operator(dim, h_star, "H_star")},
-    )
+    spin_up = np.kron(n_spin, i_f)
+    quanta = np.kron(i2, cd @ c)
+    m = make_operator(dim, sigma_z, "sigma_z")
+    m_exc = make_operator(dim, spin_up + quanta, "excitations")
+
+    def build(omega0: float, omega: float, kappa: float,
+              hbar: float) -> ModelBundle:
+        h = (0.5 * hbar * omega0 * sigma_z
+             + 0.5 * hbar * omega * number
+             + hbar * kappa * interaction)
+        r = hbar * kappa * raising
+        h0 = h - r - r.conj().T
+        h_star = (hbar * omega * spin_up
+                  + hbar * omega * quanta
+                  + hbar * kappa * interaction)
+        return ModelBundle(
+            h=make_operator(dim, h, "jaynes_cummings"),
+            m=m,
+            known=KnownTriple(r=make_operator(dim, r, "R"),
+                              gamma=2.0,
+                              h0=make_operator(dim, h0, "H0")),
+            params={"omega0": omega0, "omega": omega, "kappa": kappa,
+                    "cutoff": cutoff, "hbar": hbar},
+            basis_doc="(spin up, spin down) x (0..N quanta); index = s*(N+1)+n",
+            extras={"m_exc": m_exc,
+                    "h_star": make_operator(dim, h_star, "H_star")},
+        )
+    return build
 
 
 def _jordan_wigner_ops(sites: int):
@@ -167,6 +186,16 @@ def fermion_chain(sites: int, eps: float,
     H0 = -eps * sum of nearest-neighbour hops, M counts fermions,
     R = sum conj(z_j) B_j with gamma = 1 from [B_j, M] = B_j.
     """
+    return _fermion_chain_family(sites, sources)(eps)
+
+
+def _fermion_chain_family(sites: int,
+                          sources: Optional[Sequence[complex]] = None):
+    """fermion_chain at fixed sites and sources, as a builder of ``eps``.
+
+    The Jordan-Wigner operators, the hops, M and R are built here, once;
+    each call scales the hops and hands out the same M and R.
+    """
     if not 1 <= sites <= 10:
         raise ValueError(f"sites must be in 1..10, got {sites}")
     if sources is None:
@@ -176,23 +205,29 @@ def fermion_chain(sites: int, eps: float,
         raise ValueError(f"need {sites} source amplitudes, got {len(sources)}")
     bs = _jordan_wigner_ops(sites)
     dim = 2 ** sites
-    h0 = np.zeros((dim, dim), dtype=complex)
+    hops = []
     for i in range(sites - 1):
         hop = bs[i].conj().T @ bs[i + 1]
-        h0 -= eps * (hop + hop.conj().T)
-    m = sum(b.conj().T @ b for b in bs)
+        hops.append(hop + hop.conj().T)
+    m = make_operator(dim, sum(b.conj().T @ b for b in bs), "number")
     r = sum(z.conjugate() * b for z, b in zip(sources, bs))
-    h = h0 + r + r.conj().T
-    return ModelBundle(
-        h=make_operator(dim, h, f"fermion_chain(L={sites})"),
-        m=make_operator(dim, m, "number"),
-        known=KnownTriple(r=make_operator(dim, r, "R"),
-                          gamma=1.0,
-                          h0=make_operator(dim, h0, "H0")),
-        params={"sites": sites, "eps": eps,
-                "sources": [[z.real, z.imag] for z in sources]},
-        basis_doc="occupation bit strings; site 1 = least significant bit",
-    )
+    r_op = make_operator(dim, r, "R")
+
+    def build(eps: float) -> ModelBundle:
+        h0 = np.zeros((dim, dim), dtype=complex)
+        for hop in hops:
+            h0 -= eps * hop
+        h = h0 + r + r.conj().T
+        return ModelBundle(
+            h=make_operator(dim, h, f"fermion_chain(L={sites})"),
+            m=m,
+            known=KnownTriple(r=r_op, gamma=1.0,
+                              h0=make_operator(dim, h0, "H0")),
+            params={"sites": sites, "eps": eps,
+                    "sources": [[z.real, z.imag] for z in sources]},
+            basis_doc="occupation bit strings; site 1 = least significant bit",
+        )
+    return build
 
 
 def hardcore_chain(sites: int, z: complex) -> ModelBundle:

@@ -150,9 +150,14 @@ def partition(h_spec: SpectralDecomposition, m_spec: SpectralDecomposition,
     and each signature is the representative's support.
     """
     classes, mask = _greedy_classes(h_spec.eigenvectors, m_spec, tol)
+    # Every representative's support from one nonzero, in row-major order:
+    # class by class, clusters ascending.
+    rep_mask = mask[:, [c[0] for c in classes]].T
+    supported = np.nonzero(rep_mask)[1].tolist()
+    ends = np.cumsum(rep_mask.sum(axis=1)).tolist()
     return MultipletPartition(
         classes=tuple(tuple(c) for c in classes),
-        signatures=tuple(tuple(int(k) for k in np.flatnonzero(mask[:, c[0]]))
-                         for c in classes),
+        signatures=tuple(tuple(supported[start:end])
+                         for start, end in zip([0] + ends, ends)),
         labels=tuple(size_label(len(c)) for c in classes),
     )

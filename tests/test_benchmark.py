@@ -1,0 +1,35 @@
+"""The benchmark's ops run against this checkout and pass their checks.
+
+perfbench/ imports gensym through the public names its workloads call
+(`cli.build_model(args)`, `cli.main`, `cli.analyze_pair`); one op per
+input here breaks on a renamed or reshaped name before a benchmark run
+does.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(monkeypatch, name):
+    """perfbench/<name>.py as a module, registered for this test only
+    (dataclasses look their module up in sys.modules)."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["sweep_flow", "ladder_analyze"])
+def test_each_op_passes_its_check(monkeypatch, tmp_path, name):
+    workload = load(monkeypatch, "workloads").WORKLOADS[name]
+    tracer = load(monkeypatch, "tracing").Tracer()
+    inputs = workload.make_inputs(7, tracer, str(tmp_path))
+    for inp in inputs:
+        assert workload.check(inp, workload.run(inp)) == [], inp.name

@@ -1,4 +1,6 @@
+import itertools
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -360,6 +362,74 @@ class TestSweepCommand:
                      "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_INPUT
 
+    @staticmethod
+    def reference_sweep(argv):
+        """The sweep's CSV as a loop that holds nothing: each step builds its
+        model, runs detection and the whole multiplet stage, eigh(M)
+        included, and formats each row from its own eigenvalue.  It has no
+        gamma guard."""
+        args = cli.make_parser().parse_args(["sweep", *argv, "--out", "-"])
+        tol = Tolerance()
+        lines = ["param,index,eigenvalue,multiplet_class"]
+        for value in np.linspace(args.start, args.stop, args.steps):
+            setattr(args, args.param, float(value))
+            bundle = cli.build_model(args)
+            cli._detect(bundle.h, bundle.m, tol)
+            h_spec, _, part = cli._multiplet_stage(bundle.h, bundle.m, tol)
+            class_of = {i: c for c, members in enumerate(part.classes)
+                        for i in members}
+            for i in range(h_spec.dim):
+                lines.append(f"{float(value)!r},{i},"
+                             f"{float(h_spec.eigenvalues[i])!r},{class_of[i]}")
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["jc", "--cutoff", "9", "--param", "kappa", "--from", "-0.3",
+         "--to", "0.5", "--steps", "5"],
+        ["jc", "--cutoff", "7", "--param", "omega", "--from", "0.5",
+         "--to", "1.5", "--steps", "4"],
+        ["jc", "--cutoff", "7", "--param", "omega0", "--from", "-1",
+         "--to", "1.5", "--steps", "4"],
+        ["jc", "--cutoff", "7", "--param", "hbar", "--from", "0.5",
+         "--to", "2", "--steps", "4"],
+        ["angular", "--l", "3", "--param", "g", "--from", "0",
+         "--to", "0.25", "--steps", "4"],
+        ["angular", "--l", "3", "--param", "en", "--from", "-1",
+         "--to", "1", "--steps", "3"],
+        # gamma = hbar moves with M = hbar L_z: the gamma guard lets it run.
+        ["angular", "--l", "2", "--param", "hbar", "--from", "0.5",
+         "--to", "1.5", "--steps", "3"],
+        ["fermion", "--sites", "4", "--sources", "0.2+0.1i,-0.05i,0.1,0.3-0.2i",
+         "--param", "eps", "--from", "-0.5", "--to", "1.5", "--steps", "4"],
+        # hardcore ignores eps: every step builds the same model.
+        ["hardcore", "--sites", "4", "--z", "0.3+0.1i", "--param", "eps",
+         "--from", "0", "--to", "1", "--steps", "3"],
+    ], ids=["jc_kappa", "jc_omega", "jc_omega0", "jc_hbar", "angular_g",
+            "angular_en", "angular_hbar", "fermion_eps", "hardcore_eps"])
+    def test_matches_the_per_step_reference(self, tmp_path, argv):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *argv, "--out", str(out)]) == EXIT_OK
+        assert out.read_text(encoding="utf-8") == self.reference_sweep(argv)
+
+    @pytest.mark.parametrize("drift, code", [(1e-6, EXIT_NUMERICAL),
+                                             (1e-10, EXIT_OK)])
+    def test_gamma_drift_at_fixed_m(self, monkeypatch, tmp_path, drift,
+                                    code):
+        # M = L_z is held across a g sweep; gamma may not move under it.
+        detect_, step = cli._detect, itertools.count(1)
+
+        def drifting_detect(h, m, tol):
+            result, commutators = detect_(h, m, tol)
+            return (replace(result, gamma1=result.gamma1 + drift * next(step)),
+                    commutators)
+
+        monkeypatch.setattr(cli, "_detect", drifting_detect)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "angular", "--l", "2", "--param", "g",
+                     "--from", "0.05", "--to", "0.2", "--steps", "3",
+                     "--out", str(out)]) == code
+        assert out.exists() == (code == EXIT_OK)
+
 
 class TestCostModel:
     """analyze_pair forms each eigendecomposition and commutator once, and
@@ -479,9 +549,9 @@ class TestCostModel:
         assert (full_eigh, full_eigvalsh, chains) == (0, 1, 1)
 
 
-    def test_sweep_step_two_eigh_one_chain(self, monkeypatch, tmp_path):
-        # From g = 0.05 no step has a full-size degenerate H-cluster,
-        # whose refinement would be one more full-size eigh.
+    def sweep_counting(self, monkeypatch, tmp_path, argv):
+        """The full-size (dim 3) eigh, eigvalsh and chain calls of a sweep
+        that must stop after the partition."""
         calls = self.recording(monkeypatch, 3)
 
         def unreachable(*args, **kwargs):
@@ -494,12 +564,29 @@ class TestCostModel:
                              (detection, "verify_triple"),
                              (stability, "scan_spectrum_stability")]:
             monkeypatch.setattr(module, name, unreachable)
-        assert main(["sweep", "angular", "--l", "1", "--param", "g",
-                     "--from", "0.05", "--to", "0.2", "--steps", "4",
+        assert main(["sweep", "angular", "--l", "1", *argv,
                      "--out", str(tmp_path / "s.csv")]) == EXIT_OK
-        assert (len(calls["eigh"]), len(calls["eigvalsh"]),
-                len(calls["chain"])) == (2 * 4, 0, 4)
         assert calls["triple"] == []
+        return (len(calls["eigh"]), len(calls["eigvalsh"]),
+                len(calls["chain"]))
+
+    def test_sweep_step_two_eigh_one_chain(self, monkeypatch, tmp_path):
+        # M = L_z does not move with g: eigh(M) runs once, then one eigh(H)
+        # per step.  From g = 0.05 no step has a full-size degenerate
+        # H-cluster, whose refinement would be one more full-size eigh.
+        k = 4
+        assert self.sweep_counting(
+            monkeypatch, tmp_path,
+            ["--param", "g", "--from", "0.05", "--to", "0.2",
+             "--steps", str(k)]) == (k + 1, 0, k)
+
+    def test_sweep_with_moving_m_solves_each_m(self, monkeypatch, tmp_path):
+        # M = hbar L_z moves with hbar: eigh(M) again at every step.
+        k = 3
+        assert self.sweep_counting(
+            monkeypatch, tmp_path,
+            ["--param", "hbar", "--from", "0.5", "--to", "1.5",
+             "--steps", str(k)]) == (2 * k, 0, k)
 
 
 class TestHermiticityGate:

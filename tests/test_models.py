@@ -12,6 +12,8 @@ from gensym import (
     verify_triple,
 )
 from gensym.models import (
+    _fermion_chain_family,
+    _jaynes_cummings_family,
     _jordan_wigner_ops,
     angular_block,
     fermion_chain,
@@ -22,7 +24,18 @@ from gensym.models import (
     random_triple,
     recursion_block_solver,
 )
-from gensym.operators import is_hermitian
+from gensym.operators import is_hermitian, make_operator
+
+
+def assert_frozen_copies(operators, arrays):
+    """Each operator holds the read-only array make_operator stores for
+    the same name, with its dtype and bytes, signed zeros included."""
+    assert operators.keys() == arrays.keys()
+    for name, a in operators.items():
+        expected = make_operator(a.dim, arrays[name]).entries
+        assert not a.entries.flags.writeable, name
+        assert a.entries.dtype == expected.dtype, name
+        assert a.entries.tobytes() == expected.tobytes(), name
 
 
 class TestAngularBlock:
@@ -142,6 +155,46 @@ class TestJaynesCummings:
         with pytest.raises(ValueError):
             jaynes_cummings(1.0, 1.0, 0.1, cutoff=0)
 
+    @staticmethod
+    def reference(omega0, omega, kappa, cutoff, hbar):
+        """The arrays jaynes_cummings stores, built in one pass."""
+        nf = cutoff + 1
+        c = np.zeros((nf, nf), dtype=complex)
+        for n in range(1, nf):
+            c[n - 1, n] = np.sqrt(n)
+        cd = c.conj().T
+        i2 = np.eye(2, dtype=complex)
+        i_f = np.eye(nf, dtype=complex)
+        sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+        sm = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+        n_spin = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+        interaction = np.kron(sm, cd) + np.kron(sm.conj().T, c)
+        h = (0.5 * hbar * omega0 * np.kron(sz, i_f)
+             + 0.5 * hbar * omega * np.kron(i2, cd @ c + c @ cd)
+             + hbar * kappa * interaction)
+        r = hbar * kappa * np.kron(sm, cd)
+        return {"h": h, "m": np.kron(sz, i_f), "r": r,
+                "h0": h - r - r.conj().T,
+                "m_exc": np.kron(n_spin, i_f) + np.kron(i2, cd @ c),
+                "h_star": (hbar * omega * np.kron(n_spin, i_f)
+                           + hbar * omega * np.kron(i2, cd @ c)
+                           + hbar * kappa * interaction)}
+
+    @pytest.mark.parametrize("params", [
+        (1.3, 1.0, 0.2, 8, 1.0), (-0.0, -0.5, -0.1, 3, 0.7),
+        (0.0, 0.0, 0.0, 1, 1.0), (1.0, 2.0, 0.3, 4, -0.0),
+    ])
+    def test_family_matches_the_one_pass_build(self, params):
+        omega0, omega, kappa, cutoff, hbar = params
+        build = _jaynes_cummings_family(cutoff)
+        build(0.7, 0.3, 0.9, 1.1)  # one earlier step changes nothing
+        for bundle in (build(omega0, omega, kappa, hbar),
+                       jaynes_cummings(*params)):
+            assert_frozen_copies(
+                {"h": bundle.h, "m": bundle.m, "r": bundle.known.r,
+                 "h0": bundle.known.h0, **bundle.extras},
+                self.reference(*params))
+
 
 class TestJordanWigner:
     def test_canonical_anticommutators(self):
@@ -188,6 +241,33 @@ class TestFermionChain:
     def test_rejects_bad_source_count(self):
         with pytest.raises(ValueError):
             fermion_chain(3, 1.0, [0.1])
+
+    @staticmethod
+    def reference(sites, eps, sources):
+        """The arrays fermion_chain stores, built in one pass."""
+        sources = [complex(z) for z in sources or [0.0] * sites]
+        bs = _jordan_wigner_ops(sites)
+        dim = 2 ** sites
+        h0 = np.zeros((dim, dim), dtype=complex)
+        for i in range(sites - 1):
+            hop = bs[i].conj().T @ bs[i + 1]
+            h0 -= eps * (hop + hop.conj().T)
+        r = sum(z.conjugate() * b for z, b in zip(sources, bs))
+        return {"h": h0 + r + r.conj().T,
+                "m": sum(b.conj().T @ b for b in bs), "r": r, "h0": h0}
+
+    @pytest.mark.parametrize("params", [
+        (3, 0.7, [0.1, 0.0, 0.2j]), (4, -0.5, None),
+        (2, 0.0, [complex(-0.0, -0.3), 0.1]), (1, -0.0, [0.5]),
+    ])
+    def test_family_matches_the_one_pass_build(self, params):
+        sites, eps, sources = params
+        build = _fermion_chain_family(sites, sources)
+        build(1.3)  # one earlier step changes nothing
+        for bundle in (build(eps), fermion_chain(*params)):
+            assert_frozen_copies(
+                {"h": bundle.h, "m": bundle.m, "r": bundle.known.r,
+                 "h0": bundle.known.h0}, self.reference(*params))
 
 
 class TestHardcoreChain:
