@@ -23,6 +23,7 @@ from .operators import (
     SpectralDecomposition,
     Tolerance,
     _freeze,
+    _times_m,
     fro,
     is_hermitian,
     make_operator,
@@ -89,17 +90,18 @@ def _require_hermitian_pair(h: Operator, m: Operator):
         raise ValueError(f"M ({m.label!r}) is not Hermitian within gate")
 
 
-def _commutator_chain(he: np.ndarray, me: np.ndarray):
+def _commutator_chain(he: np.ndarray, m: Operator):
     """Yield C_1, C_2, ... with C_k = [C_{k-1}, M] and C_0 = H.
 
     For Hermitian H and M, C_k is anti-Hermitian for odd k and Hermitian
     for even k, so C_k = X - X^dag or X + X^dag with X = C_{k-1} M: one
-    gemm per commutator, and each C_k is exactly (anti-)Hermitian.
-    Lazy, so a caller pays only for the commutators it takes.
+    gemm per commutator (a column scale for a real diagonal M), and each
+    C_k is exactly (anti-)Hermitian.  Lazy, so a caller pays only for the
+    commutators it takes.
     """
     c = he
     for k in itertools.count(1):
-        c = c @ me
+        c = _times_m(c, m)
         if k % 2:
             c -= c.conj().T
         else:
@@ -136,10 +138,10 @@ def _detect(h: Operator, m: Operator, tol: Tolerance):
     they are dropped here.
     """
     _require_hermitian_pair(h, m)
-    he, me = h.entries, m.entries
-    chain = _commutator_chain(he, me)
+    he = h.entries
+    chain = _commutator_chain(he, m)
     c1 = next(chain)
-    genuine_scale = max(1.0, fro(he) * fro(me))
+    genuine_scale = max(1.0, fro(he) * fro(m.entries))
     genuine_residual = fro(c1) / genuine_scale
     if genuine_residual <= tol.rtol:
         return DetectionResult(kind=GENUINE, residual=genuine_residual), None
@@ -152,16 +154,17 @@ def _detect(h: Operator, m: Operator, tol: Tolerance):
     return DetectionResult(kind=NO_GENSYM, residual=residual), None
 
 
-def _commutes(a: np.ndarray, b: np.ndarray, tol: Tolerance,
-              hermitian: bool = False) -> bool:
-    """||[A, B]|| <= rtol * max(1, ||A|| ||B||).
+def _commutes(commutator: np.ndarray, a: np.ndarray, b: np.ndarray,
+              tol: Tolerance) -> bool:
+    """||[A, B]|| <= rtol * max(1, ||A|| ||B||), given [A, B]."""
+    return fro(commutator) <= tol.rtol * max(1.0, fro(a) * fro(b))
 
-    With ``hermitian`` set, both operands are Hermitian by construction,
-    so [A, B] = X - X^dag with X = AB: one gemm instead of two.
-    """
-    x = a @ b
-    x -= x.conj().T if hermitian else b @ a
-    return fro(x) <= tol.rtol * max(1.0, fro(a) * fro(b))
+
+def _m_commutator(x: np.ndarray, m: Operator) -> np.ndarray:
+    """[X, M] for a Hermitian X: Y - Y^dag with Y = X M."""
+    y = _times_m(x, m)
+    y -= y.conj().T
+    return y
 
 
 def reconstruct_case2(h: Operator, m: Operator, gamma: float,
@@ -170,7 +173,7 @@ def reconstruct_case2(h: Operator, m: Operator, gamma: float,
 
     ``tol`` is not read: verify_triple grades the triple.
     """
-    c1, c2 = itertools.islice(_commutator_chain(h.entries, m.entries), 2)
+    c1, c2 = itertools.islice(_commutator_chain(h.entries, m), 2)
     return _reconstruct_case2(h.entries, c1, c2, gamma)
 
 
@@ -227,8 +230,9 @@ def verify_triple(h: Operator, m: Operator, triple: GenSymTriple,
     rrd = r @ rd
     bound = tol.rtol * max(1.0, fro(he))
     residual_sum = fro(he - h0 - r - rd)
-    residual_h0m = fro(h0 @ me - me @ h0)
-    residual_ladder = fro((r @ me - me @ r) - triple.gamma * r)
+    residual_h0m = fro(_times_m(h0, m) - _times_m(h0, m, left=True))
+    residual_ladder = fro((_times_m(r, m) - _times_m(r, m, left=True))
+                          - triple.gamma * r)
     h0_herm = fro(h0 - h0.conj().T) <= H0_HERMITICITY_BOUND * max(1.0, fro(h0))
     # With R ~ 0 the ladder relation holds for any gamma; flag it.
     degenerate = fro(r) <= tol.rtol * max(1.0, fro(he))
@@ -241,11 +245,11 @@ def verify_triple(h: Operator, m: Operator, triple: GenSymTriple,
         residual_sum=residual_sum,
         residual_h0m=residual_h0m,
         residual_ladder=residual_ladder,
-        commutes_rdr_m=_commutes(rdr, me, tol, hermitian=True),
-        commutes_rrd_m=_commutes(rrd, me, tol, hermitian=True),
+        commutes_rdr_m=_commutes(_m_commutator(rdr, m), rdr, me, tol),
+        commutes_rrd_m=_commutes(_m_commutator(rrd, m), rrd, me, tol),
         # H0 is Hermitian only to H0_HERMITICITY_BOUND: two gemms.
-        commutes_rdr_h0=_commutes(rdr, h0, tol),
-        commutes_rrd_h0=_commutes(rrd, h0, tol),
+        commutes_rdr_h0=_commutes(rdr @ h0 - h0 @ rdr, rdr, h0, tol),
+        commutes_rrd_h0=_commutes(rrd @ h0 - h0 @ rrd, rrd, h0, tol),
     )
 
 

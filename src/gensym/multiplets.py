@@ -18,6 +18,7 @@ from .operators import (
     Operator,
     SpectralDecomposition,
     Tolerance,
+    _m_basis,
     hermitian_eigh,
     is_hermitian,
     phase_canonicalize,
@@ -85,10 +86,11 @@ def _cluster_coordinates(vectors: np.ndarray, m_spec: SpectralDecomposition):
     Returns ``(coords, norms, mask)``: ``coords = W^dag V`` with W the
     M-eigenvectors, ``norms[k, j]`` the norm of column j's component on
     M-cluster k, and ``mask[k, j]`` whether that norm exceeds
-    ``DEFAULT_SUPPORT_EPS * ||v_j||``.  One gemm and one segmented sum.
+    ``DEFAULT_SUPPORT_EPS * ||v_j||``.  One gemm (a row gather for a real
+    diagonal M) and one segmented sum.
     """
     vectors = np.asarray(vectors)
-    coords = m_spec.eigenvectors.conj().T @ vectors
+    coords = _m_basis(m_spec, vectors)
     starts = [start for start, _ in m_spec.clusters]
     norms = np.sqrt(np.add.reduceat(np.abs(coords) ** 2, starts, axis=0))
     mask = norms > DEFAULT_SUPPORT_EPS * np.linalg.norm(vectors, axis=0)
@@ -136,12 +138,12 @@ def partition(h_spec: SpectralDecomposition, m_spec: SpectralDecomposition,
               tol: Tolerance = DEFAULT_TOL) -> MultipletPartition:
     """Group all eigenvectors into M-multiplets.
 
-    Algorithm: one gemm ``C = W_M^dag V_H`` puts every eigenvector in the
-    eigenbasis of M; one segmented sum over ``|C|^2`` gives its norm on
-    each M-cluster and so its support mask.  Vectors are grouped by mask,
-    and within a group the per-cluster Gram matrices of the normalised
-    cluster blocks decide which pairs are parallel on every supported
-    cluster.  Memory is O(n^2) for C plus one group-size square matrix.
+    Algorithm: one gemm ``C = W_M^dag V_H`` (a row gather ``V_H[order]``
+    for a real diagonal M) puts every eigenvector in the eigenbasis of M;
+    one segmented sum over ``|C|^2`` gives its norm on each M-cluster and
+    so its support mask.  Vectors are grouped by mask, and within a group
+    the per-cluster Gram matrices of the normalised cluster blocks decide
+    which pairs are parallel on every supported cluster.  Memory is O(n^2) for C plus one group-size square matrix.
 
     Ordering: classes are built greedily against the first-seen
     representative of each class, in eigenvector-index order, exactly as

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -70,6 +70,39 @@ class Operator:
     def norm(self) -> float:
         return fro(self.entries)
 
+    @cached_property
+    def real_diagonal(self) -> Optional[np.ndarray]:
+        """The diagonal when the operator is real diagonal, else None.
+
+        Decided once per operator; products with a diagonal operator and
+        with its eigenbasis go through _times_m and _m_basis.
+        """
+        return _real_diagonal(self.entries)
+
+
+def _real_diagonal(entries: np.ndarray) -> Optional[np.ndarray]:
+    """The diagonal of float64 entries with no nonzero off-diagonal entry.
+
+    A -0.0 off-diagonal counts as zero; complex entries are never
+    diagonal here.  One count_nonzero pass, no copy.
+    """
+    if entries.dtype != np.float64:
+        return None
+    d = entries.diagonal()
+    return d if np.count_nonzero(entries) == np.count_nonzero(d) else None
+
+
+def _times_m(a: np.ndarray, m: Operator, left: bool = False) -> np.ndarray:
+    """A M, or M A with ``left``.
+
+    For a real diagonal M a column (row) scale: a gemm with a diagonal
+    matrix only adds exact zeros, so every nonzero entry is the gemm's.
+    """
+    d = m.real_diagonal
+    if d is None:
+        return m.entries @ a if left else a @ m.entries
+    return d[:, np.newaxis] * a if left else a * d
+
 
 def is_hermitian(entries: np.ndarray) -> bool:
     return (fro(entries - entries.conj().T)
@@ -122,12 +155,15 @@ class SpectralDecomposition:
 
     eigenvalues are ascending, eigenvectors are the matching orthonormal
     columns, clusters are half-open (start, stop) index ranges grouping
-    numerically degenerate eigenvalues.
+    numerically degenerate eigenvalues.  order is set for a real diagonal
+    operator, whose eigenvectors are the unit columns e_order[j]; it is
+    None for a dense basis.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     clusters: tuple
+    order: Optional[np.ndarray] = None
 
     @property
     def dim(self) -> int:
@@ -146,6 +182,11 @@ class SpectralDecomposition:
     def cluster_value(self, k: int) -> float:
         return self._cluster_means[k]
 
+    @cached_property
+    def _eigenvectors_adjoint(self) -> np.ndarray:
+        """W^dag, formed once (a copy only when W is complex)."""
+        return self.eigenvectors.conj().T
+
     def cluster_values(self) -> np.ndarray:
         """cluster_value of every index's cluster, one entry per index."""
         return np.repeat(self._cluster_means,
@@ -162,15 +203,9 @@ def cluster_eigenvalues(values: Sequence[float], scale: float,
     values = np.asarray(values, dtype=float)
     if len(values) == 0:
         return ()
-    gap = tol.gap(scale)
-    clusters = []
-    start = 0
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] > gap:
-            clusters.append((start, i))
-            start = i
-    clusters.append((start, len(values)))
-    return tuple(clusters)
+    splits = np.flatnonzero(np.diff(values) > tol.gap(scale)) + 1
+    bounds = [0, *splits.tolist(), len(values)]
+    return tuple(zip(bounds[:-1], bounds[1:]))
 
 
 def phase_canonicalize(vectors: np.ndarray) -> np.ndarray:
@@ -181,6 +216,9 @@ def phase_canonicalize(vectors: np.ndarray) -> np.ndarray:
     """
     out = np.array(vectors, dtype=np.result_type(vectors, float))
     pivots = out[np.argmax(np.abs(out), axis=0), np.arange(out.shape[1])]
+    if not np.iscomplexobj(out):
+        out *= np.where(pivots < 0, -1.0, 1.0)
+        return out
     # Each phase is a scalar division, as for one column: dividing the
     # pivots as an array can differ from it in the last bit.
     out *= np.array([abs(p) / p if abs(p) > 0 else 1.0 for p in pivots],
@@ -196,20 +234,55 @@ def hermitian_eigh(a: Operator, tol: Tolerance = DEFAULT_TOL) -> SpectralDecompo
 
 
 def _hermitian_eigh(a: Operator, tol: Tolerance) -> SpectralDecomposition:
-    """hermitian_eigh for an operator whose Hermiticity is already gated."""
-    sym = (a.entries + a.entries.conj().T) / 2
-    w, v = np.linalg.eigh(sym)
-    v = phase_canonicalize(v)
+    """hermitian_eigh for an operator whose Hermiticity is already gated.
+
+    A real diagonal operator is solved by the stable sort of its diagonal,
+    with the unit columns in that order as eigenvectors (their phases are
+    canonical already); A V is then the column gather A[:, order].
+    """
+    d = a.real_diagonal
+    if d is None:
+        sym = (a.entries + a.entries.conj().T) / 2
+        w, v = np.linalg.eigh(sym)
+        v = phase_canonicalize(v)
+        order, av = None, a.entries @ v
+    else:
+        order = np.argsort(d, kind="stable")
+        w = d[order]
+        v = np.zeros((a.dim, a.dim))
+        v[order, np.arange(a.dim)] = 1.0
+        av = a.entries[:, order]
+        order.setflags(write=False)
     scale = fro(a.entries)
-    residual = float(np.max(np.linalg.norm(
-        a.entries @ v - v * w[np.newaxis, :], axis=0)))
+    residual = float(np.max(np.linalg.norm(av - v * w[np.newaxis, :],
+                                           axis=0)))
     if residual > EIGH_RESIDUAL_BOUND * max(1.0, scale):
         raise NumericalError(
             f"eigensolver residual {residual:.3e} exceeds contract for {a.label!r}")
     clusters = cluster_eigenvalues(w, scale, tol)
     w.setflags(write=False)
     v.setflags(write=False)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=v, clusters=clusters)
+    return SpectralDecomposition(eigenvalues=w, eigenvectors=v,
+                                 clusters=clusters, order=order)
+
+
+def _m_basis(m_spec: SpectralDecomposition, x: np.ndarray,
+             inverse: bool = False) -> np.ndarray:
+    """W^dag X, the rows of X in the eigenbasis W of M; W X with ``inverse``.
+
+    For a real diagonal M (m_spec.order set) a row gather, or its scatter:
+    W is a permutation matrix, so every nonzero entry is the gemm's.
+    """
+    order = m_spec.order
+    if order is None:
+        if inverse:
+            return m_spec.eigenvectors @ x
+        return m_spec._eigenvectors_adjoint @ x
+    if not inverse:
+        return x[order]
+    out = np.empty_like(x)
+    out[order] = x
+    return out
 
 
 def _hermitian_eigvalsh(a: Operator) -> np.ndarray:

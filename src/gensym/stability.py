@@ -20,6 +20,7 @@ from .operators import (
     DEFAULT_TOL,
     SpectralDecomposition,
     Tolerance,
+    _m_basis,
     fro,
 )
 
@@ -65,8 +66,7 @@ class _Ladder:
     r_dag: np.ndarray
     r_scale: float
     gamma: float
-    w: np.ndarray
-    w_dag: np.ndarray
+    m_spec: SpectralDecomposition
     mu: np.ndarray
 
 
@@ -76,8 +76,7 @@ def _ladder(triple: GenSymTriple, m_spec: SpectralDecomposition) -> _Ladder:
     h = triple.h0 + r + r_dag
     return _Ladder(h=h, h_norm=fro(h), r=r, r_dag=r_dag,
                    r_scale=max(1.0, fro(r)), gamma=triple.gamma,
-                   w=m_spec.eigenvectors, w_dag=m_spec.eigenvectors.conj().T,
-                   mu=m_spec.cluster_values())
+                   m_spec=m_spec, mu=m_spec.cluster_values())
 
 
 def _rank_tests(a: np.ndarray, b: np.ndarray, psi: np.ndarray):
@@ -182,7 +181,9 @@ def _partners(ladder: _Ladder, vectors: np.ndarray, eigenvalues: np.ndarray,
 
     exp(-zM) psi is applied in the eigenbasis of M as
     W diag(exp(-z mu)) W^dag psi, with mu the per-cluster value that
-    matrix_function uses: O(n^2) per vector instead of O(n^3).
+    matrix_function uses: O(n^2) per vector instead of O(n^3).  For a real
+    diagonal M both gemms are row gathers, so each entry psi_i is scaled
+    by its own exp(-z mu_i).
     """
     zs, e_second = [], []
     for (x, y), eigenvalue in zip(coeffs, eigenvalues):
@@ -190,7 +191,8 @@ def _partners(ladder: _Ladder, vectors: np.ndarray, eigenvalues: np.ndarray,
         zs.append(z)
         e_second.append(float(eigenvalue + eps))
     phases = np.exp(-np.outer(ladder.mu, zs))
-    chi = ladder.w @ (phases * (ladder.w_dag @ vectors))
+    chi = _m_basis(ladder.m_spec,
+                   phases * _m_basis(ladder.m_spec, vectors), inverse=True)
     chi_norms = np.linalg.norm(chi, axis=0)
     residuals = np.linalg.norm(ladder.h @ chi - chi * e_second,
                                axis=0) / chi_norms
@@ -215,7 +217,8 @@ def scan_spectrum_stability(h_spec: SpectralDecomposition,
     H V, R V and R^dag V are three gemms, every eigenvector residual is
     checked at once, the n x 3 rank tests are one stacked thin SVD, and
     the case-5 partners W diag(exp(-z mu)) W^dag psi and their residuals
-    are three more gemms.
+    are three more gemms (one for a real diagonal M, whose W products are
+    row gathers).
     Each record depends on its own eigenvector only, not on its block.
 
     Memory: besides the n x n operators, O(n * _BLOCK) workspace per

@@ -33,3 +33,20 @@ def test_each_op_passes_its_check(monkeypatch, tmp_path, name):
     inputs = workload.make_inputs(7, tracer, str(tmp_path))
     for inp in inputs:
         assert workload.check(inp, workload.run(inp)) == [], inp.name
+
+
+def test_screen_large_genuine_inputs_pass_their_check(monkeypatch, tmp_path):
+    # The two genuine inputs run detection on the diagonal path.  The random
+    # dense pairs (dim 512-1024) are neither built nor run, to keep this
+    # short.
+    workloads = load(monkeypatch, "workloads")
+    monkeypatch.setattr(workloads, "_random_hermitian",
+                        lambda rng, dim, label: None)
+    workload = workloads.WORKLOADS["screen_large"]
+    tracer = load(monkeypatch, "tracing").Tracer()
+    inputs = {inp.name: inp
+              for inp in workload.make_inputs(7, tracer, str(tmp_path))}
+    for name in ("jc_255_exc", "fermion_9"):
+        inp = inputs[name]
+        assert inp.m.real_diagonal is not None
+        assert workload.check(inp, workload.run(inp)) == [], name

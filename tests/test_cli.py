@@ -25,11 +25,16 @@ from gensym.cli import (
     main,
     parse_complex,
 )
-from gensym.models import angular_block, hardcore_chain, jaynes_cummings
+from gensym.models import (
+    angular_block,
+    hardcore_chain,
+    jaynes_cummings,
+    random_triple,
+)
 from gensym.operators import Operator, Tolerance, is_hermitian
 from gensym.serialization import operator_from_dict, operator_to_dict
 
-from conftest import SX, op, random_hermitian
+from conftest import SX, force_dense, op, random_hermitian
 
 
 class TestParseComplex:
@@ -431,20 +436,45 @@ class TestSweepCommand:
         assert out.exists() == (code == EXIT_OK)
 
 
+class NoGemm(np.ndarray):
+    """An array that refuses to enter a matrix product; every other ufunc
+    runs on its plain view and returns plain arrays."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            raise AssertionError("a gemm with M or its eigenbasis")
+        plain = tuple(np.asarray(x) if isinstance(x, NoGemm) else x
+                      for x in inputs)
+        if "out" in kwargs:
+            kwargs["out"] = tuple(np.asarray(x) for x in kwargs["out"])
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def rotated(bundle, seed=5):
+    """(Q H Q^T, Q M Q^T) for a random orthogonal Q: a dense real M."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(
+        size=(bundle.h.dim, bundle.h.dim)))
+    return tuple(make_operator(a.dim, q @ a.entries @ q.T, a.label)
+                 for a in (bundle.h, bundle.m))
+
+
 class TestCostModel:
     """analyze_pair forms each eigendecomposition and commutator once, and
-    H's eigenvectors only when the verdict goes on to use them."""
+    H's eigenvectors only when the verdict goes on to use them.  A real
+    diagonal M is solved by a sort, not a full eigh, and enters no gemm."""
 
     @staticmethod
     def recording(monkeypatch, dim):
         """Patch the solvers, the chain, the partition's cluster coordinates
         and the freeze helper GenSymTriple calls to record their operand
-        dtypes (full-size eigh/eigvalsh only); returns the record."""
+        dtypes (full-size eigh/eigvalsh only), and record the dim of every
+        operator the multiplet stage solves by a sort; returns the record."""
         calls = {"eigh": [], "eigvalsh": [], "svd": [], "chain": [],
-                 "coords": [], "triple": []}
+                 "coords": [], "triple": [], "sorted": []}
         chain = detection._commutator_chain
         coordinates = multiplets._cluster_coordinates
         freeze = detection._freeze
+        solve = cli._hermitian_eigh
 
         def recording(name):
             solver = getattr(np.linalg, name)
@@ -455,9 +485,9 @@ class TestCostModel:
                 return solver(a, *args, **kwargs)
             return recorded
 
-        def recording_chain(he, me):
-            calls["chain"].append((he.dtype, me.dtype))
-            return chain(he, me)
+        def recording_chain(he, m):
+            calls["chain"].append((he.dtype, m.entries.dtype))
+            return chain(he, m)
 
         def recording_coordinates(*args):
             result = coordinates(*args)
@@ -468,12 +498,18 @@ class TestCostModel:
             calls["triple"].append(np.asarray(entries).dtype)
             return freeze(entries)
 
+        def recording_solve(a, tol):
+            if a.real_diagonal is not None:
+                calls["sorted"].append(a.dim)
+            return solve(a, tol)
+
         for name in ("eigh", "eigvalsh", "svd"):
             monkeypatch.setattr(np.linalg, name, recording(name))
         monkeypatch.setattr(detection, "_commutator_chain", recording_chain)
         monkeypatch.setattr(multiplets, "_cluster_coordinates",
                             recording_coordinates)
         monkeypatch.setattr(detection, "_freeze", recording_freeze)
+        monkeypatch.setattr(cli, "_hermitian_eigh", recording_solve)
         return calls
 
     def analyze_recording(self, monkeypatch, h, m):
@@ -497,13 +533,54 @@ class TestCostModel:
     @pytest.mark.parametrize("bundle", [
         angular_block(2, -0.5, 0.1),
         hardcore_chain(4, 0.3 + 0.1j),  # degenerate H: refined per cluster
-    ], ids=["angular_l2", "hardcore_4"])
+        random_triple([4, 3, 5], 0.7, seed=2),
+    ], ids=["angular_l2", "hardcore_4", "random_triple"])
     def test_case2_two_eigh_one_chain(self, monkeypatch, bundle):
+        # Conjugated by a random orthogonal matrix, M is dense: eigh(H)
+        # and eigh(M) are both full eigh calls.
         report, full_eigh, full_eigvalsh, chains = self.analyze_counting(
-            monkeypatch, bundle.h, bundle.m)
+            monkeypatch, *rotated(bundle))
         assert report["detection"]["kind"] == "case2"
         assert report["stability"] is not None
         assert (full_eigh, full_eigvalsh, chains) == (2, 0, 1)
+
+    @pytest.mark.parametrize("bundle", [
+        angular_block(2, -0.5, 0.1),
+        jaynes_cummings(1.0, 1.0, 0.1, cutoff=7),
+        hardcore_chain(4, 0.3 + 0.1j),
+        random_triple([4, 3, 5], 0.7, seed=2),
+    ], ids=["angular_l2", "jc_7", "hardcore_4", "random_triple"])
+    def test_case2_diagonal_m_one_eigh_no_gemm_with_m(self, monkeypatch,
+                                                      bundle):
+        # M and its eigenbasis W refuse every matrix product, except in the
+        # canonical basis, whose refinement keeps its gemm with M.
+        m = Operator(bundle.m.dim, bundle.m.entries.view(NoGemm),
+                     bundle.m.label)
+        refine = cli._refine_eigenbasis
+        monkeypatch.setattr(cli, "_refine_eigenbasis",
+                            lambda spec, me: refine(spec, np.asarray(me)))
+        report, calls = self.analyze_recording(monkeypatch, bundle.h, m)
+        assert report["detection"]["kind"] == "case2"
+        assert report["stability"] is not None
+        assert (len(calls["eigh"]), len(calls["eigvalsh"]),
+                len(calls["chain"]), calls["sorted"]) == (1, 0, 1, [m.dim])
+        assert report == analyze_pair(bundle.h, bundle.m, Tolerance())
+
+    def test_case2_diagonal_m_eigenbasis_enters_no_gemm(self, monkeypatch):
+        # The sorted eigenbasis W of M, as the multiplet stage hands it on,
+        # refuses every matrix product in partition and the stability scan.
+        bundle = jaynes_cummings(1.0, 1.0, 0.1, cutoff=7)
+        solve = cli._hermitian_eigh
+
+        def no_gemm_basis(a, tol):
+            spec = solve(a, tol)
+            if a is not bundle.m:
+                return spec
+            return replace(spec, eigenvectors=spec.eigenvectors.view(NoGemm))
+
+        monkeypatch.setattr(cli, "_hermitian_eigh", no_gemm_basis)
+        report = analyze_pair(bundle.h, bundle.m, Tolerance())
+        assert report["stability"]["counts"] == {"1": 2, "5": 14}
 
     @pytest.mark.parametrize("bundle", [
         angular_block(2, -0.5, 0.1),
@@ -516,7 +593,8 @@ class TestCostModel:
         f64 = np.dtype(np.float64)
         assert calls["chain"] == [(f64, f64)]
         assert calls["triple"] == [(f64, f64)]
-        assert calls["eigh"] == [f64, f64]
+        # eigh(H); the diagonal M is sorted.
+        assert calls["eigh"] == [f64]
         assert calls["coords"] == [f64]
         # Every stacked rank-test SVD of the stability scan.
         assert calls["svd"] and set(calls["svd"]) == {f64}
@@ -526,13 +604,17 @@ class TestCostModel:
         report, calls = self.analyze_recording(monkeypatch, bundle.h, bundle.m)
         assert report["detection"]["kind"] == "case2"
         c128, f64 = np.dtype(np.complex128), np.dtype(np.float64)
-        # H is complex; the number operator M is real on its own, so only
-        # its eigendecomposition (the second eigh) runs in float64.
+        # H is complex; the number operator M is real on its own, so it is
+        # solved by a sort, in float64.
         assert calls["chain"] == [(c128, f64)]
         assert calls["triple"] == [(c128, c128)]
-        assert calls["eigh"] == [c128, f64]
+        assert calls["eigh"] == [c128]
         assert calls["coords"] == [c128]
         assert calls["svd"] and set(calls["svd"]) == {c128}
+        # A dense real M keeps its own full eigh in float64.
+        h, m = rotated(bundle)
+        _, calls = self.analyze_recording(monkeypatch, h, m)
+        assert calls["eigh"] == [c128, f64]
 
     def test_genuine_values_only(self, monkeypatch):
         jc = jaynes_cummings(1.3, 1.0, 0.2, cutoff=8)
@@ -549,10 +631,13 @@ class TestCostModel:
         assert (full_eigh, full_eigvalsh, chains) == (0, 1, 1)
 
 
-    def sweep_counting(self, monkeypatch, tmp_path, argv):
+    def sweep_counting(self, monkeypatch, tmp_path, argv, dense=False):
         """The full-size (dim 3) eigh, eigvalsh and chain calls of a sweep
-        that must stop after the partition."""
+        that must stop after the partition, and its sorted solves of M;
+        ``dense`` routes M through the dense path."""
         calls = self.recording(monkeypatch, 3)
+        if dense:
+            force_dense(monkeypatch)
 
         def unreachable(*args, **kwargs):
             raise AssertionError("a sweep step stops after the partition")
@@ -568,25 +653,43 @@ class TestCostModel:
                      "--out", str(tmp_path / "s.csv")]) == EXIT_OK
         assert calls["triple"] == []
         return (len(calls["eigh"]), len(calls["eigvalsh"]),
-                len(calls["chain"]))
+                len(calls["chain"]), len(calls["sorted"]))
+
+    G_SWEEP = ["--param", "g", "--from", "0.05", "--to", "0.2", "--steps"]
+    HBAR_SWEEP = ["--param", "hbar", "--from", "0.5", "--to", "1.5",
+                  "--steps"]
 
     def test_sweep_step_two_eigh_one_chain(self, monkeypatch, tmp_path):
-        # M = L_z does not move with g: eigh(M) runs once, then one eigh(H)
-        # per step.  From g = 0.05 no step has a full-size degenerate
-        # H-cluster, whose refinement would be one more full-size eigh.
+        # On the dense path, M = L_z does not move with g: eigh(M) runs
+        # once, then one eigh(H) per step.  From g = 0.05 no step has a full-size
+        # degenerate H-cluster, whose refinement would be one more
+        # full-size eigh.
+        k = 4
+        assert self.sweep_counting(
+            monkeypatch, tmp_path, [*self.G_SWEEP, str(k)],
+            dense=True) == (k + 1, 0, k, 0)
+
+    def test_sweep_step_one_eigh_one_chain(self, monkeypatch, tmp_path):
+        # The diagonal M = L_z is sorted once and held; one eigh(H) per step.
         k = 4
         assert self.sweep_counting(
             monkeypatch, tmp_path,
-            ["--param", "g", "--from", "0.05", "--to", "0.2",
-             "--steps", str(k)]) == (k + 1, 0, k)
+            [*self.G_SWEEP, str(k)]) == (k, 0, k, 1)
 
     def test_sweep_with_moving_m_solves_each_m(self, monkeypatch, tmp_path):
-        # M = hbar L_z moves with hbar: eigh(M) again at every step.
+        # M = hbar L_z moves with hbar: M is solved again at every step, by
+        # a sort, so each step takes one full eigh, of H.
         k = 3
         assert self.sweep_counting(
             monkeypatch, tmp_path,
-            ["--param", "hbar", "--from", "0.5", "--to", "1.5",
-             "--steps", str(k)]) == (2 * k, 0, k)
+            [*self.HBAR_SWEEP, str(k)]) == (k, 0, k, k)
+
+    def test_sweep_with_moving_dense_m_runs_two_eigh_per_step(
+            self, monkeypatch, tmp_path):
+        k = 3
+        assert self.sweep_counting(
+            monkeypatch, tmp_path, [*self.HBAR_SWEEP, str(k)],
+            dense=True) == (2 * k, 0, k, 0)
 
 
 class TestHermiticityGate:

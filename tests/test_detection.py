@@ -83,7 +83,7 @@ PAIRS = acceptance_pairs() + random_pairs()
 @pytest.mark.parametrize("name,h,m", PAIRS, ids=[p[0] for p in PAIRS])
 class TestCommutatorChain:
     def test_matches_iterated_commutator(self, name, h, m):
-        chain = _commutator_chain(h.entries, m.entries)
+        chain = _commutator_chain(h.entries, m)
         for k in (1, 2, 3):
             expected = iterated_commutator(h, m, k).entries
             bound = 1e-13 * h.norm * m.norm ** k
@@ -91,7 +91,7 @@ class TestCommutatorChain:
 
     def test_exact_hermitian_parity(self, name, h, m):
         c1, c2, c3 = itertools.islice(
-            _commutator_chain(h.entries, m.entries), 3)
+            _commutator_chain(h.entries, m), 3)
         np.testing.assert_array_equal(c1, -c1.conj().T)
         np.testing.assert_array_equal(c2, c2.conj().T)
         np.testing.assert_array_equal(c3, -c3.conj().T)

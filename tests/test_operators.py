@@ -412,3 +412,27 @@ class TestClusterEigenvalues:
         tol = Tolerance(atol=0.5, rtol=0.0)
         assert cluster_eigenvalues([0.0, 0.4, 0.8, 2.0], 1.0, tol) == \
             ((0, 3), (3, 4))
+
+    def test_empty_and_single(self):
+        assert cluster_eigenvalues([], 1.0) == ()
+        assert cluster_eigenvalues([3.0], 1.0) == ((0, 1),)
+
+    def test_matches_per_value_loop(self, rng):
+        def per_value(values, gap):
+            clusters, start = [], 0
+            for i in range(1, len(values)):
+                if values[i] - values[i - 1] > gap:
+                    clusters.append((start, i))
+                    start = i
+            clusters.append((start, len(values)))
+            return tuple(clusters)
+
+        tol = Tolerance()
+        for n in (2, 7, 64, 500):
+            # Steps of zero, of exactly the gap, just above it, and large.
+            gap = tol.gap(1.0)
+            steps = rng.choice([0.0, gap, np.nextafter(gap, 1.0), 0.3], size=n)
+            values = np.cumsum(steps) - 5.0
+            clusters = cluster_eigenvalues(values, 1.0, tol)
+            assert clusters == per_value(values, gap)
+            assert all(type(i) is int for c in clusters for i in c)
