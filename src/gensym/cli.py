@@ -89,7 +89,9 @@ def _model_family(args: argparse.Namespace):
 
     A sweep changes one attribute of ``args`` between calls.  jc and
     fermion build their parameter-free operators here, once per builder;
-    no sweepable parameter enters them.
+    no sweepable parameter enters them.  No sweepable parameter enters
+    hardcore, projection or involution at all, so they are built here
+    once and every call hands out the same bundle.
     """
     name = args.name
     if name == "angular":
@@ -104,12 +106,14 @@ def _model_family(args: argparse.Namespace):
         chain = _fermion_chain_family(args.sites, sources)
         return lambda: chain(args.eps)
     if name == "hardcore":
-        return lambda: hardcore_chain(args.sites, parse_complex(args.z))
-    if name == "projection":
-        return lambda: projection_example(args.dim, args.seed)
-    if name == "involution":
-        return lambda: involution_example(args.dim, args.seed)
-    raise ValueError(f"unknown model {name!r}")
+        bundle = hardcore_chain(args.sites, parse_complex(args.z))
+    elif name == "projection":
+        bundle = projection_example(args.dim, args.seed)
+    elif name == "involution":
+        bundle = involution_example(args.dim, args.seed)
+    else:
+        raise ValueError(f"unknown model {name!r}")
+    return lambda: bundle
 
 
 def run_model(args: argparse.Namespace) -> int:

@@ -118,7 +118,12 @@ def _fit_case2(c1: np.ndarray, c3: np.ndarray, tol: Tolerance):
     n1 = fro(c1)
     if n1 == 0.0:
         raise ValueError("the case-2 fit requires [H,M] != 0")
-    gamma_sq = np.vdot(c1, c3).real / (n1 ** 2)
+    try:
+        n1_sq = n1 ** 2
+    except OverflowError:
+        raise NumericalError(
+            f"the case-2 fit overflows: ||[H,M]||_F = {n1:.3e}") from None
+    gamma_sq = np.vdot(c1, c3).real / n1_sq
     residual = float(fro(c3 - gamma_sq * c1) / max(fro(c3), n1, tol.atol))
     if gamma_sq <= max(tol.atol, 1e-10):
         return float("nan"), residual

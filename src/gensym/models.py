@@ -96,6 +96,9 @@ def recursion_block_solver(l: int, e_n: float, g: float, hbar: float = 1.0):
 
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+_SIGMA_PLUS = _SIGMA_MINUS.conj().T
+_SPIN_UP = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+_I2 = np.eye(2, dtype=complex)
 
 
 def jaynes_cummings(omega0: float, omega: float, kappa: float, cutoff: int,
@@ -111,72 +114,117 @@ def jaynes_cummings(omega0: float, omega: float, kappa: float, cutoff: int,
     return _jaynes_cummings_family(cutoff)(omega0, omega, kappa, hbar)
 
 
+def _spin_blocks(nf: int, block) -> np.ndarray:
+    """The (2 nf)^2 complex matrix whose (a, b) spin block is block(a, b)."""
+    out = np.empty((2 * nf, 2 * nf), dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            out[a * nf:(a + 1) * nf, b * nf:(b + 1) * nf] = block(a, b)
+    return out
+
+
 def _jaynes_cummings_family(cutoff: int):
     """jaynes_cummings at one cutoff, as a builder of
     ``(omega0, omega, kappa, hbar)``.
 
-    The parameter-free operators are built here, once; each call combines
-    them with its coefficients and hands out the same M and m_exc.
+    Every operator is a sum of kron products spin x Fock, scaled.  Each is
+    formed one spin block at a time: the (a, b) block of kron(A, B) is
+    A[a, b] * B, the product np.kron takes, and the block of a sum or a
+    scaled sum is the same sum of blocks, so every entry, its signed
+    zeros included (sigma_z has -0.0 entries), is that of the full kron
+    expression, while no (2 nf)^2 temporary is formed.  The Fock factors
+    are built here, once; c^dag c and c c^dag are diagonal, with the
+    rounded sqrt(n)*sqrt(n) a product c^dag @ c would give.  Each call
+    hands out the same M and m_exc.
     """
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     nf = cutoff + 1
     dim = 2 * nf
-    c = np.zeros((nf, nf), dtype=complex)
-    for n in range(1, nf):
-        c[n - 1, n] = np.sqrt(n)
+    root = np.sqrt(np.arange(nf, dtype=float))
+    c = np.diag(root[1:], 1).astype(complex)
     cd = c.conj().T
-    i2 = np.eye(2, dtype=complex)
+    cdc = np.diag(root * root).astype(complex)
+    number = cdc + np.diag(np.append(root[1:] * root[1:], 0.0))
     i_f = np.eye(nf, dtype=complex)
-    sigma_z = np.kron(_SIGMA_Z, i_f)
-    number = np.kron(i2, cd @ c + c @ cd)
-    interaction = np.kron(_SIGMA_MINUS, cd) + np.kron(_SIGMA_MINUS.conj().T, c)
-    raising = np.kron(_SIGMA_MINUS, cd)
-    n_spin = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    spin_up = np.kron(n_spin, i_f)
-    quanta = np.kron(i2, cd @ c)
-    m = make_operator(dim, sigma_z, "sigma_z")
-    m_exc = make_operator(dim, spin_up + quanta, "excitations")
+
+    def sigma_z(a, b):
+        return _SIGMA_Z[a, b] * i_f
+
+    def raising(a, b):
+        return _SIGMA_MINUS[a, b] * cd
+
+    def interaction(a, b):
+        return raising(a, b) + _SIGMA_PLUS[a, b] * c
+
+    def m_exc(a, b):
+        return _SPIN_UP[a, b] * i_f + _I2[a, b] * cdc
+
+    m = make_operator(dim, _spin_blocks(nf, sigma_z), "sigma_z")
+    m_exc_op = make_operator(dim, _spin_blocks(nf, m_exc), "excitations")
 
     def build(omega0: float, omega: float, kappa: float,
               hbar: float) -> ModelBundle:
-        h = (0.5 * hbar * omega0 * sigma_z
-             + 0.5 * hbar * omega * number
-             + hbar * kappa * interaction)
-        r = hbar * kappa * raising
-        h0 = h - r - r.conj().T
-        h_star = (hbar * omega * spin_up
-                  + hbar * omega * quanta
-                  + hbar * kappa * interaction)
+        # H = 0.5 hbar omega0 sigma_z + 0.5 hbar omega N + hbar kappa V and
+        # H_star = hbar omega (n_up + c^dag c) + hbar kappa V, the scalar
+        # products taken left to right.
+        s_z, s_n, s_k, s_w = (0.5 * hbar * omega0, 0.5 * hbar * omega,
+                              hbar * kappa, hbar * omega)
+        r = _spin_blocks(nf, lambda a, b: s_k * raising(a, b))
+        coupling = [[s_k * interaction(a, b) for b in range(2)]
+                    for a in range(2)]
+        h = _spin_blocks(nf, lambda a, b: (s_z * sigma_z(a, b)
+                                           + s_n * (_I2[a, b] * number)
+                                           + coupling[a][b]))
+        h0 = h - r
+        h0 -= r.conj().T
+        h = make_operator(dim, h, "jaynes_cummings")
+        known = KnownTriple(r=make_operator(dim, r, "R"), gamma=2.0,
+                            h0=make_operator(dim, h0, "H0"))
+        del r, h0  # freed before H_star is formed
+        h_star = _spin_blocks(nf, lambda a, b: (s_w * (_SPIN_UP[a, b] * i_f)
+                                                + s_w * (_I2[a, b] * cdc)
+                                                + coupling[a][b]))
         return ModelBundle(
-            h=make_operator(dim, h, "jaynes_cummings"),
+            h=h,
             m=m,
-            known=KnownTriple(r=make_operator(dim, r, "R"),
-                              gamma=2.0,
-                              h0=make_operator(dim, h0, "H0")),
+            known=known,
             params={"omega0": omega0, "omega": omega, "kappa": kappa,
                     "cutoff": cutoff, "hbar": hbar},
             basis_doc="(spin up, spin down) x (0..N quanta); index = s*(N+1)+n",
-            extras={"m_exc": m_exc,
+            extras={"m_exc": m_exc_op,
                     "h_star": make_operator(dim, h_star, "H_star")},
         )
     return build
 
 
+# The chains live on the 2^L occupation bit strings s, site j (1-based)
+# at bit j-1.  Their Jordan-Wigner operators are signed permutations, so
+# every parameter-free operator below is a scatter of exact values into
+# +0.0 zeros, equal bit for bit to the products of the dense kron
+# matrices that define it (tests/test_models.py keeps those as references).
+
 def _jordan_wigner_ops(sites: int):
-    """Annihilators B_1..B_L with site 1 at the least significant bit."""
-    b_local = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    z_local = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    """Annihilators B_1..B_L as ``(states, signs)`` pairs.
+
+    B_j takes each state s with bit j-1 set, ``states`` ascending, to
+    ``s ^ 2**(j-1)`` with the float sign (-1)^popcount(s & (2**(j-1) - 1)).
+    """
+    states = np.arange(2 ** sites)
+    odd_below = np.zeros(2 ** sites, dtype=bool)
     ops = []
-    for j in range(1, sites + 1):
-        # kron runs from the most significant factor; site 1 is rightmost.
-        factors = ([np.eye(2, dtype=complex)] * (sites - j)
-                   + [b_local] + [z_local] * (j - 1))
-        op = factors[0]
-        for f in factors[1:]:
-            op = np.kron(op, f)
-        ops.append(op)
+    for j in range(sites):
+        occupied = (states >> j) & 1 == 1
+        cols = states[occupied]
+        ops.append((cols, np.where(odd_below[cols], -1.0, 1.0)))
+        odd_below ^= occupied
     return ops
+
+
+def _number_operator(sites: int) -> np.ndarray:
+    """sum_j B_j^dag B_j, diag(popcount(s))."""
+    states = np.arange(2 ** sites)
+    return np.diag(sum((states >> j) & 1 for j in range(sites)).astype(float))
 
 
 def fermion_chain(sites: int, eps: float,
@@ -193,8 +241,12 @@ def _fermion_chain_family(sites: int,
                           sources: Optional[Sequence[complex]] = None):
     """fermion_chain at fixed sites and sources, as a builder of ``eps``.
 
-    The Jordan-Wigner operators, the hops, M and R are built here, once;
-    each call scales the hops and hands out the same M and R.
+    M, R and the positions of the hops are built here, once; each call
+    scatters -eps onto the hops and hands out the same M and R.  A hop
+    B_i^dag B_{i+1} + h.c. moves a particle between bits i and i+1 with
+    sign +1 (no site lies between).  The terms of R and of H0 + R + R^dag
+    have disjoint supports, so each entry is its one term, with a -0.0
+    part turned +0.0 as a sum of the terms over +0.0 zeros turns it.
     """
     if not 1 <= sites <= 10:
         raise ValueError(f"sites must be in 1..10, got {sites}")
@@ -203,21 +255,32 @@ def _fermion_chain_family(sites: int,
     sources = [complex(z) for z in sources]
     if len(sources) != sites:
         raise ValueError(f"need {sites} source amplitudes, got {len(sources)}")
-    bs = _jordan_wigner_ops(sites)
     dim = 2 ** sites
-    hops = []
-    for i in range(sites - 1):
-        hop = bs[i].conj().T @ bs[i + 1]
-        hops.append(hop + hop.conj().T)
-    m = make_operator(dim, sum(b.conj().T @ b for b in bs), "number")
-    r = sum(z.conjugate() * b for z, b in zip(sources, bs))
+    states = np.arange(dim)
+    movable = [states[((states >> i) ^ (states >> (i + 1))) & 1 == 1]
+               for i in range(sites - 1)]
+    # states[:0] keeps the index dtype when one site has no hop.
+    hop_cols = np.concatenate([states[:0], *movable])
+    hop_rows = np.concatenate(
+        [states[:0], *(cols ^ 3 << i for i, cols in enumerate(movable))])
+    ops = _jordan_wigner_ops(sites)
+    r_cols = np.concatenate([cols for cols, _ in ops])
+    r_rows = np.concatenate([cols ^ 1 << j for j, (cols, _) in enumerate(ops)])
+    r_vals = np.concatenate([z.conjugate() * signs
+                             for z, (_, signs) in zip(sources, ops)]) + 0.0
+    if not r_vals.imag.any():
+        r_vals = r_vals.real
+    m = make_operator(dim, _number_operator(sites), "number")
+    r = np.zeros((dim, dim), dtype=r_vals.dtype)
+    r[r_rows, r_cols] = r_vals
     r_op = make_operator(dim, r, "R")
 
     def build(eps: float) -> ModelBundle:
-        h0 = np.zeros((dim, dim), dtype=complex)
-        for hop in hops:
-            h0 -= eps * hop
-        h = h0 + r + r.conj().T
+        h0 = np.zeros((dim, dim))
+        h0[hop_rows, hop_cols] = 0.0 - eps  # not -eps: +0.0 for eps = 0.0
+        h = h0.astype(r_vals.dtype)
+        h[r_rows, r_cols] = r_vals
+        h[r_cols, r_rows] = r_vals.conj() + 0.0
         return ModelBundle(
             h=make_operator(dim, h, f"fermion_chain(L={sites})"),
             m=m,
@@ -236,29 +299,41 @@ def hardcore_chain(sites: int, z: complex) -> ModelBundle:
     Q = sum_i P_i B_i^dag where P_i projects onto empty neighbours of i;
     H0 = {Q, Q^dag}; H = H0 + conj(z) Q + z Q^dag; M counts fermions.
     [Q, M] = -Q gives gamma = -1 for R = conj(z) Q.
+
+    Q_i = P_i B_i^dag fills site i of each state whose site i and both
+    neighbours are empty, with the sign of B_i.  Q and H0 are scatters of
+    these exact +-1 terms: (Q Q^dag)[a, b] sums Q_i[a, s] Q_k[b, s] over
+    shared columns s, (Q^dag Q)[a, b] sums Q_i[t, a] Q_k[t, b] over
+    shared rows t.
     """
     if not 2 <= sites <= 8:
         raise ValueError(f"sites must be in 2..8, got {sites}")
     z = complex(z)
-    bs = _jordan_wigner_ops(sites)
     dim = 2 ** sites
-    identity = np.eye(dim, dtype=complex)
-    q = np.zeros((dim, dim), dtype=complex)
-    projectors = []
+    # by_col[i][s] = Q_i[s | 2^i, s] and by_row[i][t] = Q_i[t, t ^ 2^i].
+    by_col = np.zeros((sites, dim))
+    by_row = np.zeros((sites, dim))
+    for i, (filled, signs) in enumerate(_jordan_wigner_ops(sites)):
+        empty = filled ^ (1 << i)
+        neighbours = sum(1 << j for j in (i - 1, i + 1) if 0 <= j < sites)
+        keep = empty & neighbours == 0
+        by_col[i, empty[keep]] = signs[keep]
+        by_row[i, filled[keep]] = signs[keep]
+    q = np.zeros((dim, dim))
+    h0 = np.zeros((dim, dim))
     for i in range(sites):
-        p = identity.copy()
-        for j in (i - 1, i + 1):
-            if 0 <= j < sites:
-                p = p @ (bs[j] @ bs[j].conj().T)
-        projectors.append(p)
-        q += p @ bs[i].conj().T
-    h0 = q @ q.conj().T + q.conj().T @ q
+        s = np.flatnonzero(by_col[i])
+        q[s | 1 << i, s] = by_col[i, s]
+        for k in range(sites):
+            s = np.flatnonzero(by_col[i] * by_col[k])
+            h0[s | 1 << i, s | 1 << k] += by_col[i, s] * by_col[k, s]
+            t = np.flatnonzero(by_row[i] * by_row[k])
+            h0[t ^ 1 << i, t ^ 1 << k] += by_row[i, t] * by_row[k, t]
     r = z.conjugate() * q
     h = h0 + r + r.conj().T
-    m = sum(b.conj().T @ b for b in bs)
     return ModelBundle(
         h=make_operator(dim, h, f"hardcore_chain(L={sites})"),
-        m=make_operator(dim, m, "number"),
+        m=make_operator(dim, _number_operator(sites), "number"),
         known=KnownTriple(r=make_operator(dim, r, "R"),
                           gamma=-1.0,
                           h0=make_operator(dim, h0, "H0")),

@@ -9,7 +9,7 @@ supported cluster.  partition decides this for a whole eigenbasis at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -102,36 +102,59 @@ def _greedy_classes(vectors: np.ndarray, m_spec: SpectralDecomposition,
     """Greedy first-seen-representative classes of the columns of ``vectors``.
 
     Returns ``(classes, mask)``; classes are lists of column indices,
-    ordered by their first member.  Columns are grouped by support mask;
-    within a group, "parallel on every supported cluster" is read off the
-    Gram matrices of the normalised cluster blocks.  A one-dimensional
-    cluster holds no direction, so it never separates two columns.
+    ordered by their first member.  Columns are grouped by support mask,
+    with one np.unique over the masks packed to bytes; within a group,
+    "parallel on every supported cluster" is read off the Gram matrices of
+    the normalised cluster blocks.  A one-dimensional cluster holds no
+    direction, so it never separates two columns.
     """
     coords, norms, mask = _cluster_coordinates(vectors, m_spec)
-    groups: Dict[bytes, List[int]] = {}
-    for j, key in enumerate(np.ascontiguousarray(mask.T)):
-        groups.setdefault(key.tobytes(), []).append(j)
-    classes: List[List[int]] = []
-    for members in groups.values():
-        idx = np.array(members)
+    n = mask.shape[1]
+    packed = np.ascontiguousarray(np.packbits(mask, axis=0).T)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    # Until a wide cluster separates them, every column joins the first
+    # column of its group.
+    owner = first[group]
+    counts = np.bincount(group)
+    ends = np.cumsum(counts)
+    by_group = np.argsort(group, kind="stable")
+    wide = np.array([stop - start > 1 for start, stop in m_spec.clusters])
+    wide_support = mask[:, first] & wide[:, np.newaxis]
+    for g in np.flatnonzero((counts > 1) & wide_support.any(axis=0)):
+        idx = by_group[ends[g] - counts[g]:ends[g]]
         parallel = np.ones((len(idx), len(idx)), dtype=bool)
-        for k in np.flatnonzero(mask[:, idx[0]]):
+        for k in np.flatnonzero(wide_support[:, g]):
             start, stop = m_spec.clusters[k]
-            if len(idx) > 1 and stop - start > 1:
-                block = coords[start:stop, idx] / norms[k, idx]
-                parallel &= np.abs(block.conj().T @ block) >= 1.0 - tol.rtol
-        reps: List[int] = []
-        local: List[List[int]] = []
-        for j in range(len(idx)):
-            hits = np.flatnonzero(parallel[reps, j])
-            if hits.size:
-                local[hits[0]].append(int(idx[j]))
-            else:
-                reps.append(j)
-                local.append([int(idx[j])])
-        classes.extend(local)
-    classes.sort(key=lambda c: c[0])
+            block = coords[start:stop, idx] / norms[k, idx]
+            parallel &= np.abs(block.conj().T @ block) >= 1.0 - tol.rtol
+        owner[idx] = idx[_first_parallel_representative(parallel)]
+    order = np.argsort(owner, kind="stable").tolist()
+    bounds = np.flatnonzero(np.diff(owner[order], prepend=-1)).tolist() + [n]
+    classes = [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     return classes, mask
+
+
+def _first_parallel_representative(parallel: np.ndarray) -> np.ndarray:
+    """For each column j, the representative whose class j joins: j itself
+    when no earlier representative is parallel to it, else the first
+    such one.
+
+    The representatives are the fixed point of
+    rep = ~(triu(parallel, 1) & rep[:, None]).any(0): rep[j] depends only
+    on rep[:j], so the fixed point is unique, reached within len(parallel)
+    steps, and equal to the greedy one-by-one choice even when
+    "parallel" is not transitive.
+    """
+    earlier = np.triu(parallel, 1)
+    rep = np.ones(len(parallel), dtype=bool)
+    while True:
+        nxt = ~(earlier & rep[:, np.newaxis]).any(axis=0)
+        if np.array_equal(nxt, rep):
+            break
+        rep = nxt
+    return np.where(rep, np.arange(len(rep)),
+                    np.argmax(earlier & rep[:, np.newaxis], axis=0))
 
 
 def partition(h_spec: SpectralDecomposition, m_spec: SpectralDecomposition,

@@ -50,9 +50,28 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
+def _rescaled_norm(a: np.ndarray, axis=None):
+    """np.linalg.norm(a, axis=axis), taken on a / max|a_ij|.
+
+    For a plain norm that overflowed: the rescaled sum of squares cannot
+    overflow for finite entries.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        peak = np.max(np.abs(a))
+        if not peak < np.inf:
+            return np.linalg.norm(a, axis=axis)
+        return peak * np.linalg.norm(a / peak, axis=axis)
+
+
 def fro(a: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
+    """Frobenius norm, finite for finite entries up to the float range.
+
+    The plain sum of squares overflows once entries reach about 1e154;
+    only then is the norm taken again, rescaled.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    return float(_rescaled_norm(a)) if norm == np.inf else norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,8 +273,11 @@ def _hermitian_eigh(a: Operator, tol: Tolerance) -> SpectralDecomposition:
         av = a.entries[:, order]
         order.setflags(write=False)
     scale = fro(a.entries)
-    residual = float(np.max(np.linalg.norm(av - v * w[np.newaxis, :],
-                                           axis=0)))
+    deviation = av - v * w[np.newaxis, :]
+    with np.errstate(over="ignore"):
+        residual = float(np.max(np.linalg.norm(deviation, axis=0)))
+    if residual == np.inf:
+        residual = float(np.max(_rescaled_norm(deviation, axis=0)))
     if residual > EIGH_RESIDUAL_BOUND * max(1.0, scale):
         raise NumericalError(
             f"eigensolver residual {residual:.3e} exceeds contract for {a.label!r}")
@@ -294,20 +316,25 @@ def _hermitian_eigvalsh(a: Operator) -> np.ndarray:
     max(1, ||A||_F), which implies
     |sum(w) - tr(sym)| = |tr E| <= sqrt(n) e and
     |sum(w^2) - ||sym||_F^2| <= 2 ||sym||_F e + e^2 (Hoffman-Wielandt).
-    Both are O(n^2) to check, and a violation of either raises.
+    Both are O(n^2) to check, and a violation of either raises.  The
+    squared sums are compared in units of scale = max(1, ||A||_F), so
+    they cannot overflow for finite entries.
     """
     sym = (a.entries + a.entries.conj().T) / 2
     w = np.linalg.eigvalsh(sym)
     scale = max(1.0, fro(a.entries))  # >= ||sym||_F
     e = EIGH_RESIDUAL_BOUND * scale
     trace_error = abs(float(np.sum(w)) - float(np.trace(sym).real))
-    square_error = abs(float(w @ w) - fro(sym) ** 2)
+    units = w / scale
+    square_error = abs(float(units @ units) - (fro(sym) / scale) ** 2)
     # Written as "not <=" so a NaN from the solver fails the check too.
     if not (trace_error <= np.sqrt(len(w)) * e
-            and square_error <= (2.0 * scale + e) * e):
+            and square_error <= (2.0 + EIGH_RESIDUAL_BOUND)
+            * EIGH_RESIDUAL_BOUND):
         raise NumericalError(
             f"eigenvalues of {a.label!r} violate the eigensolver contract: "
-            f"trace error {trace_error:.3e}, squared-sum error {square_error:.3e}")
+            f"trace error {trace_error:.3e}, squared-sum error "
+            f"{square_error:.3e} max(1, ||A||_F)^2")
     w.setflags(write=False)
     return w
 

@@ -67,7 +67,8 @@ class _Ladder:
     r_scale: float
     gamma: float
     m_spec: SpectralDecomposition
-    mu: np.ndarray
+    mu: np.ndarray  # the value of each M-cluster
+    sizes: np.ndarray  # the size of each M-cluster
 
 
 def _ladder(triple: GenSymTriple, m_spec: SpectralDecomposition) -> _Ladder:
@@ -76,7 +77,10 @@ def _ladder(triple: GenSymTriple, m_spec: SpectralDecomposition) -> _Ladder:
     h = triple.h0 + r + r_dag
     return _Ladder(h=h, h_norm=fro(h), r=r, r_dag=r_dag,
                    r_scale=max(1.0, fro(r)), gamma=triple.gamma,
-                   m_spec=m_spec, mu=m_spec.cluster_values())
+                   m_spec=m_spec,
+                   mu=np.array([m_spec.cluster_value(k)
+                                for k in range(m_spec.n_clusters)]),
+                   sizes=np.diff([0] + [stop for _, stop in m_spec.clusters]))
 
 
 def _rank_tests(a: np.ndarray, b: np.ndarray, psi: np.ndarray):
@@ -94,6 +98,11 @@ def _rank_tests(a: np.ndarray, b: np.ndarray, psi: np.ndarray):
     stack[:, :n, 0] = a.T
     stack[:, :n, 1] = b.T
     stack[:, :n, 2] = psi.T
+    if n >= 5:
+        # From five rows on LAPACK's thin SVD factors the block by QR and
+        # takes the SVD of R; doing so here gives the same singular values
+        # and vh bit for bit without forming the n x 3 left factor.
+        stack = np.linalg.qr(stack, mode="r")
     _, s, vh = np.linalg.svd(stack, full_matrices=False)
     null = vh[:, 2].conj()
     return (s[:, 2] <= STABILITY_CUTOFF * s[:, 0], null[:, 0], null[:, 1],
@@ -181,16 +190,17 @@ def _partners(ladder: _Ladder, vectors: np.ndarray, eigenvalues: np.ndarray,
 
     exp(-zM) psi is applied in the eigenbasis of M as
     W diag(exp(-z mu)) W^dag psi, with mu the per-cluster value that
-    matrix_function uses: O(n^2) per vector instead of O(n^3).  For a real
-    diagonal M both gemms are row gathers, so each entry psi_i is scaled
-    by its own exp(-z mu_i).
+    matrix_function uses: O(n^2) per vector instead of O(n^3).  Each
+    exp(-z mu) is taken once per M-cluster and repeated over its rows.
+    For a real diagonal M both gemms are row gathers, so each entry psi_i
+    is scaled by its own exp(-z mu_i).
     """
     zs, e_second = [], []
     for (x, y), eigenvalue in zip(coeffs, eigenvalues):
         z, eps = _ladder_exponent(complex(x), complex(y), ladder.gamma, tol)
         zs.append(z)
         e_second.append(float(eigenvalue + eps))
-    phases = np.exp(-np.outer(ladder.mu, zs))
+    phases = np.repeat(np.exp(-np.outer(ladder.mu, zs)), ladder.sizes, axis=0)
     chi = _m_basis(ladder.m_spec,
                    phases * _m_basis(ladder.m_spec, vectors), inverse=True)
     chi_norms = np.linalg.norm(chi, axis=0)

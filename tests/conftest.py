@@ -18,6 +18,23 @@ def random_hermitian(rng, dim):
     return (a + a.conj().T) / 2
 
 
+def kron_jordan_wigner(sites):
+    """Annihilators B_1..B_L as dense complex kron products, site 1 at the
+    least significant bit: the reference for the index-map builders."""
+    b_local = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    z_local = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    ops = []
+    for j in range(1, sites + 1):
+        # kron runs from the most significant factor; site 1 is rightmost.
+        factors = ([np.eye(2, dtype=complex)] * (sites - j)
+                   + [b_local] + [z_local] * (j - 1))
+        op = factors[0]
+        for f in factors[1:]:
+            op = np.kron(op, f)
+        ops.append(op)
+    return ops
+
+
 def force_dense(monkeypatch):
     """Route every operator built from here on through the dense path, as
     if no real diagonal M existed; returns the shapes of the entries the

@@ -28,7 +28,6 @@ from gensym import (
 )
 from gensym.cli import main as cli_main
 from gensym.models import (
-    _jordan_wigner_ops,
     angular_block,
     fermion_chain,
     hardcore_chain,
@@ -41,7 +40,7 @@ from gensym.models import (
 from gensym.operators import fro
 from gensym.stability import case_counts
 
-from conftest import op, random_hermitian
+from conftest import kron_jordan_wigner, op, random_hermitian
 
 
 @pytest.fixture
@@ -213,7 +212,7 @@ def test_07_hardcore_chain(announce):
     if np.linalg.norm(q @ q) > 1e-14:
         failures.append(f"||Q^2|| = {np.linalg.norm(q @ q):.2e}")
     # Independent build of the projector + constrained-hopping identity.
-    bs = _jordan_wigner_ops(6)
+    bs = kron_jordan_wigner(6)
     dim = 64
     projectors = []
     for i in range(6):

@@ -29,7 +29,7 @@ from gensym.models import (
     projection_example,
     random_triple,
 )
-from gensym.operators import fro
+from gensym.operators import NumericalError, fro
 
 from conftest import SX, SZ, op, random_hermitian
 
@@ -120,6 +120,13 @@ class TestFitCase2:
         zero = np.zeros((2, 2))
         with pytest.raises(ValueError):
             _fit_case2(zero, zero, Tolerance())
+
+    def test_overflowing_fit_is_a_numerical_failure(self):
+        # ||C1||_F^2 beyond the float range: a finite norm, whose square
+        # the fit cannot form.
+        c1, _, c3 = commutator_chain(1e160 * SX, SZ)
+        with pytest.raises(NumericalError, match="overflows"):
+            _fit_case2(c1.entries, c3.entries, Tolerance())
 
 
 class TestDetect:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,8 @@ from gensym.models import (
     recursion_block_solver,
 )
 from gensym.operators import is_hermitian, make_operator
+
+from conftest import kron_jordan_wigner
 
 
 def assert_frozen_copies(operators, arrays):
@@ -195,10 +199,30 @@ class TestJaynesCummings:
                  "h0": bundle.known.h0, **bundle.extras},
                 self.reference(*params))
 
+    def test_every_cutoff_matches_the_dense_build(self):
+        # The diagonal c^dag c and c c^dag against the gemms, cutoffs 1-255.
+        for cutoff in range(1, 256):
+            params = (1.3, -0.5, 0.2, cutoff, 0.7)
+            bundle = jaynes_cummings(*params)
+            assert_frozen_copies(
+                {"h": bundle.h, "m": bundle.m, "r": bundle.known.r,
+                 "h0": bundle.known.h0, **bundle.extras},
+                self.reference(*params))
+
 
 class TestJordanWigner:
+    @staticmethod
+    def dense(sites):
+        """The index maps of _jordan_wigner_ops as dense matrices."""
+        ops = []
+        for j, (states, signs) in enumerate(_jordan_wigner_ops(sites)):
+            b = np.zeros((2 ** sites, 2 ** sites))
+            b[states ^ 1 << j, states] = signs
+            ops.append(b)
+        return ops
+
     def test_canonical_anticommutators(self):
-        bs = _jordan_wigner_ops(3)
+        bs = self.dense(3)
         dim = 8
         for i, bi in enumerate(bs):
             for j, bj in enumerate(bs):
@@ -209,16 +233,21 @@ class TestJordanWigner:
                 np.testing.assert_allclose(mixed, expected, atol=1e-14)
 
     def test_site_one_is_least_significant_bit(self):
-        bs = _jordan_wigner_ops(2)
+        bs = self.dense(2)
         # B_1 annihilates the |01> state (index 1) into |00> (index 0).
         assert bs[0][0, 1] == pytest.approx(1.0)
         assert bs[1][0, 2] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("sites", range(1, 8))
+    def test_index_maps_are_the_kron_products(self, sites):
+        for b, reference in zip(self.dense(sites), kron_jordan_wigner(sites)):
+            np.testing.assert_array_equal(b, reference)
 
 
 class TestFermionChain:
     def test_number_ladder_exact(self):
         bundle = fermion_chain(3, 0.7, [0.1, 0.0, 0.2j])
-        bs = _jordan_wigner_ops(3)
+        bs = kron_jordan_wigner(3)
         m = bundle.m.entries
         for b in bs:
             np.testing.assert_allclose(b @ m - m @ b, b, atol=1e-14)
@@ -243,18 +272,28 @@ class TestFermionChain:
             fermion_chain(3, 1.0, [0.1])
 
     @staticmethod
-    def reference(sites, eps, sources):
-        """The arrays fermion_chain stores, built in one pass."""
+    def reference_family(sites, sources):
+        """fermion_chain as dense kron and gemm products, a builder of eps."""
         sources = [complex(z) for z in sources or [0.0] * sites]
-        bs = _jordan_wigner_ops(sites)
+        bs = kron_jordan_wigner(sites)
         dim = 2 ** sites
-        h0 = np.zeros((dim, dim), dtype=complex)
+        hops = []
         for i in range(sites - 1):
             hop = bs[i].conj().T @ bs[i + 1]
-            h0 -= eps * (hop + hop.conj().T)
+            hops.append(hop + hop.conj().T)
         r = sum(z.conjugate() * b for z, b in zip(sources, bs))
-        return {"h": h0 + r + r.conj().T,
-                "m": sum(b.conj().T @ b for b in bs), "r": r, "h0": h0}
+        m = sum(b.conj().T @ b for b in bs)
+
+        def build(eps):
+            h0 = np.zeros((dim, dim), dtype=complex)
+            for hop in hops:
+                h0 -= eps * hop
+            return {"h": h0 + r + r.conj().T, "m": m, "r": r, "h0": h0}
+        return build
+
+    @classmethod
+    def reference(cls, sites, eps, sources):
+        return cls.reference_family(sites, sources)(eps)
 
     @pytest.mark.parametrize("params", [
         (3, 0.7, [0.1, 0.0, 0.2j]), (4, -0.5, None),
@@ -268,6 +307,19 @@ class TestFermionChain:
             assert_frozen_copies(
                 {"h": bundle.h, "m": bundle.m, "r": bundle.known.r,
                  "h0": bundle.known.h0}, self.reference(*params))
+
+    @pytest.mark.parametrize("sites", range(1, 10))
+    def test_matches_the_dense_build(self, sites):
+        for sources in (None, [0.1 * (j + 1) for j in range(sites)],
+                        [complex(0.2, 0.1 * j - 0.3) for j in range(sites)],
+                        [complex(-0.0, -0.3)] + [-0.0] * (sites - 1)):
+            reference = self.reference_family(sites, sources)
+            build = _fermion_chain_family(sites, sources)
+            for eps in (0.7, -0.5, 0.0, -0.0):
+                bundle = build(eps)
+                assert_frozen_copies(
+                    {"h": bundle.h, "m": bundle.m, "r": bundle.known.r,
+                     "h0": bundle.known.h0}, reference(eps))
 
 
 class TestHardcoreChain:
@@ -302,6 +354,50 @@ class TestHardcoreChain:
     def test_rejects_long_chain(self):
         with pytest.raises(ValueError):
             hardcore_chain(9, 0.1)
+
+    @staticmethod
+    def reference(sites, z):
+        """The arrays hardcore_chain stores, as dense kron and gemm products."""
+        bs = kron_jordan_wigner(sites)
+        dim = 2 ** sites
+        z = complex(z)
+        q = np.zeros((dim, dim), dtype=complex)
+        for i in range(sites):
+            p = np.eye(dim, dtype=complex)
+            for j in (i - 1, i + 1):
+                if 0 <= j < sites:
+                    p = p @ (bs[j] @ bs[j].conj().T)
+            q += p @ bs[i].conj().T
+        h0 = q @ q.conj().T + q.conj().T @ q
+        r = z.conjugate() * q
+        return {"h": h0 + r + r.conj().T,
+                "m": sum(b.conj().T @ b for b in bs), "r": r, "h0": h0,
+                "q": q}
+
+    @pytest.mark.parametrize("sites", range(2, 9))
+    def test_matches_the_dense_build(self, sites):
+        for z in (0.3 + 0.1j, 0.2, -0.4, 1.0):
+            bundle = hardcore_chain(sites, z)
+            assert_frozen_copies(
+                {"h": bundle.h, "m": bundle.m, "r": bundle.known.r,
+                 "h0": bundle.known.h0, **bundle.extras},
+                self.reference(sites, z))
+
+
+@pytest.mark.parametrize("build, dim", [
+    (lambda: fermion_chain(10, 0.7, [0.1 + 0.2j] * 10), 2 ** 10),
+    (lambda: hardcore_chain(8, 0.3 + 0.1j), 2 ** 8),
+], ids=["fermion_10", "hardcore_8"])
+def test_build_peak_memory(build, dim):
+    # The bundle alone holds about four n^2 arrays; a dense build peaked
+    # above 20 complex n^2 arrays.
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 16 * dim ** 2
 
 
 class TestRandomExamples:

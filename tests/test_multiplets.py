@@ -10,7 +10,7 @@ from gensym import (
     partition,
 )
 from gensym.multiplets import (DEFAULT_SUPPORT_EPS, _cluster_coordinates,
-                               size_label)
+                               _first_parallel_representative, size_label)
 from gensym.models import (angular_block, hardcore_chain, jaynes_cummings,
                            random_triple)
 
@@ -344,6 +344,22 @@ def bundle_specs(bundle):
     return canonical_eigenbasis(bundle.h, bundle.m), hermitian_eigh(bundle.m)
 
 
+def non_transitive_pair():
+    # Four unit vectors in one two-dimensional M-cluster at angles 0, 2t,
+    # t and 1.5t, with 1 - cos(t) <= rtol < 1 - cos(1.5t): "parallel"
+    # links 0-2, 1-2, 1-3 and 2-3 but not 0-1 or 0-3.  The greedy pass
+    # makes 0 and 1 representatives; 2 joins 0, its first parallel
+    # representative, and 3 joins 1.
+    t = 1.2e-4
+    angles = np.array([0.0, 2 * t, t, 1.5 * t])
+    m_spec = hermitian_eigh(op(np.eye(2)))
+    vectors = np.array([np.cos(angles), np.sin(angles)])
+    h_spec = SpectralDecomposition(eigenvalues=np.arange(4.0),
+                                   eigenvectors=vectors,
+                                   clusters=((0, 1), (1, 2), (2, 3), (3, 4)))
+    return h_spec, m_spec
+
+
 PARTITION_CASES = {
     "angular_l1": lambda: bundle_specs(angular_block(1, -0.5, 0.1)),
     "angular_l3": lambda: bundle_specs(angular_block(3, -0.5, 0.1)),
@@ -353,7 +369,13 @@ PARTITION_CASES = {
     "random_triple": lambda: bundle_specs(
         random_triple((3, 4, 3), 1.0, seed=17)),
     "equal_masks": equal_masks_pair,
+    "non_transitive": non_transitive_pair,
 }
+
+# Members whose cluster components are parallel to within rtol in |cos|
+# differ from f(M) psi by up to sqrt(2 rtol) ~ 1e-4, beyond recover_f's
+# 1e-8 reconstruction check; every other case is exactly connected.
+F_OF_M_CASES = [name for name in PARTITION_CASES if name != "non_transitive"]
 
 
 class TestPartitionMatchesPairwiseGreedy:
@@ -366,7 +388,7 @@ class TestPartitionMatchesPairwiseGreedy:
         assert part.signatures == signatures
         assert part.labels == tuple(size_label(len(c)) for c in classes)
 
-    @pytest.mark.parametrize("name", PARTITION_CASES)
+    @pytest.mark.parametrize("name", F_OF_M_CASES)
     def test_classes_are_connected_by_f_of_m(self, name):
         # The paper's definition of a multiplet: phi = f(M) psi with f
         # nonzero on the spectrum of M.  recover_f checks f(M) psi = phi.
@@ -377,6 +399,24 @@ class TestPartitionMatchesPairwiseGreedy:
                 values = recover_f(vectors[:, members[0]], vectors[:, j],
                                    m_spec)
                 assert all(abs(f) > 0 for f in values.values())
+
+    def test_non_transitive_parallelism_follows_the_first_representative(self):
+        part = partition(*non_transitive_pair())
+        assert part.classes == ((0, 2), (1, 3))
+
+    def test_representatives_match_the_one_by_one_loop(self, rng):
+        for size in (1, 2, 5, 12, 40):
+            for density in (0.1, 0.5, 0.9):
+                upper = np.triu(rng.random((size, size)) < density, 1)
+                parallel = upper | upper.T | np.eye(size, dtype=bool)
+                reps, expected = [], []
+                for j in range(size):
+                    hits = [i for i in reps if parallel[i, j]]
+                    expected.append(hits[0] if hits else j)
+                    if not hits:
+                        reps.append(j)
+                assert _first_parallel_representative(
+                    parallel).tolist() == expected
 
     def test_equal_masks_split_by_direction(self):
         part = partition(*equal_masks_pair())

@@ -23,6 +23,7 @@ from gensym.models import (
 from gensym.operators import (
     NumericalError,
     _hermitian_eigvalsh,
+    fro,
     is_hermitian,
     phase_canonicalize,
 )
@@ -353,6 +354,41 @@ class TestHermitianEigvalsh:
                             lambda x: np.full(len(x), np.nan))
         with pytest.raises(NumericalError):
             _hermitian_eigvalsh(a)
+
+
+class TestHugeEntries:
+    """Finite entries beyond 1e154, whose plain sum of squares overflows;
+    every check runs under filterwarnings = error."""
+
+    def test_fro_is_finite(self):
+        a = np.array([[1e200, 3e200], [0.0, -1e200]])
+        assert fro(a) == pytest.approx(np.sqrt(11.0) * 1e200, rel=1e-15)
+        assert fro(1j * a) == pytest.approx(np.sqrt(11.0) * 1e200, rel=1e-15)
+
+    def test_gate_rejects_a_huge_non_hermitian_matrix(self):
+        a = np.array([[1e200, 3e200], [0.0, -1e200]])
+        assert not is_hermitian(a)
+        assert not is_hermitian(1e-100 * a)
+        assert is_hermitian(a + a.T)
+
+    def test_huge_eigenvalue_keeps_its_own_cluster(self):
+        spec = hermitian_eigh(op(np.diag([1e200, 1.0, 2.0])))
+        assert spec.clusters == ((0, 2), (2, 3))
+        assert spec.clusters == hermitian_eigh(
+            op(np.diag([1e100, 1e-100, 2e-100]))).clusters
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_spectrum_at_huge_scale(self, rng, scale, dtype):
+        a = random_hermitian(rng, 12)
+        a = a.real if dtype is float else a
+        expected = scale * np.linalg.eigvalsh(a)
+        huge = op(scale * a)
+        bound = 1e-12 * np.max(np.abs(expected))
+        assert np.max(np.abs(_hermitian_eigvalsh(huge) - expected)) <= bound
+        spec = hermitian_eigh(huge)
+        assert np.max(np.abs(spec.eigenvalues - expected)) <= bound
+        assert spec.n_clusters == 12
 
 
 class TestSpectralDecomposition:
