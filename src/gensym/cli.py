@@ -89,9 +89,7 @@ def _model_family(args: argparse.Namespace):
 
     A sweep changes one attribute of ``args`` between calls.  jc and
     fermion build their parameter-free operators here, once per builder;
-    no sweepable parameter enters them.  No sweepable parameter enters
-    hardcore, projection or involution at all, so they are built here
-    once and every call hands out the same bundle.
+    no sweepable parameter enters them.
     """
     name = args.name
     if name == "angular":
@@ -106,14 +104,12 @@ def _model_family(args: argparse.Namespace):
         chain = _fermion_chain_family(args.sites, sources)
         return lambda: chain(args.eps)
     if name == "hardcore":
-        bundle = hardcore_chain(args.sites, parse_complex(args.z))
-    elif name == "projection":
-        bundle = projection_example(args.dim, args.seed)
-    elif name == "involution":
-        bundle = involution_example(args.dim, args.seed)
-    else:
-        raise ValueError(f"unknown model {name!r}")
-    return lambda: bundle
+        return lambda: hardcore_chain(args.sites, parse_complex(args.z))
+    if name == "projection":
+        return lambda: projection_example(args.dim, args.seed)
+    if name == "involution":
+        return lambda: involution_example(args.dim, args.seed)
+    raise ValueError(f"unknown model {name!r}")
 
 
 def run_model(args: argparse.Namespace) -> int:

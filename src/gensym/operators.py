@@ -50,28 +50,28 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def _rescaled_norm(a: np.ndarray, axis=None):
-    """np.linalg.norm(a, axis=axis), taken on a / max|a_ij|.
+def _largest_norm(a: np.ndarray, axis=None) -> float:
+    """max of np.linalg.norm(a, axis=axis), finite for finite entries.
 
-    For a plain norm that overflowed: the rescaled sum of squares cannot
-    overflow for finite entries.
+    The plain sum of squares overflows once entries reach about 1e154;
+    only then is the norm taken again on a / max|a_ij|, whose sum of
+    squares cannot overflow.
     """
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(a, axis=axis)
+    largest = float(norm if axis is None else np.max(norm))
+    if largest != np.inf:
+        return largest
     with np.errstate(over="ignore", invalid="ignore"):
         peak = np.max(np.abs(a))
         if not peak < np.inf:
-            return np.linalg.norm(a, axis=axis)
-        return peak * np.linalg.norm(a / peak, axis=axis)
+            return largest
+        return float(peak * np.max(np.linalg.norm(a / peak, axis=axis)))
 
 
 def fro(a: np.ndarray) -> float:
-    """Frobenius norm, finite for finite entries up to the float range.
-
-    The plain sum of squares overflows once entries reach about 1e154;
-    only then is the norm taken again, rescaled.
-    """
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(a))
-    return float(_rescaled_norm(a)) if norm == np.inf else norm
+    """Frobenius norm, finite for finite entries up to the float range."""
+    return _largest_norm(a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,10 +206,10 @@ class SpectralDecomposition:
         """W^dag, formed once (a copy only when W is complex)."""
         return self.eigenvectors.conj().T
 
-    def cluster_values(self) -> np.ndarray:
-        """cluster_value of every index's cluster, one entry per index."""
-        return np.repeat(self._cluster_means,
-                         [stop - start for start, stop in self.clusters])
+    def cluster_values(self) -> tuple:
+        """(cluster_value of each cluster, size of each cluster), two arrays."""
+        return (np.array(self._cluster_means),
+                np.array([stop - start for start, stop in self.clusters]))
 
 
 def cluster_eigenvalues(values: Sequence[float], scale: float,
@@ -273,11 +273,7 @@ def _hermitian_eigh(a: Operator, tol: Tolerance) -> SpectralDecomposition:
         av = a.entries[:, order]
         order.setflags(write=False)
     scale = fro(a.entries)
-    deviation = av - v * w[np.newaxis, :]
-    with np.errstate(over="ignore"):
-        residual = float(np.max(np.linalg.norm(deviation, axis=0)))
-    if residual == np.inf:
-        residual = float(np.max(_rescaled_norm(deviation, axis=0)))
+    residual = _largest_norm(av - v * w[np.newaxis, :], axis=0)
     if residual > EIGH_RESIDUAL_BOUND * max(1.0, scale):
         raise NumericalError(
             f"eigensolver residual {residual:.3e} exceeds contract for {a.label!r}")

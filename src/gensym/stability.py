@@ -67,8 +67,6 @@ class _Ladder:
     r_scale: float
     gamma: float
     m_spec: SpectralDecomposition
-    mu: np.ndarray  # the value of each M-cluster
-    sizes: np.ndarray  # the size of each M-cluster
 
 
 def _ladder(triple: GenSymTriple, m_spec: SpectralDecomposition) -> _Ladder:
@@ -77,10 +75,7 @@ def _ladder(triple: GenSymTriple, m_spec: SpectralDecomposition) -> _Ladder:
     h = triple.h0 + r + r_dag
     return _Ladder(h=h, h_norm=fro(h), r=r, r_dag=r_dag,
                    r_scale=max(1.0, fro(r)), gamma=triple.gamma,
-                   m_spec=m_spec,
-                   mu=np.array([m_spec.cluster_value(k)
-                                for k in range(m_spec.n_clusters)]),
-                   sizes=np.diff([0] + [stop for _, stop in m_spec.clusters]))
+                   m_spec=m_spec)
 
 
 def _rank_tests(a: np.ndarray, b: np.ndarray, psi: np.ndarray):
@@ -200,7 +195,8 @@ def _partners(ladder: _Ladder, vectors: np.ndarray, eigenvalues: np.ndarray,
         z, eps = _ladder_exponent(complex(x), complex(y), ladder.gamma, tol)
         zs.append(z)
         e_second.append(float(eigenvalue + eps))
-    phases = np.repeat(np.exp(-np.outer(ladder.mu, zs)), ladder.sizes, axis=0)
+    mu, sizes = ladder.m_spec.cluster_values()
+    phases = np.repeat(np.exp(-np.outer(mu, zs)), sizes, axis=0)
     chi = _m_basis(ladder.m_spec,
                    phases * _m_basis(ladder.m_spec, vectors), inverse=True)
     chi_norms = np.linalg.norm(chi, axis=0)

@@ -435,29 +435,6 @@ class TestSweepCommand:
                      "--out", str(out)]) == code
         assert out.exists() == (code == EXIT_OK)
 
-    @pytest.mark.parametrize("builder, argv, dim", [
-        ("hardcore_chain", ["hardcore", "--sites", "4", "--z", "0.3+0.1i"],
-         16),
-        ("projection_example", ["projection", "--dim", "6", "--seed", "2"], 6),
-        ("involution_example", ["involution", "--dim", "6", "--seed", "3"], 6),
-    ], ids=["hardcore", "projection", "involution"])
-    def test_parameter_free_model_is_built_once(self, monkeypatch, tmp_path,
-                                                builder, argv, dim):
-        # No sweepable parameter enters these models.
-        calls = []
-        original = getattr(cli, builder)
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(cli, builder, counting)
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", *argv, "--param", "eps", "--from", "0",
-                     "--to", "1", "--steps", "4", "--out", str(out)]) == EXIT_OK
-        assert len(calls) == 1
-        assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 4 * dim
-
 
 class NoGemm(np.ndarray):
     """An array that refuses to enter a matrix product; every other ufunc

@@ -398,8 +398,9 @@ class TestSpectralDecomposition:
                  for start, stop in spec.clusters]
         assert spec.n_clusters == 3
         assert [spec.cluster_value(k) for k in range(3)] == means
-        np.testing.assert_array_equal(spec.cluster_values(),
-                                      np.repeat(means, [2, 1, 1]))
+        values, sizes = spec.cluster_values()
+        np.testing.assert_array_equal(values, means)
+        np.testing.assert_array_equal(sizes, [2, 1, 1])
 
 
 class TestMatrixFunction:
