@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import itertools
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -21,7 +22,9 @@ from .operators import (
     NumericalError,
     Operator,
     SpectralDecomposition,
+    TILE,
     Tolerance,
+    _add_adjoint,
     _freeze,
     _times_m,
     fro,
@@ -96,24 +99,24 @@ def _commutator_chain(he: np.ndarray, m: Operator):
     For Hermitian H and M, C_k is anti-Hermitian for odd k and Hermitian
     for even k, so C_k = X - X^dag or X + X^dag with X = C_{k-1} M: one
     gemm per commutator (a column scale for a real diagonal M), and each
-    C_k is exactly (anti-)Hermitian.  Lazy, so a caller pays only for the
-    commutators it takes.
+    C_k is exactly (anti-)Hermitian.  C_k is formed in place in the gemm's
+    output, so the chain holds one n^2 array per commutator taken.  Lazy,
+    so a caller pays only for the commutators it takes.
     """
     c = he
     for k in itertools.count(1):
         c = _times_m(c, m)
-        if k % 2:
-            c -= c.conj().T
-        else:
-            c += c.conj().T
-        yield c
+        yield _add_adjoint(c, -1 if k % 2 else 1, c)
 
 
-def _fit_case2(c1: np.ndarray, c3: np.ndarray, tol: Tolerance):
+def _fit_case2(c1: np.ndarray, c3: np.ndarray, tol: Tolerance,
+               out: Optional[np.ndarray] = None):
     """Least-squares fit of C3 = gamma^2 * C1 over real gamma^2.
 
     Returns (gamma, residual) with gamma >= 0; gamma is NaN when gamma^2
-    is not above max(atol, 1e-10) (the fit is then rejected).
+    is not above max(atol, 1e-10) (the fit is then rejected).  The
+    difference C3 - gamma^2 C1 is formed by row blocks in ``out``, a new
+    array when None; ``out`` may be c3 itself, which is then overwritten.
     """
     n1 = fro(c1)
     if n1 == 0.0:
@@ -124,7 +127,14 @@ def _fit_case2(c1: np.ndarray, c3: np.ndarray, tol: Tolerance):
         raise NumericalError(
             f"the case-2 fit overflows: ||[H,M]||_F = {n1:.3e}") from None
     gamma_sq = np.vdot(c1, c3).real / n1_sq
-    residual = float(fro(c3 - gamma_sq * c1) / max(fro(c3), n1, tol.atol))
+    n3 = fro(c3)
+    if out is None:
+        out = np.empty(c3.shape, np.result_type(c3, c1))
+    step = max(1, TILE ** 2 // len(c3))
+    for i in range(0, len(c3), step):
+        rows = slice(i, i + step)
+        np.subtract(c3[rows], gamma_sq * c1[rows], out=out[rows])
+    residual = float(fro(out) / max(n3, n1, tol.atol))
     if gamma_sq <= max(tol.atol, 1e-10):
         return float("nan"), residual
     return float(np.sqrt(gamma_sq)), residual
@@ -152,7 +162,9 @@ def _detect(h: Operator, m: Operator, tol: Tolerance):
         return DetectionResult(kind=GENUINE, residual=genuine_residual), None
 
     c2 = next(chain)
-    gamma, residual = _fit_case2(c1, next(chain), tol)
+    c3 = next(chain)
+    # The fit's difference overwrites C3: detection holds C1, C2 and C3.
+    gamma, residual = _fit_case2(c1, c3, tol, out=c3)
     if not np.isnan(gamma) and residual <= tol.rtol:
         return DetectionResult(kind=CASE2, gamma1=gamma,
                                residual=residual), (c1, c2)
@@ -168,8 +180,27 @@ def _commutes(commutator: np.ndarray, a: np.ndarray, b: np.ndarray,
 def _m_commutator(x: np.ndarray, m: Operator) -> np.ndarray:
     """[X, M] for a Hermitian X: Y - Y^dag with Y = X M."""
     y = _times_m(x, m)
-    y -= y.conj().T
-    return y
+    return _add_adjoint(y, -1, y)
+
+
+def _commutes_h0(x: np.ndarray, h0: np.ndarray, tol: Tolerance) -> bool:
+    """_commutes for [X, H0], from two gemms: H0 is Hermitian only to
+    H0_HERMITICITY_BOUND.
+
+    With X = R^dag R or R R^dag, X H0 is cubic in the scale of H and
+    overflows once H is scaled past about 1e103.  Only then, as in fro,
+    are the gemms taken again on X' = X / ||X||_F, for which the gate
+    ||[X, H0]|| <= rtol * max(1, ||X|| ||H0||) reads
+    ||[X', H0]|| <= rtol * max(1 / ||X||, ||X'|| ||H0||).
+    """
+    scale, h0_norm = fro(x), fro(h0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = fro(x @ h0 - h0 @ x)
+    if norm < np.inf and scale * h0_norm < np.inf:
+        return norm <= tol.rtol * max(1.0, scale * h0_norm)
+    x = x / scale
+    return (fro(x @ h0 - h0 @ x)
+            <= tol.rtol * max(1.0 / scale, fro(x) * h0_norm))
 
 
 def reconstruct_case2(h: Operator, m: Operator, gamma: float,
@@ -238,7 +269,8 @@ def verify_triple(h: Operator, m: Operator, triple: GenSymTriple,
     residual_h0m = fro(_times_m(h0, m) - _times_m(h0, m, left=True))
     residual_ladder = fro((_times_m(r, m) - _times_m(r, m, left=True))
                           - triple.gamma * r)
-    h0_herm = fro(h0 - h0.conj().T) <= H0_HERMITICITY_BOUND * max(1.0, fro(h0))
+    h0_herm = (fro(_add_adjoint(h0, -1))
+               <= H0_HERMITICITY_BOUND * max(1.0, fro(h0)))
     # With R ~ 0 the ladder relation holds for any gamma; flag it.
     degenerate = fro(r) <= tol.rtol * max(1.0, fro(he))
     return TripleReport(
@@ -252,9 +284,8 @@ def verify_triple(h: Operator, m: Operator, triple: GenSymTriple,
         residual_ladder=residual_ladder,
         commutes_rdr_m=_commutes(_m_commutator(rdr, m), rdr, me, tol),
         commutes_rrd_m=_commutes(_m_commutator(rrd, m), rrd, me, tol),
-        # H0 is Hermitian only to H0_HERMITICITY_BOUND: two gemms.
-        commutes_rdr_h0=_commutes(rdr @ h0 - h0 @ rdr, rdr, h0, tol),
-        commutes_rrd_h0=_commutes(rrd @ h0 - h0 @ rrd, rrd, h0, tol),
+        commutes_rdr_h0=_commutes_h0(rdr, h0, tol),
+        commutes_rrd_h0=_commutes_h0(rrd, h0, tol),
     )
 
 

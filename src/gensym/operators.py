@@ -26,6 +26,10 @@ HERMITICITY_GATE = 1e-12
 # Contract bound for the eigensolver residual, relative to ||A||_F.
 EIGH_RESIDUAL_BOUND = 1e-10
 
+# Side of the square tiles that elementwise n^2 work runs in, so that its
+# temporaries are a tile (256 KiB complex), not an n^2 array.
+TILE = 128
+
 
 class NumericalError(RuntimeError):
     """A numerical routine violated its residual contract."""
@@ -123,8 +127,45 @@ def _times_m(a: np.ndarray, m: Operator, left: bool = False) -> np.ndarray:
     return d[:, np.newaxis] * a if left else a * d
 
 
+def _add_adjoint(a: np.ndarray, sign: int,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+    """A + A^dag (sign 1) or A - A^dag (sign -1) in ``out``, returned.
+
+    ``out`` is a new array when None, and may be ``a`` itself.  Every entry
+    is the one add or subtract a[i, j] +- conj(a[j, i]) of the whole-array
+    expression, so the result is bit-identical to it; for n <= TILE it is
+    that expression.  Beyond ``out`` the work holds about two TILE x TILE
+    tiles, where the whole-array expression holds an n^2 conj() copy:
+    into a buffer, the conjugate transpose is written to ``out`` first; in
+    place, a tile and its mirror are both read before either is written.
+    """
+    op = np.add if sign > 0 else np.subtract
+    if out is None:
+        out = np.empty_like(a)
+    n = len(a)
+    if n <= TILE:
+        return op(a, a.conj().T, out=out)
+    if out is not a:
+        np.conjugate(a.T, out=out)
+        return op(a, out, out=out)
+    for i in range(0, n, TILE):
+        rows = slice(i, i + TILE)
+        for j in range(i, n, TILE):
+            cols = slice(j, j + TILE)
+            upper, lower = a[rows, cols], a[cols, rows]
+            mirror = np.conjugate(lower.T)  # a copy, also for real entries
+            if j > i:
+                # upper.conj() without a copy: two exact sign flips.
+                np.conjugate(upper, out=upper)
+                op(lower, upper.T, out=lower)
+                np.conjugate(upper, out=upper)
+            op(upper, mirror, out=upper)
+            del mirror  # before the next one is made
+    return a
+
+
 def is_hermitian(entries: np.ndarray) -> bool:
-    return (fro(entries - entries.conj().T)
+    return (fro(_add_adjoint(entries, -1))
             <= HERMITICITY_GATE * max(1.0, fro(entries)))
 
 
@@ -261,7 +302,8 @@ def _hermitian_eigh(a: Operator, tol: Tolerance) -> SpectralDecomposition:
     """
     d = a.real_diagonal
     if d is None:
-        sym = (a.entries + a.entries.conj().T) / 2
+        sym = _add_adjoint(a.entries, 1)
+        sym /= 2
         w, v = np.linalg.eigh(sym)
         v = phase_canonicalize(v)
         order, av = None, a.entries @ v
@@ -316,7 +358,8 @@ def _hermitian_eigvalsh(a: Operator) -> np.ndarray:
     squared sums are compared in units of scale = max(1, ||A||_F), so
     they cannot overflow for finite entries.
     """
-    sym = (a.entries + a.entries.conj().T) / 2
+    sym = _add_adjoint(a.entries, 1)
+    sym /= 2
     w = np.linalg.eigvalsh(sym)
     scale = max(1.0, fro(a.entries))  # >= ||sym||_F
     e = EIGH_RESIDUAL_BOUND * scale

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,20 @@ def force_dense(monkeypatch):
 
     monkeypatch.setattr(operators, "_real_diagonal", dense)
     return asked
+
+
+def traced_peak(call):
+    """Peak bytes tracemalloc sees allocated while ``call()`` runs.
+
+    numpy reports its array buffers to tracemalloc; LAPACK's workspace
+    is not seen.
+    """
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -50,3 +50,21 @@ def test_screen_large_genuine_inputs_pass_their_check(monkeypatch, tmp_path):
         inp = inputs[name]
         assert inp.m.real_diagonal is not None
         assert workload.check(inp, workload.run(inp)) == [], name
+
+
+def test_screen_large_dense_pair_passes_its_check(monkeypatch, tmp_path):
+    # random_512 runs detection on the dense path: three gemms, each
+    # commutator formed in place, then the values-only spectrum.  The
+    # dim-768 and dim-1024 pairs are not built.
+    workloads = load(monkeypatch, "workloads")
+    random_hermitian = workloads._random_hermitian
+    monkeypatch.setattr(
+        workloads, "_random_hermitian",
+        lambda rng, dim, label:
+        random_hermitian(rng, dim, label) if dim == 512 else None)
+    workload = workloads.WORKLOADS["screen_large"]
+    tracer = load(monkeypatch, "tracing").Tracer()
+    inp = next(inp for inp in workload.make_inputs(7, tracer, str(tmp_path))
+               if inp.name == "random_512")
+    assert inp.m.real_diagonal is None
+    assert workload.check(inp, workload.run(inp)) == []

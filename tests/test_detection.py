@@ -19,6 +19,7 @@ from gensym import (
     similarity_transform,
     verify_triple,
 )
+from gensym.cli import analyze_pair
 from gensym.detection import _commutator_chain, _fit_case2
 from gensym.models import (
     angular_block,
@@ -29,9 +30,9 @@ from gensym.models import (
     projection_example,
     random_triple,
 )
-from gensym.operators import NumericalError, fro
+from gensym.operators import TILE, NumericalError, fro
 
-from conftest import SX, SZ, op, random_hermitian
+from conftest import SX, SZ, op, random_hermitian, traced_peak
 
 PROJ = np.diag([1.0, 0.0])
 
@@ -121,6 +122,23 @@ class TestFitCase2:
         with pytest.raises(ValueError):
             _fit_case2(zero, zero, Tolerance())
 
+    def test_matches_the_whole_array_residual_and_keeps_its_inputs(self):
+        # Dense M, case 2, and more rows than one block of the difference.
+        bundle = projection_example(2 * TILE + 1, seed=4)
+        c1, _, c3 = itertools.islice(
+            _commutator_chain(bundle.h.entries, bundle.m), 3)
+        saved = c1.tobytes(), c3.tobytes()
+        tol = Tolerance()
+        gamma, residual = _fit_case2(c1, c3, tol)
+        assert (c1.tobytes(), c3.tobytes()) == saved
+        gamma_sq = np.vdot(c1, c3).real / fro(c1) ** 2
+        assert gamma == np.sqrt(gamma_sq) == pytest.approx(1.0)
+        assert residual == fro(c3 - gamma_sq * c1) / max(fro(c3), fro(c1),
+                                                         tol.atol)
+        # Into C3's own buffer, as detect takes it: the same values.
+        assert _fit_case2(c1, c3, tol, out=c3) == (gamma, residual)
+        assert c1.tobytes() == saved[0] and c3.tobytes() != saved[1]
+
     def test_overflowing_fit_is_a_numerical_failure(self):
         # ||C1||_F^2 beyond the float range: a finite norm, whose square
         # the fit cannot form.
@@ -153,6 +171,14 @@ class TestDetect:
         result = detect(h, m)
         assert result.kind == NO_GENSYM
         assert result.residual > 0.1
+
+    def test_dense_pair_holds_three_commutators(self, rng):
+        # C1, C2 and C3, with the fit's difference in C3's buffer; no
+        # conj() copy and no gamma^2 C1 temporary of n^2.
+        dim = 256
+        h, m = (op(random_hermitian(rng, dim)) for _ in range(2))
+        assert traced_peak(lambda: detect(h, m)) <= 16 * (3 * dim ** 2
+                                                         + 4 * TILE ** 2)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
@@ -289,6 +315,29 @@ class TestCommutesFlags:
         canonical = verify_triple(h, m, canonicalize(swapped))
         assert ([getattr(canonical, f) for f in flags]
                 == [getattr(positive, f) for f in flags])
+
+    @pytest.mark.parametrize("scale", [1e110, 1e140])
+    def test_flags_survive_an_overflowing_product(self, rng, scale):
+        # R^dag R H0 is cubic in the scale of H and overflows here; the
+        # gate is then taken on R^dag R / ||R^dag R||_F, with no warning.
+        h, m, gamma = self.two_level_pair(rng)
+        huge = op(scale * h.entries)
+        flags = ("commutes_rdr_m", "commutes_rrd_m",
+                 "commutes_rdr_h0", "commutes_rrd_h0")
+        expected = verify_triple(h, m, reconstruct_case2(h, m, gamma))
+        report = verify_triple(huge, m, reconstruct_case2(huge, m, gamma))
+        assert report.passed
+        assert ([getattr(report, f) for f in flags]
+                == [getattr(expected, f) for f in flags]
+                == [True, True, True, False])
+
+    @pytest.mark.parametrize("scale", [1.0, 1e103, 1e110, 1e140])
+    def test_angular_block_flags_at_every_scale(self, scale):
+        bundle = angular_block(2, -0.5, 0.1)
+        h = make_operator(bundle.h.dim, scale * bundle.h.entries)
+        triple = analyze_pair(h, bundle.m, Tolerance())["triple"]
+        assert triple["verified"]
+        assert triple["commutes_rdr_h0"] and triple["commutes_rrd_h0"]
 
 
 class TestCanonicalize:

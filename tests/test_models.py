@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -28,7 +26,7 @@ from gensym.models import (
 )
 from gensym.operators import is_hermitian, make_operator
 
-from conftest import kron_jordan_wigner
+from conftest import kron_jordan_wigner, traced_peak
 
 
 def assert_frozen_copies(operators, arrays):
@@ -391,13 +389,7 @@ class TestHardcoreChain:
 def test_build_peak_memory(build, dim):
     # The bundle alone holds about four n^2 arrays; a dense build peaked
     # above 20 complex n^2 arrays.
-    tracemalloc.start()
-    try:
-        build()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * 16 * dim ** 2
+    assert traced_peak(build) <= 8 * 16 * dim ** 2
 
 
 class TestRandomExamples:

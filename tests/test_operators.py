@@ -21,14 +21,16 @@ from gensym.models import (
     random_triple,
 )
 from gensym.operators import (
+    TILE,
     NumericalError,
+    _add_adjoint,
     _hermitian_eigvalsh,
     fro,
     is_hermitian,
     phase_canonicalize,
 )
 
-from conftest import SX, SY, SZ, op, random_hermitian
+from conftest import SX, SY, SZ, op, random_hermitian, traced_peak
 
 # Hamiltonians of the acceptance models.
 MODEL_HAMILTONIANS = [
@@ -217,6 +219,56 @@ class TestCommutator:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             iterated_commutator(op(SX), op(np.eye(3)), 1)
+
+
+def awkward_matrix(rng, dim, dtype):
+    """Random entries, about a third of whose parts are signed zeros or
+    subnormals."""
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320])
+    parts = rng.normal(size=(2, dim, dim))
+    picks = rng.random(size=parts.shape) < 0.35
+    parts[picks] = rng.choice(specials, size=int(picks.sum()))
+    a = np.empty((dim, dim), dtype)
+    a.real = parts[0]
+    if dtype is complex:
+        a.imag = parts[1]
+    return a
+
+
+class TestAddAdjoint:
+    """_add_adjoint against the whole-array expressions it replaces."""
+
+    @pytest.mark.parametrize("dim", [1, TILE - 1, TILE, TILE + 1, 2 * TILE + 1])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_bit_identical_to_the_whole_array_expression(self, rng, dim,
+                                                          dtype, sign):
+        a = awkward_matrix(rng, dim, dtype)
+        a.setflags(write=False)
+        expected = a + a.conj().T if sign > 0 else a - a.conj().T
+        new = _add_adjoint(a, sign)
+        buffer = np.full_like(a, np.nan)
+        into = _add_adjoint(a, sign, buffer)
+        in_place = a.copy()
+        result = _add_adjoint(in_place, sign, in_place)
+        assert into is buffer and result is in_place
+        for out in (new, buffer, in_place):
+            assert out.dtype == a.dtype and out.flags.c_contiguous
+            assert out.tobytes() == expected.tobytes()
+
+    def test_gate_holds_one_buffer(self, rng):
+        # a - a.conj().T held the n^2 conj() copy and the difference.
+        dim = 512
+        a = random_hermitian(rng, dim)
+        assert traced_peak(lambda: is_hermitian(a)) <= 16 * (dim ** 2
+                                                           + 4 * TILE ** 2)
+
+    def test_values_only_spectrum_holds_one_traced_buffer(self, rng):
+        # sym itself; LAPACK's copy of it is not traced.
+        dim = 512
+        a = op(random_hermitian(rng, dim))
+        assert traced_peak(lambda: _hermitian_eigvalsh(a)) <= 16 * (
+            dim ** 2 + 4 * TILE ** 2)
 
 
 class TestIteratedCommutator:
