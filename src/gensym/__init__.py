@@ -1,7 +1,7 @@
 """Generalised-symmetry detection, multiplet partitioning, and eigenvector
 stability analysis for finite Hermitian operator pairs."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .detection import (
     CASE2,
@@ -12,7 +12,6 @@ from .detection import (
     canonicalize,
     detect,
     reconstruct_case2,
-    similarity_transform,
     verify_triple,
 )
 from .multiplets import (
@@ -26,11 +25,8 @@ from .operators import (
     Operator,
     SpectralDecomposition,
     Tolerance,
-    cluster_eigenvalues,
     hermitian_eigh,
-    iterated_commutator,
     make_operator,
-    matrix_function,
 )
 from .serialization import load_operator, save_operator
 from .stability import (

@@ -30,12 +30,12 @@ from .models import (
     involution_example,
     projection_example,
 )
-from .multiplets import _refine_eigenbasis, partition
+from .multiplets import canonical_eigenbasis, partition
 from .operators import (
     NumericalError,
     Tolerance,
-    _hermitian_eigh,
     _hermitian_eigvalsh,
+    hermitian_eigh,
 )
 from .serialization import (
     complex_pair,
@@ -154,12 +154,13 @@ def _triple_record(triple, report) -> dict:
 
 def _partition_record(part, h_spec, m_spec) -> dict:
     classes = []
+    values = m_spec.cluster_values()[0]
     for members, sig, label in zip(part.classes, part.signatures, part.labels):
         classes.append({
             "members": list(members),
             "eigenvalues": h_spec.eigenvalues[list(members)].tolist(),
             "support_clusters": list(sig),
-            "support_eigenvalues": [m_spec.cluster_value(k) for k in sig],
+            "support_eigenvalues": values[list(sig)].tolist(),
             "label": label,
         })
     return {"classes": classes}
@@ -192,22 +193,19 @@ def _stability_record(records) -> dict:
 
 
 def _multiplet_stage(h, m, tol: Tolerance, m_spec=None):
-    """eigh(H), eigh(M), the canonical basis of H and its partition.
+    """The canonical basis of H, eigh(M) and the partition.
 
-    The stage analyze and sweep share, on a pair detection has gated.
-    A sweep passes the ``m_spec`` it holds for a bit-identical M, and
-    eigh(M) is skipped.
+    The stage analyze and sweep share.  A sweep passes the ``m_spec`` it
+    holds for a bit-identical M, and eigh(M) is skipped.
     """
-    h_spec = _hermitian_eigh(h, tol)
+    h_spec = canonical_eigenbasis(h, m, tol)
     if m_spec is None:
-        m_spec = _hermitian_eigh(m, tol)
-    h_spec = _refine_eigenbasis(h_spec, m.entries)
+        m_spec = hermitian_eigh(m, tol)
     return h_spec, m_spec, partition(h_spec, m_spec, tol)
 
 
 def analyze_pair(h, m, tol: Tolerance, digests: Optional[dict] = None) -> dict:
     """Full pipeline on one (H, M) pair; returns the report document."""
-    # _detect gates the Hermiticity of H and M; nothing below repeats it.
     result, commutators = _detect(h, m, tol)
     report = {
         "tool": {"name": "gensym", "version": __version__},
@@ -275,7 +273,7 @@ def run_sweep(args: argparse.Namespace) -> int:
     for value in values:
         setattr(args, args.param, value)
         bundle = build()
-        result = _detect(bundle.h, bundle.m, tol)[0]  # gates H and M
+        result = _detect(bundle.h, bundle.m, tol)[0]
         me = bundle.m.entries
         if (held_m is None or held_m.dtype != me.dtype
                 or held_m.tobytes() != me.tobytes()):

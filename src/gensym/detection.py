@@ -21,16 +21,12 @@ from .operators import (
     DEFAULT_TOL,
     NumericalError,
     Operator,
-    SpectralDecomposition,
     TILE,
     Tolerance,
     _add_adjoint,
     _freeze,
     _times_m,
     fro,
-    is_hermitian,
-    make_operator,
-    matrix_function,
 )
 
 GENUINE = "genuine"
@@ -87,9 +83,9 @@ class GenSymTriple:
 def _require_hermitian_pair(h: Operator, m: Operator):
     if h.dim != m.dim:
         raise ValueError(f"dimension mismatch: {h.dim} vs {m.dim}")
-    if not is_hermitian(h.entries):
+    if not h.hermitian:
         raise ValueError(f"H ({h.label!r}) is not Hermitian within gate")
-    if not is_hermitian(m.entries):
+    if not m.hermitian:
         raise ValueError(f"M ({m.label!r}) is not Hermitian within gate")
 
 
@@ -299,27 +295,3 @@ def canonicalize(triple: GenSymTriple) -> GenSymTriple:
     if triple.gamma > 0:
         return triple
     return replace(triple, r=triple.r.conj().T, gamma=-triple.gamma)
-
-
-def similarity_transform(triple: GenSymTriple, m_spec: SpectralDecomposition,
-                         z: complex, tol: Tolerance = DEFAULT_TOL) -> Operator:
-    """Spectrum-preserving conjugation exp(-zM) H exp(zM).
-
-    Computed two ways: directly through matrix functions of M, and as
-    H0 + exp(z*gamma) R + exp(-z*gamma) R^dag.  The two must agree
-    within rtol; the ladder form is returned.
-    """
-    z = complex(z)
-    gamma = triple.gamma
-    h0, r = triple.h0, triple.r
-    h = h0 + r + r.conj().T
-    ladder = (h0 + cmath.exp(z * gamma) * r
-              + cmath.exp(-z * gamma) * r.conj().T)
-    e_minus = matrix_function(m_spec, lambda lam: cmath.exp(-z * lam)).entries
-    e_plus = matrix_function(m_spec, lambda lam: cmath.exp(z * lam)).entries
-    direct = e_minus @ h @ e_plus
-    deviation = fro(direct - ladder)
-    if deviation > tol.rtol * max(1.0, fro(direct), fro(ladder)):
-        raise NumericalError(
-            f"direct and ladder-form transforms disagree by {deviation:.3e}")
-    return make_operator(len(h0), ladder, "transformed")

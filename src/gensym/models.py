@@ -14,7 +14,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .operators import Operator, make_operator, phase_canonicalize
+from .operators import Operator, make_operator
 
 
 @dataclass(frozen=True)
@@ -69,29 +69,6 @@ def angular_block(l: int, e_n: float, g: float, hbar: float = 1.0) -> ModelBundl
         params={"l": l, "e_n": e_n, "g": g, "hbar": hbar},
         basis_doc="rows/cols ordered by m = l, l-1, ..., -l",
     )
-
-
-def recursion_block_solver(l: int, e_n: float, g: float, hbar: float = 1.0):
-    """Eigenpairs of the angular block restricted to the antisymmetric
-    sector c_{-m} = -c_m, c_0 = 0 (dimension l).
-
-    The sector is invariant because L_x is centrosymmetric in the
-    descending-m basis.  Returns (eigenvalues ascending, full-length
-    eigenvector columns).
-    """
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
-    bundle = angular_block(l, e_n, g, hbar)
-    dim = 2 * l + 1
-    # w_m = (|m> - |-m>)/sqrt(2) for m = 1..l; index of m is l - m.
-    basis = np.zeros((dim, l), dtype=complex)
-    for col, m in enumerate(range(1, l + 1)):
-        basis[l - m, col] = 1.0 / np.sqrt(2.0)
-        basis[l + m, col] = -1.0 / np.sqrt(2.0)
-    reduced = basis.conj().T @ bundle.h.entries @ basis
-    reduced = (reduced + reduced.conj().T) / 2
-    w, u = np.linalg.eigh(reduced)
-    return w, phase_canonicalize(basis @ u)
 
 
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)

@@ -20,7 +20,6 @@ from .operators import (
     Tolerance,
     _m_basis,
     hermitian_eigh,
-    is_hermitian,
     phase_canonicalize,
 )
 
@@ -51,18 +50,12 @@ def canonical_eigenbasis(h: Operator, m: Operator,
     Resolves the basis ambiguity Definition-of-multiplet tests are
     sensitive to: within each degenerate H-eigenspace the compression
     P_E M P_E is diagonalized and the sub-basis ordered by its eigenvalue.
-    """
-    if not is_hermitian(m.entries):
-        raise ValueError(f"M ({m.label!r}) is not Hermitian within gate")
-    return _refine_eigenbasis(hermitian_eigh(h, tol), m.entries)
-
-
-def _refine_eigenbasis(spec: SpectralDecomposition,
-                       me: np.ndarray) -> SpectralDecomposition:
-    """canonical_eigenbasis from an existing eigendecomposition of H.
-
     The basis is complex when either H's eigenvectors or M is complex.
     """
+    if not m.hermitian:
+        raise ValueError(f"M ({m.label!r}) is not Hermitian within gate")
+    spec = hermitian_eigh(h, tol)
+    me = m.entries
     vectors = np.array(spec.eigenvectors,
                        dtype=np.result_type(spec.eigenvectors, me))
     for start, stop in spec.clusters:

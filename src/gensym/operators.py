@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -94,6 +94,15 @@ class Operator:
         return fro(self.entries)
 
     @cached_property
+    def hermitian(self) -> bool:
+        """Whether the operator passes the Hermiticity gate.
+
+        Decided once per operator: every function that requires a
+        Hermitian operand reads this, so each operand is gated once.
+        """
+        return is_hermitian(self.entries)
+
+    @cached_property
     def real_diagonal(self) -> Optional[np.ndarray]:
         """The diagonal when the operator is real diagonal, else None.
 
@@ -133,18 +142,16 @@ def _add_adjoint(a: np.ndarray, sign: int,
 
     ``out`` is a new array when None, and may be ``a`` itself.  Every entry
     is the one add or subtract a[i, j] +- conj(a[j, i]) of the whole-array
-    expression, so the result is bit-identical to it; for n <= TILE it is
-    that expression.  Beyond ``out`` the work holds about two TILE x TILE
-    tiles, where the whole-array expression holds an n^2 conj() copy:
-    into a buffer, the conjugate transpose is written to ``out`` first; in
-    place, a tile and its mirror are both read before either is written.
+    expression, so the result is bit-identical to it.  Beyond ``out`` the
+    work holds at most two TILE x TILE tiles, where the whole-array
+    expression holds an n^2 conj() copy: into a buffer, the conjugate
+    transpose is written to ``out`` first; in place, a tile and its mirror
+    are both read before either is written.
     """
     op = np.add if sign > 0 else np.subtract
     if out is None:
         out = np.empty_like(a)
     n = len(a)
-    if n <= TILE:
-        return op(a, a.conj().T, out=out)
     if out is not a:
         np.conjugate(a.T, out=out)
         return op(a, out, out=out)
@@ -197,18 +204,6 @@ def make_operator(dim: int, entries, label: str = "") -> Operator:
     return Operator(dim=dim, entries=a, label=label)
 
 
-def iterated_commutator(h: Operator, m: Operator, n: int) -> Operator:
-    """n-fold nested commutator [...[[h, m], m], ..., m]."""
-    if h.dim != m.dim:
-        raise ValueError(f"dimension mismatch: {h.dim} vs {m.dim}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    c = h.entries
-    for _ in range(n):
-        c = c @ m.entries - m.entries @ c
-    return make_operator(h.dim, c, f"[{h.label},{m.label}]_{n}")
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Full Hermitian eigendecomposition with degeneracy clusters.
@@ -234,22 +229,14 @@ class SpectralDecomposition:
         return len(self.clusters)
 
     @cached_property
-    def _cluster_means(self) -> tuple:
-        """Mean eigenvalue of each cluster, computed on first use."""
-        return tuple(float(np.mean(self.eigenvalues[start:stop]))
-                     for start, stop in self.clusters)
-
-    def cluster_value(self, k: int) -> float:
-        return self._cluster_means[k]
-
-    @cached_property
     def _eigenvectors_adjoint(self) -> np.ndarray:
         """W^dag, formed once (a copy only when W is complex)."""
         return self.eigenvectors.conj().T
 
     def cluster_values(self) -> tuple:
-        """(cluster_value of each cluster, size of each cluster), two arrays."""
-        return (np.array(self._cluster_means),
+        """(mean eigenvalue of each cluster, size of each cluster), two arrays."""
+        return (np.array([np.mean(self.eigenvalues[start:stop])
+                          for start, stop in self.clusters]),
                 np.array([stop - start for start, stop in self.clusters]))
 
 
@@ -287,24 +274,21 @@ def phase_canonicalize(vectors: np.ndarray) -> np.ndarray:
 
 
 def hermitian_eigh(a: Operator, tol: Tolerance = DEFAULT_TOL) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian operator with canonical phases."""
-    if not is_hermitian(a.entries):
-        raise ValueError(f"operator {a.label!r} is not Hermitian within gate")
-    return _hermitian_eigh(a, tol)
-
-
-def _hermitian_eigh(a: Operator, tol: Tolerance) -> SpectralDecomposition:
-    """hermitian_eigh for an operator whose Hermiticity is already gated.
+    """Eigendecomposition of a Hermitian operator with canonical phases.
 
     A real diagonal operator is solved by the stable sort of its diagonal,
     with the unit columns in that order as eigenvectors (their phases are
-    canonical already); A V is then the column gather A[:, order].
+    canonical already); A V is then the column gather A[:, order].  The
+    eigenpair residual A V - V diag(w) is formed in A V's own buffer.
     """
+    if not a.hermitian:
+        raise ValueError(f"operator {a.label!r} is not Hermitian within gate")
     d = a.real_diagonal
     if d is None:
         sym = _add_adjoint(a.entries, 1)
         sym /= 2
         w, v = np.linalg.eigh(sym)
+        del sym  # before the canonical copy of v is made
         v = phase_canonicalize(v)
         order, av = None, a.entries @ v
     else:
@@ -315,7 +299,8 @@ def _hermitian_eigh(a: Operator, tol: Tolerance) -> SpectralDecomposition:
         av = a.entries[:, order]
         order.setflags(write=False)
     scale = fro(a.entries)
-    residual = _largest_norm(av - v * w[np.newaxis, :], axis=0)
+    av -= v * w[np.newaxis, :]
+    residual = _largest_norm(av, axis=0)
     if residual > EIGH_RESIDUAL_BOUND * max(1.0, scale):
         raise NumericalError(
             f"eigensolver residual {residual:.3e} exceeds contract for {a.label!r}")
@@ -376,18 +361,3 @@ def _hermitian_eigvalsh(a: Operator) -> np.ndarray:
             f"{square_error:.3e} max(1, ||A||_F)^2")
     w.setflags(write=False)
     return w
-
-
-def matrix_function(m_spec: SpectralDecomposition,
-                    f: Callable[[float], complex]) -> Operator:
-    """Apply a function to an operator through its spectral decomposition.
-
-    ``f`` is called on each degeneracy cluster's representative
-    eigenvalue; one value is used per cluster.
-    """
-    diag = np.empty(m_spec.dim, dtype=complex)
-    for k, (start, stop) in enumerate(m_spec.clusters):
-        diag[start:stop] = complex(f(m_spec.cluster_value(k)))
-    v = m_spec.eigenvectors
-    return make_operator(m_spec.dim, (v * diag[np.newaxis, :]) @ v.conj().T,
-                         "f(M)")

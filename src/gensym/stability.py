@@ -184,8 +184,8 @@ def _partners(ladder: _Ladder, vectors: np.ndarray, eigenvalues: np.ndarray,
     """Case-5 partners of the columns of ``vectors``, with one gemm each way.
 
     exp(-zM) psi is applied in the eigenbasis of M as
-    W diag(exp(-z mu)) W^dag psi, with mu the per-cluster value that
-    matrix_function uses: O(n^2) per vector instead of O(n^3).  Each
+    W diag(exp(-z mu)) W^dag psi, with mu the mean eigenvalue of each
+    M-cluster: O(n^2) per vector instead of O(n^3).  Each
     exp(-z mu) is taken once per M-cluster and repeated over its rows.
     For a real diagonal M both gemms are row gathers, so each entry psi_i
     is scaled by its own exp(-z mu_i).

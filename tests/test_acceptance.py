@@ -19,11 +19,9 @@ from gensym import (
     canonicalize,
     detect,
     hermitian_eigh,
-    iterated_commutator,
     partition,
     reconstruct_case2,
     scan_spectrum_stability,
-    similarity_transform,
     verify_triple,
 )
 from gensym.cli import main as cli_main
@@ -35,12 +33,13 @@ from gensym.models import (
     jaynes_cummings,
     projection_example,
     random_triple,
-    recursion_block_solver,
 )
 from gensym.operators import fro
 from gensym.stability import case_counts
 
 from conftest import kron_jordan_wigner, op, random_hermitian
+from reference import (iterated_commutator, recursion_block_solver,
+                       similarity_transform)
 
 
 @pytest.fixture

@@ -474,7 +474,7 @@ class TestCostModel:
         chain = detection._commutator_chain
         coordinates = multiplets._cluster_coordinates
         freeze = detection._freeze
-        solve = cli._hermitian_eigh
+        solve = operators.hermitian_eigh
 
         def recording(name):
             solver = getattr(np.linalg, name)
@@ -509,7 +509,8 @@ class TestCostModel:
         monkeypatch.setattr(multiplets, "_cluster_coordinates",
                             recording_coordinates)
         monkeypatch.setattr(detection, "_freeze", recording_freeze)
-        monkeypatch.setattr(cli, "_hermitian_eigh", recording_solve)
+        for module in (cli, multiplets):
+            monkeypatch.setattr(module, "hermitian_eigh", recording_solve)
         return calls
 
     def analyze_recording(self, monkeypatch, h, m):
@@ -556,9 +557,11 @@ class TestCostModel:
         # canonical basis, whose refinement keeps its gemm with M.
         m = Operator(bundle.m.dim, bundle.m.entries.view(NoGemm),
                      bundle.m.label)
-        refine = cli._refine_eigenbasis
-        monkeypatch.setattr(cli, "_refine_eigenbasis",
-                            lambda spec, me: refine(spec, np.asarray(me)))
+        canonical = cli.canonical_eigenbasis
+        monkeypatch.setattr(
+            cli, "canonical_eigenbasis",
+            lambda h, m, tol: canonical(
+                h, Operator(m.dim, np.asarray(m.entries), m.label), tol))
         report, calls = self.analyze_recording(monkeypatch, bundle.h, m)
         assert report["detection"]["kind"] == "case2"
         assert report["stability"] is not None
@@ -570,7 +573,7 @@ class TestCostModel:
         # The sorted eigenbasis W of M, as the multiplet stage hands it on,
         # refuses every matrix product in partition and the stability scan.
         bundle = jaynes_cummings(1.0, 1.0, 0.1, cutoff=7)
-        solve = cli._hermitian_eigh
+        solve = cli.hermitian_eigh
 
         def no_gemm_basis(a, tol):
             spec = solve(a, tol)
@@ -578,7 +581,7 @@ class TestCostModel:
                 return spec
             return replace(spec, eigenvectors=spec.eigenvectors.view(NoGemm))
 
-        monkeypatch.setattr(cli, "_hermitian_eigh", no_gemm_basis)
+        monkeypatch.setattr(cli, "hermitian_eigh", no_gemm_basis)
         report = analyze_pair(bundle.h, bundle.m, Tolerance())
         assert report["stability"]["counts"] == {"1": 2, "5": 14}
 
@@ -693,11 +696,15 @@ class TestCostModel:
 
 
 class TestHermiticityGate:
-    """analyze_pair gates each operand once, whatever the verdict."""
+    """Each operand is gated once, whatever the verdict and however many
+    analyses read it: Operator.hermitian caches the gate."""
 
     @staticmethod
     def count_full_size_gates(monkeypatch, dim):
-        """Patch is_hermitian wherever gensym imported it; count n x n calls."""
+        """Patch is_hermitian, which only Operator.hermitian calls; count
+        n x n calls."""
+        for module in (cli, detection, multiplets, stability):
+            assert not hasattr(module, "is_hermitian"), module
         shapes = []
         gate = operators.is_hermitian
 
@@ -705,8 +712,7 @@ class TestHermiticityGate:
             shapes.append(np.shape(entries))
             return gate(entries, *args, **kwargs)
 
-        for module in (operators, detection, multiplets):
-            monkeypatch.setattr(module, "is_hermitian", counting_gate)
+        monkeypatch.setattr(operators, "is_hermitian", counting_gate)
         return lambda: shapes.count((dim, dim))
 
     @pytest.mark.parametrize("kind", ["case2", "genuine", "no_gensym"])
@@ -730,6 +736,23 @@ class TestHermiticityGate:
                      "--from", "0.0", "--to", "0.2", "--steps", "3",
                      "--out", str(tmp_path / "s.csv")]) == EXIT_OK
         assert gates() == 2 * 3
+
+    def test_two_gates_for_two_analyses_of_one_pair(self, monkeypatch):
+        bundle = hardcore_chain(4, 0.3 + 0.1j)
+        gates = self.count_full_size_gates(monkeypatch, bundle.h.dim)
+        first = analyze_pair(bundle.h, bundle.m, Tolerance())
+        assert analyze_pair(bundle.h, bundle.m, Tolerance()) == first
+        assert gates() == 2
+
+    def test_sweep_with_held_m_gates_it_once(self, monkeypatch, tmp_path):
+        # The jc family hands out one M at every step; each step builds a
+        # new H.
+        k = 4
+        gates = self.count_full_size_gates(monkeypatch, 8)
+        assert main(["sweep", "jc", "--cutoff", "3", "--param", "kappa",
+                     "--from", "0.05", "--to", "0.2", "--steps", str(k),
+                     "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+        assert gates() == k + 1
 
     @pytest.mark.parametrize("bad", ["H", "M"])
     def test_non_hermitian_operand_is_rejected(self, tmp_path, rng, bad):

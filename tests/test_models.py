@@ -7,7 +7,6 @@ from gensym import (
     canonicalize,
     detect,
     hermitian_eigh,
-    iterated_commutator,
     reconstruct_case2,
     verify_triple,
 )
@@ -22,11 +21,11 @@ from gensym.models import (
     jaynes_cummings,
     projection_example,
     random_triple,
-    recursion_block_solver,
 )
 from gensym.operators import is_hermitian, make_operator
 
 from conftest import kron_jordan_wigner, traced_peak
+from reference import iterated_commutator, recursion_block_solver
 
 
 def assert_frozen_copies(operators, arrays):

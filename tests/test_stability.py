@@ -12,8 +12,6 @@ from gensym import (
     canonicalize,
     cli,
     hermitian_eigh,
-    matrix_function,
-    operators,
     reconstruct_case2,
     scan_spectrum_stability,
     stability,
@@ -24,7 +22,9 @@ from gensym.models import (angular_block, fermion_chain, hardcore_chain,
                            involution_example, jaynes_cummings,
                            projection_example, random_triple)
 
+import reference
 from conftest import op
+from reference import matrix_function
 
 
 def rank_test(psi, a, b):
@@ -301,7 +301,7 @@ def test_scan_makes_no_matrix_function_call(monkeypatch):
         calls.append(args)
         return matrix_function(*args, **kwargs)
 
-    monkeypatch.setattr(operators, "matrix_function", counted)
+    monkeypatch.setattr(reference, "matrix_function", counted)
     monkeypatch.setattr(stability, "matrix_function", counted, raising=False)
     triple, h_spec, m_spec = angular_setup(3)
     records = scan_spectrum_stability(h_spec, triple, m_spec)
