@@ -262,7 +262,8 @@ def phase_canonicalize(vectors: np.ndarray) -> np.ndarray:
     columns stay real: their phase is a sign.
     """
     out = np.array(vectors, dtype=np.result_type(vectors, float))
-    pivots = out[np.argmax(np.abs(out), axis=0), np.arange(out.shape[1])]
+    magnitudes = np.abs(out.T, order="C")  # one contiguous row per column
+    pivots = out[np.argmax(magnitudes, axis=1), np.arange(out.shape[1])]
     if not np.iscomplexobj(out):
         out *= np.where(pivots < 0, -1.0, 1.0)
         return out

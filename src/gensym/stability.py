@@ -1,15 +1,19 @@
 """Stability classification of H-eigenvectors relative to a ladder triple.
 
 An eigenvector psi is stable when {psi, R psi, R^dag psi} are linearly
-dependent.  scan_spectrum_stability sorts every eigenvector of H into
-five cases; in the generic case 5 it builds a partner chi = exp(-zM) psi
-at a shifted eigenvalue.  GenSymTriple guarantees the real, nonzero gamma.
+dependent, decided in ladder units: R psi / ||R||_F beside the unit psi.
+Case 1: R psi and R^dag psi are dependent; case 4: (R - R^dag) psi is
+parallel to psi; case 5 otherwise, with a partner chi = exp(-zM) psi at a
+shifted eigenvalue.  GenSymTriple's real gamma != 0 makes R nilpotent on
+the finite spectrum of M, so cases 2 (R psi = psi / x) and 3
+(R^dag psi = psi / y) have no solution psi != 0 and are not screened.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -24,7 +28,7 @@ from .operators import (
     fro,
 )
 
-# Scale-free SVD rank cutoff sigma_3/sigma_1 and coefficient cutoff.
+# Rank (sigma_3/sigma_1), coefficient and annihilation cutoff, ladder units.
 STABILITY_CUTOFF = 1e-8
 
 # Eigenvectors classified together: bounds the stacked-SVD and gemm
@@ -64,18 +68,21 @@ class _Ladder:
     h_norm: float
     r: np.ndarray
     r_dag: np.ndarray
-    r_scale: float
+    r_norm: float  # ||R||_F, the ladder unit; 1.0 for a zero R
     gamma: float
     m_spec: SpectralDecomposition
+    mu: np.ndarray
+    sizes: np.ndarray
 
 
 def _ladder(triple: GenSymTriple, m_spec: SpectralDecomposition) -> _Ladder:
     r = triple.r
     r_dag = r.conj().T
     h = triple.h0 + r + r_dag
+    mu, sizes = m_spec.cluster_values()
     return _Ladder(h=h, h_norm=fro(h), r=r, r_dag=r_dag,
-                   r_scale=max(1.0, fro(r)), gamma=triple.gamma,
-                   m_spec=m_spec)
+                   r_norm=fro(r) or 1.0, gamma=triple.gamma,
+                   m_spec=m_spec, mu=mu, sizes=sizes)
 
 
 def _rank_tests(a: np.ndarray, b: np.ndarray, psi: np.ndarray):
@@ -105,20 +112,12 @@ def _rank_tests(a: np.ndarray, b: np.ndarray, psi: np.ndarray):
 
 
 def _screen(x: complex, y: complex, u: complex):
-    """Cases of a stable vector from its null relation; normalised coeffs."""
-    mx = max(abs(x), abs(y), abs(u))
-    if abs(u) <= STABILITY_CUTOFF * mx:
-        return {1}, (x, y, u)
+    """Case 1 (u ~ 0), 4 (x + y ~ 0 at u = 1) or 5, and the coeffs."""
+    if abs(u) <= STABILITY_CUTOFF * max(abs(x), abs(y), abs(u)):
+        return 1, (x, y, u)
     x, y = x / u, y / u
-    cx = max(abs(x), abs(y), 1.0)
-    cases = set()
-    if abs(y) <= STABILITY_CUTOFF * cx:
-        cases.add(2)
-    if abs(x) <= STABILITY_CUTOFF * cx:
-        cases.add(3)
-    if abs(x + y) <= STABILITY_CUTOFF * cx:
-        cases.add(4)
-    return cases or {5}, (x, y, 1.0 + 0.0j)
+    case = 4 if abs(x + y) <= STABILITY_CUTOFF * max(abs(x), abs(y)) else 5
+    return case, (x, y, 1.0 + 0.0j)
 
 
 def _classify_block(ladder: _Ladder, vectors: np.ndarray,
@@ -132,40 +131,42 @@ def _classify_block(ladder: _Ladder, vectors: np.ndarray,
         raise ValueError(
             f"psi is not an eigenvector of H at E={eigenvalues[bad[0]]} "
             f"(residual {residuals[bad[0]]:.3e})")
-    a = ladder.r @ vectors
-    b = ladder.r_dag @ vectors
-    bound = STABILITY_CUTOFF * ladder.r_scale
-    r_annihilates = np.linalg.norm(a, axis=0) <= bound
-    rd_annihilates = np.linalg.norm(b, axis=0) <= bound
-    sum_annihilates = np.linalg.norm(a + b, axis=0) <= bound
+    a, b = ladder.r @ vectors, ladder.r_dag @ vectors
+    a /= ladder.r_norm
+    b /= ladder.r_norm
+    r_annihilates, rd_annihilates, sum_annihilates = (
+        np.linalg.norm(v, axis=0) <= STABILITY_CUTOFF for v in (a, b, a + b))
     stable, xs, ys, us = _rank_tests(a, b, vectors)
 
-    screened = []
+    # Screened as x a + y b = u psi, recorded as x R psi + y R^dag psi = u psi.
+    cases, coeffs = [], []
     for j in range(len(eigenvalues)):
-        coeffs = (complex(xs[j]), complex(ys[j]), complex(us[j]))
-        screened.append(_screen(*coeffs) if stable[j] else ((), coeffs))
-    case5 = [j for j, (cases, _) in enumerate(screened) if 5 in cases]
+        raw = (complex(xs[j]), complex(ys[j]), complex(us[j]))
+        case, (x, y, u) = _screen(*raw) if stable[j] else (None, raw)
+        cases.append(case)
+        coeffs.append((x / ladder.r_norm, y / ladder.r_norm, u))
+    case5 = [j for j, case in enumerate(cases) if case == 5]
     partners = dict(zip(case5, _partners(
         ladder, vectors[:, case5], eigenvalues[case5],
-        [screened[j][1][:2] for j in case5], tol)))
+        [coeffs[j][:2] for j in case5], tol)))
 
     return [
         StabilityRecord(
             index=index, eigenvalue=float(eigenvalues[j]),
-            stable=bool(stable[j]), cases=tuple(sorted(cases)),
-            primary_case=min(cases) if cases else None, coeffs=coeffs,
+            stable=bool(stable[j]), cases=(cases[j],) if stable[j] else (),
+            primary_case=cases[j], coeffs=coeffs[j],
             r_annihilates=bool(r_annihilates[j]),
             rd_annihilates=bool(rd_annihilates[j]),
             sum_annihilates=bool(sum_annihilates[j]),
             partner=partners.get(j))
-        for j, (index, (cases, coeffs)) in enumerate(zip(indices, screened))
+        for j, index in enumerate(indices)
     ]
 
 
 def _ladder_exponent(x: complex, y: complex, gamma: float,
                      tol: Tolerance) -> Tuple[complex, float]:
     """z with exp(z*gamma) = -y/x, and the real eigenvalue shift."""
-    # _screen passes only case-5 (x, y): x, y != 0 and |-y/x - 1| > cutoff.
+    # Case 5 has |-y/x - 1| > cutoff, and x, y != 0 as R is nilpotent.
     ratio = -y / x
     log_ratio = cmath.log(ratio)
     if ratio.real < 0 and abs(ratio.imag) <= STABILITY_CUTOFF * abs(ratio):
@@ -195,8 +196,8 @@ def _partners(ladder: _Ladder, vectors: np.ndarray, eigenvalues: np.ndarray,
         z, eps = _ladder_exponent(complex(x), complex(y), ladder.gamma, tol)
         zs.append(z)
         e_second.append(float(eigenvalue + eps))
-    mu, sizes = ladder.m_spec.cluster_values()
-    phases = np.repeat(np.exp(-np.outer(mu, zs)), sizes, axis=0)
+    phases = np.repeat(np.exp(-np.outer(ladder.mu, zs)), ladder.sizes,
+                       axis=0)
     chi = _m_basis(ladder.m_spec,
                    phases * _m_basis(ladder.m_spec, vectors), inverse=True)
     chi_norms = np.linalg.norm(chi, axis=0)
@@ -218,7 +219,8 @@ def scan_spectrum_stability(h_spec: SpectralDecomposition,
                             tol: Tolerance = DEFAULT_TOL) -> List[StabilityRecord]:
     """Classify every eigenvector of H, in index order.
 
-    Algorithm: H = H0 + R + R^dag, its norm and ||R|| are built once.
+    Algorithm: H = H0 + R + R^dag, its norm, ||R||_F and the M-cluster
+    means are built once.
     Eigenvectors are then taken in column blocks of _BLOCK: per block,
     H V, R V and R^dag V are three gemms, every eigenvector residual is
     checked at once, the n x 3 rank tests are one stacked thin SVD, and
@@ -242,8 +244,4 @@ def scan_spectrum_stability(h_spec: SpectralDecomposition,
 
 def case_counts(records: List[StabilityRecord]) -> dict:
     """Summary histogram of primary cases; unstable counted under 0."""
-    counts: dict = {}
-    for rec in records:
-        key = rec.primary_case if rec.stable else 0
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    return dict(Counter(rec.primary_case or 0 for rec in records))

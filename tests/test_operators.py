@@ -196,6 +196,14 @@ class TestStorageRule:
             assert out.tobytes() == expected.tobytes()
         np.testing.assert_array_equal(phase_canonicalize(tied)[:, 2], 0.0)
 
+    @pytest.mark.parametrize("dim", [256, 512])
+    def test_phase_canonicalize_holds_two_traced_buffers(self, rng, dim):
+        # The copy it returns and |V^T| in C order; argmax along axis 0 of
+        # a C-ordered |V| would add a transposed copy of |V|.
+        v = rng.normal(size=(dim, dim))
+        assert traced_peak(lambda: phase_canonicalize(v)) <= 8 * (
+            2 * dim ** 2 + 4 * TILE ** 2)
+
 
 class TestCommutator:
     def test_self_commutator_vanishes(self, rng):
