@@ -209,7 +209,7 @@ def analyze_pair(h, m, tol: Tolerance, digests: Optional[dict] = None) -> dict:
     result, commutators = _detect(h, m, tol)
     report = {
         "tool": {"name": "gensym", "version": __version__},
-        "tolerances": {"atol": tol.atol, "rtol": tol.rtol},
+        "tolerances": {"rtol": tol.rtol},
         "inputs": digests or {},
         "detection": _detection_record(result),
         "spectrum": None,

@@ -33,7 +33,7 @@ GENUINE = "genuine"
 CASE2 = "case2"
 NO_GENSYM = "no_gensym"
 
-# H0 must be Hermitian within this relative bound for a verified triple.
+# Bound on ||H0 - H0^dag|| / ||H|| for a verified triple.
 H0_HERMITICITY_BOUND = 1e-10
 
 
@@ -105,14 +105,14 @@ def _commutator_chain(he: np.ndarray, m: Operator):
         yield _add_adjoint(c, -1 if k % 2 else 1, c)
 
 
-def _fit_case2(c1: np.ndarray, c3: np.ndarray, tol: Tolerance,
+def _fit_case2(c1: np.ndarray, c3: np.ndarray,
                out: Optional[np.ndarray] = None):
     """Least-squares fit of C3 = gamma^2 * C1 over real gamma^2.
 
-    Returns (gamma, residual) with gamma >= 0; gamma is NaN when gamma^2
-    is not above max(atol, 1e-10) (the fit is then rejected).  The
-    difference C3 - gamma^2 C1 is formed by row blocks in ``out``, a new
-    array when None; ``out`` may be c3 itself, which is then overwritten.
+    Returns (sqrt(max(gamma^2, 0)), ||C3 - gamma^2 C1|| / ||C3||): the
+    residual is the sine of the angle between C1 and C3, unchanged when H
+    or M is scaled.  The difference is formed by row blocks in ``out``, a
+    new array when None; ``out`` may be c3 itself, then overwritten.
     """
     n1 = fro(c1)
     if n1 == 0.0:
@@ -122,18 +122,17 @@ def _fit_case2(c1: np.ndarray, c3: np.ndarray, tol: Tolerance,
     except OverflowError:
         raise NumericalError(
             f"the case-2 fit overflows: ||[H,M]||_F = {n1:.3e}") from None
-    gamma_sq = np.vdot(c1, c3).real / n1_sq
     n3 = fro(c3)
+    if n3 == 0.0:  # C1 != 0 implies C3 != 0 in exact arithmetic
+        raise NumericalError("the case-2 fit underflows: C3 = 0, C1 != 0")
+    gamma_sq = np.vdot(c1, c3).real / n1_sq
     if out is None:
         out = np.empty(c3.shape, np.result_type(c3, c1))
     step = max(1, TILE ** 2 // len(c3))
     for i in range(0, len(c3), step):
         rows = slice(i, i + step)
         np.subtract(c3[rows], gamma_sq * c1[rows], out=out[rows])
-    residual = float(fro(out) / max(n3, n1, tol.atol))
-    if gamma_sq <= max(tol.atol, 1e-10):
-        return float("nan"), residual
-    return float(np.sqrt(gamma_sq)), residual
+    return float(np.sqrt(max(gamma_sq, 0.0))), float(fro(out) / n3)
 
 
 def detect(h: Operator, m: Operator, tol: Tolerance = DEFAULT_TOL) -> DetectionResult:
@@ -152,16 +151,16 @@ def _detect(h: Operator, m: Operator, tol: Tolerance):
     he = h.entries
     chain = _commutator_chain(he, m)
     c1 = next(chain)
-    genuine_scale = max(1.0, fro(he) * fro(m.entries))
-    genuine_residual = fro(c1) / genuine_scale
-    if genuine_residual <= tol.rtol:
-        return DetectionResult(kind=GENUINE, residual=genuine_residual), None
+    n1, scale = fro(c1), fro(he) * fro(m.entries)
+    if n1 <= tol.rtol * scale:  # so for a zero H or M, where C1 = 0
+        return DetectionResult(kind=GENUINE,
+                               residual=n1 / scale if n1 else 0.0), None
 
     c2 = next(chain)
     c3 = next(chain)
     # The fit's difference overwrites C3: detection holds C1, C2 and C3.
-    gamma, residual = _fit_case2(c1, c3, tol, out=c3)
-    if not np.isnan(gamma) and residual <= tol.rtol:
+    gamma, residual = _fit_case2(c1, c3, out=c3)
+    if gamma > 0 and residual <= tol.rtol:
         return DetectionResult(kind=CASE2, gamma1=gamma,
                                residual=residual), (c1, c2)
     return DetectionResult(kind=NO_GENSYM, residual=residual), None
@@ -169,8 +168,8 @@ def _detect(h: Operator, m: Operator, tol: Tolerance):
 
 def _commutes(commutator: np.ndarray, a: np.ndarray, b: np.ndarray,
               tol: Tolerance) -> bool:
-    """||[A, B]|| <= rtol * max(1, ||A|| ||B||), given [A, B]."""
-    return fro(commutator) <= tol.rtol * max(1.0, fro(a) * fro(b))
+    """||[A, B]|| <= rtol * ||A|| ||B||, given [A, B]."""
+    return fro(commutator) <= tol.rtol * fro(a) * fro(b)
 
 
 def _m_commutator(x: np.ndarray, m: Operator) -> np.ndarray:
@@ -179,24 +178,22 @@ def _m_commutator(x: np.ndarray, m: Operator) -> np.ndarray:
     return _add_adjoint(y, -1, y)
 
 
-def _commutes_h0(x: np.ndarray, h0: np.ndarray, tol: Tolerance) -> bool:
-    """_commutes for [X, H0], from two gemms: H0 is Hermitian only to
-    H0_HERMITICITY_BOUND.
+def _commutes_h0(x: np.ndarray, h0: np.ndarray, bound: float) -> bool:
+    """||[X, H0]|| <= ||X|| bound from two gemms, with bound = rtol ||H||:
+    H0 is Hermitian only to H0_HERMITICITY_BOUND, and is measured against
+    H, of which it is a part, as it may be pure rounding.
 
     With X = R^dag R or R R^dag, X H0 is cubic in the scale of H and
     overflows once H is scaled past about 1e103.  Only then, as in fro,
-    are the gemms taken again on X' = X / ||X||_F, for which the gate
-    ||[X, H0]|| <= rtol * max(1, ||X|| ||H0||) reads
-    ||[X', H0]|| <= rtol * max(1 / ||X||, ||X'|| ||H0||).
+    are the gemms taken again on X' = X / ||X||_F.
     """
-    scale, h0_norm = fro(x), fro(h0)
+    scale = fro(x)
     with np.errstate(over="ignore", invalid="ignore"):
         norm = fro(x @ h0 - h0 @ x)
-    if norm < np.inf and scale * h0_norm < np.inf:
-        return norm <= tol.rtol * max(1.0, scale * h0_norm)
+    if norm < np.inf and scale * bound < np.inf:
+        return norm <= scale * bound
     x = x / scale
-    return (fro(x @ h0 - h0 @ x)
-            <= tol.rtol * max(1.0 / scale, fro(x) * h0_norm))
+    return fro(x @ h0 - h0 @ x) <= fro(x) * bound
 
 
 def reconstruct_case2(h: Operator, m: Operator, gamma: float,
@@ -260,19 +257,20 @@ def verify_triple(h: Operator, m: Operator, triple: GenSymTriple,
     rd = r.conj().T
     rdr = rd @ r
     rrd = r @ rd
-    bound = tol.rtol * max(1.0, fro(he))
+    h_norm = fro(he)
+    bound = tol.rtol * h_norm
+    m_bound = bound * fro(me)  # for [H0, M] and [R, M] - gamma R
     residual_sum = fro(he - h0 - r - rd)
     residual_h0m = fro(_times_m(h0, m) - _times_m(h0, m, left=True))
     residual_ladder = fro((_times_m(r, m) - _times_m(r, m, left=True))
                           - triple.gamma * r)
-    h0_herm = (fro(_add_adjoint(h0, -1))
-               <= H0_HERMITICITY_BOUND * max(1.0, fro(h0)))
+    h0_herm = fro(_add_adjoint(h0, -1)) <= H0_HERMITICITY_BOUND * h_norm
     # With R ~ 0 the ladder relation holds for any gamma; flag it.
-    degenerate = fro(r) <= tol.rtol * max(1.0, fro(he))
+    degenerate = fro(r) <= bound
     return TripleReport(
         sum_ok=residual_sum <= bound,
-        h0_commutes_ok=residual_h0m <= bound,
-        ladder_ok=residual_ladder <= bound,
+        h0_commutes_ok=residual_h0m <= m_bound,
+        ladder_ok=residual_ladder <= m_bound,
         h0_hermitian_ok=h0_herm,
         degenerate=degenerate,
         residual_sum=residual_sum,
@@ -280,8 +278,8 @@ def verify_triple(h: Operator, m: Operator, triple: GenSymTriple,
         residual_ladder=residual_ladder,
         commutes_rdr_m=_commutes(_m_commutator(rdr, m), rdr, me, tol),
         commutes_rrd_m=_commutes(_m_commutator(rrd, m), rrd, me, tol),
-        commutes_rdr_h0=_commutes_h0(rdr, h0, tol),
-        commutes_rrd_h0=_commutes_h0(rrd, h0, tol),
+        commutes_rdr_h0=_commutes_h0(rdr, h0, bound),
+        commutes_rrd_h0=_commutes_h0(rrd, h0, bound),
     )
 
 

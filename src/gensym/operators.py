@@ -37,18 +37,14 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute/relative tolerance pair used throughout the library."""
+    """rtol: a gate accepts a quantity up to rtol times the norm of the
+    input it is measured against; no gate has an absolute floor."""
 
-    atol: float = 1e-9
     rtol: float = 1e-8
 
     def __post_init__(self):
-        if not all(0 <= t < np.inf for t in (self.atol, self.rtol)):
+        if not 0 <= self.rtol < np.inf:
             raise ValueError("tolerances must be finite and non-negative")
-
-    def gap(self, scale: float) -> float:
-        """Gap threshold for clustering at the given scale."""
-        return max(self.atol, self.rtol * scale)
 
 
 DEFAULT_TOL = Tolerance()
@@ -172,8 +168,7 @@ def _add_adjoint(a: np.ndarray, sign: int,
 
 
 def is_hermitian(entries: np.ndarray) -> bool:
-    return (fro(_add_adjoint(entries, -1))
-            <= HERMITICITY_GATE * max(1.0, fro(entries)))
+    return fro(_add_adjoint(entries, -1)) <= HERMITICITY_GATE * fro(entries)
 
 
 def _freeze(entries) -> np.ndarray:
@@ -245,12 +240,12 @@ def cluster_eigenvalues(values: Sequence[float], scale: float,
     """Group ascending values into maximal runs of consecutive gaps.
 
     Two neighbours land in the same cluster when their gap is at most
-    max(atol, rtol*scale).
+    rtol*scale, where scale is the norm of the operator they belong to.
     """
     values = np.asarray(values, dtype=float)
     if len(values) == 0:
         return ()
-    splits = np.flatnonzero(np.diff(values) > tol.gap(scale)) + 1
+    splits = np.flatnonzero(np.diff(values) > tol.rtol * scale) + 1
     bounds = [0, *splits.tolist(), len(values)]
     return tuple(zip(bounds[:-1], bounds[1:]))
 
@@ -302,7 +297,7 @@ def hermitian_eigh(a: Operator, tol: Tolerance = DEFAULT_TOL) -> SpectralDecompo
     scale = fro(a.entries)
     av -= v * w[np.newaxis, :]
     residual = _largest_norm(av, axis=0)
-    if residual > EIGH_RESIDUAL_BOUND * max(1.0, scale):
+    if residual > EIGH_RESIDUAL_BOUND * scale:
         raise NumericalError(
             f"eigensolver residual {residual:.3e} exceeds contract for {a.label!r}")
     clusters = cluster_eigenvalues(w, scale, tol)
@@ -337,17 +332,17 @@ def _hermitian_eigvalsh(a: Operator) -> np.ndarray:
     Values only: no eigenvectors, so the eigenpair residual of
     hermitian_eigh cannot be formed.  A backward-stable solver returns the
     exact eigenvalues of sym + E with ||E||_F <= e = EIGH_RESIDUAL_BOUND *
-    max(1, ||A||_F), which implies
+    ||A||_F, which implies
     |sum(w) - tr(sym)| = |tr E| <= sqrt(n) e and
     |sum(w^2) - ||sym||_F^2| <= 2 ||sym||_F e + e^2 (Hoffman-Wielandt).
     Both are O(n^2) to check, and a violation of either raises.  The
-    squared sums are compared in units of scale = max(1, ||A||_F), so
-    they cannot overflow for finite entries.
+    squared sums are compared in units of scale = ||A||_F (1.0 for a zero
+    A), so they cannot overflow for finite entries.
     """
     sym = _add_adjoint(a.entries, 1)
     sym /= 2
     w = np.linalg.eigvalsh(sym)
-    scale = max(1.0, fro(a.entries))  # >= ||sym||_F
+    scale = fro(a.entries) or 1.0  # >= ||sym||_F
     e = EIGH_RESIDUAL_BOUND * scale
     trace_error = abs(float(np.sum(w)) - float(np.trace(sym).real))
     units = w / scale
@@ -359,6 +354,6 @@ def _hermitian_eigvalsh(a: Operator) -> np.ndarray:
         raise NumericalError(
             f"eigenvalues of {a.label!r} violate the eigensolver contract: "
             f"trace error {trace_error:.3e}, squared-sum error "
-            f"{square_error:.3e} max(1, ||A||_F)^2")
+            f"{square_error:.3e} ||A||_F^2")
     w.setflags(write=False)
     return w

@@ -126,7 +126,8 @@ def _classify_block(ladder: _Ladder, vectors: np.ndarray,
     """Classify the columns of ``vectors`` with one gemm per operator."""
     residuals = np.linalg.norm(ladder.h @ vectors - vectors * eigenvalues,
                                axis=0)
-    bad = np.flatnonzero(residuals > tol.gap(ladder.h_norm))
+    # Written as "not <=" so that a NaN residual fails the check too.
+    bad = np.flatnonzero(~(residuals <= tol.rtol * ladder.h_norm))
     if bad.size:
         raise ValueError(
             f"psi is not an eigenvector of H at E={eigenvalues[bad[0]]} "
@@ -163,9 +164,10 @@ def _classify_block(ladder: _Ladder, vectors: np.ndarray,
     ]
 
 
-def _ladder_exponent(x: complex, y: complex, gamma: float,
+def _ladder_exponent(x: complex, y: complex, ladder: _Ladder,
                      tol: Tolerance) -> Tuple[complex, float]:
-    """z with exp(z*gamma) = -y/x, and the real eigenvalue shift."""
+    """z with exp(z*gamma) = -y/x, and the real eigenvalue shift, whose
+    imaginary part is gated in the unit of the residual gates, ||H||_F."""
     # Case 5 has |-y/x - 1| > cutoff, and x, y != 0 as R is nilpotent.
     ratio = -y / x
     log_ratio = cmath.log(ratio)
@@ -173,9 +175,9 @@ def _ladder_exponent(x: complex, y: complex, gamma: float,
         # On the branch cut up to rounding: the principal branch would
         # take +i*pi or -i*pi from the sign of a rounding error.
         log_ratio = complex(log_ratio.real, math.pi)
-    z = log_ratio / gamma
-    eps = (cmath.exp(-z * gamma) - 1.0) / x
-    if abs(eps.imag) > tol.gap(abs(eps)):
+    z = log_ratio / ladder.gamma
+    eps = (cmath.exp(-z * ladder.gamma) - 1.0) / x
+    if abs(eps.imag) > tol.rtol * ladder.h_norm:
         raise ValueError(f"eigenvalue shift {eps} is not real")
     return z, eps.real
 
@@ -193,17 +195,21 @@ def _partners(ladder: _Ladder, vectors: np.ndarray, eigenvalues: np.ndarray,
     """
     zs, e_second = [], []
     for (x, y), eigenvalue in zip(coeffs, eigenvalues):
-        z, eps = _ladder_exponent(complex(x), complex(y), ladder.gamma, tol)
+        z, eps = _ladder_exponent(complex(x), complex(y), ladder, tol)
         zs.append(z)
         e_second.append(float(eigenvalue + eps))
-    phases = np.repeat(np.exp(-np.outer(ladder.mu, zs)), ladder.sizes,
-                       axis=0)
+    # exp(-z mu) / exp(-Re(z) c), c the midpoint of the spectrum of M, so
+    # M + dI cannot overflow it; normalising chi removes the real factor.
+    mu, z_re, z_im = ladder.mu, np.real(zs), np.imag(zs)
+    phases = np.repeat(np.exp(-np.outer(mu - (mu[0] + mu[-1]) / 2, z_re)
+                              - 1j * np.outer(mu, z_im)),
+                       ladder.sizes, axis=0)
     chi = _m_basis(ladder.m_spec,
                    phases * _m_basis(ladder.m_spec, vectors), inverse=True)
     chi_norms = np.linalg.norm(chi, axis=0)
     residuals = np.linalg.norm(ladder.h @ chi - chi * e_second,
                                axis=0) / chi_norms
-    bad = np.flatnonzero(residuals > tol.gap(ladder.h_norm))
+    bad = np.flatnonzero(~(residuals <= tol.rtol * ladder.h_norm))
     if bad.size:
         raise ValueError(
             f"partner residual {residuals[bad[0]]:.3e} exceeds tolerance")
@@ -219,8 +225,8 @@ def scan_spectrum_stability(h_spec: SpectralDecomposition,
                             tol: Tolerance = DEFAULT_TOL) -> List[StabilityRecord]:
     """Classify every eigenvector of H, in index order.
 
-    Algorithm: H = H0 + R + R^dag, its norm, ||R||_F and the M-cluster
-    means are built once.
+    Algorithm: H = H0 + R + R^dag, ||H||_F (every residual gate accepts up
+    to rtol ||H||_F), ||R||_F and the M-cluster means are built once.
     Eigenvectors are then taken in column blocks of _BLOCK: per block,
     H V, R V and R^dag V are three gemms, every eigenvector residual is
     checked at once, the n x 3 rank tests are one stacked thin SVD, and

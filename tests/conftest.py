@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,16 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 def op(entries, label=""):
     entries = np.asarray(entries, dtype=complex)
     return make_operator(entries.shape[0], entries, label)
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def load_report(path):
+    """A report file parsed as strict JSON: NaN and +-Infinity raise."""
+    return json.loads(Path(path).read_text(encoding="utf-8"),
+                      parse_constant=_reject_constant)
 
 
 def random_hermitian(rng, dim):

@@ -37,7 +37,7 @@ from gensym.models import (
 from gensym.operators import fro
 from gensym.stability import case_counts
 
-from conftest import kron_jordan_wigner, op, random_hermitian
+from conftest import kron_jordan_wigner, load_report, op, random_hermitian
 from reference import (iterated_commutator, recursion_block_solver,
                        similarity_transform)
 
@@ -259,6 +259,10 @@ def test_08_commutator_parity(announce):
     announce(8, "commutator parity", failures)
 
 
+# gensym 0.1.0's absolute tolerance, which its fits below read.
+ATOL_0_1_0 = 1e-9
+
+
 def reference_detect_0_1_0(h, m, tol):
     """gensym 0.1.0's detectors, kept here as a test-only reference.
 
@@ -277,13 +281,13 @@ def reference_detect_0_1_0(h, m, tol):
     rhs = np.array([np.vdot(b1, c3).real, np.vdot(c1, c3).real])
     alpha, beta = np.linalg.lstsq(gram, rhs, rcond=None)[0]
     gamma = complex(np.sqrt(abs(beta - alpha ** 2 / 4)), alpha / 2)
-    res2 = fro(c3 - 1j * alpha * c2 - beta * c1) / max(fro(c3), n1, tol.atol)
+    res2 = fro(c3 - 1j * alpha * c2 - beta * c1) / max(fro(c3), n1, ATOL_0_1_0)
     gamma2 = np.vdot(1j * c1, c2).real / n1 ** 2
-    res1 = fro(c2 - 1j * gamma2 * c1) / max(fro(c2), n1, tol.atol)
-    if (beta - alpha ** 2 / 4 > max(tol.atol, 1e-10 * (alpha ** 2 / 4 + 1.0))
+    res1 = fro(c2 - 1j * gamma2 * c1) / max(fro(c2), n1, ATOL_0_1_0)
+    if (beta - alpha ** 2 / 4 > max(ATOL_0_1_0, 1e-10 * (alpha ** 2 / 4 + 1.0))
             and res2 <= tol.rtol):
         return CASE2, gamma, gamma2, res2
-    if abs(gamma2) > tol.atol and res1 <= tol.rtol:
+    if abs(gamma2) > ATOL_0_1_0 and res1 <= tol.rtol:
         return "case1", 1j * gamma2, gamma2, res1
     return NO_GENSYM, gamma, gamma2, min(res2, res1)
 
@@ -312,7 +316,7 @@ def test_09_imaginary_gamma_never_accepted(announce):
             where = f"pair {i} (rtol {tol.rtol})"
             if abs(gamma.imag) > 1e-12 * max(1.0, abs(gamma.real)):
                 failures.append(f"{where}: complex fit Im(gamma) {gamma.imag}")
-            if abs(gamma2) > tol.atol:
+            if abs(gamma2) > ATOL_0_1_0:
                 failures.append(f"{where}: case-1 fit gamma2 {gamma2}")
             if result.kind != kind:
                 failures.append(f"{where}: {result.kind}, reference {kind}")
@@ -353,6 +357,10 @@ def test_11_byte_determinism(announce, tmp_path):
                          "--symmetry", prefix + "M.json", "--out", out])
         if code != 0:
             failures.append(f"analyze run {tag} exit code {code}")
+        try:
+            load_report(out)
+        except ValueError as exc:
+            failures.append(f"analyze run {tag}: {exc}")
         reports.append(Path(out).read_bytes())
     if reports[0] != reports[1]:
         failures.append("analyze outputs differ between runs")

@@ -34,7 +34,7 @@ from gensym.models import (
 from gensym.operators import Operator, Tolerance, is_hermitian
 from gensym.serialization import operator_from_dict, operator_to_dict
 
-from conftest import SX, force_dense, op, random_hermitian
+from conftest import SX, force_dense, load_report, op, random_hermitian
 
 
 class TestParseComplex:
@@ -258,8 +258,7 @@ class TestAnalyzeCommand:
         code = main(["analyze", "--hamiltonian", prefix + "H.json",
                      "--symmetry", prefix + "M.json", "--out", out,
                      *extra])
-        report = json.loads(Path(out).read_text(encoding="utf-8"))
-        return code, report
+        return code, load_report(out)
 
     def test_angular_full_report(self, tmp_path):
         code, report = self.analyze(
@@ -286,7 +285,7 @@ class TestAnalyzeCommand:
         code = main(["analyze", "--hamiltonian", hp, "--symmetry", mp,
                      "--out", out])
         assert code == EXIT_OK
-        report = json.loads(Path(out).read_text(encoding="utf-8"))
+        report = load_report(out)
         assert report["detection"]["kind"] == "genuine"
         assert report["triple"] is None
         assert report["stability"] is None
@@ -303,6 +302,22 @@ class TestAnalyzeCommand:
                      "--out", out]) == EXIT_OK
         assert main(["analyze", "--hamiltonian", hp, "--symmetry", mp,
                      "--out", out, "--require"]) == EXIT_NOT_FOUND
+
+    def test_shifted_m_report_is_strict_json(self, tmp_path):
+        # exp(-z(M + 1e3 I)) overflowed, and NaN partner residuals were
+        # written as the non-JSON token NaN.
+        bundle = jaynes_cummings(1.0, 1.0, 0.1, cutoff=16)
+        m = make_operator(bundle.m.dim,
+                          bundle.m.entries + 1e3 * np.eye(bundle.m.dim))
+        hp, mp = str(tmp_path / "h.json"), str(tmp_path / "m.json")
+        save_operator(bundle.h, hp)
+        save_operator(m, mp)
+        out = str(tmp_path / "r.json")
+        assert main(["analyze", "--hamiltonian", hp, "--symmetry", mp,
+                     "--out", out]) == EXIT_OK
+        report = load_report(out)
+        assert report["tolerances"] == {"rtol": Tolerance().rtol}
+        assert report["stability"]["counts"] == {"1": 2, "5": 32}
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-8"])
     def test_tolerance_that_is_not_finite_and_non_negative(self, tmp_path,

@@ -18,7 +18,7 @@ from gensym import (
     verify_triple,
 )
 from gensym.cli import analyze_pair
-from gensym.detection import _commutator_chain, _fit_case2
+from gensym.detection import DetectionResult, _commutator_chain, _fit_case2
 from gensym.models import (
     angular_block,
     fermion_chain,
@@ -69,10 +69,10 @@ def random_pairs():
 def reference_detect(h, m, tol=Tolerance()):
     """detect's decision rule on iterated_commutator output."""
     c1, c3 = (iterated_commutator(h, m, n) for n in (1, 3))
-    if fro(c1.entries) <= tol.rtol * max(1.0, h.norm * m.norm):
+    if fro(c1.entries) <= tol.rtol * h.norm * m.norm:
         return GENUINE, 0.0
-    gamma, residual = _fit_case2(c1.entries, c3.entries, tol)
-    if not np.isnan(gamma) and residual <= tol.rtol:
+    gamma, residual = _fit_case2(c1.entries, c3.entries)
+    if gamma > 0 and residual <= tol.rtol:
         return CASE2, gamma
     return NO_GENSYM, 0.0
 
@@ -106,20 +106,20 @@ class TestCommutatorChain:
 class TestFitCase2:
     def test_pauli_projection(self):
         c1, _, c3 = commutator_chain(SX, PROJ)
-        gamma, residual = _fit_case2(c1.entries, c3.entries, Tolerance())
+        gamma, residual = _fit_case2(c1.entries, c3.entries)
         assert gamma == pytest.approx(1.0, abs=1e-12)
         assert residual <= 1e-12
 
     def test_pauli_involution(self):
         c1, _, c3 = commutator_chain(SX, SZ)
-        gamma, residual = _fit_case2(c1.entries, c3.entries, Tolerance())
+        gamma, residual = _fit_case2(c1.entries, c3.entries)
         assert gamma == pytest.approx(2.0, abs=1e-12)
         assert residual <= 1e-12
 
     def test_rejects_zero_first_commutator(self):
         zero = np.zeros((2, 2))
         with pytest.raises(ValueError):
-            _fit_case2(zero, zero, Tolerance())
+            _fit_case2(zero, zero)
 
     def test_matches_the_whole_array_residual_and_keeps_its_inputs(self):
         # Dense M, case 2, and more rows than one block of the difference.
@@ -127,23 +127,27 @@ class TestFitCase2:
         c1, _, c3 = itertools.islice(
             _commutator_chain(bundle.h.entries, bundle.m), 3)
         saved = c1.tobytes(), c3.tobytes()
-        tol = Tolerance()
-        gamma, residual = _fit_case2(c1, c3, tol)
+        gamma, residual = _fit_case2(c1, c3)
         assert (c1.tobytes(), c3.tobytes()) == saved
         gamma_sq = np.vdot(c1, c3).real / fro(c1) ** 2
         assert gamma == np.sqrt(gamma_sq) == pytest.approx(1.0)
-        assert residual == fro(c3 - gamma_sq * c1) / max(fro(c3), fro(c1),
-                                                         tol.atol)
+        assert residual == fro(c3 - gamma_sq * c1) / fro(c3)
         # Into C3's own buffer, as detect takes it: the same values.
-        assert _fit_case2(c1, c3, tol, out=c3) == (gamma, residual)
+        assert _fit_case2(c1, c3, out=c3) == (gamma, residual)
         assert c1.tobytes() == saved[0] and c3.tobytes() != saved[1]
+
+    def test_vanishing_third_commutator_is_a_numerical_failure(self):
+        # C1 != 0 forces C3 != 0, so C3 = 0 can only be underflow.
+        c1, _, _ = commutator_chain(SX, SZ)
+        with pytest.raises(NumericalError, match="underflows"):
+            _fit_case2(c1.entries, np.zeros((2, 2)))
 
     def test_overflowing_fit_is_a_numerical_failure(self):
         # ||C1||_F^2 beyond the float range: a finite norm, whose square
         # the fit cannot form.
         c1, _, c3 = commutator_chain(1e160 * SX, SZ)
         with pytest.raises(NumericalError, match="overflows"):
-            _fit_case2(c1.entries, c3.entries, Tolerance())
+            _fit_case2(c1.entries, c3.entries)
 
 
 class TestDetect:
@@ -163,6 +167,13 @@ class TestDetect:
     def test_identity_is_genuine(self, rng):
         h = op(random_hermitian(rng, 4))
         assert detect(h, op(np.eye(4))).kind == GENUINE
+
+    @pytest.mark.parametrize("zero", ["H", "M"])
+    def test_zero_operand_is_genuine_with_zero_residual(self, rng, zero):
+        pair = {"H": op(random_hermitian(rng, 4)),
+                "M": op(random_hermitian(rng, 4))}
+        pair[zero] = op(np.zeros((4, 4)))
+        assert detect(pair["H"], pair["M"]) == DetectionResult(kind=GENUINE)
 
     def test_generic_pair_rejected(self, rng):
         h = op(random_hermitian(rng, 16))

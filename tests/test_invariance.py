@@ -1,4 +1,4 @@
-"""Covariance of the analysis under a diagonal unitary phase and a scale.
+"""Covariance of the analysis under a diagonal unitary phase and scales.
 
 Conjugating a real pair by D = diag(exp(i theta)) makes H complex and
 leaves a diagonal M unchanged, so the complex pair (D H D^dag, M) runs the
@@ -12,9 +12,10 @@ such a phase when every operator is stored complex (3 of 10 uniform draws
 of theta for hardcore_chain(4, 0.2)), because repeated eigenvalues of the
 compressions P_E M P_E leave a rotation free in the canonical basis.
 
-Scaling H by a > 0 scales R and leaves its eigenvectors, gamma and every
-stability relation as they are, so the verdict and each record's case,
-stability and annihilation flags must not move with a.
+Scaling (H, M) to (aH, cM) with a, c > 0 scales R by a and gamma by c,
+and leaves the eigenvectors and every stability relation as they are, so
+the verdict, whether the triple verifies, and each record's case,
+stability and annihilation flags must not move with a or c.
 """
 
 import numpy as np
@@ -27,6 +28,8 @@ from gensym.models import (angular_block, fermion_chain, hardcore_chain,
                            involution_example, jaynes_cummings,
                            projection_example, random_triple)
 from gensym.operators import Tolerance, make_operator
+
+from conftest import random_hermitian
 
 REAL_PAIRS = {
     "angular_l2": angular_block(2, -0.125, 0.1),
@@ -87,30 +90,60 @@ SCALED_PAIRS = {
     "involution_12": lambda: involution_example(12, 1),
 }
 
-# At a = 1e-7 two eigenvalues of jc_31's H lie 9.9e-10 apart, below the
-# absolute floor atol = 1e-9 of Tolerance.gap, so they merge into one
-# H-cluster and the canonical basis, hence their records, changes.
-ATOL_MERGE = pytest.mark.xfail(
-    strict=True, reason="Tolerance.gap's atol floor merges two H-eigenvalues")
 
-
-def _stability_summary(h, m):
-    """The verdict, and the scale-free fields of every stability record."""
-    report = analyze_pair(h, m, Tolerance())
-    return report["detection"]["kind"], [
+def _summary_at(h, m, a=1.0, c=1.0):
+    """The verdict, whether the triple verifies, gamma and the scale-free
+    fields of every stability record of (H, M) scaled to (aH, cM)."""
+    report = analyze_pair(make_operator(h.dim, a * h.entries),
+                          make_operator(m.dim, c * m.entries), Tolerance())
+    verdict = report["detection"]["kind"], report["triple"]["verified"]
+    return verdict, report["triple"]["gamma"][0], [
         (r["primary_case"], r["stable"], r["r_annihilates"],
          r["rd_annihilates"], r["sum_annihilates"])
         for r in report["stability"]["records"]]
 
 
-@pytest.mark.parametrize("name, scale", [
-    pytest.param(name, scale, marks=ATOL_MERGE
-                 if (name, scale) == ("jc_31", 1e-7) else ())
-    for name in SCALED_PAIRS for scale in (1e-7, 1e-4, 1e4, 1e7)])
-def test_scaling_h_leaves_the_stability_cases_unchanged(name, scale):
+def _scale_rows():
+    """(name, a, c) for H*a, M*c and (H, M)*(c, c) on every model, keeping
+    the ids of the H*a rows, and the angular_l2 rows that gave no_gensym
+    or genuine while the gates had absolute floors."""
+    for name in SCALED_PAIRS:
+        for scale in (1e-7, 1e-4, 1e4, 1e7):
+            yield pytest.param(name, scale, 1.0, id=f"{name}-{scale}")
+            yield pytest.param(name, 1.0, scale, id=f"{name}-M{scale}")
+            yield pytest.param(name, scale, scale, id=f"{name}-HM{scale}")
+    for a, c in ((1.0, 1e-6), (1e-6, 1e-6), (1e-6, 1e-2), (1e6, 1.0),
+                 (1e-10, 1.0), (1.0, 1e-9), (1.0, 1e9)):
+        yield pytest.param("angular_l2", a, c, id=f"angular_l2-H{a}-M{c}")
+
+
+@pytest.mark.parametrize("name, a, c", _scale_rows())
+def test_scaling_h_leaves_the_stability_cases_unchanged(name, a, c):
     bundle = SCALED_PAIRS[name]()
-    h, m = bundle.h, bundle.m
-    base = _stability_summary(h, m)
-    assert base[0] == "case2"
-    scaled = make_operator(h.dim, scale * h.entries)
-    assert _stability_summary(scaled, m) == base
+    verdict, gamma, records = _summary_at(bundle.h, bundle.m)
+    assert verdict == ("case2", True)
+    scaled_verdict, scaled_gamma, scaled_records = _summary_at(
+        bundle.h, bundle.m, a, c)
+    assert (scaled_verdict, scaled_records) == (verdict, records)
+    assert scaled_gamma == pytest.approx(c * gamma, rel=1e-12)
+
+
+@pytest.mark.parametrize("target", ["H", "M"])
+def test_shifting_h_or_m_leaves_the_stability_cases_unchanged(target):
+    bundle = SCALED_PAIRS["angular_l2"]()
+    pair = {"H": bundle.h, "M": bundle.m}
+    a = pair[target]
+    pair[target] = make_operator(a.dim, a.entries + 1e3 * np.eye(a.dim))
+    assert (_summary_at(pair["H"], pair["M"])
+            == _summary_at(bundle.h, bundle.m))
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-9, 1e-12])
+def test_a_random_pair_is_no_gensym_at_every_scale_of_h(scale):
+    rng = np.random.default_rng(5)
+    h, m = (make_operator(16, random_hermitian(rng, 16)) for _ in range(2))
+    base = analyze_pair(h, m, Tolerance())["detection"]
+    scaled = analyze_pair(make_operator(16, scale * h.entries), m,
+                          Tolerance())["detection"]
+    assert base["kind"] == scaled["kind"] == "no_gensym"
+    assert scaled["residual"] == pytest.approx(base["residual"], rel=1e-12)

@@ -47,13 +47,15 @@ MODEL_HAMILTONIANS = [
 class TestTolerance:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                        -float("inf"), -1e-12])
-    @pytest.mark.parametrize("field", ["atol", "rtol"])
+    @pytest.mark.parametrize("field", ["rtol"])
     def test_rejects_non_finite_or_negative(self, field, value):
         with pytest.raises(ValueError, match="finite and non-negative"):
             Tolerance(**{field: value})
 
     def test_accepts_zero(self):
-        assert Tolerance(atol=0.0, rtol=0.0).gap(1.0) == 0.0
+        # rtol = 0 merges equal values only, however close the others are.
+        assert cluster_eigenvalues([0.0, 0.0, 5e-324], 1.0,
+                                   Tolerance(rtol=0.0)) == ((0, 2), (2, 3))
 
 
 class TestMakeOperator:
@@ -515,7 +517,7 @@ class TestClusterEigenvalues:
         assert cluster_eigenvalues([0, 5e-10, 1], 1.0) == ((0, 2), (2, 3))
 
     def test_custom_tolerance(self):
-        tol = Tolerance(atol=0.5, rtol=0.0)
+        tol = Tolerance(rtol=0.5)
         assert cluster_eigenvalues([0.0, 0.4, 0.8, 2.0], 1.0, tol) == \
             ((0, 3), (3, 4))
 
@@ -536,7 +538,7 @@ class TestClusterEigenvalues:
         tol = Tolerance()
         for n in (2, 7, 64, 500):
             # Steps of zero, of exactly the gap, just above it, and large.
-            gap = tol.gap(1.0)
+            gap = tol.rtol * 1.0
             steps = rng.choice([0.0, gap, np.nextafter(gap, 1.0), 0.3], size=n)
             values = np.cumsum(steps) - 5.0
             clusters = cluster_eigenvalues(values, 1.0, tol)

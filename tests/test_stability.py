@@ -12,6 +12,7 @@ from gensym import (
     canonicalize,
     cli,
     hermitian_eigh,
+    make_operator,
     reconstruct_case2,
     scan_spectrum_stability,
     stability,
@@ -347,3 +348,30 @@ def test_random_triples_have_no_case_2_or_3(level_dims, gamma, seed):
     report = cli.analyze_pair(bundle.h, bundle.m, Tolerance())
     assert report["detection"]["kind"] == "case2"
     assert not _screened_cases(report) & {2, 3}
+
+
+@pytest.mark.parametrize("shift", [1e3, 1e6, -1e6])
+def test_partners_stay_finite_when_m_is_shifted(shift):
+    # exp(-zM) psi on M + dI: exp(-z mu) overflowed for d = 1e3, and a NaN
+    # partner residual passed the residual gate.
+    bundle = jaynes_cummings(1.0, 1.0, 0.1, cutoff=16)
+    m = make_operator(bundle.m.dim,
+                      bundle.m.entries + shift * np.eye(bundle.m.dim))
+    report = cli.analyze_pair(bundle.h, m, Tolerance())
+    assert report["stability"]["counts"] == {"1": 2, "5": 32}
+    residuals = [r["partner"]["residual"]
+                 for r in report["stability"]["records"] if "partner" in r]
+    assert len(residuals) == 32
+    assert max(residuals) <= Tolerance().rtol * bundle.h.norm
+
+
+def test_a_nan_partner_residual_fails_the_gate(monkeypatch):
+    bundle = jaynes_cummings(1.0, 1.0, 0.1, cutoff=4)
+    triple = canonicalize(
+        reconstruct_case2(bundle.h, bundle.m, bundle.known.gamma))
+    h_spec = canonical_eigenbasis(bundle.h, bundle.m)
+    m_spec = hermitian_eigh(bundle.m)
+    monkeypatch.setattr(stability, "_m_basis",
+                        lambda spec, x, inverse=False: np.full_like(x, np.nan))
+    with pytest.raises(ValueError, match="partner residual nan"):
+        scan_spectrum_stability(h_spec, triple, m_spec)
