@@ -280,7 +280,7 @@ def run_sweep(args: argparse.Namespace) -> int:
             held_m, m_spec, gammas = me, None, []
         if result.kind == CASE2:
             gammas.append(result.gamma1)
-            if max(gammas) - min(gammas) > 1e-8:
+            if max(gammas) - min(gammas) > tol.rtol * max(gammas):
                 raise NumericalError(
                     f"gamma drifts at fixed M: {min(gammas)} .. {max(gammas)}")
         h_spec, m_spec, part = _multiplet_stage(bundle.h, bundle.m, tol,

@@ -6,12 +6,18 @@ gamma.  In finite dimension the spectrum of M is discrete, so gamma is
 real (paper, Theorem 2).  The split is decided by fitting the third
 nested commutator of H with M against the first, C3 = gamma^2 C1, and
 the triple (H0, R, gamma) is then reconstructed in closed form.
+
+Both run on (H / 2^a, M / 2^b), with 2^a and 2^b just above ||H||_F and
+||M||_F.  The relation is homogeneous and a power-of-two scale is exact,
+so every bit of the result is that of the unscaled arithmetic wherever
+that stays inside the float range, and is defined far beyond it.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -89,19 +95,26 @@ def _require_hermitian_pair(h: Operator, m: Operator):
         raise ValueError(f"M ({m.label!r}) is not Hermitian within gate")
 
 
-def _commutator_chain(he: np.ndarray, m: Operator):
-    """Yield C_1, C_2, ... with C_k = [C_{k-1}, M] and C_0 = H.
+def _unit(norm: float) -> int:
+    """a with 2^a just above ``norm`` (0 for 0), 2^a and 2^-a finite."""
+    return min(max(math.frexp(norm)[1], -1022), 1023)
+
+
+def _commutator_chain(he: np.ndarray, m: Operator, a: int = 0, b: int = 0):
+    """Yield C_1, C_2, ... with C_k = [C_{k-1}, M / 2^b], C_0 = H / 2^a.
 
     For Hermitian H and M, C_k is anti-Hermitian for odd k and Hermitian
-    for even k, so C_k = X - X^dag or X + X^dag with X = C_{k-1} M: one
-    gemm per commutator (a column scale for a real diagonal M), and each
-    C_k is exactly (anti-)Hermitian.  C_k is formed in place in the gemm's
-    output, so the chain holds one n^2 array per commutator taken.  Lazy,
-    so a caller pays only for the commutators it takes.
+    for even k, so C_k = X - X^dag or X + X^dag with X = C_{k-1} M / 2^b:
+    one gemm per commutator (a column scale for a real diagonal M), and
+    each C_k is exactly (anti-)Hermitian.  C_k is formed in place in the
+    gemm's output, so the chain holds one n^2 array per commutator taken
+    (H / 2^a is dropped once C_1 exists).  Lazy, so a caller pays only
+    for the commutators it takes.
     """
-    c = he
+    c = he * 2.0 ** -a
     for k in itertools.count(1):
         c = _times_m(c, m)
+        c *= 2.0 ** -b
         yield _add_adjoint(c, -1 if k % 2 else 1, c)
 
 
@@ -117,15 +130,10 @@ def _fit_case2(c1: np.ndarray, c3: np.ndarray,
     n1 = fro(c1)
     if n1 == 0.0:
         raise ValueError("the case-2 fit requires [H,M] != 0")
-    try:
-        n1_sq = n1 ** 2
-    except OverflowError:
-        raise NumericalError(
-            f"the case-2 fit overflows: ||[H,M]||_F = {n1:.3e}") from None
     n3 = fro(c3)
     if n3 == 0.0:  # C1 != 0 implies C3 != 0 in exact arithmetic
         raise NumericalError("the case-2 fit underflows: C3 = 0, C1 != 0")
-    gamma_sq = np.vdot(c1, c3).real / n1_sq
+    gamma_sq = np.vdot(c1, c3).real / n1 ** 2
     if out is None:
         out = np.empty(c3.shape, np.result_type(c3, c1))
     step = max(1, TILE ** 2 // len(c3))
@@ -141,17 +149,18 @@ def detect(h: Operator, m: Operator, tol: Tolerance = DEFAULT_TOL) -> DetectionR
 
 
 def _detect(h: Operator, m: Operator, tol: Tolerance):
-    """detect, plus the commutators (C1, C2) when the verdict is case 2.
+    """detect, plus (C1, C2, a, b) when the verdict is case 2.
 
-    The commutators are what reconstruction needs, so a caller that goes
-    on to reconstruct does not form them again; for any other verdict
-    they are dropped here.
+    C1 and C2 are the commutators of (H / 2^a, M / 2^b) that
+    reconstruction needs, so a caller that goes on to reconstruct does not
+    form them again; for any other verdict they are dropped here.
     """
     _require_hermitian_pair(h, m)
-    he = h.entries
-    chain = _commutator_chain(he, m)
+    h_norm, m_norm = fro(h.entries), fro(m.entries)
+    a, b = _unit(h_norm), _unit(m_norm)
+    chain = _commutator_chain(h.entries, m, a, b)
     c1 = next(chain)
-    n1, scale = fro(c1), fro(he) * fro(m.entries)
+    n1, scale = fro(c1), math.ldexp(h_norm, -a) * math.ldexp(m_norm, -b)
     if n1 <= tol.rtol * scale:  # so for a zero H or M, where C1 = 0
         return DetectionResult(kind=GENUINE,
                                residual=n1 / scale if n1 else 0.0), None
@@ -161,8 +170,8 @@ def _detect(h: Operator, m: Operator, tol: Tolerance):
     # The fit's difference overwrites C3: detection holds C1, C2 and C3.
     gamma, residual = _fit_case2(c1, c3, out=c3)
     if gamma > 0 and residual <= tol.rtol:
-        return DetectionResult(kind=CASE2, gamma1=gamma,
-                               residual=residual), (c1, c2)
+        return DetectionResult(kind=CASE2, gamma1=math.ldexp(gamma, b),
+                               residual=residual), (c1, c2, a, b)
     return DetectionResult(kind=NO_GENSYM, residual=residual), None
 
 
@@ -184,15 +193,10 @@ def _commutes_h0(x: np.ndarray, h0: np.ndarray, bound: float) -> bool:
     H, of which it is a part, as it may be pure rounding.
 
     With X = R^dag R or R R^dag, X H0 is cubic in the scale of H and
-    overflows once H is scaled past about 1e103.  Only then, as in fro,
-    are the gemms taken again on X' = X / ||X||_F.
+    would overflow once H is scaled past about 1e103, so the gemms take X
+    over the power of two just above ||X||_F, which is exact.
     """
-    scale = fro(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = fro(x @ h0 - h0 @ x)
-    if norm < np.inf and scale * bound < np.inf:
-        return norm <= scale * bound
-    x = x / scale
+    x = x * 2.0 ** -_unit(fro(x))
     return fro(x @ h0 - h0 @ x) <= fro(x) * bound
 
 
@@ -202,21 +206,25 @@ def reconstruct_case2(h: Operator, m: Operator, gamma: float,
 
     ``tol`` is not read: verify_triple grades the triple.
     """
-    c1, c2 = itertools.islice(_commutator_chain(h.entries, m), 2)
-    return _reconstruct_case2(h.entries, c1, c2, gamma)
+    a, b = _unit(fro(h.entries)), _unit(fro(m.entries))
+    c1, c2 = itertools.islice(_commutator_chain(h.entries, m, a, b), 2)
+    return _reconstruct_case2(h.entries, c1, c2, a, b, gamma)
 
 
 def _reconstruct_case2(he: np.ndarray, c1: np.ndarray, c2: np.ndarray,
-                       gamma: float) -> GenSymTriple:
-    """reconstruct_case2 from H and the commutators C1 and C2 already formed.
+                       a: int, b: int, gamma: float) -> GenSymTriple:
+    """reconstruct_case2 from H and the commutators C1 and C2 of
+    (H / 2^a, M / 2^b) already formed.
 
-    With C1 = gamma (R - R^dag) and C2 = gamma^2 (R + R^dag):
-    R = (C2 + gamma C1) / (2 gamma^2) and H0 = H - C2 / gamma^2.
+    With g = gamma / 2^b, C1 = g (R' - R'^dag) and C2 = g^2 (R' + R'^dag):
+    R' = (C2 + g C1) / (2 g^2) and H0' = H / 2^a - C2 / g^2, and the
+    triple is (2^a H0', 2^a R', gamma).
     """
     gamma = _real_nonzero(gamma)
-    gamma_sq = gamma ** 2
-    r = (c2 + gamma * c1) / (2.0 * gamma_sq)
-    h0 = (-c2 + gamma_sq * he) / gamma_sq
+    g = math.ldexp(gamma, -b)
+    g_sq = g ** 2
+    r = (c2 + g * c1) / (2.0 * g_sq) * 2.0 ** a
+    h0 = (he * 2.0 ** -a * g_sq - c2) / g_sq * 2.0 ** a
     return GenSymTriple(h0=h0, r=r, gamma=gamma)
 
 
@@ -247,6 +255,7 @@ class TripleReport:
                 and self.h0_hermitian_ok)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_triple(h: Operator, m: Operator, triple: GenSymTriple,
                   tol: Tolerance = DEFAULT_TOL) -> TripleReport:
     """Recompute the triple residuals against (H, M) and grade each one."""

@@ -178,8 +178,8 @@ def _jaynes_cummings_family(cutoff: int):
 # The chains live on the 2^L occupation bit strings s, site j (1-based)
 # at bit j-1.  Their Jordan-Wigner operators are signed permutations, so
 # every parameter-free operator below is a scatter of exact values into
-# +0.0 zeros, equal bit for bit to the products of the dense kron
-# matrices that define it (tests/test_models.py keeps those as references).
+# +0.0 zeros, or an exact product of such, equal bit for bit to the dense
+# kron products that define it (tests/test_models.py keeps those).
 
 def _jordan_wigner_ops(sites: int):
     """Annihilators B_1..B_L as ``(states, signs)`` pairs.
@@ -278,34 +278,21 @@ def hardcore_chain(sites: int, z: complex) -> ModelBundle:
     [Q, M] = -Q gives gamma = -1 for R = conj(z) Q.
 
     Q_i = P_i B_i^dag fills site i of each state whose site i and both
-    neighbours are empty, with the sign of B_i.  Q and H0 are scatters of
-    these exact +-1 terms: (Q Q^dag)[a, b] sums Q_i[a, s] Q_k[b, s] over
-    shared columns s, (Q^dag Q)[a, b] sums Q_i[t, a] Q_k[t, b] over
-    shared rows t.
+    neighbours are empty, with the sign of B_i; Q is one scatter of these
+    +-1 terms per site, and H0 = Q Q^T + Q^T Q two real products, whose
+    every entry is a sum of products of +-1, exact in any order.
     """
     if not 2 <= sites <= 8:
         raise ValueError(f"sites must be in 2..8, got {sites}")
     z = complex(z)
     dim = 2 ** sites
-    # by_col[i][s] = Q_i[s | 2^i, s] and by_row[i][t] = Q_i[t, t ^ 2^i].
-    by_col = np.zeros((sites, dim))
-    by_row = np.zeros((sites, dim))
-    for i, (filled, signs) in enumerate(_jordan_wigner_ops(sites)):
-        empty = filled ^ (1 << i)
-        neighbours = sum(1 << j for j in (i - 1, i + 1) if 0 <= j < sites)
-        keep = empty & neighbours == 0
-        by_col[i, empty[keep]] = signs[keep]
-        by_row[i, filled[keep]] = signs[keep]
     q = np.zeros((dim, dim))
-    h0 = np.zeros((dim, dim))
-    for i in range(sites):
-        s = np.flatnonzero(by_col[i])
-        q[s | 1 << i, s] = by_col[i, s]
-        for k in range(sites):
-            s = np.flatnonzero(by_col[i] * by_col[k])
-            h0[s | 1 << i, s | 1 << k] += by_col[i, s] * by_col[k, s]
-            t = np.flatnonzero(by_row[i] * by_row[k])
-            h0[t ^ 1 << i, t ^ 1 << k] += by_row[i, t] * by_row[k, t]
+    for i, (filled, signs) in enumerate(_jordan_wigner_ops(sites)):
+        neighbours = sum(1 << j for j in (i - 1, i + 1) if 0 <= j < sites)
+        keep = filled & neighbours == 0
+        q[filled[keep], filled[keep] ^ 1 << i] = signs[keep]
+    h0 = q @ q.T
+    h0 += q.T @ q
     r = z.conjugate() * q
     h = h0 + r + r.conj().T
     return ModelBundle(

@@ -53,20 +53,18 @@ DEFAULT_TOL = Tolerance()
 def _largest_norm(a: np.ndarray, axis=None) -> float:
     """max of np.linalg.norm(a, axis=axis), finite for finite entries.
 
-    The plain sum of squares overflows once entries reach about 1e154;
-    only then is the norm taken again on a / max|a_ij|, whose sum of
-    squares cannot overflow.
+    The plain sum of squares overflows once entries reach about 1e154 and
+    drops its terms once they fall below about 1e-154; only then is the
+    norm taken again on a * 2^-+600 and scaled back, both exact.
     """
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(a, axis=axis)
-    largest = float(norm if axis is None else np.max(norm))
-    if largest != np.inf:
-        return largest
-    with np.errstate(over="ignore", invalid="ignore"):
-        peak = np.max(np.abs(a))
-        if not peak < np.inf:
+        largest = float(norm if axis is None else np.max(norm))
+        if 2.0 ** -450 < largest < np.inf or not a.any():
             return largest
-        return float(peak * np.max(np.linalg.norm(a / peak, axis=axis)))
+        shift = 600 if largest < np.inf else -600
+        norm = np.linalg.norm(a * 2.0 ** shift, axis=axis)
+    return float(np.max(norm)) * 2.0 ** -shift
 
 
 def fro(a: np.ndarray) -> float:
@@ -274,11 +272,13 @@ def hermitian_eigh(a: Operator, tol: Tolerance = DEFAULT_TOL) -> SpectralDecompo
 
     A real diagonal operator is solved by the stable sort of its diagonal,
     with the unit columns in that order as eigenvectors (their phases are
-    canonical already); A V is then the column gather A[:, order].  The
-    eigenpair residual A V - V diag(w) is formed in A V's own buffer.
+    canonical already); its eigenpair residual A V - V diag(w) is exactly
+    zero, column o being d_o e_o - e_o d_o.  A dense operator is solved by
+    eigh, and its residual is formed in A V's own buffer and checked.
     """
     if not a.hermitian:
         raise ValueError(f"operator {a.label!r} is not Hermitian within gate")
+    scale = fro(a.entries)
     d = a.real_diagonal
     if d is None:
         sym = _add_adjoint(a.entries, 1)
@@ -287,19 +287,17 @@ def hermitian_eigh(a: Operator, tol: Tolerance = DEFAULT_TOL) -> SpectralDecompo
         del sym  # before the canonical copy of v is made
         v = phase_canonicalize(v)
         order, av = None, a.entries @ v
+        av -= v * w[np.newaxis, :]
+        residual = _largest_norm(av, axis=0)
+        if residual > EIGH_RESIDUAL_BOUND * scale:
+            raise NumericalError(f"eigensolver residual {residual:.3e} "
+                                 f"exceeds contract for {a.label!r}")
     else:
         order = np.argsort(d, kind="stable")
         w = d[order]
         v = np.zeros((a.dim, a.dim))
         v[order, np.arange(a.dim)] = 1.0
-        av = a.entries[:, order]
         order.setflags(write=False)
-    scale = fro(a.entries)
-    av -= v * w[np.newaxis, :]
-    residual = _largest_norm(av, axis=0)
-    if residual > EIGH_RESIDUAL_BOUND * scale:
-        raise NumericalError(
-            f"eigensolver residual {residual:.3e} exceeds contract for {a.label!r}")
     clusters = cluster_eigenvalues(w, scale, tol)
     w.setflags(write=False)
     v.setflags(write=False)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .operators import Operator, make_operator
+from .operators import NumericalError, Operator, make_operator
 
 FORMAT_ERROR = "malformed operator document"
 
@@ -37,7 +37,7 @@ def operator_from_dict(doc: dict) -> Operator:
         raise ValueError(FORMAT_ERROR)
     dim = doc["dim"]
     rows = doc["entries"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # bool is an int subclass
         raise ValueError(f"{FORMAT_ERROR}: bad dim {dim!r}")
     if not isinstance(rows, list) or len(rows) != dim:
         raise ValueError(f"{FORMAT_ERROR}: entries are not {dim} rows")
@@ -112,7 +112,12 @@ def complex_pair(value: complex):
 
 
 def dump_json(doc: dict, path: Optional[str] = None) -> str:
-    text = json.dumps(doc, indent=1)
+    """JSON text of ``doc``, also written to ``path`` when given; a
+    non-finite value, which JSON cannot hold, raises NumericalError."""
+    try:
+        text = json.dumps(doc, indent=1, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"report is not JSON: {exc}") from None
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -103,6 +103,15 @@ class TestSerialization:
             operator_from_dict({"dim": 3,
                                 "entries": [[[0.0, 0.0]] * 2] * 2})
 
+    @pytest.mark.parametrize("doc", [
+        [[[0.0, 0.0]]], {"entries": [[[0.0, 0.0]]]},
+        {"dim": 0, "entries": []}, {"dim": 1.0, "entries": [[[0.0, 0.0]]]},
+        {"dim": True, "entries": [[[0.0, 0.0]]]},
+    ], ids=["list", "no_dim", "dim_0", "float_dim", "bool_dim"])
+    def test_rejects_document_or_dim_of_wrong_kind(self, doc):
+        with pytest.raises(ValueError, match="malformed operator document"):
+            operator_from_dict(doc)
+
     def test_rejects_bad_cells(self):
         for cell in ([1.0], [1.0, 2.0, 3.0], "x", [True, 0.0]):
             with pytest.raises(ValueError):
@@ -244,6 +253,15 @@ class TestModelCommand:
         assert code == EXIT_OK
         assert not (tmp_path / "pr_R.json").exists()
 
+    def test_involution_files(self, tmp_path):
+        prefix = str(tmp_path / "inv_")
+        code = main(["model", "involution", "--dim", "6", "--seed", "2",
+                     "--out-prefix", prefix])
+        assert code == EXIT_OK
+        m = load_operator(prefix + "M.json").entries
+        np.testing.assert_allclose(m @ m, np.eye(6), atol=1e-12)
+        assert not (tmp_path / "inv_R.json").exists()
+
     def test_bad_model_parameter_exit_code(self, tmp_path):
         code = main(["model", "hardcore", "--sites", "40",
                      "--out-prefix", str(tmp_path / "x_")])
@@ -318,6 +336,30 @@ class TestAnalyzeCommand:
         report = load_report(out)
         assert report["tolerances"] == {"rtol": Tolerance().rtol}
         assert report["stability"]["counts"] == {"1": 2, "5": 32}
+
+    def test_report_without_out_goes_to_stdout(self, tmp_path, capsys):
+        prefix = str(tmp_path / "m_")
+        assert main(["model", "angular", "--l", "1",
+                     "--out-prefix", prefix]) == EXIT_OK
+        assert main(["analyze", "--hamiltonian", prefix + "H.json",
+                     "--symmetry", prefix + "M.json"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["detection"]["kind"] == "case2"
+        assert report["stability"]["counts"] == {"1": 1, "5": 2}
+
+    @pytest.mark.parametrize("scale", [1e155, 1e160])
+    def test_report_past_the_float_range_exits_2(self, tmp_path, scale):
+        # Detection runs in power-of-two units and finds case 2, but
+        # verify_triple's [H0, M] leaves the float range: the report would
+        # hold NaN, which JSON cannot, so nothing is written.
+        bundle = angular_block(2, -0.125, 0.1)
+        hp, mp = str(tmp_path / "h.json"), str(tmp_path / "m.json")
+        for a, path in ((bundle.h, hp), (bundle.m, mp)):
+            save_operator(make_operator(a.dim, scale * a.entries), path)
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--hamiltonian", hp, "--symmetry", mp,
+                     "--out", str(out)]) == EXIT_NUMERICAL
+        assert not out.exists()
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-8"])
     def test_tolerance_that_is_not_finite_and_non_negative(self, tmp_path,
@@ -431,11 +473,16 @@ class TestSweepCommand:
         assert main(["sweep", *argv, "--out", str(out)]) == EXIT_OK
         assert out.read_text(encoding="utf-8") == self.reference_sweep(argv)
 
-    @pytest.mark.parametrize("drift, code", [(1e-6, EXIT_NUMERICAL),
-                                             (1e-10, EXIT_OK)])
-    def test_gamma_drift_at_fixed_m(self, monkeypatch, tmp_path, drift,
+    @pytest.mark.parametrize("hbar, drift, code", [
+        pytest.param(1.0, 1e-6, EXIT_NUMERICAL, id="1e-06-2"),
+        pytest.param(1.0, 1e-10, EXIT_OK, id="1e-10-0"),
+        # gamma = 1e9 moves by rounding alone more than 1e-8, but not by
+        # more than rtol * gamma.
+        pytest.param(1e9, 0.0, EXIT_OK, id="hbar_1e9"),
+    ])
+    def test_gamma_drift_at_fixed_m(self, monkeypatch, tmp_path, hbar, drift,
                                     code):
-        # M = L_z is held across a g sweep; gamma may not move under it.
+        # M = hbar L_z is held across a g sweep; gamma may not move under it.
         detect_, step = cli._detect, itertools.count(1)
 
         def drifting_detect(h, m, tol):
@@ -445,9 +492,9 @@ class TestSweepCommand:
 
         monkeypatch.setattr(cli, "_detect", drifting_detect)
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", "angular", "--l", "2", "--param", "g",
-                     "--from", "0.05", "--to", "0.2", "--steps", "3",
-                     "--out", str(out)]) == code
+        assert main(["sweep", "angular", "--l", "2", "--hbar", str(hbar),
+                     "--param", "g", "--from", "0.05", "--to", "0.2",
+                     "--steps", "3", "--out", str(out)]) == code
         assert out.exists() == (code == EXIT_OK)
 
 
@@ -500,9 +547,9 @@ class TestCostModel:
                 return solver(a, *args, **kwargs)
             return recorded
 
-        def recording_chain(he, m):
+        def recording_chain(he, m, *units):
             calls["chain"].append((he.dtype, m.entries.dtype))
-            return chain(he, m)
+            return chain(he, m, *units)
 
         def recording_coordinates(*args):
             result = coordinates(*args)

@@ -142,13 +142,6 @@ class TestFitCase2:
         with pytest.raises(NumericalError, match="underflows"):
             _fit_case2(c1.entries, np.zeros((2, 2)))
 
-    def test_overflowing_fit_is_a_numerical_failure(self):
-        # ||C1||_F^2 beyond the float range: a finite norm, whose square
-        # the fit cannot form.
-        c1, _, c3 = commutator_chain(1e160 * SX, SZ)
-        with pytest.raises(NumericalError, match="overflows"):
-            _fit_case2(c1.entries, c3.entries)
-
 
 class TestDetect:
     def test_projection_symmetry(self, rng):
@@ -288,6 +281,11 @@ class TestVerifyTriple:
         report = verify_triple(h, m, triple)
         assert report.sum_ok and report.h0_commutes_ok
         assert report.degenerate
+
+    def test_rejects_a_triple_of_another_dimension(self):
+        triple = reconstruct_case2(op(SX), op(PROJ), 1.0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            verify_triple(op(np.eye(3)), op(np.eye(3)), triple)
 
 
 class TestCommutesFlags:

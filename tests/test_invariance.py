@@ -105,15 +105,20 @@ def _summary_at(h, m, a=1.0, c=1.0):
 
 def _scale_rows():
     """(name, a, c) for H*a, M*c and (H, M)*(c, c) on every model, keeping
-    the ids of the H*a rows, and the angular_l2 rows that gave no_gensym
-    or genuine while the gates had absolute floors."""
+    the ids of the H*a rows; the angular_l2 rows that gave no_gensym or
+    genuine while the gates had absolute floors; and the angular_l2 rows
+    that gave genuine, no_gensym with a NaN residual, or exit 2 while
+    detection ran in the units of the input, outside about 1e+-60."""
     for name in SCALED_PAIRS:
         for scale in (1e-7, 1e-4, 1e4, 1e7):
             yield pytest.param(name, scale, 1.0, id=f"{name}-{scale}")
             yield pytest.param(name, 1.0, scale, id=f"{name}-M{scale}")
             yield pytest.param(name, scale, scale, id=f"{name}-HM{scale}")
     for a, c in ((1.0, 1e-6), (1e-6, 1e-6), (1e-6, 1e-2), (1e6, 1.0),
-                 (1e-10, 1.0), (1.0, 1e-9), (1.0, 1e9)):
+                 (1e-10, 1.0), (1.0, 1e-9), (1.0, 1e9),
+                 (1e-170, 1.0), (1e-200, 1.0), (1e-100, 1e-100),
+                 (1e-160, 1e-160), (1.0, 1e-100), (1.0, 1e80),
+                 (1e60, 1e60)):
         yield pytest.param("angular_l2", a, c, id=f"angular_l2-H{a}-M{c}")
 
 

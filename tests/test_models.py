@@ -268,6 +268,11 @@ class TestFermionChain:
         with pytest.raises(ValueError):
             fermion_chain(3, 1.0, [0.1])
 
+    @pytest.mark.parametrize("sites", [0, 11])
+    def test_rejects_sites_out_of_range(self, sites):
+        with pytest.raises(ValueError, match="sites must be in 1..10"):
+            fermion_chain(sites, 1.0)
+
     @staticmethod
     def reference_family(sites, sources):
         """fermion_chain as dense kron and gemm products, a builder of eps."""
@@ -414,6 +419,12 @@ class TestRandomExamples:
             result = detect(*_hm(involution_example(6, seed=seed)))
             assert result.kind == CASE2
             assert abs(result.gamma) == pytest.approx(2.0, abs=1e-8)
+
+    @pytest.mark.parametrize("example", [projection_example,
+                                         involution_example])
+    def test_rejects_dim_below_two(self, example):
+        with pytest.raises(ValueError, match="dim must be >= 2"):
+            example(1, seed=0)
 
     def test_determinism(self):
         a = projection_example(8, seed=5)

@@ -80,6 +80,10 @@ class TestMakeOperator:
         with pytest.raises(ValueError):
             make_operator(3, SX)
 
+    def test_rejects_dim_zero(self):
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            make_operator(0, np.zeros((0, 0)))
+
 
 class TestStorageRule:
     """float64 when every imaginary part is +0.0 bit for bit, else complex128."""
@@ -342,6 +346,27 @@ class TestHermitianEigh:
         with pytest.raises(ValueError):
             hermitian_eigh(op([[0, 1], [0, 0]]))
 
+    def test_dense_residual_outside_the_contract_raises(self, monkeypatch,
+                                                        rng):
+        eigh = np.linalg.eigh
+
+        def shifted_eigh(a):
+            w, v = eigh(a)
+            return w + 1e-8 * np.linalg.norm(a), v
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted_eigh)
+        with pytest.raises(NumericalError, match="residual"):
+            hermitian_eigh(op(random_hermitian(rng, 6), "probe"))
+
+    def test_sorted_diagonal_eigenpairs_are_exact(self):
+        # Column o of A V - V diag(w) is d_o e_o - e_o d_o: exactly zero,
+        # so the sort needs no residual check.
+        a = op(np.diag([1e200, -0.0, 5e-324, 0.0, -3.0, 1e-200, -5e-324]))
+        spec = hermitian_eigh(a)
+        assert spec.order is not None
+        v, w = spec.eigenvectors, spec.eigenvalues
+        assert not np.any(a.entries @ v - v * w[np.newaxis, :])
+
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_dense_solve_holds_four_traced_buffers(self, rng, dtype):
         # V and its canonical copy, then V, A V and the residual's
@@ -429,13 +454,23 @@ class TestHermitianEigvalsh:
 
 
 class TestHugeEntries:
-    """Finite entries beyond 1e154, whose plain sum of squares overflows;
-    every check runs under filterwarnings = error."""
+    """Finite entries beyond 1e154 or below 1e-154, whose plain sum of
+    squares overflows or underflows; every check runs under
+    filterwarnings = error."""
 
     def test_fro_is_finite(self):
         a = np.array([[1e200, 3e200], [0.0, -1e200]])
         assert fro(a) == pytest.approx(np.sqrt(11.0) * 1e200, rel=1e-15)
         assert fro(1j * a) == pytest.approx(np.sqrt(11.0) * 1e200, rel=1e-15)
+
+    @pytest.mark.parametrize("shift", [-1000, -600, -500, 500, 600, 1000])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_fro_scales_exactly_by_powers_of_two(self, rng, shift, dtype):
+        # Tiny entries square to zero and huge ones to inf in the plain
+        # sum of squares; the norm still scales bit for bit.
+        a = random_hermitian(rng, 12)
+        a = a.real if dtype is float else a
+        assert fro(a * 2.0 ** shift) == fro(a) * 2.0 ** shift
 
     def test_gate_rejects_a_huge_non_hermitian_matrix(self):
         a = np.array([[1e200, 3e200], [0.0, -1e200]])
