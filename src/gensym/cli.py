@@ -134,6 +134,7 @@ def _detection_record(result) -> dict:
         "kind": result.kind,
         "gamma1": result.gamma1,
         "residual": result.residual,
+        "screened": result.screened,
     }
 
 

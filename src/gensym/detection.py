@@ -11,6 +11,13 @@ Both run on (H / 2^a, M / 2^b), with 2^a and 2^b just above ||H||_F and
 ||M||_F.  The relation is homogeneous and a power-of-two scale is exact,
 so every bit of the result is that of the unscaled arithmetic wherever
 that stays inside the float range, and is defined far beyond it.
+
+A dense pair from SCREEN_MIN_DIM on is first screened by PROBES seeded
+random vectors V (Freivalds' check): C1 V and C3 V come from thin
+products with H and M alone, and the pair is rejected as no_gensym,
+with no commutator formed, only when neither the genuine gate nor the
+case-2 fit can hold for (C1, C3) but with chance below 2^-40.  Any other
+pair goes on to the exact fit, whose result the screen leaves bit for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .operators import (
     Tolerance,
     _add_adjoint,
     _freeze,
+    _times_block,
     _times_m,
     fro,
 )
@@ -42,6 +50,34 @@ NO_GENSYM = "no_gensym"
 # Bound on ||H0 - H0^dag|| / ||H|| for a verified triple.
 H0_HERMITICITY_BOUND = 1e-10
 
+# Complex Gaussian probe columns of the no_gensym screen, drawn from a
+# fixed seed so that a report is byte-deterministic.
+PROBES = 8
+PROBE_SEED = 20111014
+
+# For V of PROBES columns whose entries have N(0, 1) real and imaginary
+# parts, ||X V||_F^2 / (2 PROBES ||X||_F^2) is a mean of Gamma(PROBES) /
+# PROBES variables weighted by the squared singular values of X.  Its
+# log-MGF is convex in the weights, so rank one is the worst case for
+# both tails, where the Chernoff bounds read
+# P(ratio >= x), P(ratio <= x) <= (x e^(1 - x))^PROBES.  PROBE_UPPER and
+# PROBE_LOWER solve (x e^(1 - x))^8 = 2^-41: each tail has chance below
+# 2^-41, so the screen rejects a pair the exact fit accepts with chance
+# below 2^-40.
+PROBE_UPPER = 6.410282668357736
+PROBE_LOWER = 0.01065501844926679
+# A probe fit residual above PROBE_MARGIN * rtol rejects case 2 (24.5).
+PROBE_MARGIN = math.sqrt(PROBE_UPPER / PROBE_LOWER)
+
+# The screen takes 10 products of an n x n operand by an n x PROBES
+# block (M V, M^2 V, M^3 V, H [V, MV, M^2 V, M^3 V] and three more by M),
+# 10 PROBES n^2 multiply-adds, against the exact chain's 3 n^3.  It runs
+# where it costs at most a third of that: from n = 10 PROBES for a pair
+# with a complex operand, and from twice that for a real pair, whose
+# products with the complex probes run on 2 PROBES real columns.
+SCREEN_MIN_DIM = 10 * PROBES
+SCREEN_MIN_DIM_REAL = 2 * SCREEN_MIN_DIM
+
 
 @dataclass(frozen=True)
 class DetectionResult:
@@ -50,6 +86,8 @@ class DetectionResult:
     kind: str
     gamma1: float = 0.0
     residual: float = 0.0
+    # no_gensym by the probe screen; residual is then the probes' fit's.
+    screened: bool = False
 
     @property
     def gamma(self) -> float:
@@ -153,14 +191,26 @@ def _detect(h: Operator, m: Operator, tol: Tolerance):
 
     C1 and C2 are the commutators of (H / 2^a, M / 2^b) that
     reconstruction needs, so a caller that goes on to reconstruct does not
-    form them again; for any other verdict they are dropped here.
+    form them again; for any other verdict they are dropped here.  A pair
+    the probe screen rejects is no_gensym with ``screened`` set, its
+    residual the probes' fit residual, and forms no commutator.
     """
     _require_hermitian_pair(h, m)
     h_norm, m_norm = fro(h.entries), fro(m.entries)
     a, b = _unit(h_norm), _unit(m_norm)
+    scale = math.ldexp(h_norm, -a) * math.ldexp(m_norm, -b)
+    real = not (np.iscomplexobj(h.entries) or np.iscomplexobj(m.entries))
+    cutoff = SCREEN_MIN_DIM_REAL if real else SCREEN_MIN_DIM
+    # A real diagonal M makes the exact chain O(n^2): no screen.
+    if m.real_diagonal is None and h.dim >= cutoff:
+        residual = _probe_screen(h.entries, m.entries, a, b,
+                                 tol.rtol * scale, tol.rtol)
+        if residual is not None:
+            return DetectionResult(kind=NO_GENSYM, residual=residual,
+                                   screened=True), None
     chain = _commutator_chain(h.entries, m, a, b)
     c1 = next(chain)
-    n1, scale = fro(c1), math.ldexp(h_norm, -a) * math.ldexp(m_norm, -b)
+    n1 = fro(c1)
     if n1 <= tol.rtol * scale:  # so for a zero H or M, where C1 = 0
         return DetectionResult(kind=GENUINE,
                                residual=n1 / scale if n1 else 0.0), None
@@ -173,6 +223,48 @@ def _detect(h: Operator, m: Operator, tol: Tolerance):
         return DetectionResult(kind=CASE2, gamma1=math.ldexp(gamma, b),
                                residual=residual), (c1, c2, a, b)
     return DetectionResult(kind=NO_GENSYM, residual=residual), None
+
+
+def _probe_block(n: int) -> np.ndarray:
+    """The n x PROBES complex probes, the same for every call at n."""
+    rng = np.random.default_rng(PROBE_SEED)
+    return rng.standard_normal((n, 2 * PROBES)).view(np.complex128)
+
+
+def _probe_screen(he: np.ndarray, me: np.ndarray, a: int, b: int,
+                  gate: float, rtol: float) -> Optional[float]:
+    """The probe fit residual when the probes reject the pair, else None.
+
+    Runs on H' = H / 2^a - tr/n I and M' = M / 2^b - tr/n I: the shifts
+    change no commutator, and keep a large trace from cancelling in the
+    products.  C1 V = H'M'V - M'H'V, and C3 V = H'M'^3 V - 3 M'H'M'^2 V +
+    3 M'^2 H'M'V - M'^3 H'V by Horner's rule in M'.  Rejected when
+    ||C1 V|| > sqrt(2 PROBES PROBE_UPPER) ``gate`` (not genuine) and
+    min_beta ||C3 V - beta C1 V|| / ||C3 V|| > PROBE_MARGIN ``rtol`` (no
+    case 2: an exact fit residual within ``rtol`` would give at most that
+    at the exact beta, but with chance below 2^-40).
+    """
+    n = len(he)
+    h, m = he * 2.0 ** -a, me * 2.0 ** -b  # copies, each centred in place
+    for x in (h, m):
+        x[np.diag_indices(n)] -= np.trace(x).real / n
+    powers = [_probe_block(n)]  # V, M'V, M'^2 V, M'^3 V
+    for _ in range(3):
+        powers.append(_times_block(m, powers[-1]))
+    hv, hmv, hm2v, hm3v = np.hsplit(_times_block(h, np.hstack(powers)), 4)
+    del h, powers
+    mhv = _times_block(m, hv)
+    c1v = hmv - mhv
+    if not fro(c1v) > math.sqrt(2 * PROBES * PROBE_UPPER) * gate:
+        return None
+    c3v = hm3v - _times_block(m, 3.0 * hm2v
+                              - _times_block(m, 3.0 * hmv - mhv))
+    n3 = fro(c3v)
+    if n3 == 0.0:  # only by underflow, which the exact fit reports
+        return None
+    beta = np.vdot(c1v, c3v).real / fro(c1v) ** 2
+    residual = fro(c3v - beta * c1v) / n3
+    return residual if residual > PROBE_MARGIN * rtol else None
 
 
 def _commutes(commutator: np.ndarray, a: np.ndarray, b: np.ndarray,

@@ -130,6 +130,17 @@ def _times_m(a: np.ndarray, m: Operator, left: bool = False) -> np.ndarray:
     return d[:, np.newaxis] * a if left else a * d
 
 
+def _times_block(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A V for an n x n A and an n x k block V.
+
+    A real A times a complex V is one real gemm on V's (re, im) float
+    view, n x 2k: numpy's mixed product would cast A to complex.
+    """
+    if np.iscomplexobj(a) or not np.iscomplexobj(v):
+        return a @ v
+    return (a @ np.ascontiguousarray(v).view(np.float64)).view(np.complex128)
+
+
 def _add_adjoint(a: np.ndarray, sign: int,
                  out: Optional[np.ndarray] = None) -> np.ndarray:
     """A + A^dag (sign 1) or A - A^dag (sign -1) in ``out``, returned.
@@ -315,7 +326,7 @@ def _m_basis(m_spec: SpectralDecomposition, x: np.ndarray,
     order = m_spec.order
     if order is None:
         if inverse:
-            return m_spec.eigenvectors @ x
+            return _times_block(m_spec.eigenvectors, x)
         return m_spec._eigenvectors_adjoint @ x
     if not inverse:
         return x[order]

@@ -29,6 +29,7 @@ from gensym.models import (
     angular_block,
     hardcore_chain,
     jaynes_cummings,
+    projection_example,
     random_triple,
 )
 from gensym.operators import Operator, Tolerance, is_hermitian
@@ -695,6 +696,24 @@ class TestCostModel:
         assert report["detection"]["kind"] == "no_gensym"
         assert (full_eigh, full_eigvalsh, chains) == (0, 1, 1)
 
+    def test_screened_no_gensym_forms_no_commutator(self, monkeypatch, rng):
+        # From the cutoff on, the probe screen rejects a dense random pair
+        # from thin products alone.
+        dim = detection.SCREEN_MIN_DIM
+        report, full_eigh, full_eigvalsh, chains = self.analyze_counting(
+            monkeypatch, op(random_hermitian(rng, dim)),
+            op(random_hermitian(rng, dim)))
+        assert report["detection"]["kind"] == "no_gensym"
+        assert report["detection"]["screened"] is True
+        assert (full_eigh, full_eigvalsh, chains) == (0, 1, 0)
+
+    def test_dense_case2_above_the_cutoff_makes_one_chain(self, monkeypatch):
+        bundle = projection_example(detection.SCREEN_MIN_DIM, seed=3)
+        report, full_eigh, full_eigvalsh, chains = self.analyze_counting(
+            monkeypatch, bundle.h, bundle.m)
+        assert report["detection"]["kind"] == "case2"
+        assert report["detection"]["screened"] is False
+        assert (full_eigh, full_eigvalsh, chains) == (2, 0, 1)
 
     def sweep_counting(self, monkeypatch, tmp_path, argv, dense=False):
         """The full-size (dim 3) eigh, eigvalsh and chain calls of a sweep

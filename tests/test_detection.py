@@ -18,7 +18,19 @@ from gensym import (
     verify_triple,
 )
 from gensym.cli import analyze_pair
-from gensym.detection import DetectionResult, _commutator_chain, _fit_case2
+from gensym import detection
+from gensym.detection import (
+    PROBE_LOWER,
+    PROBE_MARGIN,
+    PROBE_UPPER,
+    PROBES,
+    SCREEN_MIN_DIM,
+    SCREEN_MIN_DIM_REAL,
+    DetectionResult,
+    _commutator_chain,
+    _fit_case2,
+    _probe_block,
+)
 from gensym.models import (
     angular_block,
     fermion_chain,
@@ -181,6 +193,16 @@ class TestDetect:
         dim = 256
         h, m = (op(random_hermitian(rng, dim)) for _ in range(2))
         assert traced_peak(lambda: detect(h, m)) <= 16 * (3 * dim ** 2
+                                                         + 4 * TILE ** 2)
+
+    def test_dense_case2_pair_holds_three_commutators(self):
+        # The probe screen runs first and passes the pair on; its copies
+        # are dropped before the chain starts, so the peak is the chain's.
+        bundle = projection_example(256, seed=5)
+        h, m = bundle.h, bundle.m
+        assert h.hermitian and m.hermitian  # gated outside the trace
+        assert detect(h, m).kind == CASE2
+        assert traced_peak(lambda: detect(h, m)) <= 16 * (3 * 256 ** 2
                                                          + 4 * TILE ** 2)
 
     def test_rejects_non_hermitian(self):
@@ -476,3 +498,156 @@ class TestInvariants:
                 bound = 1e-6 * max(1.0, np.linalg.norm(h.entries)
                                    * np.linalg.norm(m.entries))
                 assert np.linalg.norm(c1) <= bound
+
+
+def _unitary(rng, dim):
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim))
+                        + 1j * rng.normal(size=(dim, dim)))
+    return q
+
+
+def _conjugated(bundle, m, rng):
+    u = _unitary(rng, bundle.h.dim)
+    return [make_operator(a.dim, u @ a.entries @ u.conj().T)
+            for a in (bundle.h, m)]
+
+
+def _never_screened():
+    """(name, H, M): dense case-2 and genuine pairs, shifted and noisy."""
+    rng = np.random.default_rng(11)
+    pairs = []
+    for dim in (128, 257):
+        for build in (projection_example, involution_example):
+            bundle = build(dim, seed=3)
+            pairs.append((f"{build.__name__}_{dim}", bundle.h, bundle.m))
+    jc = jaynes_cummings(1.0, 1.0, 0.1, 63)
+    bundles = {"angular_40": angular_block(40, -0.5, 0.1), "jc_63": jc,
+               "hardcore_7": hardcore_chain(7, 0.3 + 0.1j),
+               "random_triple": random_triple([32] * 4, 1.0, seed=4)}
+    for name, bundle in bundles.items():
+        h, m = _conjugated(bundle, bundle.m, rng)
+        n, shift = h.dim, 1e3 * np.eye(h.dim)
+        noise = random_hermitian(rng, n)
+        noise *= Tolerance().rtol / 10 * h.norm / fro(noise)
+        pairs += [(name, h, m),
+                  (f"{name}_h_shift", make_operator(n, h.entries + shift), m),
+                  (f"{name}_m_shift", h, make_operator(n, m.entries + shift)),
+                  (f"{name}_noise", make_operator(n, h.entries + noise), m)]
+    h, m = _conjugated(jc, jc.extras["m_exc"], rng)
+    # Genuine, with ||[H, M]|| at half its gate: the screen's test of
+    # ||C1 V|| needs its Chernoff factor not to reject it.
+    noise = random_hermitian(rng, h.dim)
+    c1 = noise @ m.entries - m.entries @ noise
+    noise *= Tolerance().rtol / 2 * h.norm * m.norm / fro(c1)
+    pairs += [("jc_63_excitations", h, m),
+              ("jc_63_excitations_near_gate",
+               make_operator(h.dim, h.entries + noise), m)]
+    return pairs
+
+
+NEVER_SCREENED = _never_screened()
+
+
+def _random_pair(dim, real=False):
+    """Two random dense Hermitian operators, real symmetric with ``real``."""
+    rng = np.random.default_rng(dim)
+    return [make_operator(dim, a.real if real else a)
+            for a in (random_hermitian(rng, dim) for _ in range(2))]
+
+
+class TestScreen:
+    """The probe screen rejects dense random pairs from thin products, and
+    leaves every pair the exact fit accepts to the exact fit."""
+
+    @staticmethod
+    def spied(monkeypatch):
+        """The residuals (or None) of every probe screen run from here on."""
+        runs = []
+        screen = detection._probe_screen
+
+        def spy(*args):
+            runs.append(screen(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(detection, "_probe_screen", spy)
+        return runs
+
+    @pytest.mark.parametrize("dim,real", [(96, False), (128, False),
+                                          (200, True)])
+    def test_random_dense_pair_is_screened(self, monkeypatch, dim, real):
+        h, m = _random_pair(dim, real)
+        runs = self.spied(monkeypatch)
+        result = detect(h, m)
+        assert result.kind == NO_GENSYM and result.screened
+        assert runs == [result.residual] and detect(h, m) == result
+        c1, _, c3 = itertools.islice(_commutator_chain(h.entries, m), 3)
+        exact = _fit_case2(c1, c3)[1]
+        assert exact / PROBE_MARGIN <= result.residual <= PROBE_MARGIN * exact
+
+    @pytest.mark.parametrize("name,h,m", NEVER_SCREENED,
+                             ids=[p[0] for p in NEVER_SCREENED])
+    def test_pair_the_exact_fit_accepts_is_not_screened(self, monkeypatch,
+                                                         name, h, m):
+        runs = self.spied(monkeypatch)
+        result = detect(h, m)
+        monkeypatch.setattr(detection, "_probe_screen", lambda *args: None)
+        exact = detect(h, m)
+        assert result.kind == exact.kind
+        if (exact.kind == NO_GENSYM
+                and exact.residual > PROBE_MARGIN * Tolerance().rtol):
+            # Far outside case 2: a screened no_gensym is the right verdict.
+            assert runs == [result.residual]
+            assert result.residual == pytest.approx(exact.residual, rel=0.1)
+            return
+        assert runs == [None]
+        assert result == exact and not result.screened
+
+    def test_chernoff_bounds_solve_the_tail_equation(self):
+        assert PROBE_LOWER < 1 < PROBE_UPPER
+        for x in (PROBE_LOWER, PROBE_UPPER):
+            assert (x * np.exp(1 - x)) ** PROBES == pytest.approx(2.0 ** -41,
+                                                                  rel=1e-12)
+        assert PROBE_MARGIN == pytest.approx(24.5, abs=0.05)
+
+    def test_rank_one_tails_stay_inside_the_bounds(self):
+        # Rank one is the worst case for both tails: 10^4 draws of V as
+        # the screen draws it, ||X V||^2 / E||X V||^2 with X = x y^dag.
+        rng = np.random.default_rng(2)
+        dim, draws = 6, 10 ** 4
+        x, y = (rng.normal(size=dim) + 1j * rng.normal(size=dim)
+                for _ in range(2))
+        v = rng.standard_normal((draws, dim, 2 * PROBES)).view(complex)
+        xv = np.einsum("i,j,djk->dik", x, y.conj(), v)
+        expected = 2 * PROBES * np.linalg.norm(x) ** 2 * np.linalg.norm(y) ** 2
+        ratio = np.linalg.norm(xv, axis=(1, 2)) ** 2 / expected
+        assert ratio.mean() == pytest.approx(1.0, abs=0.02)
+        assert PROBE_LOWER <= ratio.min() and ratio.max() <= PROBE_UPPER
+
+    def test_probes_are_seeded(self):
+        v = _probe_block(SCREEN_MIN_DIM)
+        assert v.shape == (SCREEN_MIN_DIM, PROBES) and v.dtype == complex
+        np.testing.assert_array_equal(v, _probe_block(SCREEN_MIN_DIM))
+
+    @pytest.mark.parametrize("dim,real", [(SCREEN_MIN_DIM - 1, False),
+                                          (SCREEN_MIN_DIM_REAL - 1, True)])
+    def test_below_the_cutoff_the_screen_does_not_run(self, monkeypatch,
+                                                      dim, real):
+        h, m = _random_pair(dim, real)
+        runs = self.spied(monkeypatch)
+        assert detect(h, m).kind == NO_GENSYM and runs == []
+
+    def test_diagonal_m_is_not_screened(self, monkeypatch):
+        jc = jaynes_cummings(1.0, 1.0, 0.1, 255)
+        runs = self.spied(monkeypatch)
+        assert detect(jc.h, jc.extras["m_exc"]).kind == GENUINE
+        assert runs == []
+
+    def test_screened_pair_holds_two_copies(self, rng):
+        # The centred H' and M', dropped before the exact chain would
+        # start: no commutator is formed.
+        dim = 256
+        h, m = (op(random_hermitian(rng, dim)) for _ in range(2))
+        assert h.hermitian and m.hermitian  # gated outside the trace
+        assert detect(h, m).screened
+        assert traced_peak(lambda: detect(h, m)) <= 16 * (2 * dim ** 2
+                                                         + 64 * dim * PROBES)

@@ -22,6 +22,7 @@ from gensym.operators import (
     NumericalError,
     _add_adjoint,
     _hermitian_eigvalsh,
+    _times_block,
     cluster_eigenvalues,
     fro,
     is_hermitian,
@@ -282,6 +283,28 @@ class TestAddAdjoint:
         a = op(random_hermitian(rng, dim))
         assert traced_peak(lambda: _hermitian_eigvalsh(a)) <= 16 * (
             dim ** 2 + 4 * TILE ** 2)
+
+
+class TestTimesBlock:
+    """A V for a thin block V, in real arithmetic for a real A."""
+
+    def test_real_operand_times_complex_block_is_one_real_gemm(self, rng):
+        # numpy's mixed product would hold a complex copy of A, 16 n^2 bytes.
+        dim, k = 256, 8
+        a = random_hermitian(rng, dim).real
+        v = rng.normal(size=(dim, 2 * k)).view(complex)[:, ::2]  # strided
+        av = _times_block(a, v)
+        assert av.dtype == np.complex128 and av.shape == (dim, k // 2)
+        np.testing.assert_allclose(av, a @ v, rtol=0, atol=1e-12 * fro(a))
+        assert traced_peak(lambda: _times_block(a, v)) <= 16 * 4 * dim * k
+
+    @pytest.mark.parametrize("a_type,v_type", [(complex, complex),
+                                               (complex, float),
+                                               (float, float)])
+    def test_other_operands_are_the_plain_product(self, rng, a_type, v_type):
+        a = awkward_matrix(rng, 40, a_type)
+        v = awkward_matrix(rng, 40, v_type)[:, :8]
+        assert _times_block(a, v).tobytes() == (a @ v).tobytes()
 
 
 class TestIteratedCommutator:

@@ -1,7 +1,16 @@
-"""The README's Python examples run against the current API."""
+"""The README's Python examples run against the current API, and its
+tables quote the module constants."""
 
 import re
 from pathlib import Path
+
+from gensym.detection import (
+    PROBE_MARGIN,
+    PROBE_UPPER,
+    PROBES,
+    SCREEN_MIN_DIM,
+    SCREEN_MIN_DIM_REAL,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -12,3 +21,13 @@ def test_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_gates_table_quotes_the_probe_screen_constants():
+    row = next(line for line in README.read_text(encoding="utf-8").split("\n")
+               if line.startswith("| `no_gensym` probe screen"))
+    for quoted in (f"n ≥ {SCREEN_MIN_DIM} (a complex operand)",
+                   f"n ≥ {SCREEN_MIN_DIM_REAL} (a real pair)",
+                   f"`V` of {PROBES} probes", f"√(2·{PROBES}·u)",
+                   f"`u = {PROBE_UPPER:.2f}`", f"`{PROBE_MARGIN:.1f}·rtol`"):
+        assert quoted in row
