@@ -71,11 +71,14 @@ PROBE_MARGIN = math.sqrt(PROBE_UPPER / PROBE_LOWER)
 
 # The screen takes 10 products of an n x n operand by an n x PROBES
 # block (M V, M^2 V, M^3 V, H [V, MV, M^2 V, M^3 V] and three more by M),
-# 10 PROBES n^2 multiply-adds, against the exact chain's 3 n^3.  It runs
-# where it costs at most a third of that: from n = 10 PROBES for a pair
-# with a complex operand, and from twice that for a real pair, whose
-# products with the complex probes run on 2 PROBES real columns.
-SCREEN_MIN_DIM = 10 * PROBES
+# 10 PROBES n^2 multiply-adds against the exact chain's 3 n^3, but thin
+# products run far below a square gemm's rate.  It runs from where, timed
+# on one BLAS thread, it costs at most a third of the chain on a dense
+# case-2 pair that it passes on: screen / chain was 0.38-0.42 at n = 128
+# and 0.27-0.30 at n = 160 for a complex pair, and 0.29-0.38 at n = 256
+# and 0.27-0.30 at n = 320 for a real pair, whose products with the
+# complex probes take 2 PROBES real columns and whose chain is real.
+SCREEN_MIN_DIM = 20 * PROBES
 SCREEN_MIN_DIM_REAL = 2 * SCREEN_MIN_DIM
 
 
@@ -259,11 +262,7 @@ def _probe_screen(he: np.ndarray, me: np.ndarray, a: int, b: int,
         return None
     c3v = hm3v - _times_block(m, 3.0 * hm2v
                               - _times_block(m, 3.0 * hmv - mhv))
-    n3 = fro(c3v)
-    if n3 == 0.0:  # only by underflow, which the exact fit reports
-        return None
-    beta = np.vdot(c1v, c3v).real / fro(c1v) ** 2
-    residual = fro(c3v - beta * c1v) / n3
+    residual = _fit_case2(c1v, c3v)[1]
     return residual if residual > PROBE_MARGIN * rtol else None
 
 

@@ -326,7 +326,7 @@ def _m_basis(m_spec: SpectralDecomposition, x: np.ndarray,
     order = m_spec.order
     if order is None:
         if inverse:
-            return _times_block(m_spec.eigenvectors, x)
+            return m_spec.eigenvectors @ x
         return m_spec._eigenvectors_adjoint @ x
     if not inverse:
         return x[order]

@@ -25,7 +25,6 @@ from .operators import (
     SpectralDecomposition,
     Tolerance,
     _m_basis,
-    _times_block,
     fro,
 )
 
@@ -192,8 +191,7 @@ def _partners(ladder: _Ladder, vectors: np.ndarray, eigenvalues: np.ndarray,
     M-cluster: O(n^2) per vector instead of O(n^3).  Each
     exp(-z mu) is taken once per M-cluster and repeated over its rows.
     For a real diagonal M both gemms are row gathers, so each entry psi_i
-    is scaled by its own exp(-z mu_i).  A real H, and a real dense W, take
-    the complex partner block as real gemms on its (re, im) view.
+    is scaled by its own exp(-z mu_i).
     """
     zs, e_second = [], []
     for (x, y), eigenvalue in zip(coeffs, eigenvalues):
@@ -209,7 +207,7 @@ def _partners(ladder: _Ladder, vectors: np.ndarray, eigenvalues: np.ndarray,
     chi = _m_basis(ladder.m_spec,
                    phases * _m_basis(ladder.m_spec, vectors), inverse=True)
     chi_norms = np.linalg.norm(chi, axis=0)
-    residuals = np.linalg.norm(_times_block(ladder.h, chi) - chi * e_second,
+    residuals = np.linalg.norm(ladder.h @ chi - chi * e_second,
                                axis=0) / chi_norms
     bad = np.flatnonzero(~(residuals <= tol.rtol * ladder.h_norm))
     if bad.size:

@@ -516,14 +516,14 @@ def _never_screened():
     """(name, H, M): dense case-2 and genuine pairs, shifted and noisy."""
     rng = np.random.default_rng(11)
     pairs = []
-    for dim in (128, 257):
+    for dim in (SCREEN_MIN_DIM, 257):
         for build in (projection_example, involution_example):
             bundle = build(dim, seed=3)
             pairs.append((f"{build.__name__}_{dim}", bundle.h, bundle.m))
-    jc = jaynes_cummings(1.0, 1.0, 0.1, 63)
-    bundles = {"angular_40": angular_block(40, -0.5, 0.1), "jc_63": jc,
-               "hardcore_7": hardcore_chain(7, 0.3 + 0.1j),
-               "random_triple": random_triple([32] * 4, 1.0, seed=4)}
+    jc = jaynes_cummings(1.0, 1.0, 0.1, 127)
+    bundles = {"angular_80": angular_block(80, -0.5, 0.1), "jc_127": jc,
+               "hardcore_8": hardcore_chain(8, 0.3 + 0.1j),
+               "random_triple": random_triple([48] * 4, 1.0, seed=4)}
     for name, bundle in bundles.items():
         h, m = _conjugated(bundle, bundle.m, rng)
         n, shift = h.dim, 1e3 * np.eye(h.dim)
@@ -539,8 +539,8 @@ def _never_screened():
     noise = random_hermitian(rng, h.dim)
     c1 = noise @ m.entries - m.entries @ noise
     noise *= Tolerance().rtol / 2 * h.norm * m.norm / fro(c1)
-    pairs += [("jc_63_excitations", h, m),
-              ("jc_63_excitations_near_gate",
+    pairs += [("jc_127_excitations", h, m),
+              ("jc_127_excitations_near_gate",
                make_operator(h.dim, h.entries + noise), m)]
     return pairs
 
@@ -572,8 +572,8 @@ class TestScreen:
         monkeypatch.setattr(detection, "_probe_screen", spy)
         return runs
 
-    @pytest.mark.parametrize("dim,real", [(96, False), (128, False),
-                                          (200, True)])
+    @pytest.mark.parametrize("dim,real", [(160, False), (200, False),
+                                          (320, True)])
     def test_random_dense_pair_is_screened(self, monkeypatch, dim, real):
         h, m = _random_pair(dim, real)
         runs = self.spied(monkeypatch)

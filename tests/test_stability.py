@@ -13,7 +13,6 @@ from gensym import (
     cli,
     hermitian_eigh,
     make_operator,
-    operators,
     reconstruct_case2,
     scan_spectrum_stability,
     stability,
@@ -376,36 +375,3 @@ def test_a_nan_partner_residual_fails_the_gate(monkeypatch):
                         lambda spec, x, inverse=False: np.full_like(x, np.nan))
     with pytest.raises(ValueError, match="partner residual nan"):
         scan_spectrum_stability(h_spec, triple, m_spec)
-
-
-@pytest.mark.parametrize("dense", [False, True], ids=["diagonal_m", "dense_m"])
-def test_real_partners_match_the_mixed_dtype_product(monkeypatch, dense):
-    # H and a dense W times the complex partner block run as real gemms on
-    # its (re, im) view; the mixed product they replace casts H and W to
-    # complex.  Only the partner residuals may move, by rounding.
-    bundle = jaynes_cummings(1.0, 1.0, 0.1, cutoff=31)
-    h, m = bundle.h, bundle.m
-    if dense:
-        q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(h.dim,) * 2))
-        h, m = (make_operator(h.dim, q @ a.entries @ q.T) for a in (h, m))
-    assert h.entries.dtype == m.entries.dtype == np.float64
-
-    def scan():
-        triple = canonicalize(reconstruct_case2(h, m, bundle.known.gamma))
-        return scan_spectrum_stability(canonical_eigenbasis(h, m), triple,
-                                       hermitian_eigh(m))
-
-    records = scan()
-    monkeypatch.setattr(stability, "_times_block", lambda a, v: a @ v)
-    monkeypatch.setattr(operators, "_times_block", lambda a, v: a @ v)
-    mixed = scan()
-    partners = [r for r in records if r.partner is not None]
-    assert len(partners) == 62
-    for new, old in zip(records, mixed):
-        assert (new.cases, new.coeffs, new.stable) == (old.cases, old.coeffs,
-                                                       old.stable)
-        if new.partner is not None:
-            assert (new.partner.z, new.partner.e_second) == (
-                old.partner.z, old.partner.e_second)
-            assert abs(new.partner.residual - old.partner.residual) <= (
-                1e-12 * h.norm)
