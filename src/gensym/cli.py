@@ -219,18 +219,22 @@ def analyze_pair(h, m, tol: Tolerance, digests: Optional[dict] = None) -> dict:
         "stability": None,
         "skipped": None,
     }
-    # Only a case-2 verdict goes on to use eigenvectors.
-    if result.kind != CASE2:
+    # Only a verified case-2 triple goes on to use eigenvectors.
+    skipped = {GENUINE: "genuine symmetry: H and M commute, R = 0",
+               NO_GENSYM: "no generalised symmetry detected"}.get(result.kind)
+    if result.kind == CASE2:
+        # The fit returns gamma = sqrt(gamma^2) > 0: the triple is canonical.
+        triple = _reconstruct_case2(h.entries, *commutators, result.gamma1)
+        del commutators
+        report["triple"] = _triple_record(triple,
+                                          verify_triple(h, m, triple, tol))
+        if not report["triple"]["verified"]:
+            skipped = "triple not verified"
+    if skipped:
         report["spectrum"] = _hermitian_eigvalsh(h).tolist()
-        report["skipped"] = ("genuine symmetry: H and M commute, R = 0"
-                             if result.kind == GENUINE
-                             else "no generalised symmetry detected")
+        report["skipped"] = skipped
         return report
 
-    # The fit returns gamma = sqrt(gamma^2) > 0: the triple is canonical.
-    triple = _reconstruct_case2(h.entries, *commutators, result.gamma1)
-    del commutators
-    report["triple"] = _triple_record(triple, verify_triple(h, m, triple, tol))
     h_spec, m_spec, part = _multiplet_stage(h, m, tol)
     report["spectrum"] = h_spec.eigenvalues.tolist()
     report["multiplets"] = _partition_record(part, h_spec, m_spec)

@@ -1,4 +1,4 @@
-"""Stability classification of H-eigenvectors relative to a ladder triple.
+"""Stability of the eigenvectors of H = V diag(w) V^dag under a ladder triple.
 
 An eigenvector psi is stable when {psi, R psi, R^dag psi} are linearly
 dependent, decided in ladder units: R psi / ||R||_F beside the unit psi.
@@ -7,6 +7,7 @@ parallel to psi; case 5 otherwise, with a partner chi = exp(-zM) psi at a
 shifted eigenvalue.  GenSymTriple's real gamma != 0 makes R nilpotent on
 the finite spectrum of M, so cases 2 (R psi = psi / x) and 3
 (R^dag psi = psi / y) have no solution psi != 0 and are not screened.
+H0 is never read, and no eigenvector of H is checked a second time.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ import numpy as np
 from .detection import GenSymTriple
 from .operators import (
     DEFAULT_TOL,
+    NumericalError,
     SpectralDecomposition,
     Tolerance,
     _m_basis,
+    _times_block,
     fro,
 )
 
@@ -62,10 +65,10 @@ class StabilityRecord:
 
 @dataclass(frozen=True, eq=False)
 class _Ladder:
-    """What every stability test of one (triple, M) pair reads, built once."""
+    """What every stability test of one (H, triple, M) reads, built once."""
 
-    h: np.ndarray
-    h_norm: float
+    h_spec: SpectralDecomposition
+    h_norm: float  # ||H||_F = ||w||, the unit of the residual gates
     r: np.ndarray
     r_dag: np.ndarray
     r_norm: float  # ||R||_F, the ladder unit; 1.0 for a zero R
@@ -75,14 +78,13 @@ class _Ladder:
     sizes: np.ndarray
 
 
-def _ladder(triple: GenSymTriple, m_spec: SpectralDecomposition) -> _Ladder:
+def _ladder(h_spec: SpectralDecomposition, triple: GenSymTriple,
+            m_spec: SpectralDecomposition) -> _Ladder:
     r = triple.r
-    r_dag = r.conj().T
-    h = triple.h0 + r + r_dag
     mu, sizes = m_spec.cluster_values()
-    return _Ladder(h=h, h_norm=fro(h), r=r, r_dag=r_dag,
-                   r_norm=fro(r) or 1.0, gamma=triple.gamma,
-                   m_spec=m_spec, mu=mu, sizes=sizes)
+    return _Ladder(h_spec=h_spec, h_norm=fro(h_spec.eigenvalues), r=r,
+                   r_dag=r.conj().T, r_norm=fro(r) or 1.0,
+                   gamma=triple.gamma, m_spec=m_spec, mu=mu, sizes=sizes)
 
 
 def _rank_tests(a: np.ndarray, b: np.ndarray, psi: np.ndarray):
@@ -124,17 +126,8 @@ def _classify_block(ladder: _Ladder, vectors: np.ndarray,
                     eigenvalues: np.ndarray, indices, tol: Tolerance,
                     ) -> List[StabilityRecord]:
     """Classify the columns of ``vectors`` with one gemm per operator."""
-    residuals = np.linalg.norm(ladder.h @ vectors - vectors * eigenvalues,
-                               axis=0)
-    # Written as "not <=" so that a NaN residual fails the check too.
-    bad = np.flatnonzero(~(residuals <= tol.rtol * ladder.h_norm))
-    if bad.size:
-        raise ValueError(
-            f"psi is not an eigenvector of H at E={eigenvalues[bad[0]]} "
-            f"(residual {residuals[bad[0]]:.3e})")
-    a, b = ladder.r @ vectors, ladder.r_dag @ vectors
-    a /= ladder.r_norm
-    b /= ladder.r_norm
+    a, b = (ladder.r @ vectors / ladder.r_norm,
+            ladder.r_dag @ vectors / ladder.r_norm)
     r_annihilates, rd_annihilates, sum_annihilates = (
         np.linalg.norm(v, axis=0) <= STABILITY_CUTOFF for v in (a, b, a + b))
     stable, xs, ys, us = _rank_tests(a, b, vectors)
@@ -178,7 +171,7 @@ def _ladder_exponent(x: complex, y: complex, ladder: _Ladder,
     z = log_ratio / ladder.gamma
     eps = (cmath.exp(-z * ladder.gamma) - 1.0) / x
     if abs(eps.imag) > tol.rtol * ladder.h_norm:
-        raise ValueError(f"eigenvalue shift {eps} is not real")
+        raise NumericalError(f"eigenvalue shift {eps} is not real")
     return z, eps.real
 
 
@@ -191,7 +184,8 @@ def _partners(ladder: _Ladder, vectors: np.ndarray, eigenvalues: np.ndarray,
     M-cluster: O(n^2) per vector instead of O(n^3).  Each
     exp(-z mu) is taken once per M-cluster and repeated over its rows.
     For a real diagonal M both gemms are row gathers, so each entry psi_i
-    is scaled by its own exp(-z mu_i).
+    is scaled by its own exp(-z mu_i).  chi's residual against
+    V diag(w) V^dag, ||(w - E') o (V^T conj(chi))|| / ||chi||, is one gemm.
     """
     zs, e_second = [], []
     for (x, y), eigenvalue in zip(coeffs, eigenvalues):
@@ -207,11 +201,13 @@ def _partners(ladder: _Ladder, vectors: np.ndarray, eigenvalues: np.ndarray,
     chi = _m_basis(ladder.m_spec,
                    phases * _m_basis(ladder.m_spec, vectors), inverse=True)
     chi_norms = np.linalg.norm(chi, axis=0)
-    residuals = np.linalg.norm(ladder.h @ chi - chi * e_second,
-                               axis=0) / chi_norms
+    w, v = ladder.h_spec.eigenvalues, ladder.h_spec.eigenvectors
+    residuals = np.linalg.norm((w[:, np.newaxis] - e_second) * _times_block(
+        v.T, np.conj(chi)), axis=0) / chi_norms
+    # Written as "not <=" so that a NaN residual fails the check too.
     bad = np.flatnonzero(~(residuals <= tol.rtol * ladder.h_norm))
     if bad.size:
-        raise ValueError(
+        raise NumericalError(
             f"partner residual {residuals[bad[0]]:.3e} exceeds tolerance")
     chi = np.ascontiguousarray((chi / chi_norms).T)
     return [PartnerRecord(z=z, chi=chi[j], e_second=e_second[j],
@@ -225,20 +221,20 @@ def scan_spectrum_stability(h_spec: SpectralDecomposition,
                             tol: Tolerance = DEFAULT_TOL) -> List[StabilityRecord]:
     """Classify every eigenvector of H, in index order.
 
-    Algorithm: H = H0 + R + R^dag, ||H||_F (every residual gate accepts up
-    to rtol ||H||_F), ||R||_F and the M-cluster means are built once.
-    Eigenvectors are then taken in column blocks of _BLOCK: per block,
-    H V, R V and R^dag V are three gemms, every eigenvector residual is
-    checked at once, the n x 3 rank tests are one stacked thin SVD, and
-    the case-5 partners W diag(exp(-z mu)) W^dag psi and their residuals
-    are three more gemms (one for a real diagonal M, whose W products are
-    row gathers).
+    H is read only as h_spec, its eigendecomposition V diag(w) V^dag;
+    triple.h0 is never read.  Algorithm: ||H||_F = ||w|| (every residual
+    gate accepts up to rtol ||H||_F), ||R||_F and the M-cluster means are
+    taken once.  Eigenvectors are then taken in column blocks of _BLOCK:
+    per block, R V and R^dag V are two gemms, the n x 3 rank tests are one
+    stacked thin SVD, and the case-5 partners W diag(exp(-z mu)) W^dag psi
+    and their residuals against V diag(w) V^dag are three more gemms (one
+    for a real diagonal M, whose W products are row gathers).
     Each record depends on its own eigenvector only, not on its block.
 
     Memory: besides the n x n operators, O(n * _BLOCK) workspace per
     block, so no (n, n, 3) stack is ever formed.
     """
-    ladder = _ladder(triple, m_spec)
+    ladder = _ladder(h_spec, triple, m_spec)
     records: List[StabilityRecord] = []
     for start in range(0, h_spec.dim, _BLOCK):
         stop = min(start + _BLOCK, h_spec.dim)

@@ -32,6 +32,17 @@ def random_hermitian(rng, dim):
     return (a + a.conj().T) / 2
 
 
+def near_degenerate_pair():
+    """(H, M) entries, dim 8, case 2 with gamma = 1: H has three
+    eigenvalues s apart, one cluster that spreads over 2s > rtol ||H||."""
+    values = np.array([-3.0, -1.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.5])
+    s = 0.9e-8 * np.linalg.norm(values)
+    values[3:5] = s, 2 * s
+    q, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(8, 8)))
+    h = q @ np.diag(values) @ q.T
+    return (h + h.T) / 2, np.diag([1.0] * 4 + [0.0] * 4)
+
+
 def kron_jordan_wigner(sites):
     """Annihilators B_1..B_L as dense complex kron products, site 1 at the
     least significant bit: the reference for the index-map builders."""

@@ -35,7 +35,8 @@ from gensym.models import (
 from gensym.operators import Operator, Tolerance, is_hermitian
 from gensym.serialization import operator_from_dict, operator_to_dict
 
-from conftest import SX, force_dense, load_report, op, random_hermitian
+from conftest import (SX, force_dense, load_report, near_degenerate_pair, op,
+                      random_hermitian)
 
 
 class TestParseComplex:
@@ -362,6 +363,36 @@ class TestAnalyzeCommand:
                      "--out", str(out)]) == EXIT_NUMERICAL
         assert not out.exists()
 
+    def test_near_degenerate_case2_pair_exits_0(self, tmp_path):
+        # Three eigenvalues of H, s apart, form one cluster that spreads
+        # over 2s > rtol ||H||.  The canonical basis rotates it, so its
+        # columns are eigenvectors only to within that spread; 0.9.0
+        # checked them a second time, against rtol ||H||, and exited 3.
+        hp, mp = str(tmp_path / "h.json"), str(tmp_path / "m.json")
+        for a, path in zip(near_degenerate_pair(), (hp, mp)):
+            save_operator(make_operator(8, a), path)
+        out = str(tmp_path / "r.json")
+        assert main(["analyze", "--hamiltonian", hp, "--symmetry", mp,
+                     "--out", out]) == EXIT_OK
+        report = load_report(out)
+        assert report["detection"]["kind"] == "case2"
+        assert report["triple"]["verified"] is True
+        assert report["stability"] is not None
+
+    def test_nan_partner_residual_exits_2(self, tmp_path, monkeypatch):
+        # The partner gate is a numerical check, not an input error.
+        prefix = str(tmp_path / "m_")
+        assert main(["model", "jc", "--cutoff", "4",
+                     "--out-prefix", prefix]) == EXIT_OK
+        monkeypatch.setattr(
+            stability, "_m_basis",
+            lambda spec, x, inverse=False: np.full_like(x, np.nan))
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--hamiltonian", prefix + "H.json",
+                     "--symmetry", prefix + "M.json",
+                     "--out", str(out)]) == EXIT_NUMERICAL
+        assert not out.exists()
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-8"])
     def test_tolerance_that_is_not_finite_and_non_negative(self, tmp_path,
                                                            tol):
@@ -681,6 +712,20 @@ class TestCostModel:
         h, m = rotated(bundle)
         _, calls = self.analyze_recording(monkeypatch, h, m)
         assert calls["eigh"] == [c128, f64]
+
+    def test_unverified_triple_values_only(self, monkeypatch):
+        # At (H, M)·1e155 verify_triple's [H0, M] leaves the float range,
+        # so the triple does not verify: no eigh(H), partition or scan.
+        bundle = angular_block(2, -0.125, 0.1)
+        h, m = (make_operator(a.dim, 1e155 * a.entries)
+                for a in (bundle.h, bundle.m))
+        report, calls = self.analyze_recording(monkeypatch, h, m)
+        assert report["detection"]["kind"] == "case2"
+        assert report["triple"]["verified"] is False
+        assert report["multiplets"] is None and report["stability"] is None
+        assert report["skipped"] == "triple not verified"
+        assert (len(calls["eigh"]), len(calls["eigvalsh"]),
+                len(calls["svd"])) == (0, 1, 0)
 
     def test_genuine_values_only(self, monkeypatch):
         jc = jaynes_cummings(1.3, 1.0, 0.2, cutoff=8)

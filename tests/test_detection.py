@@ -187,13 +187,15 @@ class TestDetect:
         assert result.kind == NO_GENSYM
         assert result.residual > 0.1
 
-    def test_dense_pair_holds_three_commutators(self, rng):
-        # C1, C2 and C3, with the fit's difference in C3's buffer; no
-        # conj() copy and no gamma^2 C1 temporary of n^2.
+    def test_screened_dense_pair_holds_two_centred_copies(self, rng):
+        # From SCREEN_MIN_DIM on the probe screen rejects a random pair
+        # before any commutator: its peak is the centred copies of H and M
+        # and the n x 8 probe blocks.  The chain's own peak is pinned by
+        # the case-2 pair below.
         dim = 256
         h, m = (op(random_hermitian(rng, dim)) for _ in range(2))
-        assert traced_peak(lambda: detect(h, m)) <= 16 * (3 * dim ** 2
-                                                         + 4 * TILE ** 2)
+        assert detect(h, m).screened
+        assert traced_peak(lambda: detect(h, m)) <= 16 * 2.5 * dim ** 2
 
     def test_dense_case2_pair_holds_three_commutators(self):
         # The probe screen runs first and passes the pair on; its copies

@@ -13,7 +13,7 @@ from gensym.multiplets import (DEFAULT_SUPPORT_EPS, _cluster_coordinates,
 from gensym.models import (angular_block, hardcore_chain, jaynes_cummings,
                            random_triple)
 
-from conftest import op, random_hermitian
+from conftest import near_degenerate_pair, op, random_hermitian
 from reference import matrix_function
 
 
@@ -80,6 +80,27 @@ class TestCanonicalEigenbasis:
         for start, stop in h_spec.clusters:
             block = compressed[start:stop, start:stop]
             assert np.linalg.norm(block - np.diag(np.diag(block))) <= 1e-10
+
+    @pytest.mark.parametrize("bundle", [
+        None,  # near_degenerate_pair()
+        jaynes_cummings(1.0, 1.0, 0.0, cutoff=8),
+        hardcore_chain(5, 0.3 + 0.1j),
+    ], ids=["near_degenerate", "jc_degenerate_h", "hardcore_5"])
+    def test_columns_are_eigenvectors_to_their_cluster_spread(self, bundle):
+        # The stability scan reads H only through V diag(w) V^dag and
+        # checks no column again: each rotated column of a k-cluster is an
+        # eigenvector to sqrt(k) times the eigensolver contract plus the
+        # cluster's spread.
+        h, m = ((op(a) for a in near_degenerate_pair()) if bundle is None
+                else (bundle.h, bundle.m))
+        spec = canonical_eigenbasis(h, m)
+        v, w = spec.eigenvectors, spec.eigenvalues
+        residuals = np.linalg.norm(h.entries @ v - v * w, axis=0)
+        assert max(stop - start for start, stop in spec.clusters) > 1
+        for start, stop in spec.clusters:
+            bound = (np.sqrt(stop - start) * 1e-10 * h.norm
+                     + w[stop - 1] - w[start])
+            assert np.all(residuals[start:stop] <= bound)
 
     def test_rejects_non_hermitian_m(self, rng):
         h = op(random_hermitian(rng, 3))
