@@ -40,6 +40,7 @@ from .operators import (
     _freeze,
     _times_block,
     _times_m,
+    _unit,
     fro,
 )
 
@@ -134,11 +135,6 @@ def _require_hermitian_pair(h: Operator, m: Operator):
         raise ValueError(f"H ({h.label!r}) is not Hermitian within gate")
     if not m.hermitian:
         raise ValueError(f"M ({m.label!r}) is not Hermitian within gate")
-
-
-def _unit(norm: float) -> int:
-    """a with 2^a just above ``norm`` (0 for 0), 2^a and 2^-a finite."""
-    return min(max(math.frexp(norm)[1], -1022), 1023)
 
 
 def _commutator_chain(he: np.ndarray, m: Operator, a: int = 0, b: int = 0):
@@ -266,29 +262,12 @@ def _probe_screen(he: np.ndarray, me: np.ndarray, a: int, b: int,
     return residual if residual > PROBE_MARGIN * rtol else None
 
 
-def _commutes(commutator: np.ndarray, a: np.ndarray, b: np.ndarray,
+def _commutes(x: np.ndarray, y: np.ndarray, norm: float,
               tol: Tolerance) -> bool:
-    """||[A, B]|| <= rtol * ||A|| ||B||, given [A, B]."""
-    return fro(commutator) <= tol.rtol * fro(a) * fro(b)
-
-
-def _m_commutator(x: np.ndarray, m: Operator) -> np.ndarray:
-    """[X, M] for a Hermitian X: Y - Y^dag with Y = X M."""
-    y = _times_m(x, m)
-    return _add_adjoint(y, -1, y)
-
-
-def _commutes_h0(x: np.ndarray, h0: np.ndarray, bound: float) -> bool:
-    """||[X, H0]|| <= ||X|| bound from two gemms, with bound = rtol ||H||:
-    H0 is Hermitian only to H0_HERMITICITY_BOUND, and is measured against
-    H, of which it is a part, as it may be pure rounding.
-
-    With X = R^dag R or R R^dag, X H0 is cubic in the scale of H and
-    would overflow once H is scaled past about 1e103, so the gemms take X
-    over the power of two just above ||X||_F, which is exact.
-    """
-    x = x * 2.0 ** -_unit(fro(x))
-    return fro(x @ h0 - h0 @ x) <= fro(x) * bound
+    """||[X, B]|| <= rtol ||X|| ``norm``, given Y = X B for a Hermitian X:
+    [X, B] is formed as Y - Y^dag, one product, which for a B Hermitian
+    only to a gate differs from XB - BX by at most ||X|| ||B - B^dag||."""
+    return fro(_add_adjoint(y, -1, y)) <= tol.rtol * fro(x) * norm
 
 
 def reconstruct_case2(h: Operator, m: Operator, gamma: float,
@@ -346,40 +325,50 @@ class TripleReport:
                 and self.h0_hermitian_ok)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def verify_triple(h: Operator, m: Operator, triple: GenSymTriple,
                   tol: Tolerance = DEFAULT_TOL) -> TripleReport:
-    """Recompute the triple residuals against (H, M) and grade each one."""
-    h0, r = triple.h0, triple.r
-    if not (h0.shape == r.shape == (h.dim, h.dim) and h.dim == m.dim):
+    """Recompute the triple residuals against (H, M) and grade each one.
+
+    Runs on (H, H0, R) / 2^a, with 2^a the unit of ||H||_F as in
+    detection, so no product leaves the float range and every gate reads
+    the bits of the unscaled arithmetic wherever that stays inside it.
+    Each residual is reported times 2^a: inf once that is past the range.
+    """
+    if not (triple.h0.shape == triple.r.shape == (h.dim, h.dim)
+            and h.dim == m.dim):
         raise ValueError("dimension mismatch between (H, M) and triple")
-    he, me = h.entries, m.entries
+    h_norm, m_norm = fro(h.entries), fro(m.entries)
+    a = _unit(h_norm)
+    h_norm = math.ldexp(h_norm, -a)
+    h0, r = triple.h0 * 2.0 ** -a, triple.r * 2.0 ** -a
     rd = r.conj().T
-    rdr = rd @ r
-    rrd = r @ rd
-    h_norm = fro(he)
     bound = tol.rtol * h_norm
-    m_bound = bound * fro(me)  # for [H0, M] and [R, M] - gamma R
-    residual_sum = fro(he - h0 - r - rd)
+    m_bound = bound * m_norm  # for [H0, M] and [R, M] - gamma R
+    residual_sum = fro(h.entries * 2.0 ** -a - h0 - r - rd)
     residual_h0m = fro(_times_m(h0, m) - _times_m(h0, m, left=True))
-    residual_ladder = fro((_times_m(r, m) - _times_m(r, m, left=True))
+    residual_ladder = fro(_times_m(r, m) - _times_m(r, m, left=True)
                           - triple.gamma * r)
     h0_herm = fro(_add_adjoint(h0, -1)) <= H0_HERMITICITY_BOUND * h_norm
     # With R ~ 0 the ladder relation holds for any gamma; flag it.
     degenerate = fro(r) <= bound
+
+    def commutes(x):  # X = R^dag R or R R^dag, against M and H0
+        return (_commutes(x, _times_m(x, m), m_norm, tol),
+                _commutes(x, x @ h0, h_norm, tol))
+
+    (rdr_m, rdr_h0), (rrd_m, rrd_h0) = commutes(rd @ r), commutes(r @ rd)
+    unit = 2.0 ** a
     return TripleReport(
         sum_ok=residual_sum <= bound,
         h0_commutes_ok=residual_h0m <= m_bound,
         ladder_ok=residual_ladder <= m_bound,
         h0_hermitian_ok=h0_herm,
         degenerate=degenerate,
-        residual_sum=residual_sum,
-        residual_h0m=residual_h0m,
-        residual_ladder=residual_ladder,
-        commutes_rdr_m=_commutes(_m_commutator(rdr, m), rdr, me, tol),
-        commutes_rrd_m=_commutes(_m_commutator(rrd, m), rrd, me, tol),
-        commutes_rdr_h0=_commutes_h0(rdr, h0, bound),
-        commutes_rrd_h0=_commutes_h0(rrd, h0, bound),
+        residual_sum=residual_sum * unit,
+        residual_h0m=residual_h0m * unit,
+        residual_ladder=residual_ladder * unit,
+        commutes_rdr_m=rdr_m, commutes_rrd_m=rrd_m,
+        commutes_rdr_h0=rdr_h0, commutes_rrd_h0=rrd_h0,
     )
 
 

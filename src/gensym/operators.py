@@ -14,6 +14,7 @@ file, which writes every imaginary part, is byte-identical either way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -70,6 +71,11 @@ def _largest_norm(a: np.ndarray, axis=None) -> float:
 def fro(a: np.ndarray) -> float:
     """Frobenius norm, finite for finite entries up to the float range."""
     return _largest_norm(a)
+
+
+def _unit(norm: float) -> int:
+    """a with 2^a just above ``norm`` (0 for 0), 2^a and 2^-a finite."""
+    return min(max(math.frexp(norm)[1], -1022), 1023)
 
 
 @dataclass(frozen=True, eq=False)

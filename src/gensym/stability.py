@@ -28,6 +28,7 @@ from .operators import (
     Tolerance,
     _m_basis,
     _times_block,
+    _unit,
     fro,
 )
 
@@ -202,16 +203,19 @@ def _partners(ladder: _Ladder, vectors: np.ndarray, eigenvalues: np.ndarray,
                    phases * _m_basis(ladder.m_spec, vectors), inverse=True)
     chi_norms = np.linalg.norm(chi, axis=0)
     w, v = ladder.h_spec.eigenvalues, ladder.h_spec.eigenvectors
-    residuals = np.linalg.norm((w[:, np.newaxis] - e_second) * _times_block(
-        v.T, np.conj(chi)), axis=0) / chi_norms
+    a = _unit(ladder.h_norm)  # w - E' over 2^a: no norm can overflow
+    residuals = np.linalg.norm((w[:, np.newaxis] - e_second) * 2.0 ** -a
+                               * _times_block(v.T, np.conj(chi)),
+                               axis=0) / chi_norms
     # Written as "not <=" so that a NaN residual fails the check too.
-    bad = np.flatnonzero(~(residuals <= tol.rtol * ladder.h_norm))
+    bad = np.flatnonzero(~(residuals <= tol.rtol * ladder.h_norm * 2.0 ** -a))
+    residuals = [float(residual) * 2.0 ** a for residual in residuals]
     if bad.size:
         raise NumericalError(
             f"partner residual {residuals[bad[0]]:.3e} exceeds tolerance")
     chi = np.ascontiguousarray((chi / chi_norms).T)
     return [PartnerRecord(z=z, chi=chi[j], e_second=e_second[j],
-                          residual=float(residuals[j]))
+                          residual=residuals[j])
             for j, z in enumerate(zs)]
 
 

@@ -349,11 +349,13 @@ class TestAnalyzeCommand:
         assert report["detection"]["kind"] == "case2"
         assert report["stability"]["counts"] == {"1": 1, "5": 2}
 
-    @pytest.mark.parametrize("scale", [1e155, 1e160])
-    def test_report_past_the_float_range_exits_2(self, tmp_path, scale):
-        # Detection runs in power-of-two units and finds case 2, but
-        # verify_triple's [H0, M] leaves the float range: the report would
-        # hold NaN, which JSON cannot, so nothing is written.
+    @pytest.mark.parametrize("scale", [1e200, 1e250])
+    def test_report_past_the_float_range_exits_2(self, tmp_path, capsys,
+                                                 scale):
+        # Every stage grades the pair in power-of-two units and verifies
+        # it, but the residuals of [H0, M] = 0 and [R, M] = gamma R,
+        # reported in the input's units, are past the float range: the
+        # report would hold inf, which JSON cannot, so nothing is written.
         bundle = angular_block(2, -0.125, 0.1)
         hp, mp = str(tmp_path / "h.json"), str(tmp_path / "m.json")
         for a, path in ((bundle.h, hp), (bundle.m, mp)):
@@ -362,6 +364,9 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--hamiltonian", hp, "--symmetry", mp,
                      "--out", str(out)]) == EXIT_NUMERICAL
         assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("gensym: numerical failure: ")
+        assert err.count("\n") == 1
 
     def test_near_degenerate_case2_pair_exits_0(self, tmp_path):
         # Three eigenvalues of H, s apart, form one cluster that spreads
@@ -714,12 +719,13 @@ class TestCostModel:
         assert calls["eigh"] == [c128, f64]
 
     def test_unverified_triple_values_only(self, monkeypatch):
-        # At (H, M)·1e155 verify_triple's [H0, M] leaves the float range,
-        # so the triple does not verify: no eigh(H), partition or scan.
+        # A triple that does not verify: no eigh(H), partition or scan.
         bundle = angular_block(2, -0.125, 0.1)
-        h, m = (make_operator(a.dim, 1e155 * a.entries)
-                for a in (bundle.h, bundle.m))
-        report, calls = self.analyze_recording(monkeypatch, h, m)
+        verify = cli.verify_triple
+        monkeypatch.setattr(cli, "verify_triple", lambda *args: replace(
+            verify(*args), sum_ok=False))
+        report, calls = self.analyze_recording(monkeypatch, bundle.h,
+                                               bundle.m)
         assert report["detection"]["kind"] == "case2"
         assert report["triple"]["verified"] is False
         assert report["multiplets"] is None and report["stability"] is None

@@ -311,6 +311,21 @@ class TestVerifyTriple:
         with pytest.raises(ValueError, match="dimension mismatch"):
             verify_triple(op(np.eye(3)), op(np.eye(3)), triple)
 
+    @pytest.mark.parametrize("conjugate", [False, True],
+                             ids=["diagonal_m", "dense"])
+    def test_holds_at_most_six_arrays(self, conjugate):
+        # Complex H with a real diagonal M, then both made complex and
+        # dense by a random unitary.  The copies of H0 and R over 2^a, R^dag
+        # and one R^dag R or R R^dag with its product are live at once:
+        # 5.63 n^2 complex entries at dim 256, the tiles included.
+        bundle = hardcore_chain(8, 0.3 + 0.1j)
+        h, m = bundle.h, bundle.m
+        if conjugate:
+            h, m = _conjugated(bundle, m, np.random.default_rng(8))
+        triple = reconstruct_case2(h, m, detect(h, m).gamma1)
+        assert traced_peak(lambda: verify_triple(h, m, triple)) <= (
+            16 * 6 * h.dim ** 2)
+
 
 class TestCommutesFlags:
     """verify_triple's commutes_* flags on a triple where only R^dag R
@@ -350,8 +365,8 @@ class TestCommutesFlags:
 
     @pytest.mark.parametrize("scale", [1e110, 1e140])
     def test_flags_survive_an_overflowing_product(self, rng, scale):
-        # R^dag R H0 is cubic in the scale of H and overflows here; the
-        # gate is then taken on R^dag R / ||R^dag R||_F, with no warning.
+        # R^dag R H0 is cubic in the scale of H and would overflow here;
+        # verify_triple forms it on (H0, R) / 2^a, with no warning.
         h, m, gamma = self.two_level_pair(rng)
         huge = op(scale * h.entries)
         flags = ("commutes_rdr_m", "commutes_rrd_m",

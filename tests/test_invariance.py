@@ -18,6 +18,8 @@ the verdict, whether the triple verifies, and each record's case,
 stability and annihilation flags must not move with a or c.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,17 +105,30 @@ def _summary_at(h, m, a=1.0, c=1.0):
         for r in report["stability"]["records"]]
 
 
+@functools.cache
+def _unscaled_summary(name):
+    """_summary_at of the model ``name`` as built, taken once per model."""
+    bundle = SCALED_PAIRS[name]()
+    return _summary_at(bundle.h, bundle.m)
+
+
 def _scale_rows():
     """(name, a, c) for H*a, M*c and (H, M)*(c, c) on every model, keeping
-    the ids of the H*a rows; the angular_l2 rows that gave no_gensym or
-    genuine while the gates had absolute floors; and the angular_l2 rows
-    that gave genuine, no_gensym with a NaN residual, or exit 2 while
-    detection ran in the units of the input, outside about 1e+-60."""
+    the ids of the H*a rows; on every model the rows where the triple's
+    residuals or the partner residuals, graded in the input's units, left
+    the float range; the angular_l2 rows that gave no_gensym or genuine
+    while the gates had absolute floors; and the angular_l2 rows that gave
+    genuine, no_gensym with a NaN residual, or exit 2 while detection ran
+    in the units of the input, outside about 1e+-60."""
     for name in SCALED_PAIRS:
         for scale in (1e-7, 1e-4, 1e4, 1e7):
             yield pytest.param(name, scale, 1.0, id=f"{name}-{scale}")
             yield pytest.param(name, 1.0, scale, id=f"{name}-M{scale}")
             yield pytest.param(name, scale, scale, id=f"{name}-HM{scale}")
+        for scale in (1e155, 1e160):
+            yield pytest.param(name, scale, scale, id=f"{name}-HM{scale}")
+        for scale in (1e200, 1e300):
+            yield pytest.param(name, scale, 1.0, id=f"{name}-{scale}")
     for a, c in ((1.0, 1e-6), (1e-6, 1e-6), (1e-6, 1e-2), (1e6, 1.0),
                  (1e-10, 1.0), (1.0, 1e-9), (1.0, 1e9),
                  (1e-170, 1.0), (1e-200, 1.0), (1e-100, 1e-100),
@@ -125,7 +140,7 @@ def _scale_rows():
 @pytest.mark.parametrize("name, a, c", _scale_rows())
 def test_scaling_h_leaves_the_stability_cases_unchanged(name, a, c):
     bundle = SCALED_PAIRS[name]()
-    verdict, gamma, records = _summary_at(bundle.h, bundle.m)
+    verdict, gamma, records = _unscaled_summary(name)
     assert verdict == ("case2", True)
     scaled_verdict, scaled_gamma, scaled_records = _summary_at(
         bundle.h, bundle.m, a, c)

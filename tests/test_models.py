@@ -22,21 +22,32 @@ from gensym.models import (
     projection_example,
     random_triple,
 )
-from gensym.operators import is_hermitian, make_operator
+from gensym.operators import is_hermitian
 
 from conftest import kron_jordan_wigner, traced_peak
 from reference import iterated_commutator, recursion_block_solver
 
 
+def assert_stored(op, expected):
+    """op holds, read-only, what make_operator stores for the complex
+    array ``expected`` of its entries' size: the real part when every
+    imaginary part is +0.0 bit for bit, else ``expected``, compared bit for
+    bit, signed zeros included, and with no copy of ``expected``, which may
+    be a strided view."""
+    real = not expected.imag.view(np.uint64).any()
+    stored = op.entries.reshape(expected.shape)
+    assert not stored.flags.writeable, op.label
+    assert stored.dtype == (np.float64 if real else np.complex128), op.label
+    assert np.array_equal(stored.view(np.uint64),
+                          (expected.real if real else expected)
+                          .view(np.uint64)), op.label
+
+
 def assert_frozen_copies(operators, arrays):
-    """Each operator holds the read-only array make_operator stores for
-    the same name, with its dtype and bytes, signed zeros included."""
+    """assert_stored for each operator and the array of the same name."""
     assert operators.keys() == arrays.keys()
     for name, a in operators.items():
-        expected = make_operator(a.dim, arrays[name]).entries
-        assert not a.entries.flags.writeable, name
-        assert a.entries.dtype == expected.dtype, name
-        assert a.entries.tobytes() == expected.tobytes(), name
+        assert_stored(a, np.asarray(arrays[name], dtype=complex))
 
 
 class TestAngularBlock:
@@ -157,29 +168,42 @@ class TestJaynesCummings:
             jaynes_cummings(1.0, 1.0, 0.1, cutoff=0)
 
     @staticmethod
-    def reference(omega0, omega, kappa, cutoff, hbar):
-        """The arrays jaynes_cummings stores, built in one pass."""
-        nf = cutoff + 1
-        c = np.zeros((nf, nf), dtype=complex)
-        for n in range(1, nf):
+    def annihilation(cutoff):
+        """c on Fock(0..cutoff), real."""
+        c = np.zeros((cutoff + 1, cutoff + 1))
+        for n in range(1, cutoff + 1):
             c[n - 1, n] = np.sqrt(n)
+        return c
+
+    @staticmethod
+    def kron_terms(c, cdc, ccd, omega0, omega, kappa, hbar):
+        """The arrays jaynes_cummings stores, as complex kron expressions in
+        the real Fock factors c, c^dag c and c c^dag."""
+        c, cdc, ccd = (np.array(a, dtype=complex) for a in (c, cdc, ccd))
         cd = c.conj().T
         i2 = np.eye(2, dtype=complex)
-        i_f = np.eye(nf, dtype=complex)
+        i_f = np.eye(len(c), dtype=complex)
         sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
         sm = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
         n_spin = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
         interaction = np.kron(sm, cd) + np.kron(sm.conj().T, c)
         h = (0.5 * hbar * omega0 * np.kron(sz, i_f)
-             + 0.5 * hbar * omega * np.kron(i2, cd @ c + c @ cd)
+             + 0.5 * hbar * omega * np.kron(i2, cdc + ccd)
              + hbar * kappa * interaction)
         r = hbar * kappa * np.kron(sm, cd)
         return {"h": h, "m": np.kron(sz, i_f), "r": r,
                 "h0": h - r - r.conj().T,
-                "m_exc": np.kron(n_spin, i_f) + np.kron(i2, cd @ c),
+                "m_exc": np.kron(n_spin, i_f) + np.kron(i2, cdc),
                 "h_star": (hbar * omega * np.kron(n_spin, i_f)
-                           + hbar * omega * np.kron(i2, cd @ c)
+                           + hbar * omega * np.kron(i2, cdc)
                            + hbar * kappa * interaction)}
+
+    @classmethod
+    def reference(cls, omega0, omega, kappa, cutoff, hbar):
+        """The arrays jaynes_cummings stores, built in one pass."""
+        c = cls.annihilation(cutoff)
+        return cls.kron_terms(c, c.T @ c, c @ c.T, omega0, omega, kappa,
+                              hbar)
 
     @pytest.mark.parametrize("params", [
         (1.3, 1.0, 0.2, 8, 1.0), (-0.0, -0.5, -0.1, 3, 0.7),
@@ -197,14 +221,38 @@ class TestJaynesCummings:
                 self.reference(*params))
 
     def test_every_cutoff_matches_the_dense_build(self):
-        # The diagonal c^dag c and c c^dag against the gemms, cutoffs 1-255.
-        for cutoff in range(1, 256):
-            params = (1.3, -0.5, 0.2, cutoff, 0.7)
-            bundle = jaynes_cummings(*params)
-            assert_frozen_copies(
-                {"h": bundle.h, "m": bundle.m, "r": bundle.known.r,
-                 "h0": bundle.known.h0, **bundle.extras},
-                self.reference(*params))
+        # c^dag c and c c^dag are gemms at every cutoff k from 1 to 255.
+        # The kron expressions are entrywise in the Fock index pair, so at
+        # k each is the leading block, in each spin block, of its value at
+        # 255 wherever the Fock factors agree.  They agree but at
+        # c c^dag[k, k], which is 0 at k: there the spin block is the
+        # expression on the 1 x 1 Fock factors [k, k].  Taking k downwards,
+        # that block is written over the value at 255, which no smaller
+        # cutoff reads.
+        omega0, omega, kappa, hbar = 1.3, -0.5, 0.2, 0.7
+        top = self.annihilation(255)
+        cdc_top, ccd_top = top.T @ top, top @ top.T
+        full = {name: a.reshape(2, 256, 2, 256) for name, a in
+                self.kron_terms(top, cdc_top, ccd_top,
+                                omega0, omega, kappa, hbar).items()}
+        for k in range(255, 0, -1):
+            c = top[:k + 1, :k + 1]
+            cdc, ccd = c.T @ c, c @ c.T
+            agree = np.ones((k + 1, k + 1), dtype=bool)
+            agree[k, k] = False
+            for gemm, at_top in ((cdc, cdc_top), (ccd, ccd_top)):
+                np.testing.assert_array_equal(
+                    gemm.view(np.uint64)[agree],
+                    at_top[:k + 1, :k + 1].view(np.uint64)[agree])
+            corner = self.kron_terms(c[k:, k:], cdc[k:, k:], ccd[k:, k:],
+                                     omega0, omega, kappa, hbar)
+            bundle = jaynes_cummings(omega0, omega, kappa, k, hbar)
+            operators = {"h": bundle.h, "m": bundle.m, "r": bundle.known.r,
+                         "h0": bundle.known.h0, **bundle.extras}
+            assert operators.keys() == full.keys()
+            for name, a in full.items():
+                a[:, k, :, k] = corner[name]
+                assert_stored(operators[name], a[:, :k + 1, :, :k + 1])
 
 
 class TestJordanWigner:
