@@ -228,6 +228,12 @@ def analyze_pair(h, m, tol: Tolerance, digests: Optional[dict] = None) -> dict:
         del commutators
         report["triple"] = _triple_record(triple,
                                           verify_triple(h, m, triple, tol))
+        # A residual past the float range cannot be written: stop here.
+        residuals = [report["triple"][k] for k in
+                     ("residual_sum", "residual_h0m", "residual_ladder")]
+        if not np.all(np.isfinite(residuals)):
+            raise NumericalError(f"triple residuals {residuals} are past "
+                                 "the float range")
         if not report["triple"]["verified"]:
             skipped = "triple not verified"
     if skipped:

@@ -38,6 +38,7 @@ from .operators import (
     Tolerance,
     _add_adjoint,
     _freeze,
+    _skew_norm,
     _times_block,
     _times_m,
     _unit,
@@ -152,7 +153,7 @@ def _commutator_chain(he: np.ndarray, m: Operator, a: int = 0, b: int = 0):
     for k in itertools.count(1):
         c = _times_m(c, m)
         c *= 2.0 ** -b
-        yield _add_adjoint(c, -1 if k % 2 else 1, c)
+        yield _add_adjoint(c, -1 if k % 2 else 1)
 
 
 def _fit_case2(c1: np.ndarray, c3: np.ndarray,
@@ -195,9 +196,8 @@ def _detect(h: Operator, m: Operator, tol: Tolerance):
     residual the probes' fit residual, and forms no commutator.
     """
     _require_hermitian_pair(h, m)
-    h_norm, m_norm = fro(h.entries), fro(m.entries)
-    a, b = _unit(h_norm), _unit(m_norm)
-    scale = math.ldexp(h_norm, -a) * math.ldexp(m_norm, -b)
+    a, b = _unit(h.norm), _unit(m.norm)
+    scale = math.ldexp(h.norm, -a) * math.ldexp(m.norm, -b)
     real = not (np.iscomplexobj(h.entries) or np.iscomplexobj(m.entries))
     cutoff = SCREEN_MIN_DIM_REAL if real else SCREEN_MIN_DIM
     # A real diagonal M makes the exact chain O(n^2): no screen.
@@ -230,34 +230,55 @@ def _probe_block(n: int) -> np.ndarray:
     return rng.standard_normal((n, 2 * PROBES)).view(np.complex128)
 
 
+def _centred_times(x: np.ndarray, a: int, v: np.ndarray) -> np.ndarray:
+    """X' V with X' = X / 2^a - tr/n I, for an n x n X read in place.
+
+    X' is formed a band of TILE rows at a time in one TILE x n scratch
+    buffer, each band scaled and its diagonal part centred there before
+    its thin product, so each entry is the one a whole centred copy of X
+    would hold.
+    """
+    n = len(x)
+    shift = np.sum(x.diagonal() * 2.0 ** -a).real / n  # = tr(X / 2^a) / n
+    out = np.empty((n, v.shape[1]), np.result_type(x, v))
+    scratch = np.empty((min(TILE, n), n), x.dtype)
+    for i in range(0, n, TILE):
+        band = scratch[:min(TILE, n - i)]
+        np.multiply(x[i:i + len(band)], 2.0 ** -a, out=band)
+        diagonal = np.arange(len(band))
+        band[diagonal, i + diagonal] -= shift
+        out[i:i + len(band)] = _times_block(band, v)
+    return out
+
+
 def _probe_screen(he: np.ndarray, me: np.ndarray, a: int, b: int,
                   gate: float, rtol: float) -> Optional[float]:
     """The probe fit residual when the probes reject the pair, else None.
 
-    Runs on H' = H / 2^a - tr/n I and M' = M / 2^b - tr/n I: the shifts
-    change no commutator, and keep a large trace from cancelling in the
-    products.  C1 V = H'M'V - M'H'V, and C3 V = H'M'^3 V - 3 M'H'M'^2 V +
-    3 M'^2 H'M'V - M'^3 H'V by Horner's rule in M'.  Rejected when
+    Runs on H' = H / 2^a - tr/n I and M' = M / 2^b - tr/n I, read in
+    place by _centred_times: the shifts change no commutator, and keep a
+    large trace from cancelling in the products.  C1 V = H'M'V - M'H'V,
+    and C3 V = H'M'^3 V - 3 M'H'M'^2 V + 3 M'^2 H'M'V - M'^3 H'V by
+    Horner's rule in M'.  Rejected when
     ||C1 V|| > sqrt(2 PROBES PROBE_UPPER) ``gate`` (not genuine) and
     min_beta ||C3 V - beta C1 V|| / ||C3 V|| > PROBE_MARGIN ``rtol`` (no
     case 2: an exact fit residual within ``rtol`` would give at most that
     at the exact beta, but with chance below 2^-40).
     """
-    n = len(he)
-    h, m = he * 2.0 ** -a, me * 2.0 ** -b  # copies, each centred in place
-    for x in (h, m):
-        x[np.diag_indices(n)] -= np.trace(x).real / n
-    powers = [_probe_block(n)]  # V, M'V, M'^2 V, M'^3 V
+    def times_m(v):
+        return _centred_times(me, b, v)
+
+    powers = [_probe_block(len(he))]  # V, M'V, M'^2 V, M'^3 V
     for _ in range(3):
-        powers.append(_times_block(m, powers[-1]))
-    hv, hmv, hm2v, hm3v = np.hsplit(_times_block(h, np.hstack(powers)), 4)
-    del h, powers
-    mhv = _times_block(m, hv)
+        powers.append(times_m(powers[-1]))
+    hv, hmv, hm2v, hm3v = np.hsplit(_centred_times(he, a, np.hstack(powers)),
+                                    4)
+    del powers
+    mhv = times_m(hv)
     c1v = hmv - mhv
     if not fro(c1v) > math.sqrt(2 * PROBES * PROBE_UPPER) * gate:
         return None
-    c3v = hm3v - _times_block(m, 3.0 * hm2v
-                              - _times_block(m, 3.0 * hmv - mhv))
+    c3v = hm3v - times_m(3.0 * hm2v - times_m(3.0 * hmv - mhv))
     residual = _fit_case2(c1v, c3v)[1]
     return residual if residual > PROBE_MARGIN * rtol else None
 
@@ -267,7 +288,7 @@ def _commutes(x: np.ndarray, y: np.ndarray, norm: float,
     """||[X, B]|| <= rtol ||X|| ``norm``, given Y = X B for a Hermitian X:
     [X, B] is formed as Y - Y^dag, one product, which for a B Hermitian
     only to a gate differs from XB - BX by at most ||X|| ||B - B^dag||."""
-    return fro(_add_adjoint(y, -1, y)) <= tol.rtol * fro(x) * norm
+    return fro(_add_adjoint(y, -1)) <= tol.rtol * fro(x) * norm
 
 
 def reconstruct_case2(h: Operator, m: Operator, gamma: float,
@@ -276,7 +297,7 @@ def reconstruct_case2(h: Operator, m: Operator, gamma: float,
 
     ``tol`` is not read: verify_triple grades the triple.
     """
-    a, b = _unit(fro(h.entries)), _unit(fro(m.entries))
+    a, b = _unit(h.norm), _unit(m.norm)
     c1, c2 = itertools.islice(_commutator_chain(h.entries, m, a, b), 2)
     return _reconstruct_case2(h.entries, c1, c2, a, b, gamma)
 
@@ -337,23 +358,22 @@ def verify_triple(h: Operator, m: Operator, triple: GenSymTriple,
     if not (triple.h0.shape == triple.r.shape == (h.dim, h.dim)
             and h.dim == m.dim):
         raise ValueError("dimension mismatch between (H, M) and triple")
-    h_norm, m_norm = fro(h.entries), fro(m.entries)
-    a = _unit(h_norm)
-    h_norm = math.ldexp(h_norm, -a)
+    a = _unit(h.norm)
+    h_norm = math.ldexp(h.norm, -a)
     h0, r = triple.h0 * 2.0 ** -a, triple.r * 2.0 ** -a
     rd = r.conj().T
     bound = tol.rtol * h_norm
-    m_bound = bound * m_norm  # for [H0, M] and [R, M] - gamma R
+    m_bound = bound * m.norm  # for [H0, M] and [R, M] - gamma R
     residual_sum = fro(h.entries * 2.0 ** -a - h0 - r - rd)
     residual_h0m = fro(_times_m(h0, m) - _times_m(h0, m, left=True))
     residual_ladder = fro(_times_m(r, m) - _times_m(r, m, left=True)
                           - triple.gamma * r)
-    h0_herm = fro(_add_adjoint(h0, -1)) <= H0_HERMITICITY_BOUND * h_norm
+    h0_herm = _skew_norm(h0) <= H0_HERMITICITY_BOUND * h_norm
     # With R ~ 0 the ladder relation holds for any gamma; flag it.
     degenerate = fro(r) <= bound
 
     def commutes(x):  # X = R^dag R or R R^dag, against M and H0
-        return (_commutes(x, _times_m(x, m), m_norm, tol),
+        return (_commutes(x, _times_m(x, m), m.norm, tol),
                 _commutes(x, x @ h0, h_norm, tol))
 
     (rdr_m, rdr_h0), (rrd_m, rrd_h0) = commutes(rd @ r), commutes(r @ rd)

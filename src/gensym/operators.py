@@ -89,8 +89,9 @@ class Operator:
     entries: np.ndarray
     label: str = ""
 
-    @property
+    @cached_property
     def norm(self) -> float:
+        """||entries||_F, taken once per operator."""
         return fro(self.entries)
 
     @cached_property
@@ -100,7 +101,7 @@ class Operator:
         Decided once per operator: every function that requires a
         Hermitian operand reads this, so each operand is gated once.
         """
-        return is_hermitian(self.entries)
+        return is_hermitian(self.entries, self.norm)
 
     @cached_property
     def real_diagonal(self) -> Optional[np.ndarray]:
@@ -147,43 +148,58 @@ def _times_block(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a @ np.ascontiguousarray(v).view(np.float64)).view(np.complex128)
 
 
-def _add_adjoint(a: np.ndarray, sign: int,
-                 out: Optional[np.ndarray] = None) -> np.ndarray:
-    """A + A^dag (sign 1) or A - A^dag (sign -1) in ``out``, returned.
+def _tiles(n: int):
+    """(rows, cols) of the TILE x TILE tiles of an n x n matrix on and
+    above its diagonal; (cols, rows) is each one's mirror."""
+    for i in range(0, n, TILE):
+        for j in range(i, n, TILE):
+            yield slice(i, i + TILE), slice(j, j + TILE)
 
-    ``out`` is a new array when None, and may be ``a`` itself.  Every entry
-    is the one add or subtract a[i, j] +- conj(a[j, i]) of the whole-array
-    expression, so the result is bit-identical to it.  Beyond ``out`` the
+
+def _add_adjoint(a: np.ndarray, sign: int) -> np.ndarray:
+    """A + A^dag (sign 1) or A - A^dag (sign -1), formed in place in ``a``.
+
+    Every entry is the one add or subtract a[i, j] +- conj(a[j, i]) of the
+    whole-array expression, so the result is bit-identical to it.  The
     work holds at most two TILE x TILE tiles, where the whole-array
-    expression holds an n^2 conj() copy: into a buffer, the conjugate
-    transpose is written to ``out`` first; in place, a tile and its mirror
-    are both read before either is written.
+    expression holds an n^2 conj() copy: a tile and its mirror are both
+    read before either is written.
     """
     op = np.add if sign > 0 else np.subtract
-    if out is None:
-        out = np.empty_like(a)
-    n = len(a)
-    if out is not a:
-        np.conjugate(a.T, out=out)
-        return op(a, out, out=out)
-    for i in range(0, n, TILE):
-        rows = slice(i, i + TILE)
-        for j in range(i, n, TILE):
-            cols = slice(j, j + TILE)
-            upper, lower = a[rows, cols], a[cols, rows]
-            mirror = np.conjugate(lower.T)  # a copy, also for real entries
-            if j > i:
-                # upper.conj() without a copy: two exact sign flips.
-                np.conjugate(upper, out=upper)
-                op(lower, upper.T, out=lower)
-                np.conjugate(upper, out=upper)
-            op(upper, mirror, out=upper)
-            del mirror  # before the next one is made
+    for rows, cols in _tiles(len(a)):
+        upper, lower = a[rows, cols], a[cols, rows]
+        mirror = np.conjugate(lower.T)  # a copy, also for real entries
+        if rows != cols:
+            # upper.conj() without a copy: two exact sign flips.
+            np.conjugate(upper, out=upper)
+            op(lower, upper.T, out=lower)
+            np.conjugate(upper, out=upper)
+        op(upper, mirror, out=upper)
+        del mirror  # before the next one is made
     return a
 
 
-def is_hermitian(entries: np.ndarray) -> bool:
-    return fro(_add_adjoint(entries, -1)) <= HERMITICITY_GATE * fro(entries)
+def _skew_norm(a: np.ndarray) -> float:
+    """||A - A^dag||_F, read in place.
+
+    Taken over the tile pairs of _add_adjoint: D = A[I, J] - A[J, I]^dag
+    and its mirror -D^dag have one norm, so an off-diagonal tile's norm
+    enters twice.  fro combines the tile norms, so the result keeps fro's
+    range, and no temporary is larger than a tile.
+    """
+    norms = []
+    for rows, cols in _tiles(len(a)):
+        d = fro(a[rows, cols] - np.conjugate(a[cols, rows].T))
+        norms += [d] if rows == cols else [d, d]
+    return fro(np.array(norms))
+
+
+def is_hermitian(entries: np.ndarray, norm: Optional[float] = None) -> bool:
+    """||A - A^dag||_F <= HERMITICITY_GATE ||A||_F; ``norm`` is ||A||_F
+    when the caller holds it."""
+    if norm is None:
+        norm = fro(entries)
+    return _skew_norm(entries) <= HERMITICITY_GATE * norm
 
 
 def _freeze(entries) -> np.ndarray:
@@ -291,17 +307,21 @@ def hermitian_eigh(a: Operator, tol: Tolerance = DEFAULT_TOL) -> SpectralDecompo
     with the unit columns in that order as eigenvectors (their phases are
     canonical already); its eigenpair residual A V - V diag(w) is exactly
     zero, column o being d_o e_o - e_o d_o.  A dense operator is solved by
-    eigh, and its residual is formed in A V's own buffer and checked.
+    eigh on the entries in place, and its residual is formed in A V's own
+    buffer and checked against A itself.
+
+    eigh reads the lower triangle (LAPACK's xHEEVD reads one triangle):
+    it solves the Hermitian L with A's lower triangle, which is A bit for
+    bit when A is exactly Hermitian.  For an A Hermitian only to within
+    the gate, ||L - (A + A^dag)/2||_F = ||A - A^dag||_F / 2 <= 5e-13
+    ||A||_F, 200 times inside EIGH_RESIDUAL_BOUND.
     """
     if not a.hermitian:
         raise ValueError(f"operator {a.label!r} is not Hermitian within gate")
-    scale = fro(a.entries)
+    scale = a.norm
     d = a.real_diagonal
     if d is None:
-        sym = _add_adjoint(a.entries, 1)
-        sym /= 2
-        w, v = np.linalg.eigh(sym)
-        del sym  # before the canonical copy of v is made
+        w, v = np.linalg.eigh(a.entries)
         v = phase_canonicalize(v)
         order, av = None, a.entries @ v
         av -= v * w[np.newaxis, :]
@@ -326,14 +346,15 @@ def _m_basis(m_spec: SpectralDecomposition, x: np.ndarray,
              inverse: bool = False) -> np.ndarray:
     """W^dag X, the rows of X in the eigenbasis W of M; W X with ``inverse``.
 
-    For a real diagonal M (m_spec.order set) a row gather, or its scatter:
-    W is a permutation matrix, so every nonzero entry is the gemm's.
+    For a dense W a product through _times_block, so a real W times a
+    complex X is one real gemm.  For a real diagonal M (m_spec.order set)
+    a row gather, or its scatter: W is a permutation matrix, so every
+    nonzero entry is the gemm's.
     """
     order = m_spec.order
     if order is None:
-        if inverse:
-            return m_spec.eigenvectors @ x
-        return m_spec._eigenvectors_adjoint @ x
+        return _times_block(m_spec.eigenvectors if inverse
+                            else m_spec._eigenvectors_adjoint, x)
     if not inverse:
         return x[order]
     out = np.empty_like(x)
@@ -341,30 +362,48 @@ def _m_basis(m_spec: SpectralDecomposition, x: np.ndarray,
     return out
 
 
+def _lower_norm(a: np.ndarray) -> float:
+    """||L||_F for the Hermitian L that eigh solves for A: A's lower
+    triangle, its conjugate above the diagonal, and the real part of A's
+    diagonal.  Read in place over the tile pairs of _add_adjoint."""
+    norms = []
+    for rows, cols in _tiles(len(a)):
+        lower = a[cols, rows]
+        if rows == cols:
+            strict = fro(np.tril(lower, -1))
+            norms += [strict, strict, fro(lower.diagonal().real)]
+        else:
+            norms += [fro(lower)] * 2
+    return fro(np.array(norms))
+
+
 def _hermitian_eigvalsh(a: Operator) -> np.ndarray:
     """Ascending eigenvalues of an operator whose Hermiticity is already gated.
 
     Values only: no eigenvectors, so the eigenpair residual of
-    hermitian_eigh cannot be formed.  A backward-stable solver returns the
-    exact eigenvalues of sym + E with ||E||_F <= e = EIGH_RESIDUAL_BOUND *
-    ||A||_F, which implies
-    |sum(w) - tr(sym)| = |tr E| <= sqrt(n) e and
-    |sum(w^2) - ||sym||_F^2| <= 2 ||sym||_F e + e^2 (Hoffman-Wielandt).
-    Both are O(n^2) to check, and a violation of either raises.  The
-    squared sums are compared in units of scale = ||A||_F (1.0 for a zero
-    A), so they cannot overflow for finite entries.
+    hermitian_eigh cannot be formed.  eigvalsh reads the entries in place
+    and solves the L of hermitian_eigh, A's lower triangle: A itself when
+    A is exactly Hermitian, and within ||A - A^dag||_F / 2 <= 5e-13
+    ||A||_F of (A + A^dag)/2 when it is Hermitian only to within the gate,
+    so the spectrum moves by at most that much (Hoffman-Wielandt).  A
+    backward-stable solver returns the exact eigenvalues of L + E with
+    ||E||_F <= e = EIGH_RESIDUAL_BOUND * ||A||_F, which implies
+    |sum(w) - tr(L)| = |tr E| <= sqrt(n) e and
+    |sum(w^2) - ||L||_F^2| <= 2 ||L||_F e + e^2 (Hoffman-Wielandt), with
+    tr(L) the real part of tr(A).  Both are O(n^2) to check, and a
+    violation of either raises.  The squared sums are compared in units
+    of scale = ||A||_F (1.0 for a zero A), so they cannot overflow for
+    finite entries.
     """
-    sym = _add_adjoint(a.entries, 1)
-    sym /= 2
-    w = np.linalg.eigvalsh(sym)
-    scale = fro(a.entries) or 1.0  # >= ||sym||_F
+    w = np.linalg.eigvalsh(a.entries)
+    scale = a.norm or 1.0
     e = EIGH_RESIDUAL_BOUND * scale
-    trace_error = abs(float(np.sum(w)) - float(np.trace(sym).real))
-    units = w / scale
-    square_error = abs(float(units @ units) - (fro(sym) / scale) ** 2)
+    trace_error = abs(float(np.sum(w)) - float(np.trace(a.entries).real))
+    units, solved = w / scale, _lower_norm(a.entries) / scale
+    square_error = abs(float(units @ units) - solved ** 2)
     # Written as "not <=" so a NaN from the solver fails the check too.
     if not (trace_error <= np.sqrt(len(w)) * e
-            and square_error <= (2.0 + EIGH_RESIDUAL_BOUND)
+            and square_error <= (2.0 * solved + EIGH_RESIDUAL_BOUND)
             * EIGH_RESIDUAL_BOUND):
         raise NumericalError(
             f"eigenvalues of {a.label!r} violate the eigensolver contract: "

@@ -32,11 +32,12 @@ from gensym.models import (
     projection_example,
     random_triple,
 )
-from gensym.operators import Operator, Tolerance, is_hermitian
+from gensym.operators import (NumericalError, Operator, Tolerance,
+                              is_hermitian)
 from gensym.serialization import operator_from_dict, operator_to_dict
 
 from conftest import (SX, force_dense, load_report, near_degenerate_pair, op,
-                      random_hermitian)
+                      random_hermitian, traced_peak)
 
 
 class TestParseComplex:
@@ -733,6 +734,39 @@ class TestCostModel:
         assert (len(calls["eigh"]), len(calls["eigvalsh"]),
                 len(calls["svd"])) == (0, 1, 0)
 
+    def test_residual_past_the_float_range_stops_before_eigh(self,
+                                                             monkeypatch):
+        # At (H, M) * 1e200 the triple verifies in power-of-two units, but
+        # its [H0, M] and [R, M] - gamma R residuals in the input's units
+        # are inf: analyze_pair stops there, before eigh(H), eigh(M), the
+        # partition and the scan, whose report could not be written.
+        bundle = angular_block(2, -0.125, 0.1)
+        h, m = (make_operator(a.dim, 1e200 * a.entries)
+                for a in (bundle.h, bundle.m))
+        calls = self.recording(monkeypatch, h.dim)
+        with pytest.raises(NumericalError, match="past the float range"):
+            analyze_pair(h, m, Tolerance())
+        assert len(calls["chain"]) == 1
+        assert calls["eigh"] == calls["eigvalsh"] == calls["sorted"] == []
+
+    def test_each_operand_norm_is_taken_once(self, monkeypatch):
+        # The gate, detection, reconstruction, verify_triple and both
+        # eigensolvers read Operator.norm: one fro of H and one of M for a
+        # whole case-2 analysis.
+        h, m = rotated(hardcore_chain(4, 0.3 + 0.1j))
+        taken = []
+        for module in (operators, detection, stability):
+            fro = module.fro
+
+            def counting_fro(a, fro=fro):
+                taken.extend(name for name, x in (("H", h), ("M", m))
+                             if a is x.entries)
+                return fro(a)
+            monkeypatch.setattr(module, "fro", counting_fro)
+        report = analyze_pair(h, m, Tolerance())
+        assert report["stability"] is not None
+        assert sorted(taken) == ["H", "M"]
+
     def test_genuine_values_only(self, monkeypatch):
         jc = jaynes_cummings(1.3, 1.0, 0.2, cutoff=8)
         report, full_eigh, full_eigvalsh, chains = self.analyze_counting(
@@ -757,6 +791,57 @@ class TestCostModel:
         assert report["detection"]["kind"] == "no_gensym"
         assert report["detection"]["screened"] is True
         assert (full_eigh, full_eigvalsh, chains) == (0, 1, 0)
+
+    def test_screened_pair_holds_one_band(self):
+        # End to end from ungated operands: the gate's tiles, the probe
+        # screen's TILE-row band and probe blocks, and the values-only
+        # spectrum, with H and M read in place throughout.
+        dim = 512
+        rng = np.random.default_rng(dim)
+        h, m = (op(random_hermitian(rng, dim)) for _ in range(2))
+        report = {}
+
+        def analyze():
+            report.update(analyze_pair(h, m, Tolerance()))
+
+        peak = traced_peak(analyze)
+        assert report["detection"]["screened"] is True
+        assert peak <= 16 * (detection.TILE * dim
+                             + 16 * dim * detection.PROBES)
+
+    @pytest.mark.parametrize("bundle", [hardcore_chain(8, 0.3 + 0.1j),
+                                        random_triple([4, 3, 5], 0.7, seed=2)],
+                             ids=["hardcore_8", "random_triple"])
+    def test_dense_real_m_basis_keeps_the_report(self, monkeypatch, bundle):
+        # A real dense W of M times complex vectors runs as one real gemm;
+        # against numpy's mixed product, which casts W to complex, the
+        # verdict, classes and cases are the same and every float agrees
+        # to 1e-12 of the largest.
+        h, m = rotated(bundle)
+        assert m.entries.dtype == np.float64 and m.real_diagonal is None
+        report = analyze_pair(h, m, Tolerance())
+        monkeypatch.setattr(operators, "_times_block", lambda a, v: a @ v)
+        expected = analyze_pair(h, m, Tolerance())
+        assert report["stability"] is not None
+
+        def floats(doc):
+            if isinstance(doc, dict):
+                return [x for k in sorted(doc) for x in floats(doc[k])]
+            if isinstance(doc, list):
+                return [x for item in doc for x in floats(item)]
+            return [doc] if isinstance(doc, float) else []
+
+        def structure(doc):
+            if isinstance(doc, dict):
+                return {k: structure(v) for k, v in doc.items()}
+            if isinstance(doc, list):
+                return [structure(item) for item in doc]
+            return None if isinstance(doc, float) else doc
+
+        assert structure(report) == structure(expected)
+        values, reference = floats(report), floats(expected)
+        np.testing.assert_allclose(values, reference, rtol=0, atol=1e-12
+                                   * np.max(np.abs(reference)))
 
     def test_dense_case2_above_the_cutoff_makes_one_chain(self, monkeypatch):
         bundle = projection_example(detection.SCREEN_MIN_DIM, seed=3)

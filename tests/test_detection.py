@@ -27,6 +27,7 @@ from gensym.detection import (
     SCREEN_MIN_DIM,
     SCREEN_MIN_DIM_REAL,
     DetectionResult,
+    _centred_times,
     _commutator_chain,
     _fit_case2,
     _probe_block,
@@ -40,7 +41,7 @@ from gensym.models import (
     projection_example,
     random_triple,
 )
-from gensym.operators import TILE, NumericalError, fro
+from gensym.operators import TILE, NumericalError, _times_block, fro
 
 from conftest import SX, SZ, op, random_hermitian, traced_peak
 from reference import iterated_commutator, similarity_transform
@@ -187,15 +188,16 @@ class TestDetect:
         assert result.kind == NO_GENSYM
         assert result.residual > 0.1
 
-    def test_screened_dense_pair_holds_two_centred_copies(self, rng):
+    def test_screened_dense_pair_holds_one_band(self, rng):
         # From SCREEN_MIN_DIM on the probe screen rejects a random pair
-        # before any commutator: its peak is the centred copies of H and M
-        # and the n x 8 probe blocks.  The chain's own peak is pinned by
-        # the case-2 pair below.
+        # before any commutator: its peak is one TILE-row band of H' or M'
+        # and the n x 8 probe blocks.  The chain's own peak is pinned by the
+        # case-2 pair below.
         dim = 256
         h, m = (op(random_hermitian(rng, dim)) for _ in range(2))
         assert detect(h, m).screened
-        assert traced_peak(lambda: detect(h, m)) <= 16 * 2.5 * dim ** 2
+        assert traced_peak(lambda: detect(h, m)) <= 16 * (
+            TILE * dim + 16 * dim * PROBES)
 
     def test_dense_case2_pair_holds_three_commutators(self):
         # The probe screen runs first and passes the pair on; its copies
@@ -659,12 +661,32 @@ class TestScreen:
         assert detect(jc.h, jc.extras["m_exc"]).kind == GENUINE
         assert runs == []
 
-    def test_screened_pair_holds_two_copies(self, rng):
-        # The centred H' and M', dropped before the exact chain would
-        # start: no commutator is formed.
-        dim = 256
-        h, m = (op(random_hermitian(rng, dim)) for _ in range(2))
-        assert h.hermitian and m.hermitian  # gated outside the trace
-        assert detect(h, m).screened
-        assert traced_peak(lambda: detect(h, m)) <= 16 * (2 * dim ** 2
-                                                         + 64 * dim * PROBES)
+    def test_screened_pair_holds_one_band(self):
+        # H' and M' are read in place a TILE-row band at a time, and no
+        # commutator is formed: the peak is one band and the probe blocks.
+        dim = 512
+        for real in (False, True):
+            h, m = _random_pair(dim, real)
+            assert h.hermitian and m.hermitian  # gated outside the trace
+            assert detect(h, m).screened
+            itemsize = h.entries.itemsize
+            assert traced_peak(lambda: detect(h, m)) <= (
+                itemsize * TILE * dim + 16 * 16 * dim * PROBES)
+
+    @pytest.mark.parametrize("dim", [1, TILE - 1, TILE, TILE + 1,
+                                     2 * TILE + 1])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_banded_product_matches_the_centred_copy(self, rng, dim, real):
+        # Every entry of X' = X / 2^a - tr/n I is formed as in a whole
+        # centred copy, and so is every row of X'V.
+        x = random_hermitian(rng, dim) * 2.0 ** 40 + 1e3 * np.eye(dim)
+        x = x.real if real else x
+        v = _probe_block(dim)
+        a = 41
+        centred = x * 2.0 ** -a
+        centred[np.diag_indices(dim)] -= np.trace(centred).real / dim
+        expected = _times_block(centred, v)
+        product = _centred_times(x, a, v)
+        assert product.dtype == expected.dtype
+        np.testing.assert_allclose(product, expected, rtol=0,
+                                   atol=1e-14 * fro(centred) * fro(v))

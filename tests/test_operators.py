@@ -22,6 +22,7 @@ from gensym.operators import (
     NumericalError,
     _add_adjoint,
     _hermitian_eigvalsh,
+    _m_basis,
     _times_block,
     cluster_eigenvalues,
     fro,
@@ -258,31 +259,29 @@ class TestAddAdjoint:
     def test_bit_identical_to_the_whole_array_expression(self, rng, dim,
                                                           dtype, sign):
         a = awkward_matrix(rng, dim, dtype)
-        a.setflags(write=False)
         expected = a + a.conj().T if sign > 0 else a - a.conj().T
-        new = _add_adjoint(a, sign)
-        buffer = np.full_like(a, np.nan)
-        into = _add_adjoint(a, sign, buffer)
         in_place = a.copy()
-        result = _add_adjoint(in_place, sign, in_place)
-        assert into is buffer and result is in_place
-        for out in (new, buffer, in_place):
-            assert out.dtype == a.dtype and out.flags.c_contiguous
-            assert out.tobytes() == expected.tobytes()
+        assert _add_adjoint(in_place, sign) is in_place
+        assert in_place.dtype == a.dtype and in_place.flags.c_contiguous
+        assert in_place.tobytes() == expected.tobytes()
 
-    def test_gate_holds_one_buffer(self, rng):
-        # a - a.conj().T held the n^2 conj() copy and the difference.
+    def test_gate_holds_three_tiles(self, rng):
+        # ||A - A^dag||_F tile pair by tile pair: a tile's conjugate mirror
+        # and the difference, with numpy's temporaries, hold three tiles;
+        # an n^2 buffer is 16 tiles here.
         dim = 512
         a = random_hermitian(rng, dim)
-        assert traced_peak(lambda: is_hermitian(a)) <= 16 * (dim ** 2
-                                                           + 4 * TILE ** 2)
+        assert traced_peak(lambda: is_hermitian(a)) <= 16 * (3 * TILE ** 2
+                                                           + 1024)
 
-    def test_values_only_spectrum_holds_one_traced_buffer(self, rng):
-        # sym itself; LAPACK's copy of it is not traced.
+    def test_values_only_spectrum_holds_two_tiles(self, rng):
+        # eigvalsh reads the entries in place (LAPACK's copy is not
+        # traced); the squared-sum check holds a tile's lower triangle and
+        # numpy's temporaries.
         dim = 512
         a = op(random_hermitian(rng, dim))
         assert traced_peak(lambda: _hermitian_eigvalsh(a)) <= 16 * (
-            dim ** 2 + 4 * TILE ** 2)
+            2 * TILE ** 2 + 1024)
 
 
 class TestTimesBlock:
@@ -297,6 +296,27 @@ class TestTimesBlock:
         assert av.dtype == np.complex128 and av.shape == (dim, k // 2)
         np.testing.assert_allclose(av, a @ v, rtol=0, atol=1e-12 * fro(a))
         assert traced_peak(lambda: _times_block(a, v)) <= 16 * 4 * dim * k
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_dense_real_m_basis_is_one_real_gemm(self, inverse):
+        # W^dag V (W V with inverse) for the real eigenbasis W of a dense
+        # real M and complex V holds its n^2 output; numpy's mixed product
+        # would also cast W to a complex n^2 copy.
+        bundle = hardcore_chain(8, 0.3 + 0.1j)
+        q, _ = np.linalg.qr(np.random.default_rng(5).normal(
+            size=(bundle.h.dim, bundle.h.dim)))
+        h, m = (make_operator(a.dim, q @ a.entries @ q.T)
+                for a in (bundle.h, bundle.m))
+        m_spec, v = hermitian_eigh(m), hermitian_eigh(h).eigenvectors
+        w = m_spec.eigenvectors
+        dim = len(w)
+        assert w.dtype == np.float64 and v.dtype == np.complex128
+        product = _m_basis(m_spec, v, inverse)
+        expected = (w if inverse else w.conj().T) @ v
+        np.testing.assert_allclose(product, expected, rtol=0,
+                                   atol=1e-12 * fro(expected))
+        assert traced_peak(lambda: _m_basis(m_spec, v, inverse)) <= 16 * (
+            dim ** 2 + TILE ** 2)
 
     @pytest.mark.parametrize("a_type,v_type", [(complex, complex),
                                                (complex, float),
@@ -393,7 +413,7 @@ class TestHermitianEigh:
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_dense_solve_holds_four_traced_buffers(self, rng, dtype):
         # V and its canonical copy, then V, A V and the residual's
-        # temporaries: (A + A^dag)/2 is released once eigh returns.
+        # temporaries; eigh reads A in place.
         dim = 256
         a = random_hermitian(rng, dim)
         a = make_operator(dim, a if dtype is complex else a.real)
@@ -467,6 +487,43 @@ class TestHermitianEigvalsh:
         monkeypatch.setattr(np.linalg, "eigvalsh", perturbed_eigvalsh)
         with pytest.raises(NumericalError, match="probe"):
             _hermitian_eigvalsh(a)
+
+    @pytest.mark.parametrize("h", [h for _, h in MODEL_HAMILTONIANS],
+                             ids=[name for name, _ in MODEL_HAMILTONIANS])
+    def test_exactly_hermitian_input_keeps_the_bits(self, h):
+        # Read in place, an exactly Hermitian A is (A + A^dag)/2 bit for
+        # bit, so both solvers return the bits of solving that.
+        a = h.entries
+        assert np.array_equal(a, a.conj().T)
+        sym = (a + a.conj().T) / 2
+        assert (_hermitian_eigvalsh(h).tobytes()
+                == np.linalg.eigvalsh(sym).tobytes())
+        w, v = np.linalg.eigh(sym)
+        spec = hermitian_eigh(h)
+        assert spec.eigenvalues.tobytes() == w.tobytes()
+        assert (spec.eigenvectors.tobytes()
+                == phase_canonicalize(v).tobytes())
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_input_hermitian_within_the_gate_moves_by_half_its_skew_part(
+            self, rng, dtype):
+        # The solved L, A's lower triangle, is ||A - A^dag||_F / 2 from
+        # (A + A^dag)/2, and by Hoffman-Wielandt so is its spectrum.
+        dim = 150
+        s = random_hermitian(rng, dim)
+        k = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        if dtype is float:
+            s, k = s.real, k.real
+        k = k - k.conj().T
+        a = s + 0.45e-12 * fro(s) / fro(k) * k  # A - A^dag = 0.9e-12 ||S||
+        h = make_operator(dim, a)
+        assert h.hermitian and h.entries.dtype == dtype
+        skew = fro(a - a.conj().T)
+        assert skew > 0.5e-12 * fro(a)
+        expected = np.linalg.eigvalsh((a + a.conj().T) / 2)
+        rounding = 1e-14 * fro(a)
+        for w in (_hermitian_eigvalsh(h), hermitian_eigh(h).eigenvalues):
+            assert np.linalg.norm(w - expected) <= skew / 2 + rounding
 
     def test_nan_fails_the_check(self, monkeypatch, rng):
         a = op(random_hermitian(rng, 8))
