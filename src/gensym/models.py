@@ -36,12 +36,9 @@ class ModelBundle:
 
 def _lowering_matrix(l: int, hbar: float) -> np.ndarray:
     """L_- in the descending-m basis (m = l, l-1, ..., -l)."""
-    dim = 2 * l + 1
-    lm = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim - 1):
-        m = l - i
-        lm[i + 1, i] = hbar * np.sqrt(l * (l + 1) - m * (m - 1))
-    return lm
+    m = np.arange(l, -l, -1)
+    steps = hbar * np.sqrt(l * (l + 1) - m * (m - 1))
+    return np.diag(steps, -1).astype(complex)
 
 
 def angular_block(l: int, e_n: float, g: float, hbar: float = 1.0) -> ModelBundle:
@@ -71,11 +68,12 @@ def angular_block(l: int, e_n: float, g: float, hbar: float = 1.0) -> ModelBundl
     )
 
 
-_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-_SIGMA_PLUS = _SIGMA_MINUS.conj().T
-_SPIN_UP = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-_I2 = np.eye(2, dtype=complex)
+# The spin matrices, as (2, 2, 1, 1) to broadcast over Fock bands.
+_SIGMA_Z = np.reshape([1.0, 0.0, 0.0, -1.0], (2, 2, 1, 1)).astype(complex)
+_SIGMA_MINUS = np.reshape([0.0, 0.0, 1.0, 0.0], (2, 2, 1, 1)).astype(complex)
+_SIGMA_PLUS = _SIGMA_MINUS.swapaxes(0, 1).conj()
+_SPIN_UP = np.reshape([1.0, 0.0, 0.0, 0.0], (2, 2, 1, 1)).astype(complex)
+_I2 = np.reshape([1.0, 0.0, 0.0, 1.0], (2, 2, 1, 1)).astype(complex)
 
 
 def jaynes_cummings(omega0: float, omega: float, kappa: float, cutoff: int,
@@ -91,86 +89,91 @@ def jaynes_cummings(omega0: float, omega: float, kappa: float, cutoff: int,
     return _jaynes_cummings_family(cutoff)(omega0, omega, kappa, hbar)
 
 
-def _spin_blocks(nf: int, block) -> np.ndarray:
-    """The (2 nf)^2 complex matrix whose (a, b) spin block is block(a, b)."""
-    out = np.empty((2 * nf, 2 * nf), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            out[a * nf:(a + 1) * nf, b * nf:(b + 1) * nf] = block(a, b)
-    return out
-
-
 def _jaynes_cummings_family(cutoff: int):
     """jaynes_cummings at one cutoff, as a builder of
     ``(omega0, omega, kappa, hbar)``.
 
-    Every operator is a sum of kron products spin x Fock, scaled.  Each is
-    formed one spin block at a time: the (a, b) block of kron(A, B) is
-    A[a, b] * B, the product np.kron takes, and the block of a sum or a
-    scaled sum is the same sum of blocks, so every entry, its signed
-    zeros included (sigma_z has -0.0 entries), is that of the full kron
-    expression, while no (2 nf)^2 temporary is formed.  The Fock factors
-    are built here, once; c^dag c and c c^dag are diagonal, with the
-    rounded sqrt(n)*sqrt(n) a product c^dag @ c would give.  Each call
-    hands out the same M and m_exc.
+    Every operator is a sum of kron products spin x Fock, scaled, and
+    every Fock factor holds one value off its diagonals -1, 0 and +1.  So
+    each factor is a (4, nf) band array: that value, then the three
+    diagonals, entry (i, j) at position min(i, j).  Each kron expression
+    is taken once on the bands, the spin matrices broadcast: block
+    (a, b) of its (2, 2, 4, nf) result holds the entries of the full
+    expression, each formed by the same complex arithmetic, so bit for
+    bit, its signed zeros included (sigma_z and c^dag have -0.0 parts).
+    c^dag c and c c^dag are diagonal, with the rounded sqrt(n)*sqrt(n) a
+    product c^dag @ c would give.  Each call hands out the same M and
+    m_exc.
     """
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     nf = cutoff + 1
     dim = 2 * nf
+    zero = np.zeros(nf)
     root = np.sqrt(np.arange(nf, dtype=float))
-    c = np.diag(root[1:], 1).astype(complex)
-    cd = c.conj().T
-    cdc = np.diag(root * root).astype(complex)
-    number = cdc + np.diag(np.append(root[1:] * root[1:], 0.0))
-    i_f = np.eye(nf, dtype=complex)
+    up = np.append(root[1:], 0.0)  # sqrt(k + 1) at k
+    c = np.array([zero, zero, zero, up], dtype=complex)
+    cd = c.conj()[[0, 3, 2, 1]]
+    cdc = np.array([zero, zero, root * root, zero], dtype=complex)
+    number = cdc + np.array([zero, zero, up * up, zero])
+    i_f = np.array([zero, zero, zero + 1.0, zero], dtype=complex)
+    # Flat positions of the diagonals' entries; position nf - 1 of
+    # diagonals -1 and +1 is none.
+    diagonals = np.ones((2, 2, 4, nf), dtype=bool)
+    diagonals[:, :, 0] = False
+    diagonals[:, :, [1, 3], -1] = False
+    a, b, d, k = np.nonzero(diagonals)
+    at = (a * nf + k + (d == 1)) * dim + b * nf + k + (d == 3)
 
-    def sigma_z(a, b):
-        return _SIGMA_Z[a, b] * i_f
+    def assemble(*ops):
+        """make_operator of each ``(bands, label)`` pair, its bands
+        written into one scratch buffer.  The buffer is real when no band
+        value has an imaginary part but +0.0, so that make_operator would
+        store the real part; else make_operator decides, operator by
+        operator, from the complex entries."""
+        stack = np.stack([bands for bands, _ in ops])
+        if not stack.imag.view(np.uint64).any():
+            stack = stack.real
+        buf = np.empty((dim, dim), stack.dtype)
+        out = []
+        for bands, (_, label) in zip(stack, ops):
+            buf.reshape(2, nf, 2, nf)[...] = bands[:, np.newaxis, :, 0, :1]
+            buf.reshape(-1)[at] = bands[diagonals]
+            out.append(make_operator(dim, buf, label))
+        return out
 
-    def raising(a, b):
-        return _SIGMA_MINUS[a, b] * cd
-
-    def interaction(a, b):
-        return raising(a, b) + _SIGMA_PLUS[a, b] * c
-
-    def m_exc(a, b):
-        return _SPIN_UP[a, b] * i_f + _I2[a, b] * cdc
-
-    m = make_operator(dim, _spin_blocks(nf, sigma_z), "sigma_z")
-    m_exc_op = make_operator(dim, _spin_blocks(nf, m_exc), "excitations")
+    sigma_z = _SIGMA_Z * i_f
+    raising = _SIGMA_MINUS * cd
+    interaction = raising + _SIGMA_PLUS * c
+    n_up = _SPIN_UP * i_f
+    n_fock = _I2 * cdc
+    i_number = _I2 * number
+    m, m_exc = assemble((sigma_z, "sigma_z"), (n_up + n_fock, "excitations"))
 
     def build(omega0: float, omega: float, kappa: float,
               hbar: float) -> ModelBundle:
         # H = 0.5 hbar omega0 sigma_z + 0.5 hbar omega N + hbar kappa V and
         # H_star = hbar omega (n_up + c^dag c) + hbar kappa V, the scalar
-        # products taken left to right.
+        # products taken left to right.  Block (a, b), diagonal d of R^dag
+        # is the conjugate of block (b, a), diagonal -d of R.
         s_z, s_n, s_k, s_w = (0.5 * hbar * omega0, 0.5 * hbar * omega,
                               hbar * kappa, hbar * omega)
-        r = _spin_blocks(nf, lambda a, b: s_k * raising(a, b))
-        coupling = [[s_k * interaction(a, b) for b in range(2)]
-                    for a in range(2)]
-        h = _spin_blocks(nf, lambda a, b: (s_z * sigma_z(a, b)
-                                           + s_n * (_I2[a, b] * number)
-                                           + coupling[a][b]))
+        r = s_k * raising
+        coupling = s_k * interaction
+        h = s_z * sigma_z + s_n * i_number + coupling
         h0 = h - r
-        h0 -= r.conj().T
-        h = make_operator(dim, h, "jaynes_cummings")
-        known = KnownTriple(r=make_operator(dim, r, "R"), gamma=2.0,
-                            h0=make_operator(dim, h0, "H0"))
-        del r, h0  # freed before H_star is formed
-        h_star = _spin_blocks(nf, lambda a, b: (s_w * (_SPIN_UP[a, b] * i_f)
-                                                + s_w * (_I2[a, b] * cdc)
-                                                + coupling[a][b]))
+        h0 -= r.swapaxes(0, 1)[:, :, [0, 3, 2, 1]].conj()
+        h, r, h0, h_star = assemble(
+            (h, "jaynes_cummings"), (r, "R"), (h0, "H0"),
+            (s_w * n_up + s_w * n_fock + coupling, "H_star"))
         return ModelBundle(
             h=h,
             m=m,
-            known=known,
+            known=KnownTriple(r=r, gamma=2.0, h0=h0),
             params={"omega0": omega0, "omega": omega, "kappa": kappa,
                     "cutoff": cutoff, "hbar": hbar},
             basis_doc="(spin up, spin down) x (0..N quanta); index = s*(N+1)+n",
-            extras={"m_exc": m_exc_op,
-                    "h_star": make_operator(dim, h_star, "H_star")},
+            extras={"m_exc": m_exc, "h_star": h_star},
         )
     return build
 
@@ -327,6 +330,7 @@ def projection_example(dim: int, seed: int) -> ModelBundle:
     h = _random_hermitian(rng, dim)
     v = _random_unitary(rng, dim)[:, :dim // 2]
     m = v @ v.conj().T
+    m = (m + m.conj().T) / 2  # Hermitian bit for bit, as a gemm may not be
     return ModelBundle(
         h=make_operator(dim, h, "random_hermitian"),
         m=make_operator(dim, m, "projection"),
@@ -346,6 +350,7 @@ def involution_example(dim: int, seed: int) -> ModelBundle:
     signs = np.where(rng.random(dim) < 0.5, -1.0, 1.0)
     signs[0], signs[1] = 1.0, -1.0  # keep M a proper involution, not +-I
     m = (u * signs[np.newaxis, :]) @ u.conj().T
+    m = (m + m.conj().T) / 2  # Hermitian bit for bit, as a gemm may not be
     return ModelBundle(
         h=make_operator(dim, h, "random_hermitian"),
         m=make_operator(dim, m, "involution"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,33 @@ class TestAngularBlock:
     def test_rejects_negative_l(self):
         with pytest.raises(ValueError):
             angular_block(-1, 0.0, 0.1)
+
+    @staticmethod
+    def reference(l, e_n, g, hbar):
+        """The arrays angular_block stores, from their dense definition:
+        L_- |l, m> = hbar sqrt(l(l+1) - m(m-1)) |l, m-1>, m descending."""
+        dim = 2 * l + 1
+        lminus = np.zeros((dim, dim), dtype=complex)
+        for m in range(l, -l, -1):
+            step = np.sqrt(l * (l + 1) - m * (m - 1))
+            lminus[l - m + 1, l - m] = hbar * step
+        lz = np.diag(hbar * np.arange(l, -l - 1, -1, dtype=float))
+        lx = (lminus + lminus.conj().T) / 2
+        return {"h": e_n * np.eye(dim) - 2.0 * g * lx,
+                "m": lz.astype(complex), "r": -g * lminus,
+                "h0": e_n * np.eye(dim, dtype=complex)}
+
+    @pytest.mark.parametrize("l", [0, 1, 2, 5])
+    def test_matches_the_dense_definition(self, l):
+        values = (0.3, -0.7, 0.0, -0.0)
+        for e_n in values:
+            for g in values:
+                for hbar in values:
+                    bundle = angular_block(l, e_n, g, hbar)
+                    assert_frozen_copies(
+                        {"h": bundle.h, "m": bundle.m, "r": bundle.known.r,
+                         "h0": bundle.known.h0},
+                        self.reference(l, e_n, g, hbar))
 
 
 class TestRecursionBlockSolver:
@@ -208,6 +237,9 @@ class TestJaynesCummings:
     @pytest.mark.parametrize("params", [
         (1.3, 1.0, 0.2, 8, 1.0), (-0.0, -0.5, -0.1, 3, 0.7),
         (0.0, 0.0, 0.0, 1, 1.0), (1.0, 2.0, 0.3, 4, -0.0),
+        (-1.2, -0.0, -0.0, 2, -0.8), (0.4, 1.5, 0.25, 5, 0.0),
+        # A complex kappa leaves no operator real but M and m_exc.
+        (0.5, 1.0, complex(-0.0, 0.3), 3, 1.0),
     ])
     def test_family_matches_the_one_pass_build(self, params):
         omega0, omega, kappa, cutoff, hbar = params
@@ -253,6 +285,21 @@ class TestJaynesCummings:
             for name, a in full.items():
                 a[:, k, :, k] = corner[name]
                 assert_stored(operators[name], a[:, :k + 1, :, :k + 1])
+
+    def test_build_holds_one_real_buffer(self):
+        # Each operator is written into one scratch buffer before
+        # make_operator copies it; a dense build held 4.3 complex n^2.
+        dim = 512
+        tracemalloc.start()
+        try:
+            bundle = jaynes_cummings(1, 1, 0.1, dim // 2 - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(op.entries.nbytes for op in (
+            bundle.h, bundle.m, bundle.known.r, bundle.known.h0,
+            *bundle.extras.values()))
+        assert peak - held <= 16 * dim ** 2
 
 
 class TestJordanWigner:
@@ -442,6 +489,30 @@ def test_build_peak_memory(build, dim):
     # The bundle alone holds about four n^2 arrays; a dense build peaked
     # above 20 complex n^2 arrays.
     assert traced_peak(build) <= 8 * 16 * dim ** 2
+
+
+@pytest.mark.parametrize("build, args", [
+    *(pytest.param(angular_block, (l, -0.5, 0.3), id=f"angular_{l}")
+      for l in (0, 2, 7)),
+    *(pytest.param(jaynes_cummings, (1.3, -0.5, 0.2, k, 0.7), id=f"jc_{k}")
+      for k in (1, 4, 31)),
+    *(pytest.param(fermion_chain, (k, 0.7, [0.1 - 0.2j] * k),
+                   id=f"fermion_{k}") for k in (1, 3, 6)),
+    *(pytest.param(hardcore_chain, (k, 0.3 + 0.1j), id=f"hardcore_{k}")
+      for k in (2, 5)),
+    *(pytest.param(example, (dim, seed),
+                   id=f"{example.__name__.split('_')[0]}_{dim}_{seed}")
+      for example in (projection_example, involution_example)
+      for dim in (2, 6, 33, 64) for seed in (0, 1)),
+    *(pytest.param(random_triple, ([3, 5, 2], 1.5, seed),
+                   id=f"triple_{seed}") for seed in (0, 1)),
+])
+def test_every_builder_is_exactly_hermitian(build, args):
+    # LAPACK reads one triangle, so an H or M Hermitian only to rounding
+    # would be analysed by whichever triangle it reads.
+    bundle = build(*args)
+    for a in (bundle.h.entries, bundle.m.entries):
+        assert np.array_equal(a, a.conj().T)
 
 
 class TestRandomExamples:
