@@ -18,8 +18,8 @@ from .detection import (
     GENUINE,
     NO_GENSYM,
     _detect,
+    _grade_triple,
     _reconstruct_case2,
-    verify_triple,
 )
 from .models import (
     ModelBundle,
@@ -35,6 +35,7 @@ from .operators import (
     NumericalError,
     Tolerance,
     _hermitian_eigvalsh,
+    _unit,
     hermitian_eigh,
 )
 from .serialization import (
@@ -44,7 +45,7 @@ from .serialization import (
     load_operator,
     save_operator,
 )
-from .stability import case_counts, scan_spectrum_stability
+from .stability import _scan_stability, case_counts
 
 EXIT_OK = 0
 EXIT_NOT_FOUND = 1
@@ -138,9 +139,9 @@ def _detection_record(result) -> dict:
     }
 
 
-def _triple_record(triple, report) -> dict:
+def _triple_record(gamma, report) -> dict:
     return {
-        "gamma": complex_pair(triple.gamma),
+        "gamma": complex_pair(gamma),
         "residual_sum": report.residual_sum,
         "residual_h0m": report.residual_h0m,
         "residual_ladder": report.residual_ladder,
@@ -196,7 +197,8 @@ def _stability_record(records) -> dict:
 def _multiplet_stage(h, m, tol: Tolerance, m_spec=None):
     """The canonical basis of H, eigh(M) and the partition.
 
-    The stage analyze and sweep share.  A sweep passes the ``m_spec`` it
+    A sweep step's stage; analyze_pair makes the same calls with the
+    stability scan before the partition.  A sweep passes the ``m_spec`` it
     holds for a bit-identical M, and eigh(M) is skipped.
     """
     h_spec = canonical_eigenbasis(h, m, tol)
@@ -224,10 +226,14 @@ def analyze_pair(h, m, tol: Tolerance, digests: Optional[dict] = None) -> dict:
                NO_GENSYM: "no generalised symmetry detected"}.get(result.kind)
     if result.kind == CASE2:
         # The fit returns gamma = sqrt(gamma^2) > 0: the triple is canonical.
-        triple = _reconstruct_case2(h.entries, *commutators, result.gamma1)
+        # It stays in detection's units, (H0, R) / 2^a, until the scan, and
+        # H0 is released once graded: the scan reads only R and gamma.
+        gamma = result.gamma1
+        h0, r = _reconstruct_case2(h.entries, *commutators, gamma)
         del commutators
-        report["triple"] = _triple_record(triple,
-                                          verify_triple(h, m, triple, tol))
+        report["triple"] = _triple_record(
+            gamma, _grade_triple(h, m, h0, r, gamma, tol))
+        del h0
         # A residual past the float range cannot be written: stop here.
         residuals = [report["triple"][k] for k in
                      ("residual_sum", "residual_h0m", "residual_ladder")]
@@ -241,11 +247,17 @@ def analyze_pair(h, m, tol: Tolerance, digests: Optional[dict] = None) -> dict:
         report["skipped"] = skipped
         return report
 
-    h_spec, m_spec, part = _multiplet_stage(h, m, tol)
+    # The multiplet stage's calls, with the scan before the partition so
+    # that R is released first; neither reads the other's result.
+    h_spec = canonical_eigenbasis(h, m, tol)
+    m_spec = hermitian_eigh(m, tol)
     report["spectrum"] = h_spec.eigenvalues.tolist()
-    report["multiplets"] = _partition_record(part, h_spec, m_spec)
-    records = scan_spectrum_stability(h_spec, triple, m_spec, tol)
-    report["stability"] = _stability_record(records)
+    r *= 2.0 ** _unit(h.norm)  # R in H's units, as the scan reads it
+    report["stability"] = _stability_record(
+        _scan_stability(h_spec, r, gamma, m_spec, tol))
+    del r
+    report["multiplets"] = _partition_record(partition(h_spec, m_spec, tol),
+                                             h_spec, m_spec)
     return report
 
 

@@ -39,6 +39,7 @@ from .operators import (
     _add_adjoint,
     _freeze,
     _skew_norm,
+    _stored_units,
     _times_block,
     _times_m,
     _unit,
@@ -299,24 +300,36 @@ def reconstruct_case2(h: Operator, m: Operator, gamma: float,
     """
     a, b = _unit(h.norm), _unit(m.norm)
     c1, c2 = itertools.islice(_commutator_chain(h.entries, m, a, b), 2)
-    return _reconstruct_case2(h.entries, c1, c2, a, b, gamma)
+    h0, r = _reconstruct_case2(h.entries, c1, c2, a, b, gamma)
+    h0 *= 2.0 ** a
+    r *= 2.0 ** a
+    return GenSymTriple(h0=h0, r=r, gamma=gamma)
 
 
 def _reconstruct_case2(he: np.ndarray, c1: np.ndarray, c2: np.ndarray,
-                       a: int, b: int, gamma: float) -> GenSymTriple:
-    """reconstruct_case2 from H and the commutators C1 and C2 of
-    (H / 2^a, M / 2^b) already formed.
+                       a: int, b: int, gamma: float):
+    """(H0, R) / 2^a from H and the commutators C1 and C2 of
+    (H / 2^a, M / 2^b) already formed, each stored by the rule of the
+    array in H's units, which must be finite (else ValueError).
 
     With g = gamma / 2^b, C1 = g (R' - R'^dag) and C2 = g^2 (R' + R'^dag):
-    R' = (C2 + g C1) / (2 g^2) and H0' = H / 2^a - C2 / g^2, and the
-    triple is (2^a H0', 2^a R', gamma).
+    H0' = H / 2^a - C2 / g^2 is one new array, and
+    R' = (C2 + g C1) / (2 g^2) is formed in C2's buffer with C1 as its
+    scratch, so both commutators are overwritten.  Each entry is the one
+    the whole-array expressions give.
     """
     gamma = _real_nonzero(gamma)
     g = math.ldexp(gamma, -b)
     g_sq = g ** 2
-    r = (c2 + g * c1) / (2.0 * g_sq) * 2.0 ** a
-    h0 = (he * 2.0 ** -a * g_sq - c2) / g_sq * 2.0 ** a
-    return GenSymTriple(h0=h0, r=r, gamma=gamma)
+    h0 = he * 2.0 ** -a
+    h0 *= g_sq
+    # In place unless H is real and M complex.
+    h0 = np.subtract(h0, c2, out=h0 if h0.dtype == c2.dtype else None)
+    h0 /= g_sq
+    c1 *= g
+    c2 += c1
+    c2 /= 2.0 * g_sq
+    return _stored_units(h0, a), _stored_units(c2, a)
 
 
 @dataclass(frozen=True)
@@ -358,16 +371,24 @@ def verify_triple(h: Operator, m: Operator, triple: GenSymTriple,
     if not (triple.h0.shape == triple.r.shape == (h.dim, h.dim)
             and h.dim == m.dim):
         raise ValueError("dimension mismatch between (H, M) and triple")
+    unit = 2.0 ** -_unit(h.norm)
+    return _grade_triple(h, m, triple.h0 * unit, triple.r * unit,
+                         triple.gamma, tol)
+
+
+def _grade_triple(h: Operator, m: Operator, h0: np.ndarray, r: np.ndarray,
+                  gamma: float, tol: Tolerance) -> TripleReport:
+    """verify_triple on (H0, R) / 2^a as _reconstruct_case2 returns them,
+    read in place."""
     a = _unit(h.norm)
     h_norm = math.ldexp(h.norm, -a)
-    h0, r = triple.h0 * 2.0 ** -a, triple.r * 2.0 ** -a
     rd = r.conj().T
     bound = tol.rtol * h_norm
     m_bound = bound * m.norm  # for [H0, M] and [R, M] - gamma R
     residual_sum = fro(h.entries * 2.0 ** -a - h0 - r - rd)
     residual_h0m = fro(_times_m(h0, m) - _times_m(h0, m, left=True))
     residual_ladder = fro(_times_m(r, m) - _times_m(r, m, left=True)
-                          - triple.gamma * r)
+                          - gamma * r)
     h0_herm = _skew_norm(h0) <= H0_HERMITICITY_BOUND * h_norm
     # With R ~ 0 the ladder relation holds for any gamma; flag it.
     degenerate = fro(r) <= bound

@@ -18,9 +18,9 @@ from .operators import (
     Operator,
     SpectralDecomposition,
     Tolerance,
+    _canonical_phases,
     _m_basis,
     hermitian_eigh,
-    phase_canonicalize,
 )
 
 # Relative projection norm below which a cluster counts as absent.
@@ -55,22 +55,30 @@ def canonical_eigenbasis(h: Operator, m: Operator,
     if not m.hermitian:
         raise ValueError(f"M ({m.label!r}) is not Hermitian within gate")
     spec = hermitian_eigh(h, tol)
+    values, clusters = spec.eigenvalues, spec.clusters
+    wide = [(start, stop) for start, stop in clusters if stop - start > 1]
     me = m.entries
-    vectors = np.array(spec.eigenvectors,
-                       dtype=np.result_type(spec.eigenvectors, me))
-    for start, stop in spec.clusters:
-        if stop - start < 2:
-            continue
-        block = vectors[:, start:stop]
-        compressed = block.conj().T @ me @ block
-        compressed = (compressed + compressed.conj().T) / 2
-        _, u = np.linalg.eigh(compressed)
-        vectors[:, start:stop] = block @ u
-    vectors = phase_canonicalize(vectors)
-    vectors.setflags(write=False)
-    return SpectralDecomposition(eigenvalues=spec.eigenvalues,
-                                 eigenvectors=vectors,
-                                 clusters=spec.clusters)
+    dtype = np.result_type(spec.eigenvectors, me)
+    if dtype == np.float64 and not wide:
+        # Nothing to rotate, and hermitian_eigh's real basis has canonical
+        # signs: a second sign pass is exact and changes no bit.
+        vectors = spec.eigenvectors
+    else:
+        # One owned copy, and hermitian_eigh's basis is released.  A
+        # complex phase pass moves last bits, so it runs even with no
+        # cluster to rotate.
+        vectors = np.array(spec.eigenvectors, dtype=dtype)
+        del spec
+        for start, stop in wide:
+            block = vectors[:, start:stop]
+            compressed = block.conj().T @ me @ block
+            compressed = (compressed + compressed.conj().T) / 2
+            _, u = np.linalg.eigh(compressed)
+            vectors[:, start:stop] = block @ u
+        _canonical_phases(vectors)
+        vectors.setflags(write=False)
+    return SpectralDecomposition(eigenvalues=values, eigenvectors=vectors,
+                                 clusters=clusters)
 
 
 def _cluster_coordinates(vectors: np.ndarray, m_spec: SpectralDecomposition):

@@ -4,7 +4,8 @@ Everything downstream (symmetry detection, multiplets, stability) is built
 on the small set of primitives in this module.  Operators are immutable
 dense matrices; all functions are pure.
 
-Storage rule, applied to every Operator and GenSymTriple: a matrix is
+Storage rule, applied to every Operator and GenSymTriple, and to the
+case-2 pipeline's (H0, R) in H's units: a matrix is
 float64 when the imaginary part of every entry is +0.0 bit for bit, and
 complex128 otherwise.  Downstream code follows the dtype of its operands,
 so a pair of real operators runs every gemm and eigensolve in real
@@ -215,6 +216,30 @@ def _freeze(entries) -> np.ndarray:
     return a
 
 
+def _stored_units(x: np.ndarray, a: int) -> np.ndarray:
+    """x, the contiguous entries of X / 2^a, stored by the rule of X.
+
+    Raises ValueError when an entry of X is not finite, and returns the
+    real part of a complex x when every imaginary part of X is +0.0 bit
+    for bit; else x itself.  Both are read off extremes of x, with no n^2
+    temporary: the scale by 2^a is exact and monotone, so X is finite when
+    the largest and smallest (re, im) entries of x scale to finite values,
+    and every imaginary part of X is +0.0 when none has its sign bit set
+    and the largest scales to 0.
+    """
+    unit = 2.0 ** a
+    parts = x.view(np.float64)
+    if not (math.isfinite(float(parts.max()) * unit)
+            and math.isfinite(float(parts.min()) * unit)):
+        raise ValueError("entries contain non-finite values")
+    if np.iscomplexobj(x):
+        imag = x.imag
+        if (int(imag.view(np.uint64).max()) < 2 ** 63
+                and float(imag.max()) * unit == 0.0):
+            return np.ascontiguousarray(x.real)
+    return x
+
+
 def make_operator(dim: int, entries, label: str = "") -> Operator:
     """Validate and freeze a dense square matrix into an Operator.
 
@@ -287,7 +312,13 @@ def phase_canonicalize(vectors: np.ndarray) -> np.ndarray:
     Ties break to the lowest index (argmax picks the first maximum).  Real
     columns stay real: their phase is a sign.
     """
-    out = np.array(vectors, dtype=np.result_type(vectors, float))
+    return _canonical_phases(
+        np.array(vectors, dtype=np.result_type(vectors, float)))
+
+
+def _canonical_phases(out: np.ndarray) -> np.ndarray:
+    """phase_canonicalize in place in the float64 or complex128 ``out``,
+    which it returns."""
     magnitudes = np.abs(out.T, order="C")  # one contiguous row per column
     pivots = out[np.argmax(magnitudes, axis=1), np.arange(out.shape[1])]
     if not np.iscomplexobj(out):

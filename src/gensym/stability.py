@@ -79,13 +79,12 @@ class _Ladder:
     sizes: np.ndarray
 
 
-def _ladder(h_spec: SpectralDecomposition, triple: GenSymTriple,
+def _ladder(h_spec: SpectralDecomposition, r: np.ndarray, gamma: float,
             m_spec: SpectralDecomposition) -> _Ladder:
-    r = triple.r
     mu, sizes = m_spec.cluster_values()
     return _Ladder(h_spec=h_spec, h_norm=fro(h_spec.eigenvalues), r=r,
                    r_dag=r.conj().T, r_norm=fro(r) or 1.0,
-                   gamma=triple.gamma, m_spec=m_spec, mu=mu, sizes=sizes)
+                   gamma=gamma, m_spec=m_spec, mu=mu, sizes=sizes)
 
 
 def _rank_tests(a: np.ndarray, b: np.ndarray, psi: np.ndarray):
@@ -199,21 +198,26 @@ def _partners(ladder: _Ladder, vectors: np.ndarray, eigenvalues: np.ndarray,
     phases = np.repeat(np.exp(-np.outer(mu - (mu[0] + mu[-1]) / 2, z_re)
                               - 1j * np.outer(mu, z_im)),
                        ladder.sizes, axis=0)
-    chi = _m_basis(ladder.m_spec,
-                   phases * _m_basis(ladder.m_spec, vectors), inverse=True)
+    # Products are formed in place in one operand's buffer, each entry
+    # the whole-array expression's.
+    phases *= _m_basis(ladder.m_spec, vectors)
+    chi = _m_basis(ladder.m_spec, phases, inverse=True)
+    del phases
     chi_norms = np.linalg.norm(chi, axis=0)
     w, v = ladder.h_spec.eigenvalues, ladder.h_spec.eigenvectors
     a = _unit(ladder.h_norm)  # w - E' over 2^a: no norm can overflow
-    residuals = np.linalg.norm((w[:, np.newaxis] - e_second) * 2.0 ** -a
-                               * _times_block(v.T, np.conj(chi)),
-                               axis=0) / chi_norms
+    shifted = _times_block(v.T, np.conj(chi))
+    shifted *= (w[:, np.newaxis] - e_second) * 2.0 ** -a
+    residuals = np.linalg.norm(shifted, axis=0) / chi_norms
+    del shifted
     # Written as "not <=" so that a NaN residual fails the check too.
     bad = np.flatnonzero(~(residuals <= tol.rtol * ladder.h_norm * 2.0 ** -a))
     residuals = [float(residual) * 2.0 ** a for residual in residuals]
     if bad.size:
         raise NumericalError(
             f"partner residual {residuals[bad[0]]:.3e} exceeds tolerance")
-    chi = np.ascontiguousarray((chi / chi_norms).T)
+    chi /= chi_norms
+    chi = np.ascontiguousarray(chi.T)
     return [PartnerRecord(z=z, chi=chi[j], e_second=e_second[j],
                           residual=residuals[j])
             for j, z in enumerate(zs)]
@@ -238,7 +242,15 @@ def scan_spectrum_stability(h_spec: SpectralDecomposition,
     Memory: besides the n x n operators, O(n * _BLOCK) workspace per
     block, so no (n, n, 3) stack is ever formed.
     """
-    ladder = _ladder(h_spec, triple, m_spec)
+    return _scan_stability(h_spec, triple.r, triple.gamma, m_spec, tol)
+
+
+def _scan_stability(h_spec: SpectralDecomposition, r: np.ndarray,
+                    gamma: float, m_spec: SpectralDecomposition,
+                    tol: Tolerance) -> List[StabilityRecord]:
+    """scan_spectrum_stability on the R and gamma of a triple, R in H's
+    units."""
+    ladder = _ladder(h_spec, r, gamma, m_spec)
     records: List[StabilityRecord] = []
     for start in range(0, h_spec.dim, _BLOCK):
         stop = min(start + _BLOCK, h_spec.dim)

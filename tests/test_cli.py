@@ -558,6 +558,11 @@ def rotated(bundle, seed=5):
                  for a in (bundle.h, bundle.m))
 
 
+# Traced peak of one whole case-2 analyze_pair at dim 256, in complex n^2
+# (16 n^2 bytes); README's Cost model quotes these bounds.
+CASE2_OP_PEAKS = {"hardcore_8": 6.0, "jc_127": 3.6}
+
+
 class TestCostModel:
     """analyze_pair forms each eigendecomposition and commutator once, and
     H's eigenvectors only when the verdict goes on to use them.  A real
@@ -566,14 +571,14 @@ class TestCostModel:
     @staticmethod
     def recording(monkeypatch, dim):
         """Patch the solvers, the chain, the partition's cluster coordinates
-        and the freeze helper GenSymTriple calls to record their operand
+        and the pipeline's grading of (H0, R) to record their operand
         dtypes (full-size eigh/eigvalsh only), and record the dim of every
         operator the multiplet stage solves by a sort; returns the record."""
         calls = {"eigh": [], "eigvalsh": [], "svd": [], "chain": [],
                  "coords": [], "triple": [], "sorted": []}
         chain = detection._commutator_chain
         coordinates = multiplets._cluster_coordinates
-        freeze = detection._freeze
+        grade = cli._grade_triple
         solve = operators.hermitian_eigh
 
         def recording(name):
@@ -594,9 +599,9 @@ class TestCostModel:
             calls["coords"].append(result[0].dtype)
             return result
 
-        def recording_freeze(entries):
-            calls["triple"].append(np.asarray(entries).dtype)
-            return freeze(entries)
+        def recording_grade(h, m, h0, r, *args):
+            calls["triple"].append((h0.dtype, r.dtype))
+            return grade(h, m, h0, r, *args)
 
         def recording_solve(a, tol):
             if a.real_diagonal is not None:
@@ -608,7 +613,7 @@ class TestCostModel:
         monkeypatch.setattr(detection, "_commutator_chain", recording_chain)
         monkeypatch.setattr(multiplets, "_cluster_coordinates",
                             recording_coordinates)
-        monkeypatch.setattr(detection, "_freeze", recording_freeze)
+        monkeypatch.setattr(cli, "_grade_triple", recording_grade)
         for module in (cli, multiplets):
             monkeypatch.setattr(module, "hermitian_eigh", recording_solve)
         return calls
@@ -617,13 +622,9 @@ class TestCostModel:
         """The report, and the operand dtypes of every eigh, eigvalsh and
         svd call (full-size eigh/eigvalsh only), of every chain and of the
         partition's cluster coordinates, and of the (H0, R) arrays the
-        reconstruction builds its triple from."""
+        pipeline grades."""
         calls = self.recording(monkeypatch, h.dim)
-        report = analyze_pair(h, m, Tolerance())
-        # detection freezes arrays only for the triple: H0, then R.
-        calls["triple"] = list(zip(calls["triple"][::2],
-                                   calls["triple"][1::2]))
-        return report, calls
+        return analyze_pair(h, m, Tolerance()), calls
 
     def analyze_counting(self, monkeypatch, h, m):
         """The report and the full-size eigh, eigvalsh and chain calls."""
@@ -722,9 +723,9 @@ class TestCostModel:
     def test_unverified_triple_values_only(self, monkeypatch):
         # A triple that does not verify: no eigh(H), partition or scan.
         bundle = angular_block(2, -0.125, 0.1)
-        verify = cli.verify_triple
-        monkeypatch.setattr(cli, "verify_triple", lambda *args: replace(
-            verify(*args), sum_ok=False))
+        grade = cli._grade_triple
+        monkeypatch.setattr(cli, "_grade_triple", lambda *args: replace(
+            grade(*args), sum_ok=False))
         report, calls = self.analyze_recording(monkeypatch, bundle.h,
                                                bundle.m)
         assert report["detection"]["kind"] == "case2"
@@ -809,6 +810,29 @@ class TestCostModel:
         assert peak <= 16 * (detection.TILE * dim
                              + 16 * dim * detection.PROBES)
 
+    @pytest.mark.parametrize("name, build", [
+        ("hardcore_8", lambda: hardcore_chain(8, 0.3 + 0.1j)),
+        ("jc_127", lambda: jaynes_cummings(1.0, 1.0, 0.1, 127)),
+    ])
+    def test_case2_op_peak(self, name, build):
+        # A whole case-2 analysis at dim 256, operands gated beforehand.
+        # (H0, R) stay over 2^a until the scan, H0 is released once graded,
+        # R before the partition, and the canonical basis holds one owned
+        # copy: 5.63 complex n^2 on hardcore_8 (complex H) and 3.24 on
+        # jc_127 (real), where holding H0 to the end, the triple's frozen
+        # copies and verify_triple's scaled ones read 7.63 and 3.96-4.01.
+        bundle = build()
+        h, m = bundle.h, bundle.m
+        assert h.dim == 256 and h.hermitian and m.hermitian
+        report = {}
+
+        def analyze():
+            report.update(analyze_pair(h, m, Tolerance()))
+
+        peak = traced_peak(analyze)
+        assert report["stability"] is not None
+        assert peak <= 16 * CASE2_OP_PEAKS[name] * h.dim ** 2
+
     @pytest.mark.parametrize("bundle", [hardcore_chain(8, 0.3 + 0.1j),
                                         random_triple([4, 3, 5], 0.7, seed=2)],
                              ids=["hardcore_8", "random_triple"])
@@ -863,11 +887,13 @@ class TestCostModel:
             raise AssertionError("a sweep step stops after the partition")
 
         for module, name in [(cli, "_reconstruct_case2"),
-                             (cli, "verify_triple"),
-                             (cli, "scan_spectrum_stability"),
+                             (cli, "_grade_triple"),
+                             (cli, "_scan_stability"),
                              (detection, "_reconstruct_case2"),
                              (detection, "verify_triple"),
-                             (stability, "scan_spectrum_stability")]:
+                             (detection, "_grade_triple"),
+                             (stability, "scan_spectrum_stability"),
+                             (stability, "_scan_stability")]:
             monkeypatch.setattr(module, name, unreachable)
         assert main(["sweep", "angular", "--l", "1", *argv,
                      "--out", str(tmp_path / "s.csv")]) == EXIT_OK
@@ -910,6 +936,53 @@ class TestCostModel:
         assert self.sweep_counting(
             monkeypatch, tmp_path, [*self.HBAR_SWEEP, str(k)],
             dense=True) == (2 * k, 0, k, 0)
+
+
+class TestPipelineMatchesPublicCalls:
+    """analyze_pair keeps (H0, R) over 2^a and never builds a GenSymTriple;
+    its report equals, field by field, one built from the public calls."""
+
+    @staticmethod
+    def public_report(h, m, tol):
+        result = detection.detect(h, m, tol)
+        triple = detection.reconstruct_case2(h, m, result.gamma1, tol)
+        grade = detection.verify_triple(h, m, triple, tol)
+        h_spec = multiplets.canonical_eigenbasis(h, m, tol)
+        m_spec = operators.hermitian_eigh(m, tol)
+        part = multiplets.partition(h_spec, m_spec, tol)
+        records = stability.scan_spectrum_stability(h_spec, triple, m_spec,
+                                                    tol)
+        return {
+            "tool": {"name": "gensym", "version": cli.__version__},
+            "tolerances": {"rtol": tol.rtol},
+            "inputs": {},
+            "detection": cli._detection_record(result),
+            "spectrum": h_spec.eigenvalues.tolist(),
+            "triple": cli._triple_record(triple.gamma, grade),
+            "multiplets": cli._partition_record(part, h_spec, m_spec),
+            "stability": cli._stability_record(records),
+            "skipped": None,
+        }
+
+    @pytest.mark.parametrize("build", [
+        lambda: angular_block(3, -0.125, 0.1),
+        lambda: jaynes_cummings(1.0, 1.0, 0.1, cutoff=16),
+        lambda: hardcore_chain(5, 0.3 + 0.1j),
+        lambda: random_triple([4, 3, 5], 0.7, seed=2),
+        lambda: projection_example(40, seed=1),
+        lambda: rotated(hardcore_chain(4, 0.3 + 0.1j)),
+    ], ids=["angular_l3", "jc_16", "hardcore_5", "random_triple",
+            "projection_40", "hardcore_4_dense_real_m"])
+    def test_report_field_by_field(self, build):
+        pair = build()
+        h, m = (pair.h, pair.m) if hasattr(pair, "h") else pair
+        report = analyze_pair(h, m, Tolerance())
+        assert report["detection"]["kind"] == "case2"
+        assert report["stability"] is not None
+        expected = self.public_report(h, m, Tolerance())
+        assert list(report) == list(expected)
+        for key in expected:
+            assert report[key] == expected[key], key
 
 
 class TestHermiticityGate:

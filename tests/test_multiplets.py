@@ -11,9 +11,10 @@ from gensym import (
 from gensym.multiplets import (DEFAULT_SUPPORT_EPS, _cluster_coordinates,
                                _first_parallel_representative, size_label)
 from gensym.models import (angular_block, hardcore_chain, jaynes_cummings,
-                           random_triple)
+                           projection_example, random_triple)
+from gensym.operators import phase_canonicalize
 
-from conftest import near_degenerate_pair, op, random_hermitian
+from conftest import near_degenerate_pair, op, random_hermitian, traced_peak
 from reference import matrix_function
 
 
@@ -101,6 +102,42 @@ class TestCanonicalEigenbasis:
             bound = (np.sqrt(stop - start) * 1e-10 * h.norm
                      + w[stop - 1] - w[start])
             assert np.all(residuals[start:stop] <= bound)
+
+    @pytest.mark.parametrize("bundle", [
+        jaynes_cummings(1.0, 1.0, 0.1, cutoff=16),
+        angular_block(3, -0.5, 0.1),
+        projection_example(40, seed=1),
+    ], ids=["jc_16", "angular_l3", "projection_40"])
+    def test_basis_with_no_cluster_takes_one_phase_pass(self, bundle):
+        # With nothing to rotate, the basis is hermitian_eigh's with its
+        # phases canonicalised once more: a no-op for a real basis, whose
+        # sign pass is exact and idempotent, which therefore is returned as
+        # solved; last bits for a complex one.
+        h, m = bundle.h, bundle.m
+        solved = hermitian_eigh(h)
+        assert all(stop - start == 1 for start, stop in solved.clusters)
+        spec = canonical_eigenbasis(h, m)
+        expected = phase_canonicalize(solved.eigenvectors)
+        assert spec.eigenvectors.dtype == expected.dtype
+        assert spec.eigenvectors.tobytes() == expected.tobytes()
+        assert not spec.eigenvectors.flags.writeable
+        assert spec.order is None
+
+    @pytest.mark.parametrize("bundle", [
+        jaynes_cummings(1.0, 1.0, 0.1, cutoff=127),
+        hardcore_chain(8, 0.3 + 0.1j),
+        projection_example(256, seed=3),
+    ], ids=["jc_127", "hardcore_8", "projection_256"])
+    def test_holds_no_second_copy_of_the_basis(self, bundle):
+        # A real basis with no cluster is returned as solved, and any other
+        # is rotated and phased in one owned copy once hermitian_eigh's is
+        # released, so the peak is eigh's own (1.57 real, 3.13 complex n^2
+        # at dim 256); a second n x n copy adds 0.5 n^2 complex units.
+        h, m = bundle.h, bundle.m
+        assert h.hermitian and m.hermitian and h.dim == 256
+        eigh_peak = traced_peak(lambda: hermitian_eigh(h))
+        assert traced_peak(lambda: canonical_eigenbasis(h, m)) <= (
+            eigh_peak + 16 * 16 * h.dim)
 
     def test_rejects_non_hermitian_m(self, rng):
         h = op(random_hermitian(rng, 3))

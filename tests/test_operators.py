@@ -22,7 +22,9 @@ from gensym.operators import (
     NumericalError,
     _add_adjoint,
     _hermitian_eigvalsh,
+    _freeze,
     _m_basis,
+    _stored_units,
     _times_block,
     cluster_eigenvalues,
     fro,
@@ -127,6 +129,35 @@ class TestStorageRule:
         entries[1, 0] = bad
         with pytest.raises(ValueError, match="non-finite"):
             make_operator(2, entries)
+
+    @pytest.mark.parametrize("a", [-1022, -30, 0, 40, 1023])
+    def test_units_follow_the_rule_of_the_scaled_array(self, a):
+        # _stored_units(x, a) stores x = X / 2^a as _freeze stores X, read
+        # off extremes of x: finiteness, and +0.0 imaginary parts after
+        # the scale (2^-60 vanishes at 2^-1022, its negative leaves -0.0;
+        # 3.0 and -3.0 overflow at 2^1023).
+        cases = []
+        for re in (3.0, -3.0, -0.75, 2.0 ** -60, 0.0, np.nan):
+            for im in (None, 0.0, -0.0, 2.0 ** -60, -2.0 ** -60, 0.5,
+                       np.inf):
+                x = np.array([[1.0, -0.25], [re, 0.5]],
+                             dtype=float if im is None else complex)
+                if im is not None:
+                    x[0, 1] = complex(-0.25, im)
+                cases.append(x)
+        for x in cases:
+            with np.errstate(all="ignore"):
+                scaled = x * 2.0 ** a
+            try:
+                expected = _freeze(scaled)
+            except ValueError:
+                with pytest.raises(ValueError, match="non-finite"):
+                    _stored_units(x.copy(), a)
+                continue
+            got = _stored_units(x.copy(), a)
+            assert got.dtype == expected.dtype
+            with np.errstate(all="ignore"):
+                assert (got * 2.0 ** a).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_stored_copy_is_frozen_and_unaliased(self, dtype):

@@ -12,6 +12,8 @@ from gensym.detection import (
     SCREEN_MIN_DIM_REAL,
 )
 
+from test_cli import CASE2_OP_PEAKS
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -31,3 +33,12 @@ def test_gates_table_quotes_the_probe_screen_constants():
                    f"`V` of {PROBES} probes", f"√(2·{PROBES}·u)",
                    f"`u = {PROBE_UPPER:.2f}`", f"`{PROBE_MARGIN:.1f}·rtol`"):
         assert quoted in row
+
+
+def test_cost_model_quotes_the_case2_op_peak_bounds():
+    lines = README.read_text(encoding="utf-8").split("\n")
+    for name, model in (("hardcore_8", "`hardcore_chain(8, 0.3+0.1j)`"),
+                        ("jc_127", "`jaynes_cummings(1, 1, 0.1, 127)`")):
+        row = next(line for line in lines
+                   if line.startswith(f"| {model} | 256 |"))
+        assert row.endswith(f"| {CASE2_OP_PEAKS[name]} |")

@@ -39,7 +39,7 @@ def rank_test(psi, a, b):
 def classify_column(psi, eigenvalue, h_spec, triple, m_spec, index=0):
     """_classify_block on one eigenvector of the H that h_spec decomposes,
     as a block of one column."""
-    return _classify_block(_ladder(h_spec, triple, m_spec),
+    return _classify_block(_ladder(h_spec, triple.r, triple.gamma, m_spec),
                            np.reshape(psi, (-1, 1)),
                            np.array([float(eigenvalue)]), [index],
                            Tolerance())[0]
@@ -47,7 +47,7 @@ def classify_column(psi, eigenvalue, h_spec, triple, m_spec, index=0):
 
 def partner_column(psi, eigenvalue, coeffs, h_spec, triple, m_spec):
     """_partners on one eigenvector of h_spec's H with the given (x, y)."""
-    return _partners(_ladder(h_spec, triple, m_spec),
+    return _partners(_ladder(h_spec, triple.r, triple.gamma, m_spec),
                      np.reshape(psi, (-1, 1)), np.array([float(eigenvalue)]),
                      [coeffs], Tolerance())[0]
 

@@ -9,16 +9,21 @@ either way puts one of them on the other side, where its test fails.
 import numpy as np
 import pytest
 
-from gensym import NumericalError, hermitian_eigh, make_operator
-from gensym.operators import (_hermitian_eigvalsh, _skew_norm, fro,
+from gensym import (NumericalError, SpectralDecomposition, Tolerance, detect,
+                    hermitian_eigh, make_operator, partition)
+from gensym.detection import SCREEN_MIN_DIM, _probe_screen
+from gensym.operators import (_hermitian_eigvalsh, _skew_norm, _unit, fro,
                               is_hermitian)
 from gensym.stability import _rank_tests, _screen
 
-from conftest import random_hermitian
+from conftest import op, random_hermitian
 
 # operators.HERMITICITY_GATE, operators.EIGH_RESIDUAL_BOUND and
 # stability.STABILITY_CUTOFF.
 HERMITICITY_GATE, EIGH_RESIDUAL_BOUND, STABILITY_CUTOFF = 1e-12, 1e-10, 1e-8
+# multiplets.DEFAULT_SUPPORT_EPS, detection.PROBE_MARGIN (24.53 to four
+# figures) and the default Tolerance.rtol.
+DEFAULT_SUPPORT_EPS, PROBE_MARGIN, DEFAULT_RTOL = 1e-8, 24.5, 1e-8
 
 INSIDE, OUTSIDE = 0.7, 1.4
 SIDES = pytest.mark.parametrize("factor, inside", [(INSIDE, True),
@@ -132,3 +137,43 @@ def test_case_4_screen(factor, inside):
     case, _ = _screen(1.0 + 0j, -1.0 + factor * STABILITY_CUTOFF + 0j,
                       1.0 + 0j)
     assert case == (4 if inside else 5)
+
+
+@SIDES
+def test_support_eps(factor, inside):
+    # psi = e_0 + s e_1 against M = diag(0, 1): ||psi|| = 1 to 1e-16, and
+    # its component on the mu = 1 cluster is s; inside, it is no support.
+    m_spec = hermitian_eigh(make_operator(2, np.diag([0.0, 1.0])))
+    psi = np.array([[1.0], [factor * DEFAULT_SUPPORT_EPS]])
+    spec = SpectralDecomposition(eigenvalues=np.zeros(1), eigenvectors=psi,
+                                 clusters=((0, 1),))
+    expected = ((0,),) if inside else ((0, 1),)
+    assert partition(spec, m_spec).signatures == expected
+
+
+@SIDES
+def test_probe_margin(rng, factor, inside):
+    # A dense complex pair at the screen's cutoff: its probe fit residual
+    # rho is taken first, then rtol = rho / (factor * margin), so rho sits
+    # at factor * margin * rtol.  Inside the margin the probes pass the
+    # pair on to the exact fit; outside they reject it.
+    h, m = (op(random_hermitian(rng, SCREEN_MIN_DIM)) for _ in range(2))
+    rho = _probe_screen(h.entries, m.entries, _unit(h.norm), _unit(m.norm),
+                        0.0, 0.0)
+    assert 1e-3 < rho < 1.0
+    result = detect(h, m, Tolerance(rtol=rho / (factor * PROBE_MARGIN)))
+    assert result.screened is not inside
+    if not inside:
+        assert result.residual == rho
+
+
+@SIDES
+def test_default_rtol_cluster_gap(factor, inside):
+    # diag(1, 1 + d) with d at factor * rtol * ||A||_F: inside, the two
+    # eigenvalues are one cluster under the default Tolerance.
+    gap = factor * DEFAULT_RTOL * np.sqrt(2.0)
+    a = make_operator(2, np.diag([1.0, 1.0 + gap]))
+    assert np.diff(np.diag(a.entries))[0] / a.norm == pytest.approx(
+        factor * DEFAULT_RTOL, rel=1e-6)
+    clusters = hermitian_eigh(a, Tolerance()).clusters
+    assert clusters == (((0, 2),) if inside else ((0, 1), (1, 2)))
