@@ -81,6 +81,11 @@ def _model_args(sub: argparse.ArgumentParser):
     sub.add_argument("--seed", type=int, default=0)
 
 
+# The parameters each model reads, which a sweep may move; others read none.
+SWEEPABLE = {"angular": ("en", "g", "hbar"), "fermion": ("eps",),
+             "jc": ("omega0", "omega", "kappa", "hbar")}
+
+
 def build_model(args: argparse.Namespace) -> ModelBundle:
     return _model_family(args)()
 
@@ -194,17 +199,13 @@ def _stability_record(records) -> dict:
             "counts": {str(k): v for k, v in sorted(counts.items())}}
 
 
-def _multiplet_stage(h, m, tol: Tolerance, m_spec=None):
-    """The canonical basis of H, eigh(M) and the partition.
-
-    A sweep step's stage; analyze_pair makes the same calls with the
-    stability scan before the partition.  A sweep passes the ``m_spec`` it
-    holds for a bit-identical M, and eigh(M) is skipped.
-    """
+def _eigenbases(h, m, tol: Tolerance, m_spec=None):
+    """(h_spec, m_spec): the canonical basis of H and eigh(M), skipped
+    when a sweep passes the ``m_spec`` it holds for a bit-identical M."""
     h_spec = canonical_eigenbasis(h, m, tol)
     if m_spec is None:
         m_spec = hermitian_eigh(m, tol)
-    return h_spec, m_spec, partition(h_spec, m_spec, tol)
+    return h_spec, m_spec
 
 
 def analyze_pair(h, m, tol: Tolerance, digests: Optional[dict] = None) -> dict:
@@ -247,10 +248,9 @@ def analyze_pair(h, m, tol: Tolerance, digests: Optional[dict] = None) -> dict:
         report["skipped"] = skipped
         return report
 
-    # The multiplet stage's calls, with the scan before the partition so
-    # that R is released first; neither reads the other's result.
-    h_spec = canonical_eigenbasis(h, m, tol)
-    m_spec = hermitian_eigh(m, tol)
+    # The scan runs before the partition so that R is released first;
+    # neither reads the other's result.
+    h_spec, m_spec = _eigenbases(h, m, tol)
     report["spectrum"] = h_spec.eigenvalues.tolist()
     r *= 2.0 ** _unit(h.norm)  # R in H's units, as the scan reads it
     report["stability"] = _stability_record(
@@ -283,9 +283,11 @@ def run_analyze(args: argparse.Namespace) -> int:
 def run_sweep(args: argparse.Namespace) -> int:
     if args.steps < 2:
         raise ValueError(f"steps must be >= 2, got {args.steps}")
-    sweepable = {"en", "g", "hbar", "omega", "omega0", "kappa", "eps"}
+    sweepable = SWEEPABLE.get(args.name, ())
     if args.param not in sweepable:
-        raise ValueError(f"--param must be one of {sorted(sweepable)}")
+        raise ValueError(f"the {args.name} model does not read "
+                         f"{args.param!r}; it sweeps "
+                         f"{', '.join(sweepable) or 'no parameter'}")
     values = np.linspace(args.start, args.stop, args.steps).tolist()
     tol = Tolerance()
     build = _model_family(args)
@@ -306,8 +308,8 @@ def run_sweep(args: argparse.Namespace) -> int:
             if max(gammas) - min(gammas) > tol.rtol * max(gammas):
                 raise NumericalError(
                     f"gamma drifts at fixed M: {min(gammas)} .. {max(gammas)}")
-        h_spec, m_spec, part = _multiplet_stage(bundle.h, bundle.m, tol,
-                                                m_spec)
+        h_spec, m_spec = _eigenbases(bundle.h, bundle.m, tol, m_spec)
+        part = partition(h_spec, m_spec, tol)
         class_of = {i: c for c, members in enumerate(part.classes)
                     for i in members}
         for i, eigenvalue in enumerate(h_spec.eigenvalues.tolist()):

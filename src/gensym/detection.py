@@ -165,10 +165,9 @@ def _fit_case2(c1: np.ndarray, c3: np.ndarray,
     residual is the sine of the angle between C1 and C3, unchanged when H
     or M is scaled.  The difference is formed by row blocks in ``out``, a
     new array when None; ``out`` may be c3 itself, then overwritten.
+    C1 != 0: both callers fit only once ||C1|| has passed a gate.
     """
     n1 = fro(c1)
-    if n1 == 0.0:
-        raise ValueError("the case-2 fit requires [H,M] != 0")
     n3 = fro(c3)
     if n3 == 0.0:  # C1 != 0 implies C3 != 0 in exact arithmetic
         raise NumericalError("the case-2 fit underflows: C3 = 0, C1 != 0")

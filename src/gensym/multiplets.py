@@ -18,9 +18,9 @@ from .operators import (
     Operator,
     SpectralDecomposition,
     Tolerance,
-    _canonical_phases,
     _m_basis,
     hermitian_eigh,
+    phase_canonicalize,
 )
 
 # Relative projection norm below which a cluster counts as absent.
@@ -75,7 +75,7 @@ def canonical_eigenbasis(h: Operator, m: Operator,
             compressed = (compressed + compressed.conj().T) / 2
             _, u = np.linalg.eigh(compressed)
             vectors[:, start:stop] = block @ u
-        _canonical_phases(vectors)
+        phase_canonicalize(vectors)
         vectors.setflags(write=False)
     return SpectralDecomposition(eigenvalues=values, eigenvectors=vectors,
                                  clusters=clusters)

@@ -307,28 +307,23 @@ def cluster_eigenvalues(values: Sequence[float], scale: float,
 
 
 def phase_canonicalize(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive.
+    """Rotate each column of the float64 or complex128 ``vectors`` in place
+    so its largest-magnitude entry is real positive; returns ``vectors``.
 
     Ties break to the lowest index (argmax picks the first maximum).  Real
     columns stay real: their phase is a sign.
     """
-    return _canonical_phases(
-        np.array(vectors, dtype=np.result_type(vectors, float)))
-
-
-def _canonical_phases(out: np.ndarray) -> np.ndarray:
-    """phase_canonicalize in place in the float64 or complex128 ``out``,
-    which it returns."""
-    magnitudes = np.abs(out.T, order="C")  # one contiguous row per column
-    pivots = out[np.argmax(magnitudes, axis=1), np.arange(out.shape[1])]
-    if not np.iscomplexobj(out):
-        out *= np.where(pivots < 0, -1.0, 1.0)
-        return out
+    magnitudes = np.abs(vectors.T, order="C")  # one contiguous row per column
+    pivots = vectors[np.argmax(magnitudes, axis=1),
+                     np.arange(vectors.shape[1])]
+    if not np.iscomplexobj(vectors):
+        vectors *= np.where(pivots < 0, -1.0, 1.0)
+        return vectors
     # Each phase is a scalar division, as for one column: dividing the
     # pivots as an array can differ from it in the last bit.
-    out *= np.array([abs(p) / p if abs(p) > 0 else 1.0 for p in pivots],
-                    dtype=out.dtype)
-    return out
+    vectors *= np.array([abs(p) / p if abs(p) > 0 else 1.0 for p in pivots],
+                        dtype=vectors.dtype)
+    return vectors
 
 
 def hermitian_eigh(a: Operator, tol: Tolerance = DEFAULT_TOL) -> SpectralDecomposition:
@@ -339,7 +334,8 @@ def hermitian_eigh(a: Operator, tol: Tolerance = DEFAULT_TOL) -> SpectralDecompo
     canonical already); its eigenpair residual A V - V diag(w) is exactly
     zero, column o being d_o e_o - e_o d_o.  A dense operator is solved by
     eigh on the entries in place, and its residual is formed in A V's own
-    buffer and checked against A itself.
+    buffer and checked against A itself; eigh's own eigenvectors are phased
+    in place.
 
     eigh reads the lower triangle (LAPACK's xHEEVD reads one triangle):
     it solves the Hermitian L with A's lower triangle, which is A bit for
@@ -353,7 +349,7 @@ def hermitian_eigh(a: Operator, tol: Tolerance = DEFAULT_TOL) -> SpectralDecompo
     d = a.real_diagonal
     if d is None:
         w, v = np.linalg.eigh(a.entries)
-        v = phase_canonicalize(v)
+        phase_canonicalize(v)
         order, av = None, a.entries @ v
         av -= v * w[np.newaxis, :]
         residual = _largest_norm(av, axis=0)

@@ -42,10 +42,10 @@ _BLOCK = 32
 
 @dataclass(frozen=True, eq=False)
 class PartnerRecord:
-    """Case-5 partner eigenvector data."""
+    """Case-5 partner of an eigenvector psi: chi = exp(-zM) psi, which z
+    fixes, is an eigenvector of H at e_second with the given residual."""
 
     z: complex
-    chi: np.ndarray
     e_second: float
     residual: float
 
@@ -185,7 +185,8 @@ def _partners(ladder: _Ladder, vectors: np.ndarray, eigenvalues: np.ndarray,
     exp(-z mu) is taken once per M-cluster and repeated over its rows.
     For a real diagonal M both gemms are row gathers, so each entry psi_i
     is scaled by its own exp(-z mu_i).  chi's residual against
-    V diag(w) V^dag, ||(w - E') o (V^T conj(chi))|| / ||chi||, is one gemm.
+    V diag(w) V^dag, ||(w - E') o (V^T conj(chi))|| / ||chi||, is one gemm;
+    chi itself is then dropped, as z fixes it.
     """
     zs, e_second = [], []
     for (x, y), eigenvalue in zip(coeffs, eigenvalues):
@@ -193,7 +194,7 @@ def _partners(ladder: _Ladder, vectors: np.ndarray, eigenvalues: np.ndarray,
         zs.append(z)
         e_second.append(float(eigenvalue + eps))
     # exp(-z mu) / exp(-Re(z) c), c the midpoint of the spectrum of M, so
-    # M + dI cannot overflow it; normalising chi removes the real factor.
+    # M + dI cannot overflow it; the residual is relative to ||chi||.
     mu, z_re, z_im = ladder.mu, np.real(zs), np.imag(zs)
     phases = np.repeat(np.exp(-np.outer(mu - (mu[0] + mu[-1]) / 2, z_re)
                               - 1j * np.outer(mu, z_im)),
@@ -206,7 +207,7 @@ def _partners(ladder: _Ladder, vectors: np.ndarray, eigenvalues: np.ndarray,
     chi_norms = np.linalg.norm(chi, axis=0)
     w, v = ladder.h_spec.eigenvalues, ladder.h_spec.eigenvectors
     a = _unit(ladder.h_norm)  # w - E' over 2^a: no norm can overflow
-    shifted = _times_block(v.T, np.conj(chi))
+    shifted = _times_block(v.T, np.conjugate(chi, out=chi))
     shifted *= (w[:, np.newaxis] - e_second) * 2.0 ** -a
     residuals = np.linalg.norm(shifted, axis=0) / chi_norms
     del shifted
@@ -216,10 +217,7 @@ def _partners(ladder: _Ladder, vectors: np.ndarray, eigenvalues: np.ndarray,
     if bad.size:
         raise NumericalError(
             f"partner residual {residuals[bad[0]]:.3e} exceeds tolerance")
-    chi /= chi_norms
-    chi = np.ascontiguousarray(chi.T)
-    return [PartnerRecord(z=z, chi=chi[j], e_second=e_second[j],
-                          residual=residuals[j])
+    return [PartnerRecord(z=z, e_second=e_second[j], residual=residuals[j])
             for j, z in enumerate(zs)]
 
 

@@ -456,6 +456,38 @@ class TestSweepCommand:
                      "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("name, param", [
+        ("hardcore", "eps"), ("fermion", "hbar"), ("jc", "eps"),
+        ("angular", "kappa"), ("projection", "g"), ("involution", "hbar")])
+    def test_rejects_a_param_the_model_does_not_read(self, tmp_path, capsys,
+                                                     name, param):
+        out = tmp_path / "x.csv"
+        code = main(["sweep", name, "--sites", "2", "--dim", "4",
+                     "--param", param, "--from", "0", "--to", "1",
+                     "--steps", "2", "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"does not read {param!r}" in err
+
+    @pytest.mark.parametrize("name", sorted(cli.SWEEPABLE))
+    def test_every_sweepable_param_moves_the_model(self, name):
+        def build(**moved):
+            args = cli.make_parser().parse_args(
+                ["sweep", name, "--l", "2", "--cutoff", "3", "--sites", "3",
+                 "--param", "-", "--from", "0", "--to", "1", "--steps", "2",
+                 "--out", "-"])
+            for param, step in moved.items():
+                setattr(args, param, getattr(args, param) + step)
+            return cli.build_model(args)
+
+        base = build()
+        for param in cli.SWEEPABLE[name]:
+            bundle = build(**{param: 0.5})
+            assert (bundle.h.entries.tobytes() != base.h.entries.tobytes()
+                    or bundle.m.entries.tobytes()
+                    != base.m.entries.tobytes()), param
+
     def test_rejects_single_step(self, tmp_path):
         code = main(["sweep", "angular", "--param", "g",
                      "--from", "0", "--to", "1", "--steps", "1",
@@ -475,7 +507,8 @@ class TestSweepCommand:
             setattr(args, args.param, float(value))
             bundle = cli.build_model(args)
             cli._detect(bundle.h, bundle.m, tol)
-            h_spec, _, part = cli._multiplet_stage(bundle.h, bundle.m, tol)
+            h_spec, m_spec = cli._eigenbases(bundle.h, bundle.m, tol)
+            part = multiplets.partition(h_spec, m_spec, tol)
             class_of = {i: c for c, members in enumerate(part.classes)
                         for i in members}
             for i in range(h_spec.dim):
@@ -501,11 +534,8 @@ class TestSweepCommand:
          "--to", "1.5", "--steps", "3"],
         ["fermion", "--sites", "4", "--sources", "0.2+0.1i,-0.05i,0.1,0.3-0.2i",
          "--param", "eps", "--from", "-0.5", "--to", "1.5", "--steps", "4"],
-        # hardcore ignores eps: every step builds the same model.
-        ["hardcore", "--sites", "4", "--z", "0.3+0.1i", "--param", "eps",
-         "--from", "0", "--to", "1", "--steps", "3"],
     ], ids=["jc_kappa", "jc_omega", "jc_omega0", "jc_hbar", "angular_g",
-            "angular_en", "angular_hbar", "fermion_eps", "hardcore_eps"])
+            "angular_en", "angular_hbar", "fermion_eps"])
     def test_matches_the_per_step_reference(self, tmp_path, argv):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", *argv, "--out", str(out)]) == EXIT_OK
@@ -817,10 +847,11 @@ class TestCostModel:
     def test_case2_op_peak(self, name, build):
         # A whole case-2 analysis at dim 256, operands gated beforehand.
         # (H0, R) stay over 2^a until the scan, H0 is released once graded,
-        # R before the partition, and the canonical basis holds one owned
-        # copy: 5.63 complex n^2 on hardcore_8 (complex H) and 3.24 on
-        # jc_127 (real), where holding H0 to the end, the triple's frozen
-        # copies and verify_triple's scaled ones read 7.63 and 3.96-4.01.
+        # R before the partition, the canonical basis holds one owned
+        # copy and the scan keeps no partner vector: 5.63 complex n^2 on
+        # hardcore_8 (complex H) and 3.13 on jc_127 (real), where holding
+        # H0 to the end, the triple's frozen copies and verify_triple's
+        # scaled ones read 7.63 and 3.96-4.01.
         bundle = build()
         h, m = bundle.h, bundle.m
         assert h.dim == 256 and h.hermitian and m.hermitian

@@ -117,7 +117,7 @@ class TestCanonicalEigenbasis:
         solved = hermitian_eigh(h)
         assert all(stop - start == 1 for start, stop in solved.clusters)
         spec = canonical_eigenbasis(h, m)
-        expected = phase_canonicalize(solved.eigenvectors)
+        expected = phase_canonicalize(solved.eigenvectors.copy())
         assert spec.eigenvectors.dtype == expected.dtype
         assert spec.eigenvectors.tobytes() == expected.tobytes()
         assert not spec.eigenvectors.flags.writeable

@@ -229,16 +229,27 @@ class TestStorageRule:
         tied[0, 4] = tied[5, 4] = -3.0
         bases.append(tied)
         for v in bases:
-            out = phase_canonicalize(v)
+            out = phase_canonicalize(v.copy())
             expected = per_column(v)
             assert out.dtype == expected.dtype
             assert out.tobytes() == expected.tobytes()
         np.testing.assert_array_equal(phase_canonicalize(tied)[:, 2], 0.0)
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_phase_canonicalize_works_in_place(self, rng, dtype):
+        v = np.array(rng.normal(size=(6, 4)), dtype=dtype)
+        v[0] *= -1.0j if dtype is complex else -1.0
+        expected = phase_canonicalize(v.copy())
+        assert phase_canonicalize(v) is v
+        assert v.tobytes() == expected.tobytes()
+        v.setflags(write=False)
+        with pytest.raises(ValueError):
+            phase_canonicalize(v)
+
     @pytest.mark.parametrize("dim", [256, 512])
     def test_phase_canonicalize_holds_two_traced_buffers(self, rng, dim):
-        # The copy it returns and |V^T| in C order; argmax along axis 0 of
-        # a C-ordered |V| would add a transposed copy of |V|.
+        # In place, |V^T| in C order is its one n^2 buffer; argmax along
+        # axis 0 of a C-ordered |V| would add a transposed copy of |V|.
         v = rng.normal(size=(dim, dim))
         assert traced_peak(lambda: phase_canonicalize(v)) <= 8 * (
             2 * dim ** 2 + 4 * TILE ** 2)
@@ -432,6 +443,21 @@ class TestHermitianEigh:
         with pytest.raises(NumericalError, match="residual"):
             hermitian_eigh(op(random_hermitian(rng, 6), "probe"))
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_phases_the_array_eigh_returned(self, monkeypatch, rng, dtype):
+        eigh, solved = np.linalg.eigh, []
+
+        def recording_eigh(a):
+            w, v = eigh(a)
+            solved.append(v)
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        a = random_hermitian(rng, 6)
+        spec = hermitian_eigh(op(a if dtype is complex else a.real))
+        assert len(solved) == 1
+        assert np.shares_memory(spec.eigenvectors, solved[0])
+
     def test_sorted_diagonal_eigenpairs_are_exact(self):
         # Column o of A V - V diag(w) is d_o e_o - e_o d_o: exactly zero,
         # so the sort needs no residual check.
@@ -443,8 +469,8 @@ class TestHermitianEigh:
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_dense_solve_holds_four_traced_buffers(self, rng, dtype):
-        # V and its canonical copy, then V, A V and the residual's
-        # temporaries; eigh reads A in place.
+        # V, phased in place, A V and the residual's temporaries; eigh
+        # reads A in place.
         dim = 256
         a = random_hermitian(rng, dim)
         a = make_operator(dim, a if dtype is complex else a.real)

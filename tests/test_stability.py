@@ -52,6 +52,19 @@ def partner_column(psi, eigenvalue, coeffs, h_spec, triple, m_spec):
                      [coeffs], Tolerance())[0]
 
 
+def partner_vector(psi, partner, h, m_spec):
+    """The unit chi = exp(-zM) psi of a partner record, exp(-zM) formed
+    densely from eigh(M), checked against H at e_second by the scan's
+    partner gate."""
+    z = partner.z
+    dense = matrix_function(m_spec, lambda lam: cmath.exp(-z * lam))
+    chi = dense.entries @ psi
+    chi /= np.linalg.norm(chi)
+    residual = np.linalg.norm(h @ chi - partner.e_second * chi)
+    assert residual <= Tolerance().rtol * np.linalg.norm(h)
+    return chi
+
+
 def angular_setup(l, e_n=-0.5, g=0.1):
     bundle = angular_block(l, e_n, g)
     triple = canonicalize(
@@ -156,7 +169,8 @@ class TestPartner:
     def test_partner_matches_other_eigenvector(self):
         triple, h_spec, m_spec = angular_setup(1)
         records = scan_spectrum_stability(h_spec, triple, m_spec)
-        chi = records[0].partner.chi
+        chi = partner_vector(h_spec.eigenvectors[:, 0], records[0].partner,
+                             angular_block(1, -0.5, 0.1).h.entries, m_spec)
         other = h_spec.eigenvectors[:, 2]
         assert abs(np.vdot(chi, other)) == pytest.approx(1.0, abs=1e-10)
 
@@ -164,8 +178,9 @@ class TestPartner:
         triple, h_spec, m_spec = angular_setup(1)
         records = scan_spectrum_stability(h_spec, triple, m_spec)
         first = records[0].partner
-        back = classify_column(first.chi, first.e_second, h_spec, triple,
-                               m_spec)
+        chi = partner_vector(h_spec.eigenvectors[:, 0], first,
+                             angular_block(1, -0.5, 0.1).h.entries, m_spec)
+        back = classify_column(chi, first.e_second, h_spec, triple, m_spec)
         assert back.primary_case == 5
         assert back.partner.e_second == pytest.approx(
             records[0].eigenvalue, abs=1e-7)
@@ -288,17 +303,13 @@ def test_scan_matches_per_vector_classify(name):
         assert abs(z - one.partner.z) <= 1e-12 * abs(z)
         assert rec.partner.e_second == pytest.approx(one.partner.e_second,
                                                      rel=1e-12, abs=1e-12)
-        dense = matrix_function(m_spec, lambda lam: cmath.exp(-z * lam))
-        chi = dense.entries @ psi
-        np.testing.assert_allclose(rec.partner.chi,
-                                   chi / np.linalg.norm(chi),
-                                   rtol=0, atol=1e-12)
+        partner_vector(psi, rec.partner, bundle.h.entries, m_spec)
 
 
 def _record_fields(rec):
-    """Every field of a record, the partner's chi as bytes."""
+    """Every field of a record."""
     partner = rec.partner and (rec.partner.z, rec.partner.e_second,
-                               rec.partner.residual, rec.partner.chi.tobytes())
+                               rec.partner.residual)
     return (rec.index, rec.eigenvalue, rec.stable, rec.cases,
             rec.primary_case, rec.coeffs, rec.r_annihilates,
             rec.rd_annihilates, rec.sum_annihilates, partner)
