@@ -35,6 +35,7 @@ from .operators import (
     NumericalError,
     Tolerance,
     _hermitian_eigvalsh,
+    _ladder_blocks,
     _unit,
     hermitian_eigh,
 )
@@ -232,9 +233,15 @@ def analyze_pair(h, m, tol: Tolerance, digests: Optional[dict] = None) -> dict:
         gamma = result.gamma1
         h0, r = _reconstruct_case2(h.entries, *commutators, gamma)
         del commutators
+        # A real diagonal M is sorted first: the grade's flags and the scan
+        # read R as its ladder blocks on M's clusters, so the dense R is
+        # released with H0 once graded (kept whole on the dense path).
+        m_spec = (hermitian_eigh(m, tol) if m.real_diagonal is not None
+                  else None)
+        ladder = _ladder_blocks(r, gamma, m_spec)
         report["triple"] = _triple_record(
-            gamma, _grade_triple(h, m, h0, r, gamma, tol))
-        del h0
+            gamma, _grade_triple(h, m, h0, r, gamma, tol, m_spec, ladder))
+        del h0, r
         # A residual past the float range cannot be written: stop here.
         residuals = [report["triple"][k] for k in
                      ("residual_sum", "residual_h0m", "residual_ladder")]
@@ -250,12 +257,12 @@ def analyze_pair(h, m, tol: Tolerance, digests: Optional[dict] = None) -> dict:
 
     # The scan runs before the partition so that R is released first;
     # neither reads the other's result.
-    h_spec, m_spec = _eigenbases(h, m, tol)
+    h_spec, m_spec = _eigenbases(h, m, tol, m_spec)
     report["spectrum"] = h_spec.eigenvalues.tolist()
-    r *= 2.0 ** _unit(h.norm)  # R in H's units, as the scan reads it
+    ladder = ladder.scaled(2.0 ** _unit(h.norm))  # R in H's units
     report["stability"] = _stability_record(
-        _scan_stability(h_spec, r, gamma, m_spec, tol))
-    del r
+        _scan_stability(h_spec, ladder, gamma, m_spec, tol))
+    del ladder
     report["multiplets"] = _partition_record(partition(h_spec, m_spec, tol),
                                              h_spec, m_spec)
     return report

@@ -32,18 +32,26 @@ import numpy as np
 
 from .operators import (
     DEFAULT_TOL,
+    OFF_BLOCK_BOUND,
     NumericalError,
     Operator,
+    SpectralDecomposition,
     TILE,
     Tolerance,
+    _Blocks,
     _add_adjoint,
+    _bands,
+    _cluster_ids,
     _freeze,
+    _ladder_blocks,
+    _off_block_norm,
     _skew_norm,
     _stored_units,
     _times_block,
     _times_m,
     _unit,
     fro,
+    hermitian_eigh,
 )
 
 GENUINE = "genuine"
@@ -163,7 +171,8 @@ def _fit_case2(c1: np.ndarray, c3: np.ndarray,
 
     Returns (sqrt(max(gamma^2, 0)), ||C3 - gamma^2 C1|| / ||C3||): the
     residual is the sine of the angle between C1 and C3, unchanged when H
-    or M is scaled.  The difference is formed by row blocks in ``out``, a
+    or M is scaled.  gamma^2 is taken on a power-of-two rescale of both
+    when ||C1||^2 would leave the float range, as fro's norms are.  The difference is formed by row blocks in ``out``, a
     new array when None; ``out`` may be c3 itself, then overwritten.
     C1 != 0: both callers fit only once ||C1|| has passed a gate.
     """
@@ -171,7 +180,11 @@ def _fit_case2(c1: np.ndarray, c3: np.ndarray,
     n3 = fro(c3)
     if n3 == 0.0:  # C1 != 0 implies C3 != 0 in exact arithmetic
         raise NumericalError("the case-2 fit underflows: C3 = 0, C1 != 0")
-    gamma_sq = np.vdot(c1, c3).real / n1 ** 2
+    if 2.0 ** -450 < n1 < 2.0 ** 450:
+        gamma_sq = np.vdot(c1, c3).real / n1 ** 2
+    else:  # on C1 / 2^s and C3 / 2^s, 2^s just above ||C1||: both exact
+        unit = 2.0 ** -_unit(n1)
+        gamma_sq = np.vdot(c1 * unit, c3 * unit).real / (n1 * unit) ** 2
     if out is None:
         out = np.empty(c3.shape, np.result_type(c3, c1))
     step = max(1, TILE ** 2 // len(c3))
@@ -283,12 +296,71 @@ def _probe_screen(he: np.ndarray, me: np.ndarray, a: int, b: int,
     return residual if residual > PROBE_MARGIN * rtol else None
 
 
-def _commutes(x: np.ndarray, y: np.ndarray, norm: float,
-              tol: Tolerance) -> bool:
-    """||[X, B]|| <= rtol ||X|| ``norm``, given Y = X B for a Hermitian X:
-    [X, B] is formed as Y - Y^dag, one product, which for a B Hermitian
-    only to a gate differs from XB - BX by at most ||X|| ||B - B^dag||."""
-    return fro(_add_adjoint(y, -1)) <= tol.rtol * fro(x) * norm
+def _commutator_norm(x: np.ndarray, m: Operator, shift: float = 0.0) -> float:
+    """||XM - MX - shift X||_F in one n^2 buffer besides the products
+    with a dense M: a real diagonal M's row scale and the shift are
+    subtracted a band of TILE rows at a time, each entry the one the
+    whole-array expression gives."""
+    out = _times_m(x, m)
+    d = m.real_diagonal
+    for rows in [slice(None)] if d is None else _bands(len(x)):
+        out[rows] -= (m.entries @ x if d is None
+                      else d[rows, np.newaxis] * x[rows])
+        if shift:
+            out[rows] -= shift * x[rows]
+    return fro(out)
+
+
+def _grams(r: _Blocks, rdr: bool):
+    """(idx, X) for X = R^dag R (``rdr``) or R R^dag: the whole X with idx
+    None, or for R held as ladder blocks R_ab the stacks of the diagonal
+    blocks X_b = R_ab^dag R_ab on cluster b (X_a = R_ab R_ab^dag on a),
+    idx their basis indices; X is zero elsewhere."""
+    if r.dense is not None:
+        r = r.dense  # R^dag is a copy for a complex R, dropped at once
+        yield None, (r.conj().T @ r if rdr else r @ r.conj().T)
+        return
+    for rows, cols, data in r.groups:
+        dag = np.conj(data).transpose(0, 2, 1)
+        yield (cols, dag @ data) if rdr else (rows, data @ dag)
+
+
+def _skew_fro(y: np.ndarray) -> float:
+    """||Y - Y^dag||_F of Y, or over a stack of blocks; Y is overwritten."""
+    if y.ndim == 2:
+        return fro(_add_adjoint(y, -1))
+    return fro(y - np.conj(y).transpose(0, 2, 1))
+
+
+def _commute_flags(r: _Blocks, h0: np.ndarray, m: Operator, h_norm: float,
+                   tol: Tolerance):
+    """commutes_* for X = R^dag R and R R^dag: (rdr_m, rdr_h0, rrd_m,
+    rrd_h0), each ||[X, B]|| <= rtol ||X|| ||B||.
+
+    [X, B] is formed as Y - Y^dag from one product Y = X B, which for a B
+    Hermitian only to a gate differs from XB - BX by at most
+    ||X|| ||B - B^dag||.  For R held as ladder blocks, X, [X, M] and
+    [X, H0] are block-diagonal on M's clusters (H0's blocks are gathered
+    from the dense H0), and each norm combines the blocks' norms.
+    """
+    d = m.real_diagonal
+    flags = []
+    for rdr in (True, False):
+        norms = []  # ||X||, ||[X, M]||, ||[X, H0]|| per stack of blocks
+        for idx, x in _grams(r, rdr):
+            if idx is None:
+                xm, h0_blocks = _times_m(x, m), h0
+            else:
+                xm = x * d[idx][:, np.newaxis, :]
+                h0_blocks = h0[idx[:, :, np.newaxis], idx[:, np.newaxis, :]]
+            m_skew = _skew_fro(xm)
+            del xm
+            norms.append((fro(x), m_skew, _skew_fro(x @ h0_blocks)))
+        x_norm, m_skew, h_skew = (fro(np.array(v)) for v in
+                                  zip(*norms or [(0.0, 0.0, 0.0)]))
+        flags += [m_skew <= tol.rtol * x_norm * m.norm,
+                  h_skew <= tol.rtol * x_norm * h_norm]
+    return flags
 
 
 def reconstruct_case2(h: Operator, m: Operator, gamma: float,
@@ -376,27 +448,46 @@ def verify_triple(h: Operator, m: Operator, triple: GenSymTriple,
 
 
 def _grade_triple(h: Operator, m: Operator, h0: np.ndarray, r: np.ndarray,
-                  gamma: float, tol: Tolerance) -> TripleReport:
+                  gamma: float, tol: Tolerance,
+                  m_spec: Optional[SpectralDecomposition] = None,
+                  ladder: Optional[_Blocks] = None) -> TripleReport:
     """verify_triple on (H0, R) / 2^a as _reconstruct_case2 returns them,
-    read in place."""
+    read in place.
+
+    The residuals are taken on the dense (H0, R).  For a real diagonal M
+    the commutes_* flags read R as ``ladder``, its ladder blocks on the
+    clusters of ``m_spec`` (both formed here when not given), and H0 as
+    its diagonal blocks, unless _ladder_blocks kept R whole or H0's mass
+    off those blocks exceeds OFF_BLOCK_BOUND ||H0||_F.
+    """
     a = _unit(h.norm)
     h_norm = math.ldexp(h.norm, -a)
-    rd = r.conj().T
     bound = tol.rtol * h_norm
     m_bound = bound * m.norm  # for [H0, M] and [R, M] - gamma R
-    residual_sum = fro(h.entries * 2.0 ** -a - h0 - r - rd)
-    residual_h0m = fro(_times_m(h0, m) - _times_m(h0, m, left=True))
-    residual_ladder = fro(_times_m(r, m) - _times_m(r, m, left=True)
-                          - gamma * r)
+    # H - H0 - R - R^dag over 2^a, complex when the triple is.
+    sum_rest = (h.entries * 2.0 ** -a).astype(np.result_type(h0, r),
+                                              copy=False)
+    for rows in _bands(len(h0)):
+        sum_rest[rows] -= h0[rows]
+        sum_rest[rows] -= r[rows]
+        sum_rest[rows] -= r[:, rows].conj().T
+    residual_sum = fro(sum_rest)
+    del sum_rest
+    residual_h0m = _commutator_norm(h0, m)
+    residual_ladder = _commutator_norm(r, m, gamma)
     h0_herm = _skew_norm(h0) <= H0_HERMITICITY_BOUND * h_norm
+    if m_spec is None and m.real_diagonal is not None:
+        m_spec = hermitian_eigh(m, tol)
+    if ladder is None:
+        ladder = _ladder_blocks(r, gamma, m_spec)
     # With R ~ 0 the ladder relation holds for any gamma; flag it.
-    degenerate = fro(r) <= bound
-
-    def commutes(x):  # X = R^dag R or R R^dag, against M and H0
-        return (_commutes(x, _times_m(x, m), m.norm, tol),
-                _commutes(x, x @ h0, h_norm, tol))
-
-    (rdr_m, rdr_h0), (rrd_m, rrd_h0) = commutes(rd @ r), commutes(r @ rd)
+    degenerate = ladder.norm <= bound  # ||R||_F
+    if ladder.dense is None and not (
+            _off_block_norm(h0, _cluster_ids(m_spec),
+                            np.arange(m_spec.n_clusters))
+            <= OFF_BLOCK_BOUND * fro(h0)):
+        ladder = _Blocks(r, (), ladder.norm)  # the flags read R and H0 whole
+    rdr_m, rdr_h0, rrd_m, rrd_h0 = _commute_flags(ladder, h0, m, h_norm, tol)
     unit = 2.0 ** a
     return TripleReport(
         sum_ok=residual_sum <= bound,

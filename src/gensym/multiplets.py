@@ -17,7 +17,9 @@ from .operators import (
     DEFAULT_TOL,
     Operator,
     SpectralDecomposition,
+    TILE,
     Tolerance,
+    _bands,
     _m_basis,
     hermitian_eigh,
     phase_canonicalize,
@@ -57,8 +59,7 @@ def canonical_eigenbasis(h: Operator, m: Operator,
     spec = hermitian_eigh(h, tol)
     values, clusters = spec.eigenvalues, spec.clusters
     wide = [(start, stop) for start, stop in clusters if stop - start > 1]
-    me = m.entries
-    dtype = np.result_type(spec.eigenvectors, me)
+    dtype = np.result_type(spec.eigenvectors, m.entries)
     if dtype == np.float64 and not wide:
         # Nothing to rotate, and hermitian_eigh's real basis has canonical
         # signs: a second sign pass is exact and changes no bit.
@@ -71,7 +72,13 @@ def canonical_eigenbasis(h: Operator, m: Operator,
         del spec
         for start, stop in wide:
             block = vectors[:, start:stop]
-            compressed = block.conj().T @ me @ block
+            # (B^dag M) B.  For a real diagonal M, B^dag M is a column scale
+            # that gives every entry of the gemm's, in the gemm's C order,
+            # with no complex copy of M.
+            adjoint = block.conj().T
+            compressed = (adjoint @ m.entries if m.real_diagonal is None
+                          else np.multiply(adjoint, m.real_diagonal,
+                                           order="C")) @ block
             compressed = (compressed + compressed.conj().T) / 2
             _, u = np.linalg.eigh(compressed)
             vectors[:, start:stop] = block @ u
@@ -84,18 +91,45 @@ def canonical_eigenbasis(h: Operator, m: Operator,
 def _cluster_coordinates(vectors: np.ndarray, m_spec: SpectralDecomposition):
     """Coordinates of the columns of ``vectors`` in the eigenbasis of M.
 
-    Returns ``(coords, norms, mask)``: ``coords = W^dag V`` with W the
-    M-eigenvectors, ``norms[k, j]`` the norm of column j's component on
-    M-cluster k, and ``mask[k, j]`` whether that norm exceeds
-    ``DEFAULT_SUPPORT_EPS * ||v_j||``.  One gemm (a row gather for a real
-    diagonal M) and one segmented sum.
+    Returns ``(rows, norms, mask)``: ``rows(start, stop, cols)`` is the
+    block of ``W^dag V`` on M-cluster [start, stop) and the columns
+    ``cols`` (all when None), with W the M-eigenvectors; ``norms[k, j]``
+    is the norm of column j's component on M-cluster k, and ``mask[k, j]``
+    whether that norm exceeds ``DEFAULT_SUPPORT_EPS * ||v_j||``.  For a
+    real diagonal M each block is a row gather of V and W^dag V is never
+    formed; otherwise it is one gemm, sliced.  The norms are segmented
+    sums of |W^dag V|^2 over runs of whole clusters of at most TILE^2
+    entries (or one wider cluster), so no other n^2 buffer is formed.
     """
     vectors = np.asarray(vectors)
-    coords = _m_basis(m_spec, vectors)
+    order = m_spec.order
+    if order is None:
+        coords = _m_basis(m_spec, vectors)
+
+        def rows(start, stop, cols=None):
+            return coords[start:stop] if cols is None else coords[start:stop,
+                                                                   cols]
+    else:
+        def rows(start, stop, cols=None):
+            picked = order[start:stop]
+            return (vectors[picked] if cols is None
+                    else vectors[np.ix_(picked, cols)])
+
     starts = [start for start, _ in m_spec.clusters]
-    norms = np.sqrt(np.add.reduceat(np.abs(coords) ** 2, starts, axis=0))
-    mask = norms > DEFAULT_SUPPORT_EPS * np.linalg.norm(vectors, axis=0)
-    return coords, norms, mask
+    height = max(1, TILE ** 2 // len(vectors))
+    norms = np.empty((len(starts), vectors.shape[1]))
+    first = 0
+    for k in range(1, len(starts) + 1):
+        if k < len(starts) and starts[k] - starts[first] < height:
+            continue
+        squares = np.abs(rows(starts[first], m_spec.clusters[k - 1][1]))
+        np.square(squares, out=squares)
+        norms[first:k] = np.sqrt(np.add.reduceat(
+            squares, np.subtract(starts[first:k], starts[first]), axis=0))
+        first = k
+    # ||v_j|| from its cluster norms: no n^2 temporary.
+    mask = norms > DEFAULT_SUPPORT_EPS * np.linalg.norm(norms, axis=0)
+    return rows, norms, mask
 
 
 def _greedy_classes(vectors: np.ndarray, m_spec: SpectralDecomposition,
@@ -109,7 +143,7 @@ def _greedy_classes(vectors: np.ndarray, m_spec: SpectralDecomposition,
     the normalised cluster blocks.  A one-dimensional cluster holds no
     direction, so it never separates two columns.
     """
-    coords, norms, mask = _cluster_coordinates(vectors, m_spec)
+    rows, norms, mask = _cluster_coordinates(vectors, m_spec)
     n = mask.shape[1]
     packed = np.ascontiguousarray(np.packbits(mask, axis=0).T)
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
@@ -126,9 +160,13 @@ def _greedy_classes(vectors: np.ndarray, m_spec: SpectralDecomposition,
         idx = by_group[ends[g] - counts[g]:ends[g]]
         parallel = np.ones((len(idx), len(idx)), dtype=bool)
         for k in np.flatnonzero(wide_support[:, g]):
-            start, stop = m_spec.clusters[k]
-            block = coords[start:stop, idx] / norms[k, idx]
-            parallel &= np.abs(block.conj().T @ block) >= 1.0 - tol.rtol
+            block = rows(*m_spec.clusters[k], idx)  # a copy: scaled in place
+            block /= norms[k, idx]
+            gram = block.conj().T @ block
+            del block  # each is dropped before the next cluster's is formed
+            for band in _bands(len(idx)):  # |gram| a band at a time
+                parallel[band] &= np.abs(gram[band]) >= 1.0 - tol.rtol
+            del gram
         owner[idx] = idx[_first_parallel_representative(parallel)]
     order = np.argsort(owner, kind="stable").tolist()
     bounds = np.flatnonzero(np.diff(owner[order], prepend=-1)).tolist() + [n]
@@ -162,12 +200,14 @@ def partition(h_spec: SpectralDecomposition, m_spec: SpectralDecomposition,
               tol: Tolerance = DEFAULT_TOL) -> MultipletPartition:
     """Group all eigenvectors into M-multiplets.
 
-    Algorithm: one gemm ``C = W_M^dag V_H`` (a row gather ``V_H[order]``
-    for a real diagonal M) puts every eigenvector in the eigenbasis of M;
-    one segmented sum over ``|C|^2`` gives its norm on each M-cluster and
-    so its support mask.  Vectors are grouped by mask, and within a group
-    the per-cluster Gram matrices of the normalised cluster blocks decide
-    which pairs are parallel on every supported cluster.  Memory is O(n^2) for C plus one group-size square matrix.
+    Algorithm: one gemm ``C = W_M^dag V_H`` puts every eigenvector in the
+    eigenbasis of M (for a real diagonal M, row gathers of ``V_H`` cluster
+    by cluster instead); segmented sums over ``|C|^2`` give its norm on
+    each M-cluster and so its support mask.  Vectors are grouped by mask,
+    and within a group the per-cluster Gram matrices of the normalised
+    cluster blocks decide which pairs are parallel on every supported
+    cluster.  Memory is C (none for a real diagonal M), a run of
+    clusters' rows of |C|^2 and one group-size square matrix.
 
     Ordering: classes are built greedily against the first-seen
     representative of each class, in eigenvector-index order, exactly as

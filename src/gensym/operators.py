@@ -157,6 +157,11 @@ def _tiles(n: int):
             yield slice(i, i + TILE), slice(j, j + TILE)
 
 
+def _bands(n: int):
+    """Slices of TILE rows covering range(n)."""
+    return [slice(i, i + TILE) for i in range(0, n, TILE)]
+
+
 def _add_adjoint(a: np.ndarray, sign: int) -> np.ndarray:
     """A + A^dag (sign 1) or A - A^dag (sign -1), formed in place in ``a``.
 
@@ -255,6 +260,27 @@ def make_operator(dim: int, entries, label: str = "") -> Operator:
     return Operator(dim=dim, entries=a, label=label)
 
 
+class _UnitColumns:
+    """SpectralDecomposition.eigenvectors: the stored basis, or, when None
+    is stored for a real diagonal operator, its unit columns e_order[j] as
+    an n x n permutation matrix, formed on the first read and kept.  The
+    pipeline reads such a basis only through ``order``."""
+
+    def __get__(self, spec, owner=None):
+        if spec is None:  # no default: the field stays required
+            raise AttributeError("eigenvectors")
+        v = spec.__dict__["_eigenvectors"]
+        if v is None:
+            v = np.zeros((spec.dim, spec.dim))
+            v[spec.order, np.arange(spec.dim)] = 1.0
+            v.setflags(write=False)
+            spec.__dict__["_eigenvectors"] = v
+        return v
+
+    def __set__(self, spec, value):
+        spec.__dict__["_eigenvectors"] = value
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Full Hermitian eigendecomposition with degeneracy clusters.
@@ -262,12 +288,12 @@ class SpectralDecomposition:
     eigenvalues are ascending, eigenvectors are the matching orthonormal
     columns, clusters are half-open (start, stop) index ranges grouping
     numerically degenerate eigenvalues.  order is set for a real diagonal
-    operator, whose eigenvectors are the unit columns e_order[j]; it is
-    None for a dense basis.
+    operator, whose eigenvectors are the unit columns e_order[j], formed
+    only when read; it is None for a dense basis.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray = _UnitColumns()
     clusters: tuple
     order: Optional[np.ndarray] = None
 
@@ -331,8 +357,9 @@ def hermitian_eigh(a: Operator, tol: Tolerance = DEFAULT_TOL) -> SpectralDecompo
 
     A real diagonal operator is solved by the stable sort of its diagonal,
     with the unit columns in that order as eigenvectors (their phases are
-    canonical already); its eigenpair residual A V - V diag(w) is exactly
-    zero, column o being d_o e_o - e_o d_o.  A dense operator is solved by
+    canonical already), formed only when a caller reads them; its
+    eigenpair residual A V - V diag(w) is exactly zero, column o being
+    d_o e_o - e_o d_o.  A dense operator is solved by
     eigh on the entries in place, and its residual is formed in A V's own
     buffer and checked against A itself; eigh's own eigenvectors are phased
     in place.
@@ -351,20 +378,20 @@ def hermitian_eigh(a: Operator, tol: Tolerance = DEFAULT_TOL) -> SpectralDecompo
         w, v = np.linalg.eigh(a.entries)
         phase_canonicalize(v)
         order, av = None, a.entries @ v
-        av -= v * w[np.newaxis, :]
+        for rows in _bands(a.dim):
+            av[rows] -= v[rows] * w[np.newaxis, :]
         residual = _largest_norm(av, axis=0)
         if residual > EIGH_RESIDUAL_BOUND * scale:
             raise NumericalError(f"eigensolver residual {residual:.3e} "
                                  f"exceeds contract for {a.label!r}")
     else:
         order = np.argsort(d, kind="stable")
-        w = d[order]
-        v = np.zeros((a.dim, a.dim))
-        v[order, np.arange(a.dim)] = 1.0
+        w, v = d[order], None
         order.setflags(write=False)
     clusters = cluster_eigenvalues(w, scale, tol)
     w.setflags(write=False)
-    v.setflags(write=False)
+    if v is not None:
+        v.setflags(write=False)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v,
                                  clusters=clusters, order=order)
 
@@ -387,6 +414,122 @@ def _m_basis(m_spec: SpectralDecomposition, x: np.ndarray,
     out = np.empty_like(x)
     out[order] = x
     return out
+
+
+# Frobenius mass, relative to ||X||_F, that _ladder_blocks may leave out
+# of R or H0 for a real diagonal M: 100 times inside the stability scan's
+# cutoff, in whose ladder units the dropped mass moves R psi / ||R||_F by
+# at most this much.
+OFF_BLOCK_BOUND = 1e-10
+
+
+@dataclass(frozen=True, eq=False)
+class _Blocks:
+    """An n x n X held as blocks X[I_a, I_b] on M-clusters, zero elsewhere.
+
+    ``groups`` holds one (rows, cols, data) per block shape (p, q): rows
+    (B, p) and cols (B, q) index arrays and the (B, p, q) stack
+    data = X[rows, cols]; no two blocks share a row or a column.  An X
+    held whole is ``dense`` instead, with no groups.  ``norm`` is ||X||_F,
+    the mass outside the blocks included.
+    """
+
+    dense: Optional[np.ndarray]
+    groups: tuple
+    norm: float
+
+    def times(self, v: np.ndarray) -> np.ndarray:
+        """X V for an n x k V: one stacked gemm per block shape."""
+        if self.dense is not None:
+            return self.dense @ v
+        out = np.zeros(v.shape, np.result_type(
+            v, *(data for _, _, data in self.groups)))
+        for rows, cols, data in self.groups:
+            out[rows] = data @ v[cols]
+        return out
+
+    def adjoint(self) -> "_Blocks":
+        """X^dag, held the same way: a copy of X unless X is real."""
+        if self.dense is not None:
+            return _Blocks(self.dense.conj().T, (), self.norm)
+        return _Blocks(None, tuple(
+            (cols, rows,
+             np.ascontiguousarray(np.conj(data).transpose(0, 2, 1)))
+            for rows, cols, data in self.groups), self.norm)
+
+    def scaled(self, s: float) -> "_Blocks":
+        """X s for a power of two s, each block scaled in place."""
+        for data in ([self.dense] if self.dense is not None
+                     else [data for _, _, data in self.groups]):
+            data *= s
+        return _Blocks(self.dense, self.groups, self.norm * s)
+
+
+def _cluster_ids(m_spec: SpectralDecomposition) -> np.ndarray:
+    """The M-cluster of each basis index, for a real diagonal M."""
+    sizes = [stop - start for start, stop in m_spec.clusters]
+    ids = np.empty(m_spec.dim, dtype=np.intp)
+    ids[m_spec.order] = np.repeat(np.arange(len(sizes)), sizes)
+    return ids
+
+
+def _cluster_targets(m_spec: SpectralDecomposition,
+                     gamma: float) -> Optional[np.ndarray]:
+    """target[b], the M-cluster a whose mean is nearest mu_b - gamma, or -1
+    when none lies within |gamma| / 2; None when two clusters share one."""
+    mu = m_spec.cluster_values()[0]
+    t = mu - gamma
+    hi = np.minimum(np.searchsorted(mu, t), len(mu) - 1)
+    lo = np.maximum(hi - 1, 0)
+    near = np.where(np.abs(mu[lo] - t) <= np.abs(mu[hi] - t), lo, hi)
+    target = np.where(np.abs(mu[near] - t) <= abs(gamma) / 2, near, -1)
+    shared = np.bincount(target[target >= 0], minlength=1).max() > 1
+    return None if shared else target
+
+
+def _off_block_norm(x: np.ndarray, ids: np.ndarray,
+                    target: np.ndarray) -> float:
+    """||X||_F over the entries X[i, j] with ids[i] != target[ids[j]],
+    read in place TILE rows at a time."""
+    col_target = target[ids]
+    return fro(np.array([
+        fro(np.where(ids[rows, np.newaxis] == col_target, 0, x[rows]))
+        for rows in _bands(len(x))]))
+
+
+def _ladder_blocks(x: np.ndarray, gamma: float,
+                   m_spec: Optional[SpectralDecomposition]) -> _Blocks:
+    """X with [X, M] = gamma X as its ladder blocks X[I_a, I_b], mu_a
+    about mu_b - gamma, on the clusters of a real diagonal M.
+
+    The blocks are gathered once, one stack per block shape, and X is
+    kept whole instead when M is not real diagonal (``m_spec`` None or
+    dense) or when X's mass outside the blocks exceeds
+    OFF_BLOCK_BOUND ||X||_F.
+    """
+    norm = fro(x)
+    whole = _Blocks(x, (), norm)
+    if m_spec is None or m_spec.order is None:
+        return whole
+    target = _cluster_targets(m_spec, gamma)
+    # Written as "not <=" so that a NaN mass keeps X whole.
+    if target is None or not (_off_block_norm(x, _cluster_ids(m_spec), target)
+                              <= OFF_BLOCK_BOUND * norm):
+        return whole
+    starts = np.array([start for start, _ in m_spec.clusters])
+    sizes = np.array([stop - start for start, stop in m_spec.clusters])
+    shapes = {}
+    for b in np.flatnonzero(target >= 0).tolist():
+        a = int(target[b])
+        shapes.setdefault((sizes[a], sizes[b]), []).append((a, b))
+    groups = []
+    for (p, q), pairs in shapes.items():
+        a, b = np.array(pairs).T
+        rows = m_spec.order[starts[a][:, np.newaxis] + np.arange(p)]
+        cols = m_spec.order[starts[b][:, np.newaxis] + np.arange(q)]
+        groups.append((rows, cols,
+                       x[rows[:, :, np.newaxis], cols[:, np.newaxis, :]]))
+    return _Blocks(None, tuple(groups), norm)
 
 
 def _lower_norm(a: np.ndarray) -> float:

@@ -26,6 +26,8 @@ from .operators import (
     NumericalError,
     SpectralDecomposition,
     Tolerance,
+    _Blocks,
+    _ladder_blocks,
     _m_basis,
     _times_block,
     _unit,
@@ -70,8 +72,8 @@ class _Ladder:
 
     h_spec: SpectralDecomposition
     h_norm: float  # ||H||_F = ||w||, the unit of the residual gates
-    r: np.ndarray
-    r_dag: np.ndarray
+    r: _Blocks  # R's ladder blocks for a real diagonal M, else R whole
+    r_dag: _Blocks
     r_norm: float  # ||R||_F, the ladder unit; 1.0 for a zero R
     gamma: float
     m_spec: SpectralDecomposition
@@ -79,11 +81,11 @@ class _Ladder:
     sizes: np.ndarray
 
 
-def _ladder(h_spec: SpectralDecomposition, r: np.ndarray, gamma: float,
+def _ladder(h_spec: SpectralDecomposition, r: _Blocks, gamma: float,
             m_spec: SpectralDecomposition) -> _Ladder:
     mu, sizes = m_spec.cluster_values()
     return _Ladder(h_spec=h_spec, h_norm=fro(h_spec.eigenvalues), r=r,
-                   r_dag=r.conj().T, r_norm=fro(r) or 1.0,
+                   r_dag=r.adjoint(), r_norm=r.norm or 1.0,
                    gamma=gamma, m_spec=m_spec, mu=mu, sizes=sizes)
 
 
@@ -125,9 +127,10 @@ def _screen(x: complex, y: complex, u: complex):
 def _classify_block(ladder: _Ladder, vectors: np.ndarray,
                     eigenvalues: np.ndarray, indices, tol: Tolerance,
                     ) -> List[StabilityRecord]:
-    """Classify the columns of ``vectors`` with one gemm per operator."""
-    a, b = (ladder.r @ vectors / ladder.r_norm,
-            ladder.r_dag @ vectors / ladder.r_norm)
+    """Classify the columns of ``vectors`` with one gemm per operator, or
+    one stacked gemm per block shape for R's ladder blocks."""
+    a, b = (ladder.r.times(vectors) / ladder.r_norm,
+            ladder.r_dag.times(vectors) / ladder.r_norm)
     r_annihilates, rd_annihilates, sum_annihilates = (
         np.linalg.norm(v, axis=0) <= STABILITY_CUTOFF for v in (a, b, a + b))
     stable, xs, ys, us = _rank_tests(a, b, vectors)
@@ -230,8 +233,12 @@ def scan_spectrum_stability(h_spec: SpectralDecomposition,
     H is read only as h_spec, its eigendecomposition V diag(w) V^dag;
     triple.h0 is never read.  Algorithm: ||H||_F = ||w|| (every residual
     gate accepts up to rtol ||H||_F), ||R||_F and the M-cluster means are
-    taken once.  Eigenvectors are then taken in column blocks of _BLOCK:
-    per block, R V and R^dag V are two gemms, the n x 3 rank tests are one
+    taken once.  For a real diagonal M, R is held as its ladder blocks
+    R_ab, which map M-cluster b to the cluster a at mu_b - gamma, unless
+    its mass off them exceeds OFF_BLOCK_BOUND ||R||_F (_ladder_blocks).
+    Eigenvectors are then taken in column blocks of _BLOCK: per block,
+    R V and R^dag V are two gemms (block gemms on the rows of V in M's
+    clusters, one stack per block shape), the n x 3 rank tests are one
     stacked thin SVD, and the case-5 partners W diag(exp(-z mu)) W^dag psi
     and their residuals against V diag(w) V^dag are three more gemms (one
     for a real diagonal M, whose W products are row gathers).
@@ -240,14 +247,16 @@ def scan_spectrum_stability(h_spec: SpectralDecomposition,
     Memory: besides the n x n operators, O(n * _BLOCK) workspace per
     block, so no (n, n, 3) stack is ever formed.
     """
-    return _scan_stability(h_spec, triple.r, triple.gamma, m_spec, tol)
+    return _scan_stability(
+        h_spec, _ladder_blocks(triple.r, triple.gamma, m_spec),
+        triple.gamma, m_spec, tol)
 
 
-def _scan_stability(h_spec: SpectralDecomposition, r: np.ndarray,
+def _scan_stability(h_spec: SpectralDecomposition, r: _Blocks,
                     gamma: float, m_spec: SpectralDecomposition,
                     tol: Tolerance) -> List[StabilityRecord]:
     """scan_spectrum_stability on the R and gamma of a triple, R in H's
-    units."""
+    units as _ladder_blocks holds it."""
     ladder = _ladder(h_spec, r, gamma, m_spec)
     records: List[StabilityRecord] = []
     for start in range(0, h_spec.dim, _BLOCK):

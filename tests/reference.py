@@ -2,10 +2,12 @@
 
 None of these is on the library's path: each forms dense products the
 pipeline avoids (nested commutators one by one, f(M) as a matrix, the
-similarity transform both ways, a sector-reduced angular solver).
+similarity transform both ways, a sector-reduced angular solver, the
+commutes_* flags and the scan's R V and R^dag V with a dense R).
 """
 
 import cmath
+import copy
 from typing import Callable
 
 import numpy as np
@@ -97,3 +99,67 @@ def recursion_block_solver(l: int, e_n: float, g: float, hbar: float = 1.0):
     reduced = (reduced + reduced.conj().T) / 2
     w, u = np.linalg.eigh(reduced)
     return w, phase_canonicalize(basis @ u)
+
+
+def dense_commute_flags(h0: np.ndarray, r: np.ndarray, m: Operator,
+                        h_norm: float, tol: Tolerance = DEFAULT_TOL):
+    """(rdr_m, rdr_h0, rrd_m, rrd_h0) from dense products, as gensym 0.14.0
+    formed them: X = R^dag R and R R^dag, each commutator [X, B] formed as
+    Y - Y^dag with Y = XB, against rtol ||X|| ||B||, with ||B|| = ||M|| or
+    ``h_norm``."""
+    flags = []
+    for x in (r.conj().T @ r, r @ r.conj().T):
+        for b, norm in ((m.entries, m.norm), (h0, h_norm)):
+            y = x @ b
+            flags.append(fro(y - y.conj().T) <= tol.rtol * fro(x) * norm)
+    return flags
+
+
+def dense_ladder_products(r: np.ndarray, vectors: np.ndarray):
+    """(R V, R^dag V) as two dense gemms."""
+    return r @ vectors, r.conj().T @ vectors
+
+
+def _floats(doc):
+    if isinstance(doc, dict):
+        return [x for key in sorted(doc) for x in _floats(doc[key])]
+    if isinstance(doc, list):
+        return [x for item in doc for x in _floats(item)]
+    return [doc] if isinstance(doc, float) else []
+
+
+def _structure(doc):
+    if isinstance(doc, dict):
+        return {key: _structure(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [_structure(item) for item in doc]
+    return None if isinstance(doc, float) else doc
+
+
+def assert_reports_agree(report: dict, expected: dict, rel: float = 1e-12):
+    """Two analyze_pair reports agree: every field that is not a float
+    (verdict, verified, the commutes_* flags, classes, cases) is equal, and
+    every float agrees within ``rel`` of the largest.
+
+    Rounding may move the coeffs that no relation pins down: those of a
+    record whose psi both R and R^dag annihilate, where every (x, y, 0) is
+    a null relation, are not compared; those of an unstable or case-1
+    record, a null vector (x, y, u) fixed only up to a unit phase, are
+    compared once that phase is aligned (cases 4 and 5 fix u = 1).
+    """
+    assert _structure(report) == _structure(expected)
+    report, expected = copy.deepcopy(report), copy.deepcopy(expected)
+    pairs = zip((report["stability"] or {}).get("records", []),
+                (expected["stability"] or {}).get("records", []))
+    for got, want in pairs:
+        if got["r_annihilates"] and got["rd_annihilates"]:
+            got["coeffs"] = want["coeffs"] = []
+        elif got["primary_case"] in (None, 1):
+            a, b = (np.array([complex(*c) for c in rec["coeffs"]])
+                    for rec in (got, want))
+            phase = np.vdot(a, b)
+            a = a * (phase / abs(phase) if abs(phase) else 1.0)
+            got["coeffs"] = [[c.real, c.imag] for c in a]
+    values, reference = np.array(_floats(report)), np.array(_floats(expected))
+    np.testing.assert_allclose(values, reference, rtol=0,
+                               atol=rel * np.max(np.abs(reference)))

@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,8 +37,8 @@ from gensym.operators import (NumericalError, Operator, Tolerance,
                               is_hermitian)
 from gensym.serialization import operator_from_dict, operator_to_dict
 
-from conftest import (SX, force_dense, load_report, near_degenerate_pair, op,
-                      random_hermitian, traced_peak)
+from conftest import (SX, SY, force_dense, load_report, near_degenerate_pair,
+                      op, random_hermitian, traced_peak)
 
 
 class TestParseComplex:
@@ -369,6 +370,23 @@ class TestAnalyzeCommand:
         assert err.startswith("gensym: numerical failure: ")
         assert err.count("\n") == 1
 
+    def test_fit_below_the_squared_range_exits_0_at_tol_0(self, tmp_path):
+        # ||C1|| about 1e-170 passes no genuine gate at --tol 0, and its
+        # square underflows: the fit runs on a power-of-two rescale, so the
+        # report holds a finite residual and is strict JSON.
+        hp, mp = str(tmp_path / "h.json"), str(tmp_path / "m.json")
+        save_operator(make_operator(2, [[1.0, 1e-170], [1e-170, -1.0]]), hp)
+        save_operator(make_operator(2, [[1.0, 0.0], [0.0, -1.0]]), mp)
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", "--hamiltonian", hp, "--symmetry", mp,
+                         "--tol", "0", "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text(encoding="utf-8"),
+                            parse_constant=lambda token: pytest.fail(token))
+        assert report["detection"]["kind"] == "no_gensym"
+        assert 0.0 <= report["detection"]["residual"] <= 1e-15
+
     def test_near_degenerate_case2_pair_exits_0(self, tmp_path):
         # Three eigenvalues of H, s apart, form one cluster that spreads
         # over 2s > rtol ||H||.  The canonical basis rotates it, so its
@@ -588,9 +606,9 @@ def rotated(bundle, seed=5):
                  for a in (bundle.h, bundle.m))
 
 
-# Traced peak of one whole case-2 analyze_pair at dim 256, in complex n^2
-# (16 n^2 bytes); README's Cost model quotes these bounds.
-CASE2_OP_PEAKS = {"hardcore_8": 6.0, "jc_127": 3.6}
+# Traced peak of one whole case-2 analyze_pair, in complex n^2 (16 n^2
+# bytes); README's Cost model quotes these bounds.
+CASE2_OP_PEAKS = {"hardcore_8": 4.0, "hardcore_7": 5.0, "jc_127": 2.0}
 
 
 class TestCostModel:
@@ -624,9 +642,10 @@ class TestCostModel:
             calls["chain"].append((he.dtype, m.entries.dtype))
             return chain(he, m, *units)
 
-        def recording_coordinates(*args):
-            result = coordinates(*args)
-            calls["coords"].append(result[0].dtype)
+        def recording_coordinates(vectors, m_spec):
+            result = coordinates(vectors, m_spec)
+            # The dtype of the M-coordinates, read off the first cluster.
+            calls["coords"].append(result[0](*m_spec.clusters[0]).dtype)
             return result
 
         def recording_grade(h, m, h0, r, *args):
@@ -684,15 +703,10 @@ class TestCostModel:
     ], ids=["angular_l2", "jc_7", "hardcore_4", "random_triple"])
     def test_case2_diagonal_m_one_eigh_no_gemm_with_m(self, monkeypatch,
                                                       bundle):
-        # M and its eigenbasis W refuse every matrix product, except in the
-        # canonical basis, whose refinement keeps its gemm with M.
+        # M and its eigenbasis W refuse every matrix product, also in the
+        # canonical basis, whose refinement scales columns by M's diagonal.
         m = Operator(bundle.m.dim, bundle.m.entries.view(NoGemm),
                      bundle.m.label)
-        canonical = cli.canonical_eigenbasis
-        monkeypatch.setattr(
-            cli, "canonical_eigenbasis",
-            lambda h, m, tol: canonical(
-                h, Operator(m.dim, np.asarray(m.entries), m.label), tol))
         report, calls = self.analyze_recording(monkeypatch, bundle.h, m)
         assert report["detection"]["kind"] == "case2"
         assert report["stability"] is not None
@@ -769,8 +783,10 @@ class TestCostModel:
                                                              monkeypatch):
         # At (H, M) * 1e200 the triple verifies in power-of-two units, but
         # its [H0, M] and [R, M] - gamma R residuals in the input's units
-        # are inf: analyze_pair stops there, before eigh(H), eigh(M), the
-        # partition and the scan, whose report could not be written.
+        # are inf: analyze_pair stops there, before eigh(H), the partition
+        # and the scan, whose report could not be written.  The diagonal
+        # M = L_z is sorted before the grade, whose commutes_* flags read
+        # R's ladder blocks on M's clusters: a sort, no eigh.
         bundle = angular_block(2, -0.125, 0.1)
         h, m = (make_operator(a.dim, 1e200 * a.entries)
                 for a in (bundle.h, bundle.m))
@@ -778,7 +794,8 @@ class TestCostModel:
         with pytest.raises(NumericalError, match="past the float range"):
             analyze_pair(h, m, Tolerance())
         assert len(calls["chain"]) == 1
-        assert calls["eigh"] == calls["eigvalsh"] == calls["sorted"] == []
+        assert calls["eigh"] == calls["eigvalsh"] == []
+        assert calls["sorted"] == [h.dim]
 
     def test_each_operand_norm_is_taken_once(self, monkeypatch):
         # The gate, detection, reconstruction, verify_triple and both
@@ -842,19 +859,22 @@ class TestCostModel:
 
     @pytest.mark.parametrize("name, build", [
         ("hardcore_8", lambda: hardcore_chain(8, 0.3 + 0.1j)),
+        ("hardcore_7", lambda: hardcore_chain(7, 0.3 + 0.1j)),
         ("jc_127", lambda: jaynes_cummings(1.0, 1.0, 0.1, 127)),
     ])
     def test_case2_op_peak(self, name, build):
-        # A whole case-2 analysis at dim 256, operands gated beforehand.
-        # (H0, R) stay over 2^a until the scan, H0 is released once graded,
-        # R before the partition, the canonical basis holds one owned
-        # copy and the scan keeps no partner vector: 5.63 complex n^2 on
-        # hardcore_8 (complex H) and 3.13 on jc_127 (real), where holding
-        # H0 to the end, the triple's frozen copies and verify_triple's
-        # scaled ones read 7.63 and 3.96-4.01.
+        # A whole case-2 analysis, operands gated beforehand.  (H0, R) stay
+        # over 2^a until the scan; the grade's residuals hold one n^2
+        # buffer and TILE-row bands, and its flags and the scan read R's
+        # ladder blocks, so the dense H0 and R are released once graded;
+        # the partition gathers M-coordinates cluster by cluster and M's
+        # permutation matrix is never formed: 3.81 complex n^2 on
+        # hardcore_8 (dim 256, complex H), 4.72 on hardcore_7 (dim 128,
+        # where a TILE-row band is the whole matrix) and 1.95 on jc_127
+        # (dim 256, real), where 0.14.0 read 5.63, 6.51 and 3.13.
         bundle = build()
         h, m = bundle.h, bundle.m
-        assert h.dim == 256 and h.hermitian and m.hermitian
+        assert h.hermitian and m.hermitian
         report = {}
 
         def analyze():
@@ -1002,8 +1022,9 @@ class TestPipelineMatchesPublicCalls:
         lambda: random_triple([4, 3, 5], 0.7, seed=2),
         lambda: projection_example(40, seed=1),
         lambda: rotated(hardcore_chain(4, 0.3 + 0.1j)),
+        lambda: (op(SX), op(SY)),
     ], ids=["angular_l3", "jc_16", "hardcore_5", "random_triple",
-            "projection_40", "hardcore_4_dense_real_m"])
+            "projection_40", "hardcore_4_dense_real_m", "real_h_complex_m"])
     def test_report_field_by_field(self, build):
         pair = build()
         h, m = (pair.h, pair.m) if hasattr(pair, "h") else pair

@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,7 +43,7 @@ from gensym.models import (
     projection_example,
     random_triple,
 )
-from gensym.operators import TILE, NumericalError, _times_block, fro
+from gensym.operators import TILE, NumericalError, _times_block, _unit, fro
 
 from conftest import SX, SZ, op, random_hermitian, traced_peak
 from reference import iterated_commutator, similarity_transform
@@ -143,6 +145,25 @@ class TestFitCase2:
         # Into C3's own buffer, as detect takes it: the same values.
         assert _fit_case2(c1, c3, out=c3) == (gamma, residual)
         assert c1.tobytes() == saved[0] and c3.tobytes() != saved[1]
+
+    def test_commutators_below_the_squared_range_fit_by_a_rescale(self):
+        # H = [[1, e], [e, -1]] with e = 1e-170 against M = sigma_z: ||C1||
+        # is about 1e-170, so ||C1||^2 underflows to 0, yet the fit on a
+        # power-of-two rescale reads gamma = 2 and a finite residual, and
+        # at rtol = 0 (no genuine gate) detect reports it with no warning.
+        h = op(np.array([[1.0, 1e-170], [1e-170, -1.0]]))
+        m = op(SZ)
+        a, b = _unit(h.norm), _unit(m.norm)
+        c1, _, c3 = itertools.islice(_commutator_chain(h.entries, m, a, b), 3)
+        assert fro(c1) ** 2 == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gamma, residual = _fit_case2(c1, c3)
+            result = detect(h, m, Tolerance(rtol=0.0))
+        assert math.ldexp(gamma, b) == pytest.approx(2.0, rel=1e-12)
+        assert 0.0 <= residual <= 1e-15
+        assert result.kind == NO_GENSYM
+        assert result.residual == residual
 
     def test_vanishing_third_commutator_is_a_numerical_failure(self):
         # C1 != 0 forces C3 != 0, so C3 = 0 can only be underflow.

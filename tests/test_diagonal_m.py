@@ -5,7 +5,9 @@ excitation and fermion numbers) are real diagonal matrices.  For them
 eigh(M) is a stable sort of the diagonal, and every product with M or its
 eigenbasis is a row or column scale or a row gather.  These tests pin the
 predicate that chooses that path, the sorted eigh against LAPACK, and that
-reports and sweep CSVs are byte-identical to those of the dense path.
+sweep CSVs and every report that stops before the stability scan are
+byte-identical to those of the dense path; a case-2 report, whose grade
+and scan read R's ladder blocks, agrees with it to 1e-12.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from gensym.operators import Tolerance, hermitian_eigh, make_operator
 from gensym.serialization import dump_json
 
 from conftest import force_dense
+from reference import assert_reports_agree
 
 
 class TestPredicate:
@@ -182,11 +185,18 @@ def test_the_pair_set_has_47_case2_and_9_genuine():
 @pytest.mark.parametrize("build", [b for _, b in PAIRS],
                          ids=[name for name, _ in PAIRS])
 def test_report_matches_the_dense_path(monkeypatch, build):
-    report = dump_json(cli.analyze_pair(*build(), Tolerance()))
+    # The case-2 grade and scan read R as its ladder blocks, which drop R's
+    # rounding-level mass off them and sum in another order than the
+    # dense gemms: every decision is the same and every float agrees to
+    # 1e-12 of the largest.  Everything else is byte-identical.
+    report = cli.analyze_pair(*build(), Tolerance())
     asked = force_dense(monkeypatch)
-    dense = dump_json(cli.analyze_pair(*build(), Tolerance()))
+    dense = cli.analyze_pair(*build(), Tolerance())
     assert asked
-    assert report == dense
+    if report["stability"] is None:
+        assert dump_json(report) == dump_json(dense)
+    else:
+        assert_reports_agree(report, dense)
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,9 +12,10 @@ from gensym.multiplets import (DEFAULT_SUPPORT_EPS, _cluster_coordinates,
                                _first_parallel_representative, size_label)
 from gensym.models import (angular_block, hardcore_chain, jaynes_cummings,
                            projection_example, random_triple)
-from gensym.operators import phase_canonicalize
+from gensym.operators import make_operator, phase_canonicalize
 
-from conftest import near_degenerate_pair, op, random_hermitian, traced_peak
+from conftest import (force_dense, near_degenerate_pair, op, random_hermitian,
+                      traced_peak)
 from reference import matrix_function
 
 
@@ -64,6 +65,23 @@ class TestCanonicalEigenbasis:
             assert np.linalg.norm(off) <= 1e-10
             diag = np.diag(block).real
             assert np.all(np.diff(diag) >= -1e-10)
+
+    @pytest.mark.parametrize("sites", [7, 8])
+    @pytest.mark.parametrize("z", [0.3 + 0.1j, 0.2])
+    def test_diagonal_m_compression_is_the_gemm_bit_for_bit(self, monkeypatch,
+                                                            sites, z):
+        # B^dag M for a real diagonal M is a column scale, in the gemm's C
+        # order, and so every bit of the basis is the dense gemm's: 13
+        # degenerate clusters on hardcore_7 and 25 on hardcore_8, whose
+        # rotations hang on the last bits of their compressions.
+        bundle = hardcore_chain(sites, z)
+        assert bundle.m.real_diagonal is not None
+        basis = canonical_eigenbasis(bundle.h, bundle.m).eigenvectors
+        force_dense(monkeypatch)
+        m = make_operator(bundle.m.dim, bundle.m.entries)
+        assert m.real_diagonal is None
+        dense = canonical_eigenbasis(bundle.h, m)
+        assert basis.tobytes() == dense.eigenvectors.tobytes()
 
     def test_real_h_with_complex_m(self):
         # A real H keeps real eigenvectors until a complex M rotates its
@@ -314,7 +332,9 @@ def recover_f(psi, phi, m_spec, tol=Tolerance()):
     if not pairwise_same_multiplet(psi, phi, m_spec, tol):
         raise ValueError("vectors are not in the same M-multiplet")
     phi = np.asarray(phi, dtype=complex)
-    coords, _, mask = _cluster_coordinates(np.column_stack([psi, phi]), m_spec)
+    vectors = np.column_stack([psi, phi])
+    _, _, mask = _cluster_coordinates(vectors, m_spec)
+    coords = m_spec.eigenvectors.conj().T @ vectors
     values = {}
     diag = np.ones(m_spec.dim, dtype=complex)
     for k, (start, stop) in enumerate(m_spec.clusters):

@@ -37,8 +37,10 @@ def test_gates_table_quotes_the_probe_screen_constants():
 
 def test_cost_model_quotes_the_case2_op_peak_bounds():
     lines = README.read_text(encoding="utf-8").split("\n")
-    for name, model in (("hardcore_8", "`hardcore_chain(8, 0.3+0.1j)`"),
-                        ("jc_127", "`jaynes_cummings(1, 1, 0.1, 127)`")):
+    for name, model, dim in (
+            ("hardcore_8", "`hardcore_chain(8, 0.3+0.1j)`", 256),
+            ("hardcore_7", "`hardcore_chain(7, 0.3+0.1j)`", 128),
+            ("jc_127", "`jaynes_cummings(1, 1, 0.1, 127)`", 256)):
         row = next(line for line in lines
-                   if line.startswith(f"| {model} | 256 |"))
+                   if line.startswith(f"| {model} | {dim} |"))
         assert row.endswith(f"| {CASE2_OP_PEAKS[name]} |")

@@ -20,6 +20,7 @@ from gensym import (
 )
 from gensym.stability import (STABILITY_CUTOFF, _classify_block, _ladder,
                               _partners, _rank_tests, case_counts)
+from gensym.operators import _ladder_blocks
 from gensym.models import (angular_block, fermion_chain, hardcore_chain,
                            involution_example, jaynes_cummings,
                            projection_example, random_triple)
@@ -36,10 +37,16 @@ def rank_test(psi, a, b):
     return bool(stable[0]), (complex(x[0]), complex(y[0]), complex(u[0]))
 
 
+def _triple_ladder(h_spec, triple, m_spec):
+    """The scan's _Ladder for a GenSymTriple, R held as the scan holds it."""
+    return _ladder(h_spec, _ladder_blocks(triple.r, triple.gamma, m_spec),
+                   triple.gamma, m_spec)
+
+
 def classify_column(psi, eigenvalue, h_spec, triple, m_spec, index=0):
     """_classify_block on one eigenvector of the H that h_spec decomposes,
     as a block of one column."""
-    return _classify_block(_ladder(h_spec, triple.r, triple.gamma, m_spec),
+    return _classify_block(_triple_ladder(h_spec, triple, m_spec),
                            np.reshape(psi, (-1, 1)),
                            np.array([float(eigenvalue)]), [index],
                            Tolerance())[0]
@@ -47,7 +54,7 @@ def classify_column(psi, eigenvalue, h_spec, triple, m_spec, index=0):
 
 def partner_column(psi, eigenvalue, coeffs, h_spec, triple, m_spec):
     """_partners on one eigenvector of h_spec's H with the given (x, y)."""
-    return _partners(_ladder(h_spec, triple.r, triple.gamma, m_spec),
+    return _partners(_triple_ladder(h_spec, triple, m_spec),
                      np.reshape(psi, (-1, 1)), np.array([float(eigenvalue)]),
                      [coeffs], Tolerance())[0]
 

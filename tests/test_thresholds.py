@@ -11,9 +11,10 @@ import pytest
 
 from gensym import (NumericalError, SpectralDecomposition, Tolerance, detect,
                     hermitian_eigh, make_operator, partition)
-from gensym.detection import SCREEN_MIN_DIM, _probe_screen
-from gensym.operators import (_hermitian_eigvalsh, _skew_norm, _unit, fro,
-                              is_hermitian)
+from gensym import detection
+from gensym.detection import SCREEN_MIN_DIM, _grade_triple, _probe_screen
+from gensym.operators import (_hermitian_eigvalsh, _ladder_blocks,
+                              _skew_norm, _unit, fro, is_hermitian)
 from gensym.stability import _rank_tests, _screen
 
 from conftest import op, random_hermitian
@@ -24,6 +25,8 @@ HERMITICITY_GATE, EIGH_RESIDUAL_BOUND, STABILITY_CUTOFF = 1e-12, 1e-10, 1e-8
 # multiplets.DEFAULT_SUPPORT_EPS, detection.PROBE_MARGIN (24.53 to four
 # figures) and the default Tolerance.rtol.
 DEFAULT_SUPPORT_EPS, PROBE_MARGIN, DEFAULT_RTOL = 1e-8, 24.5, 1e-8
+# operators.OFF_BLOCK_BOUND.
+OFF_BLOCK_BOUND = 1e-10
 
 INSIDE, OUTSIDE = 0.7, 1.4
 SIDES = pytest.mark.parametrize("factor, inside", [(INSIDE, True),
@@ -177,3 +180,41 @@ def test_default_rtol_cluster_gap(factor, inside):
         factor * DEFAULT_RTOL, rel=1e-6)
     clusters = hermitian_eigh(a, Tolerance()).clusters
     assert clusters == (((0, 2),) if inside else ((0, 1), (1, 2)))
+
+
+# M = diag(0, 1) and gamma = 1: R's one ladder block maps the mu = 1
+# cluster to the mu = 0 one, entry (0, 1); H0's blocks are its diagonal.
+M01 = np.diag([0.0, 1.0])
+
+
+@SIDES
+def test_off_block_bound_for_r(factor, inside):
+    # R = e_0 e_1^T + s e_1 e_0^T: mass s off the block, ||R||_F = 1 to
+    # 1e-20.  Inside, R is held as its block; outside, whole.
+    s = factor * OFF_BLOCK_BOUND
+    r = np.array([[0.0, 1.0], [s, 0.0]])
+    ladder = _ladder_blocks(r, 1.0, hermitian_eigh(make_operator(2, M01)))
+    assert (ladder.dense is None) is inside
+
+
+@SIDES
+def test_off_block_bound_for_h0(monkeypatch, factor, inside):
+    # H0 = diag(1, 2) + s (e_0 e_1^T + e_1 e_0^T): mass sqrt(2) s off its
+    # diagonal blocks against ||H0||_F = sqrt(5) to 1e-20, and R = e_0 e_1^T
+    # on its block.  Inside, the grade's flags read the blocks; outside,
+    # the whole R and H0.
+    s = factor * OFF_BLOCK_BOUND * np.sqrt(5.0) / np.sqrt(2.0)
+    h0 = np.array([[1.0, s], [s, 2.0]])
+    r = np.array([[0.0, 1.0], [0.0, 0.0]])
+    h = make_operator(2, h0 + r + r.T)
+    read_blocks = []
+    flags = detection._commute_flags
+
+    def spied(ladder, *args):
+        read_blocks.append(ladder.dense is None)
+        return flags(ladder, *args)
+    monkeypatch.setattr(detection, "_commute_flags", spied)
+    unit = 2.0 ** -_unit(h.norm)
+    assert _grade_triple(h, make_operator(2, M01), h0 * unit, r * unit, 1.0,
+                         Tolerance()).passed
+    assert read_blocks == [inside]
