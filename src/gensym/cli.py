@@ -238,7 +238,7 @@ def analyze_pair(h, m, tol: Tolerance, digests: Optional[dict] = None) -> dict:
         # released with H0 once graded (kept whole on the dense path).
         m_spec = (hermitian_eigh(m, tol) if m.real_diagonal is not None
                   else None)
-        ladder = _ladder_blocks(r, gamma, m_spec)
+        ladder = _ladder_blocks(r, gamma, m_spec, tol)
         report["triple"] = _triple_record(
             gamma, _grade_triple(h, m, h0, r, gamma, tol, m_spec, ladder))
         del h0, r

@@ -32,7 +32,6 @@ import numpy as np
 
 from .operators import (
     DEFAULT_TOL,
-    OFF_BLOCK_BOUND,
     NumericalError,
     Operator,
     SpectralDecomposition,
@@ -44,6 +43,7 @@ from .operators import (
     _cluster_ids,
     _freeze,
     _ladder_blocks,
+    _off_block_bound,
     _off_block_norm,
     _skew_norm,
     _stored_units,
@@ -443,30 +443,32 @@ def verify_triple(h: Operator, m: Operator, triple: GenSymTriple,
             and h.dim == m.dim):
         raise ValueError("dimension mismatch between (H, M) and triple")
     unit = 2.0 ** -_unit(h.norm)
-    return _grade_triple(h, m, triple.h0 * unit, triple.r * unit,
-                         triple.gamma, tol)
+    r = triple.r * unit
+    m_spec = hermitian_eigh(m, tol) if m.real_diagonal is not None else None
+    return _grade_triple(h, m, triple.h0 * unit, r, triple.gamma, tol,
+                         m_spec, _ladder_blocks(r, triple.gamma, m_spec, tol))
 
 
 def _grade_triple(h: Operator, m: Operator, h0: np.ndarray, r: np.ndarray,
                   gamma: float, tol: Tolerance,
-                  m_spec: Optional[SpectralDecomposition] = None,
-                  ladder: Optional[_Blocks] = None) -> TripleReport:
+                  m_spec: Optional[SpectralDecomposition],
+                  ladder: _Blocks) -> TripleReport:
     """verify_triple on (H0, R) / 2^a as _reconstruct_case2 returns them,
     read in place.
 
     The residuals are taken on the dense (H0, R).  For a real diagonal M
     the commutes_* flags read R as ``ladder``, its ladder blocks on the
-    clusters of ``m_spec`` (both formed here when not given), and H0 as
-    its diagonal blocks, unless _ladder_blocks kept R whole or H0's mass
-    off those blocks exceeds OFF_BLOCK_BOUND ||H0||_F.
+    clusters of ``m_spec`` (None for a dense M), and H0 as its diagonal
+    blocks, unless _ladder_blocks kept R whole or H0's mass off those
+    blocks exceeds _off_block_bound(tol) ||H0||_F.
     """
     a = _unit(h.norm)
     h_norm = math.ldexp(h.norm, -a)
     bound = tol.rtol * h_norm
     m_bound = bound * m.norm  # for [H0, M] and [R, M] - gamma R
-    # H - H0 - R - R^dag over 2^a, complex when the triple is.
-    sum_rest = (h.entries * 2.0 ** -a).astype(np.result_type(h0, r),
-                                              copy=False)
+    # H - H0 - R - R^dag over 2^a, complex when H or the triple is.
+    sum_rest = (h.entries * 2.0 ** -a).astype(
+        np.result_type(h.entries, h0, r), copy=False)
     for rows in _bands(len(h0)):
         sum_rest[rows] -= h0[rows]
         sum_rest[rows] -= r[rows]
@@ -476,16 +478,12 @@ def _grade_triple(h: Operator, m: Operator, h0: np.ndarray, r: np.ndarray,
     residual_h0m = _commutator_norm(h0, m)
     residual_ladder = _commutator_norm(r, m, gamma)
     h0_herm = _skew_norm(h0) <= H0_HERMITICITY_BOUND * h_norm
-    if m_spec is None and m.real_diagonal is not None:
-        m_spec = hermitian_eigh(m, tol)
-    if ladder is None:
-        ladder = _ladder_blocks(r, gamma, m_spec)
     # With R ~ 0 the ladder relation holds for any gamma; flag it.
     degenerate = ladder.norm <= bound  # ||R||_F
     if ladder.dense is None and not (
             _off_block_norm(h0, _cluster_ids(m_spec),
                             np.arange(m_spec.n_clusters))
-            <= OFF_BLOCK_BOUND * fro(h0)):
+            <= _off_block_bound(tol) * fro(h0)):
         ladder = _Blocks(r, (), ladder.norm)  # the flags read R and H0 whole
     rdr_m, rdr_h0, rrd_m, rrd_h0 = _commute_flags(ladder, h0, m, h_norm, tol)
     unit = 2.0 ** a

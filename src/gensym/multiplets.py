@@ -120,7 +120,9 @@ def _cluster_coordinates(vectors: np.ndarray, m_spec: SpectralDecomposition):
     norms = np.empty((len(starts), vectors.shape[1]))
     first = 0
     for k in range(1, len(starts) + 1):
-        if k < len(starts) and starts[k] - starts[first] < height:
+        # The run [first, k) is summed before cluster k would take it past
+        # ``height`` rows.
+        if k < len(starts) and m_spec.clusters[k][1] - starts[first] <= height:
             continue
         squares = np.abs(rows(starts[first], m_spec.clusters[k - 1][1]))
         np.square(squares, out=squares)

@@ -419,8 +419,14 @@ def _m_basis(m_spec: SpectralDecomposition, x: np.ndarray,
 # Frobenius mass, relative to ||X||_F, that _ladder_blocks may leave out
 # of R or H0 for a real diagonal M: 100 times inside the stability scan's
 # cutoff, in whose ladder units the dropped mass moves R psi / ||R||_F by
-# at most this much.
+# at most this much, and inside the default rtol of the commutes_* gates.
 OFF_BLOCK_BOUND = 1e-10
+
+
+def _off_block_bound(tol: Tolerance) -> float:
+    """OFF_BLOCK_BOUND, scaled down with an rtol below the default so that
+    it stays 100 times inside the rtol-scaled gates."""
+    return OFF_BLOCK_BOUND * min(1.0, tol.rtol / DEFAULT_TOL.rtol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -498,14 +504,15 @@ def _off_block_norm(x: np.ndarray, ids: np.ndarray,
 
 
 def _ladder_blocks(x: np.ndarray, gamma: float,
-                   m_spec: Optional[SpectralDecomposition]) -> _Blocks:
+                   m_spec: Optional[SpectralDecomposition],
+                   tol: Tolerance) -> _Blocks:
     """X with [X, M] = gamma X as its ladder blocks X[I_a, I_b], mu_a
     about mu_b - gamma, on the clusters of a real diagonal M.
 
     The blocks are gathered once, one stack per block shape, and X is
     kept whole instead when M is not real diagonal (``m_spec`` None or
     dense) or when X's mass outside the blocks exceeds
-    OFF_BLOCK_BOUND ||X||_F.
+    _off_block_bound(tol) ||X||_F.
     """
     norm = fro(x)
     whole = _Blocks(x, (), norm)
@@ -514,7 +521,7 @@ def _ladder_blocks(x: np.ndarray, gamma: float,
     target = _cluster_targets(m_spec, gamma)
     # Written as "not <=" so that a NaN mass keeps X whole.
     if target is None or not (_off_block_norm(x, _cluster_ids(m_spec), target)
-                              <= OFF_BLOCK_BOUND * norm):
+                              <= _off_block_bound(tol) * norm):
         return whole
     starts = np.array([start for start, _ in m_spec.clusters])
     sizes = np.array([stop - start for start, stop in m_spec.clusters])

@@ -115,6 +115,15 @@ def _rank_tests(a: np.ndarray, b: np.ndarray, psi: np.ndarray):
             -null[:, 2])
 
 
+def _pinned(x: complex, y: complex, u: complex):
+    """A null relation (x, y, u) fixed only up to a unit phase, rotated so
+    its largest-magnitude entry is real positive (ties to the first), as
+    phase_canonicalize rotates a column."""
+    pivot = max((x, y, u), key=abs)
+    phase = abs(pivot) / pivot if abs(pivot) > 0 else 1.0
+    return x * phase, y * phase, u * phase
+
+
 def _screen(x: complex, y: complex, u: complex):
     """Case 1 (u ~ 0), 4 (x + y ~ 0 at u = 1) or 5, and the coeffs."""
     if abs(u) <= STABILITY_CUTOFF * max(abs(x), abs(y), abs(u)):
@@ -136,10 +145,18 @@ def _classify_block(ladder: _Ladder, vectors: np.ndarray,
     stable, xs, ys, us = _rank_tests(a, b, vectors)
 
     # Screened as x a + y b = u psi, recorded as x R psi + y R^dag psi = u psi.
+    # A psi that R and R^dag both annihilate has every (x, y, 0) as a null
+    # relation and takes (1, 0, 0).  A case-1 or unstable relation is a
+    # null vector that the SVD fixes only up to a unit phase, which
+    # _pinned fixes; cases 4 and 5 are read at u = 1.
     cases, coeffs = [], []
     for j in range(len(eigenvalues)):
-        raw = (complex(xs[j]), complex(ys[j]), complex(us[j]))
+        raw = ((1.0 + 0.0j, 0.0j, 0.0j)
+               if r_annihilates[j] and rd_annihilates[j]
+               else (complex(xs[j]), complex(ys[j]), complex(us[j])))
         case, (x, y, u) = _screen(*raw) if stable[j] else (None, raw)
+        if case in (None, 1):
+            x, y, u = _pinned(x, y, u)
         cases.append(case)
         coeffs.append((x / ladder.r_norm, y / ladder.r_norm, u))
     case5 = [j for j, case in enumerate(cases) if case == 5]
@@ -235,20 +252,21 @@ def scan_spectrum_stability(h_spec: SpectralDecomposition,
     gate accepts up to rtol ||H||_F), ||R||_F and the M-cluster means are
     taken once.  For a real diagonal M, R is held as its ladder blocks
     R_ab, which map M-cluster b to the cluster a at mu_b - gamma, unless
-    its mass off them exceeds OFF_BLOCK_BOUND ||R||_F (_ladder_blocks).
-    Eigenvectors are then taken in column blocks of _BLOCK: per block,
-    R V and R^dag V are two gemms (block gemms on the rows of V in M's
-    clusters, one stack per block shape), the n x 3 rank tests are one
-    stacked thin SVD, and the case-5 partners W diag(exp(-z mu)) W^dag psi
-    and their residuals against V diag(w) V^dag are three more gemms (one
-    for a real diagonal M, whose W products are row gathers).
+    its mass off them exceeds _off_block_bound(tol) ||R||_F
+    (_ladder_blocks).  Eigenvectors are then taken in column blocks of
+    _BLOCK: per block, R V and R^dag V are two gemms (block gemms on the
+    rows of V in M's clusters, one stack per block shape), the n x 3 rank
+    tests are one stacked thin SVD, and the case-5 partners
+    W diag(exp(-z mu)) W^dag psi and their residuals against
+    V diag(w) V^dag are three more gemms (one for a real diagonal M, whose
+    W products are row gathers).
     Each record depends on its own eigenvector only, not on its block.
 
     Memory: besides the n x n operators, O(n * _BLOCK) workspace per
     block, so no (n, n, 3) stack is ever formed.
     """
     return _scan_stability(
-        h_spec, _ladder_blocks(triple.r, triple.gamma, m_spec),
+        h_spec, _ladder_blocks(triple.r, triple.gamma, m_spec, tol),
         triple.gamma, m_spec, tol)
 
 

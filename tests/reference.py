@@ -7,7 +7,6 @@ commutes_* flags and the scan's R V and R^dag V with a dense R).
 """
 
 import cmath
-import copy
 from typing import Callable
 
 import numpy as np
@@ -120,14 +119,6 @@ def dense_ladder_products(r: np.ndarray, vectors: np.ndarray):
     return r @ vectors, r.conj().T @ vectors
 
 
-def _floats(doc):
-    if isinstance(doc, dict):
-        return [x for key in sorted(doc) for x in _floats(doc[key])]
-    if isinstance(doc, list):
-        return [x for item in doc for x in _floats(item)]
-    return [doc] if isinstance(doc, float) else []
-
-
 def _structure(doc):
     if isinstance(doc, dict):
         return {key: _structure(value) for key, value in doc.items()}
@@ -136,30 +127,44 @@ def _structure(doc):
     return None if isinstance(doc, float) else doc
 
 
+def _only_floats(doc):
+    """The floats of a list nested only of floats, else None."""
+    if isinstance(doc, float):
+        return [doc]
+    if not isinstance(doc, list):
+        return None
+    leaves = [_only_floats(item) for item in doc]
+    if not doc or any(leaf is None for leaf in leaves):
+        return None
+    return [x for leaf in leaves for x in leaf]
+
+
+def _float_groups(doc, h_norm, path=()):
+    """(path, values, scale) for the floats of a report: a list of floats
+    (the spectrum, a record's coeffs, z) scaled by its largest entry, a
+    partner's residual by ||H||_F, the unit of its gate, and any other
+    float by its own magnitude."""
+    values = _only_floats(doc)
+    if values is not None:
+        scale = (h_norm if path[-2:] == ("partner", "residual")
+                 else max(map(abs, values)))
+        yield path, values, scale
+    elif isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        for name, item in items:
+            yield from _float_groups(item, h_norm, path + (name,))
+
+
 def assert_reports_agree(report: dict, expected: dict, rel: float = 1e-12):
     """Two analyze_pair reports agree: every field that is not a float
     (verdict, verified, the commutes_* flags, classes, cases) is equal, and
-    every float agrees within ``rel`` of the largest.
-
-    Rounding may move the coeffs that no relation pins down: those of a
-    record whose psi both R and R^dag annihilate, where every (x, y, 0) is
-    a null relation, are not compared; those of an unstable or case-1
-    record, a null vector (x, y, u) fixed only up to a unit phase, are
-    compared once that phase is aligned (cases 4 and 5 fix u = 1).
-    """
+    every float of ``report`` agrees with ``expected``'s within ``rel`` of
+    its scale in ``expected``: a list of floats (the spectrum, a record's
+    coeffs, z) of its largest entry, a partner's residual of ||H||_F, the
+    unit of its gate, and any other float of its own magnitude."""
     assert _structure(report) == _structure(expected)
-    report, expected = copy.deepcopy(report), copy.deepcopy(expected)
-    pairs = zip((report["stability"] or {}).get("records", []),
-                (expected["stability"] or {}).get("records", []))
-    for got, want in pairs:
-        if got["r_annihilates"] and got["rd_annihilates"]:
-            got["coeffs"] = want["coeffs"] = []
-        elif got["primary_case"] in (None, 1):
-            a, b = (np.array([complex(*c) for c in rec["coeffs"]])
-                    for rec in (got, want))
-            phase = np.vdot(a, b)
-            a = a * (phase / abs(phase) if abs(phase) else 1.0)
-            got["coeffs"] = [[c.real, c.imag] for c in a]
-    values, reference = np.array(_floats(report)), np.array(_floats(expected))
-    np.testing.assert_allclose(values, reference, rtol=0,
-                               atol=rel * np.max(np.abs(reference)))
+    h_norm = float(np.linalg.norm(expected["spectrum"]))
+    got = {path: values for path, values, _ in _float_groups(report, h_norm)}
+    for path, want, scale in _float_groups(expected, h_norm):
+        np.testing.assert_allclose(got[path], want, rtol=0,
+                                   atol=rel * scale, err_msg=str(path))

@@ -324,6 +324,21 @@ class TestVerifyTriple:
         assert report.sum_ok and report.h0_commutes_ok
         assert report.degenerate
 
+    def test_complex_h_against_a_real_triple(self):
+        # H = sigma_x + sigma_y, M = sigma_z and the real triple H0 = 0,
+        # R = |1><0|, gamma = 2: R + R^dag = sigma_x, so H - H0 - R - R^dag
+        # = sigma_y, of norm sqrt(2).  The residual keeps H's imaginary
+        # part (pytest turns a ComplexWarning into an error).
+        h = op(np.array([[0.0, 1.0 - 1.0j], [1.0 + 1.0j, 0.0]]))
+        m = op(np.diag([1.0, -1.0]))
+        triple = GenSymTriple(h0=np.zeros((2, 2)),
+                              r=np.array([[0.0, 0.0], [1.0, 0.0]]), gamma=2.0)
+        assert triple.r.dtype == np.float64
+        report = verify_triple(h, m, triple)
+        assert report.residual_sum == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert report.h0_commutes_ok and report.ladder_ok
+        assert not report.sum_ok and not report.passed
+
     def test_rejects_a_triple_of_another_dimension(self):
         triple = reconstruct_case2(op(SX), op(PROJ), 1.0)
         with pytest.raises(ValueError, match="dimension mismatch"):

@@ -8,6 +8,7 @@ from gensym import (
     hermitian_eigh,
     partition,
 )
+from gensym import multiplets
 from gensym.multiplets import (DEFAULT_SUPPORT_EPS, _cluster_coordinates,
                                _first_parallel_representative, size_label)
 from gensym.models import (angular_block, hardcore_chain, jaynes_cummings,
@@ -178,6 +179,20 @@ class TestSupportSignature:
         _, norms, _ = _cluster_coordinates(np.reshape(psi, (-1, 1)), m_spec)
         np.testing.assert_allclose(norms[:, 0], [0.5 ** 0.5, 0, 0.5 ** 0.5],
                                    atol=1e-15)
+
+    @pytest.mark.parametrize("tile", [1, 4, 6, 9, 64])
+    def test_cluster_norms_in_runs_of_any_height(self, monkeypatch, tile):
+        # Clusters of 3, 5, 2 and 4 rows summed in runs of at most
+        # tile^2 // 14 rows, or one wider cluster: each norm is the
+        # norm of the column's rows on its cluster.
+        monkeypatch.setattr(multiplets, "TILE", tile)
+        bundle = random_triple([3, 5, 2, 4], 1.0, seed=2)
+        m_spec = hermitian_eigh(bundle.m)
+        vectors = canonical_eigenbasis(bundle.h, bundle.m).eigenvectors
+        _, norms, _ = _cluster_coordinates(vectors, m_spec)
+        expected = [np.linalg.norm(vectors[m_spec.order[start:stop]], axis=0)
+                    for start, stop in m_spec.clusters]
+        np.testing.assert_allclose(norms, expected, rtol=1e-15)
 
     def test_tiny_component_dropped(self):
         _, _, m_spec = angular_setup(1)

@@ -39,7 +39,8 @@ def rank_test(psi, a, b):
 
 def _triple_ladder(h_spec, triple, m_spec):
     """The scan's _Ladder for a GenSymTriple, R held as the scan holds it."""
-    return _ladder(h_spec, _ladder_blocks(triple.r, triple.gamma, m_spec),
+    return _ladder(h_spec, _ladder_blocks(triple.r, triple.gamma, m_spec,
+                                               Tolerance()),
                    triple.gamma, m_spec)
 
 
@@ -231,6 +232,30 @@ class TestScan:
                 triple.h0 @ psi - rec.eigenvalue * psi)
             assert defect <= 1e-8
         assert hits >= 1
+
+    @pytest.mark.parametrize("bundle", [
+        hardcore_chain(5, 0.3 + 0.1j), random_triple((3, 4, 3), 1.0, seed=17)],
+        ids=["hardcore_5", "random_triple"])
+    def test_unpinned_coeffs_are_fixed(self, bundle):
+        # Both R and R^dag annihilate psi: every (x, y, 0) is a null
+        # relation, and (1, 0, 0) in ladder units is reported.  A case-1
+        # or unstable null vector has its largest entry, in ladder units,
+        # real positive, up to the rounding of the rotation.
+        h, m = bundle.h, bundle.m
+        triple = reconstruct_case2(h, m, 1.0)
+        records = scan_spectrum_stability(canonical_eigenbasis(h, m), triple,
+                                          hermitian_eigh(m))
+        r_norm = np.linalg.norm(triple.r)
+        pinned = [rec for rec in records if rec.primary_case in (None, 1)]
+        assert pinned
+        for rec in pinned:
+            x, y, u = rec.coeffs
+            ladder = np.array([x * r_norm, y * r_norm, u])
+            if rec.r_annihilates and rec.rd_annihilates:
+                np.testing.assert_allclose(ladder, [1, 0, 0], rtol=1e-15)
+                continue
+            pivot = ladder[np.argmax(np.abs(ladder))]
+            assert abs(pivot.imag) <= 1e-15 * pivot.real
 
     def test_records_in_index_order(self):
         triple, h_spec, m_spec = angular_setup(2)

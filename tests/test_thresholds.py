@@ -12,7 +12,8 @@ import pytest
 from gensym import (NumericalError, SpectralDecomposition, Tolerance, detect,
                     hermitian_eigh, make_operator, partition)
 from gensym import detection
-from gensym.detection import SCREEN_MIN_DIM, _grade_triple, _probe_screen
+from gensym.detection import (SCREEN_MIN_DIM, GenSymTriple, _probe_screen,
+                              verify_triple)
 from gensym.operators import (_hermitian_eigvalsh, _ladder_blocks,
                               _skew_norm, _unit, fro, is_hermitian)
 from gensym.stability import _rank_tests, _screen
@@ -193,7 +194,8 @@ def test_off_block_bound_for_r(factor, inside):
     # 1e-20.  Inside, R is held as its block; outside, whole.
     s = factor * OFF_BLOCK_BOUND
     r = np.array([[0.0, 1.0], [s, 0.0]])
-    ladder = _ladder_blocks(r, 1.0, hermitian_eigh(make_operator(2, M01)))
+    ladder = _ladder_blocks(r, 1.0, hermitian_eigh(make_operator(2, M01)),
+                            Tolerance())
     assert (ladder.dense is None) is inside
 
 
@@ -214,7 +216,6 @@ def test_off_block_bound_for_h0(monkeypatch, factor, inside):
         read_blocks.append(ladder.dense is None)
         return flags(ladder, *args)
     monkeypatch.setattr(detection, "_commute_flags", spied)
-    unit = 2.0 ** -_unit(h.norm)
-    assert _grade_triple(h, make_operator(2, M01), h0 * unit, r * unit, 1.0,
-                         Tolerance()).passed
+    assert verify_triple(h, make_operator(2, M01),
+                         GenSymTriple(h0=h0, r=r, gamma=1.0)).passed
     assert read_blocks == [inside]
