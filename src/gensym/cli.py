@@ -36,6 +36,7 @@ from .operators import (
     Tolerance,
     _hermitian_eigvalsh,
     _ladder_blocks,
+    _m_eigenbasis,
     _unit,
     hermitian_eigh,
 )
@@ -162,7 +163,7 @@ def _triple_record(gamma, report) -> dict:
 
 def _partition_record(part, h_spec, m_spec) -> dict:
     classes = []
-    values = m_spec.cluster_values()[0]
+    values = m_spec.cluster_values[0]
     for members, sig, label in zip(part.classes, part.signatures, part.labels):
         classes.append({
             "members": list(members),
@@ -256,9 +257,10 @@ def analyze_pair(h, m, tol: Tolerance, digests: Optional[dict] = None) -> dict:
         return report
 
     # The scan runs before the partition so that R is released first;
-    # neither reads the other's result.
+    # neither reads the other's result.  Both run in M's eigenbasis.
     h_spec, m_spec = _eigenbases(h, m, tol, m_spec)
     report["spectrum"] = h_spec.eigenvalues.tolist()
+    h_spec, m_spec, ladder = _m_eigenbasis(h_spec, m_spec, ladder, gamma, tol)
     ladder = ladder.scaled(2.0 ** _unit(h.norm))  # R in H's units
     report["stability"] = _stability_record(
         _scan_stability(h_spec, ladder, gamma, m_spec, tol))

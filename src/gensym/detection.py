@@ -40,7 +40,6 @@ from .operators import (
     _Blocks,
     _add_adjoint,
     _bands,
-    _cluster_ids,
     _freeze,
     _ladder_blocks,
     _off_block_bound,
@@ -481,7 +480,7 @@ def _grade_triple(h: Operator, m: Operator, h0: np.ndarray, r: np.ndarray,
     # With R ~ 0 the ladder relation holds for any gamma; flag it.
     degenerate = ladder.norm <= bound  # ||R||_F
     if ladder.dense is None and not (
-            _off_block_norm(h0, _cluster_ids(m_spec),
+            _off_block_norm(h0, m_spec.cluster_ids,
                             np.arange(m_spec.n_clusters))
             <= _off_block_bound(tol) * fro(h0)):
         ladder = _Blocks(r, (), ladder.norm)  # the flags read R and H0 whole

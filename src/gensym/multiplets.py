@@ -20,7 +20,7 @@ from .operators import (
     TILE,
     Tolerance,
     _bands,
-    _m_basis,
+    _m_eigenbasis,
     hermitian_eigh,
     phase_canonicalize,
 )
@@ -88,33 +88,13 @@ def canonical_eigenbasis(h: Operator, m: Operator,
                                  clusters=clusters)
 
 
-def _cluster_coordinates(vectors: np.ndarray, m_spec: SpectralDecomposition):
-    """Coordinates of the columns of ``vectors`` in the eigenbasis of M.
-
-    Returns ``(rows, norms, mask)``: ``rows(start, stop, cols)`` is the
-    block of ``W^dag V`` on M-cluster [start, stop) and the columns
-    ``cols`` (all when None), with W the M-eigenvectors; ``norms[k, j]``
-    is the norm of column j's component on M-cluster k, and ``mask[k, j]``
-    whether that norm exceeds ``DEFAULT_SUPPORT_EPS * ||v_j||``.  For a
-    real diagonal M each block is a row gather of V and W^dag V is never
-    formed; otherwise it is one gemm, sliced.  The norms are segmented
-    sums of |W^dag V|^2 over runs of whole clusters of at most TILE^2
-    entries (or one wider cluster), so no other n^2 buffer is formed.
-    """
-    vectors = np.asarray(vectors)
+def _cluster_norms(vectors: np.ndarray, m_spec: SpectralDecomposition):
+    """``(norms, mask)``: ``norms[k, j]`` is the norm of column j of V on
+    cluster k of a real diagonal M, read off V's rows ``m_spec.order``,
+    and ``mask[k, j]`` whether it exceeds ``DEFAULT_SUPPORT_EPS * ||v_j||``.
+    The norms are segmented sums of |V|^2 over runs of whole clusters of
+    at most TILE^2 entries (or one wider cluster): no n^2 buffer."""
     order = m_spec.order
-    if order is None:
-        coords = _m_basis(m_spec, vectors)
-
-        def rows(start, stop, cols=None):
-            return coords[start:stop] if cols is None else coords[start:stop,
-                                                                   cols]
-    else:
-        def rows(start, stop, cols=None):
-            picked = order[start:stop]
-            return (vectors[picked] if cols is None
-                    else vectors[np.ix_(picked, cols)])
-
     starts = [start for start, _ in m_spec.clusters]
     height = max(1, TILE ** 2 // len(vectors))
     norms = np.empty((len(starts), vectors.shape[1]))
@@ -124,14 +104,15 @@ def _cluster_coordinates(vectors: np.ndarray, m_spec: SpectralDecomposition):
         # ``height`` rows.
         if k < len(starts) and m_spec.clusters[k][1] - starts[first] <= height:
             continue
-        squares = np.abs(rows(starts[first], m_spec.clusters[k - 1][1]))
+        picked = order[starts[first]:m_spec.clusters[k - 1][1]]
+        squares = np.abs(vectors[picked])
         np.square(squares, out=squares)
         norms[first:k] = np.sqrt(np.add.reduceat(
             squares, np.subtract(starts[first:k], starts[first]), axis=0))
         first = k
     # ||v_j|| from its cluster norms: no n^2 temporary.
     mask = norms > DEFAULT_SUPPORT_EPS * np.linalg.norm(norms, axis=0)
-    return rows, norms, mask
+    return norms, mask
 
 
 def _greedy_classes(vectors: np.ndarray, m_spec: SpectralDecomposition,
@@ -145,7 +126,7 @@ def _greedy_classes(vectors: np.ndarray, m_spec: SpectralDecomposition,
     the normalised cluster blocks.  A one-dimensional cluster holds no
     direction, so it never separates two columns.
     """
-    rows, norms, mask = _cluster_coordinates(vectors, m_spec)
+    norms, mask = _cluster_norms(vectors, m_spec)
     n = mask.shape[1]
     packed = np.ascontiguousarray(np.packbits(mask, axis=0).T)
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
@@ -162,7 +143,9 @@ def _greedy_classes(vectors: np.ndarray, m_spec: SpectralDecomposition,
         idx = by_group[ends[g] - counts[g]:ends[g]]
         parallel = np.ones((len(idx), len(idx)), dtype=bool)
         for k in np.flatnonzero(wide_support[:, g]):
-            block = rows(*m_spec.clusters[k], idx)  # a copy: scaled in place
+            start, stop = m_spec.clusters[k]
+            # A copy, scaled in place.
+            block = vectors[np.ix_(m_spec.order[start:stop], idx)]
             block /= norms[k, idx]
             gram = block.conj().T @ block
             del block  # each is dropped before the next cluster's is formed
@@ -204,11 +187,11 @@ def partition(h_spec: SpectralDecomposition, m_spec: SpectralDecomposition,
 
     Algorithm: one gemm ``C = W_M^dag V_H`` puts every eigenvector in the
     eigenbasis of M (for a real diagonal M, row gathers of ``V_H`` cluster
-    by cluster instead); segmented sums over ``|C|^2`` give its norm on
-    each M-cluster and so its support mask.  Vectors are grouped by mask,
-    and within a group the per-cluster Gram matrices of the normalised
-    cluster blocks decide which pairs are parallel on every supported
-    cluster.  Memory is C (none for a real diagonal M), a run of
+    by cluster instead; _m_eigenbasis); segmented sums over ``|C|^2`` give
+    its norm on each M-cluster and so its support mask.  Vectors are
+    grouped by mask, and within a group the per-cluster Gram matrices of
+    the normalised cluster blocks decide which pairs are parallel on every
+    supported cluster.  Memory is C (none for a real diagonal M), a run of
     clusters' rows of |C|^2 and one group-size square matrix.
 
     Ordering: classes are built greedily against the first-seen
@@ -217,6 +200,7 @@ def partition(h_spec: SpectralDecomposition, m_spec: SpectralDecomposition,
     listed in order of their representative's index, members ascending,
     and each signature is the representative's support.
     """
+    h_spec, m_spec, _ = _m_eigenbasis(h_spec, m_spec)
     classes, mask = _greedy_classes(h_spec.eigenvectors, m_spec, tol)
     # Every representative's support from one nonzero, in row-major order:
     # class by class, clusters ascending.

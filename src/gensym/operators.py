@@ -16,7 +16,7 @@ file, which writes every imaginary part, is byte-identical either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -108,8 +108,8 @@ class Operator:
     def real_diagonal(self) -> Optional[np.ndarray]:
         """The diagonal when the operator is real diagonal, else None.
 
-        Decided once per operator; products with a diagonal operator and
-        with its eigenbasis go through _times_m and _m_basis.
+        Decided once per operator; products with a diagonal operator go
+        through _times_m, and its eigenbasis is read through ``order``.
         """
         return _real_diagonal(self.entries)
 
@@ -126,16 +126,14 @@ def _real_diagonal(entries: np.ndarray) -> Optional[np.ndarray]:
     return d if np.count_nonzero(entries) == np.count_nonzero(d) else None
 
 
-def _times_m(a: np.ndarray, m: Operator, left: bool = False) -> np.ndarray:
-    """A M, or M A with ``left``.
+def _times_m(a: np.ndarray, m: Operator) -> np.ndarray:
+    """A M.
 
-    For a real diagonal M a column (row) scale: a gemm with a diagonal
-    matrix only adds exact zeros, so every nonzero entry is the gemm's.
+    For a real diagonal M a column scale: a gemm with a diagonal matrix
+    only adds exact zeros, so every nonzero entry is the gemm's.
     """
     d = m.real_diagonal
-    if d is None:
-        return m.entries @ a if left else a @ m.entries
-    return d[:, np.newaxis] * a if left else a * d
+    return a @ m.entries if d is None else a * d
 
 
 def _times_block(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -306,15 +304,25 @@ class SpectralDecomposition:
         return len(self.clusters)
 
     @cached_property
-    def _eigenvectors_adjoint(self) -> np.ndarray:
-        """W^dag, formed once (a copy only when W is complex)."""
-        return self.eigenvectors.conj().T
-
     def cluster_values(self) -> tuple:
-        """(mean eigenvalue of each cluster, size of each cluster), two arrays."""
-        return (np.array([np.mean(self.eigenvalues[start:stop])
-                          for start, stop in self.clusters]),
-                np.array([stop - start for start, stop in self.clusters]))
+        """(mean eigenvalue of each cluster, size of each cluster): two
+        read-only arrays, taken once per decomposition."""
+        means = np.array([np.mean(self.eigenvalues[start:stop])
+                          for start, stop in self.clusters])
+        sizes = np.array([stop - start for start, stop in self.clusters])
+        means.setflags(write=False)
+        sizes.setflags(write=False)
+        return means, sizes
+
+    @cached_property
+    def cluster_ids(self) -> np.ndarray:
+        """ids[order[i]], the cluster of eigenvalue i, for each basis index
+        when ``order`` is set; read-only, formed once."""
+        ids = np.empty(self.dim, dtype=np.intp)
+        ids[self.order] = np.repeat(np.arange(self.n_clusters),
+                                    self.cluster_values[1])
+        ids.setflags(write=False)
+        return ids
 
 
 def cluster_eigenvalues(values: Sequence[float], scale: float,
@@ -396,26 +404,6 @@ def hermitian_eigh(a: Operator, tol: Tolerance = DEFAULT_TOL) -> SpectralDecompo
                                  clusters=clusters, order=order)
 
 
-def _m_basis(m_spec: SpectralDecomposition, x: np.ndarray,
-             inverse: bool = False) -> np.ndarray:
-    """W^dag X, the rows of X in the eigenbasis W of M; W X with ``inverse``.
-
-    For a dense W a product through _times_block, so a real W times a
-    complex X is one real gemm.  For a real diagonal M (m_spec.order set)
-    a row gather, or its scatter: W is a permutation matrix, so every
-    nonzero entry is the gemm's.
-    """
-    order = m_spec.order
-    if order is None:
-        return _times_block(m_spec.eigenvectors if inverse
-                            else m_spec._eigenvectors_adjoint, x)
-    if not inverse:
-        return x[order]
-    out = np.empty_like(x)
-    out[order] = x
-    return out
-
-
 # Frobenius mass, relative to ||X||_F, that _ladder_blocks may leave out
 # of R or H0 for a real diagonal M: 100 times inside the stability scan's
 # cutoff, in whose ladder units the dropped mass moves R psi / ||R||_F by
@@ -471,19 +459,11 @@ class _Blocks:
         return _Blocks(self.dense, self.groups, self.norm * s)
 
 
-def _cluster_ids(m_spec: SpectralDecomposition) -> np.ndarray:
-    """The M-cluster of each basis index, for a real diagonal M."""
-    sizes = [stop - start for start, stop in m_spec.clusters]
-    ids = np.empty(m_spec.dim, dtype=np.intp)
-    ids[m_spec.order] = np.repeat(np.arange(len(sizes)), sizes)
-    return ids
-
-
 def _cluster_targets(m_spec: SpectralDecomposition,
                      gamma: float) -> Optional[np.ndarray]:
     """target[b], the M-cluster a whose mean is nearest mu_b - gamma, or -1
     when none lies within |gamma| / 2; None when two clusters share one."""
-    mu = m_spec.cluster_values()[0]
+    mu = m_spec.cluster_values[0]
     t = mu - gamma
     hi = np.minimum(np.searchsorted(mu, t), len(mu) - 1)
     lo = np.maximum(hi - 1, 0)
@@ -520,11 +500,11 @@ def _ladder_blocks(x: np.ndarray, gamma: float,
         return whole
     target = _cluster_targets(m_spec, gamma)
     # Written as "not <=" so that a NaN mass keeps X whole.
-    if target is None or not (_off_block_norm(x, _cluster_ids(m_spec), target)
+    if target is None or not (_off_block_norm(x, m_spec.cluster_ids, target)
                               <= _off_block_bound(tol) * norm):
         return whole
     starts = np.array([start for start, _ in m_spec.clusters])
-    sizes = np.array([stop - start for start, stop in m_spec.clusters])
+    sizes = m_spec.cluster_values[1]
     shapes = {}
     for b in np.flatnonzero(target >= 0).tolist():
         a = int(target[b])
@@ -537,6 +517,40 @@ def _ladder_blocks(x: np.ndarray, gamma: float,
         groups.append((rows, cols,
                        x[rows[:, :, np.newaxis], cols[:, np.newaxis, :]]))
     return _Blocks(None, tuple(groups), norm)
+
+
+def _m_eigenbasis(h_spec: SpectralDecomposition,
+                  m_spec: SpectralDecomposition,
+                  ladder: Optional[_Blocks] = None, gamma: float = 0.0,
+                  tol: Tolerance = DEFAULT_TOL) -> tuple:
+    """(h_spec, m_spec, ladder) in the eigenbasis W of M, where M is the
+    real diagonal diag(mu), read through ``order``; as given when M is.
+
+    For a dense M, V becomes C = W^dag V and m_spec diag(mu), with order
+    arange(n).  R, held whole by ``ladder`` in a buffer that is the
+    caller's to give up, is overwritten by W^dag R W a band of TILE
+    columns, then rows, at a time, and held as its ladder blocks.  No
+    n^2 buffer is formed besides C and, for a complex W, W^dag.
+    """
+    if m_spec.order is not None:
+        return h_spec, m_spec, ladder
+    w = m_spec.eigenvectors
+    w_adj = w.conj().T  # a copy only when W is complex
+    coords = _times_block(w_adj, h_spec.eigenvectors)
+    order = np.arange(m_spec.dim)
+    coords.setflags(write=False)
+    order.setflags(write=False)
+    h_spec = replace(h_spec, eigenvectors=coords)
+    m_spec = replace(m_spec, eigenvectors=None, order=order)
+    if ladder is not None:
+        # In place unless a real R meets a complex W.
+        r = ladder.dense.astype(np.result_type(ladder.dense, w), copy=False)
+        for cols in _bands(len(r)):
+            r[:, cols] = _times_block(w_adj, r[:, cols])
+        for rows in _bands(len(r)):  # (R W)[rows] = (W^T R[rows]^T)^T
+            r[rows] = _times_block(w.T, r[rows].T).T
+        ladder = _ladder_blocks(r, gamma, m_spec, tol)
+    return h_spec, m_spec, ladder
 
 
 def _lower_norm(a: np.ndarray) -> float:

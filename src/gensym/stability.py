@@ -28,7 +28,7 @@ from .operators import (
     Tolerance,
     _Blocks,
     _ladder_blocks,
-    _m_basis,
+    _m_eigenbasis,
     _times_block,
     _unit,
     fro,
@@ -72,21 +72,18 @@ class _Ladder:
 
     h_spec: SpectralDecomposition
     h_norm: float  # ||H||_F = ||w||, the unit of the residual gates
-    r: _Blocks  # R's ladder blocks for a real diagonal M, else R whole
+    r: _Blocks  # R's ladder blocks, or R whole when mass lies off them
     r_dag: _Blocks
     r_norm: float  # ||R||_F, the ladder unit; 1.0 for a zero R
     gamma: float
-    m_spec: SpectralDecomposition
-    mu: np.ndarray
-    sizes: np.ndarray
+    m_spec: SpectralDecomposition  # real diagonal: read through order
 
 
 def _ladder(h_spec: SpectralDecomposition, r: _Blocks, gamma: float,
             m_spec: SpectralDecomposition) -> _Ladder:
-    mu, sizes = m_spec.cluster_values()
     return _Ladder(h_spec=h_spec, h_norm=fro(h_spec.eigenvalues), r=r,
                    r_dag=r.adjoint(), r_norm=r.norm or 1.0,
-                   gamma=gamma, m_spec=m_spec, mu=mu, sizes=sizes)
+                   gamma=gamma, m_spec=m_spec)
 
 
 def _rank_tests(a: np.ndarray, b: np.ndarray, psi: np.ndarray):
@@ -197,16 +194,13 @@ def _ladder_exponent(x: complex, y: complex, ladder: _Ladder,
 
 def _partners(ladder: _Ladder, vectors: np.ndarray, eigenvalues: np.ndarray,
               coeffs, tol: Tolerance) -> List[PartnerRecord]:
-    """Case-5 partners of the columns of ``vectors``, with one gemm each way.
+    """Case-5 partners of the columns of ``vectors``, in M's eigenbasis.
 
-    exp(-zM) psi is applied in the eigenbasis of M as
-    W diag(exp(-z mu)) W^dag psi, with mu the mean eigenvalue of each
-    M-cluster: O(n^2) per vector instead of O(n^3).  Each
-    exp(-z mu) is taken once per M-cluster and repeated over its rows.
-    For a real diagonal M both gemms are row gathers, so each entry psi_i
-    is scaled by its own exp(-z mu_i).  chi's residual against
-    V diag(w) V^dag, ||(w - E') o (V^T conj(chi))|| / ||chi||, is one gemm;
-    chi itself is then dropped, as z fixes it.
+    M is real diagonal there, so exp(-zM) psi scales each entry psi_i by
+    exp(-z mu), mu the mean eigenvalue of the M-cluster of index i: O(n)
+    per vector, each exp(-z mu) taken once per M-cluster.  chi's residual
+    against V diag(w) V^dag, ||(w - E') o (V^T conj(chi))|| / ||chi||, is
+    one gemm; chi itself is then dropped, as z fixes it.
     """
     zs, e_second = [], []
     for (x, y), eigenvalue in zip(coeffs, eigenvalues):
@@ -215,15 +209,10 @@ def _partners(ladder: _Ladder, vectors: np.ndarray, eigenvalues: np.ndarray,
         e_second.append(float(eigenvalue + eps))
     # exp(-z mu) / exp(-Re(z) c), c the midpoint of the spectrum of M, so
     # M + dI cannot overflow it; the residual is relative to ||chi||.
-    mu, z_re, z_im = ladder.mu, np.real(zs), np.imag(zs)
-    phases = np.repeat(np.exp(-np.outer(mu - (mu[0] + mu[-1]) / 2, z_re)
-                              - 1j * np.outer(mu, z_im)),
-                       ladder.sizes, axis=0)
-    # Products are formed in place in one operand's buffer, each entry
-    # the whole-array expression's.
-    phases *= _m_basis(ladder.m_spec, vectors)
-    chi = _m_basis(ladder.m_spec, phases, inverse=True)
-    del phases
+    mu, z_re, z_im = ladder.m_spec.cluster_values[0], np.real(zs), np.imag(zs)
+    chi = np.exp(-np.outer(mu - (mu[0] + mu[-1]) / 2, z_re)
+                 - 1j * np.outer(mu, z_im))[ladder.m_spec.cluster_ids]
+    chi *= vectors
     chi_norms = np.linalg.norm(chi, axis=0)
     w, v = ladder.h_spec.eigenvalues, ladder.h_spec.eigenvectors
     a = _unit(ladder.h_norm)  # w - E' over 2^a: no norm can overflow
@@ -248,33 +237,30 @@ def scan_spectrum_stability(h_spec: SpectralDecomposition,
     """Classify every eigenvector of H, in index order.
 
     H is read only as h_spec, its eigendecomposition V diag(w) V^dag;
-    triple.h0 is never read.  Algorithm: ||H||_F = ||w|| (every residual
-    gate accepts up to rtol ||H||_F), ||R||_F and the M-cluster means are
-    taken once.  For a real diagonal M, R is held as its ladder blocks
-    R_ab, which map M-cluster b to the cluster a at mu_b - gamma, unless
-    its mass off them exceeds _off_block_bound(tol) ||R||_F
-    (_ladder_blocks).  Eigenvectors are then taken in column blocks of
-    _BLOCK: per block, R V and R^dag V are two gemms (block gemms on the
-    rows of V in M's clusters, one stack per block shape), the n x 3 rank
-    tests are one stacked thin SVD, and the case-5 partners
-    W diag(exp(-z mu)) W^dag psi and their residuals against
-    V diag(w) V^dag are three more gemms (one for a real diagonal M, whose
-    W products are row gathers).
+    triple.h0 is never read.  Algorithm: in M's eigenbasis
+    (_m_eigenbasis), R is held as its ladder blocks, which map M-cluster
+    b to the cluster at mu_b - gamma (_ladder_blocks).  Eigenvectors are
+    taken in column blocks of _BLOCK: per block, R V and R^dag V are
+    block gemms on V's rows, the n x 3 rank tests are one stacked thin
+    SVD, and the case-5 partners exp(-zM) psi are row scales, checked
+    against V diag(w) V^dag at rtol ||H||_F = rtol ||w|| by one gemm.
     Each record depends on its own eigenvector only, not on its block.
 
     Memory: besides the n x n operators, O(n * _BLOCK) workspace per
     block, so no (n, n, 3) stack is ever formed.
     """
-    return _scan_stability(
-        h_spec, _ladder_blocks(triple.r, triple.gamma, m_spec, tol),
-        triple.gamma, m_spec, tol)
+    # R in a copy: a dense M's change of basis overwrites it.
+    ladder = _ladder_blocks(np.array(triple.r), triple.gamma, m_spec, tol)
+    h_spec, m_spec, ladder = _m_eigenbasis(h_spec, m_spec, ladder,
+                                           triple.gamma, tol)
+    return _scan_stability(h_spec, ladder, triple.gamma, m_spec, tol)
 
 
 def _scan_stability(h_spec: SpectralDecomposition, r: _Blocks,
                     gamma: float, m_spec: SpectralDecomposition,
                     tol: Tolerance) -> List[StabilityRecord]:
-    """scan_spectrum_stability on the R and gamma of a triple, R in H's
-    units as _ladder_blocks holds it."""
+    """scan_spectrum_stability on the R and gamma of a triple in M's
+    eigenbasis, R in H's units as _ladder_blocks holds it."""
     ladder = _ladder(h_spec, r, gamma, m_spec)
     records: List[StabilityRecord] = []
     for start in range(0, h_spec.dim, _BLOCK):

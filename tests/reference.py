@@ -45,7 +45,7 @@ def matrix_function(m_spec: SpectralDecomposition,
     value is used per cluster.
     """
     diag = np.empty(m_spec.dim, dtype=complex)
-    means = m_spec.cluster_values()[0].tolist()
+    means = m_spec.cluster_values[0].tolist()
     for (start, stop), mu in zip(m_spec.clusters, means):
         diag[start:stop] = complex(f(mu))
     v = m_spec.eigenvectors
@@ -142,11 +142,13 @@ def _only_floats(doc):
 def _float_groups(doc, h_norm, path=()):
     """(path, values, scale) for the floats of a report: a list of floats
     (the spectrum, a record's coeffs, z) scaled by its largest entry, a
-    partner's residual by ||H||_F, the unit of its gate, and any other
-    float by its own magnitude."""
+    partner's residual and e_second by ||H||_F, the unit of the gates on
+    the residual and on e_second's shift, and any other float by its own
+    magnitude."""
     values = _only_floats(doc)
     if values is not None:
-        scale = (h_norm if path[-2:] == ("partner", "residual")
+        scale = (h_norm if path[-2:] in (("partner", "residual"),
+                                         ("partner", "e_second"))
                  else max(map(abs, values)))
         yield path, values, scale
     elif isinstance(doc, (dict, list)):
@@ -160,8 +162,9 @@ def assert_reports_agree(report: dict, expected: dict, rel: float = 1e-12):
     (verdict, verified, the commutes_* flags, classes, cases) is equal, and
     every float of ``report`` agrees with ``expected``'s within ``rel`` of
     its scale in ``expected``: a list of floats (the spectrum, a record's
-    coeffs, z) of its largest entry, a partner's residual of ||H||_F, the
-    unit of its gate, and any other float of its own magnitude."""
+    coeffs, z) of its largest entry, a partner's residual and e_second of
+    ||H||_F, the unit of their gates, and any other float of its own
+    magnitude."""
     assert _structure(report) == _structure(expected)
     h_norm = float(np.linalg.norm(expected["spectrum"]))
     got = {path: values for path, values, _ in _float_groups(report, h_norm)}

@@ -99,8 +99,8 @@ class TestSortedEigh:
         np.testing.assert_array_equal(spec.eigenvalues,
                                       np.linalg.eigh(np.diag(d))[0])
         assert spec.clusters == dense.clusters
-        assert (spec.cluster_values()[0].tobytes()
-                == dense.cluster_values()[0].tobytes())
+        assert (spec.cluster_values[0].tobytes()
+                == dense.cluster_values[0].tobytes())
 
     @pytest.mark.parametrize("name", ["angular_l3", "jc_16", "hardcore_5",
                                       "fermion_5", "random_triple"])
@@ -215,3 +215,59 @@ def test_sweep_csv_matches_the_dense_path(monkeypatch, tmp_path, argv):
     force_dense(monkeypatch)
     assert cli.main(["sweep", *argv, "--out", str(paths[1])]) == cli.EXIT_OK
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def conjugated(bundle, kind, seed=7):
+    """(Q H Q^dag, Q M Q^dag) for a random orthogonal or unitary Q."""
+    n = bundle.h.dim
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    if kind == "unitary":
+        a = a + 1j * rng.normal(size=(n, n))
+    q, _ = np.linalg.qr(a)
+    return tuple(make_operator(x.dim, q @ x.entries @ q.conj().T)
+                 for x in (bundle.h, bundle.m))
+
+
+DENSE_PAIRS = {
+    "projection": lambda: _pair(models.projection_example(40, 1)),
+    "involution": lambda: _pair(models.involution_example(30, 2)),
+    **{f"{name}_{kind}": lambda build=build, kind=kind:
+       conjugated(build(), kind)
+       for name, build in [
+           ("jc_16", lambda: models.jaynes_cummings(1.0, 1.0, 0.1, 16)),
+           ("angular_l10", lambda: models.angular_block(10, -0.5, 0.1)),
+           ("random_triple", lambda: models.random_triple([4, 3, 5], 0.7, 2)),
+           ("hardcore_5", lambda: models.hardcore_chain(5, 0.3 + 0.1j))]
+       for kind in ("orthogonal", "unitary")},
+}
+
+
+def decisions(report):
+    """Every decision of a report: verdict, verified, the commutes_*
+    flags, classes and each record's cases."""
+    triple = report["triple"]
+    return (report["detection"]["kind"], triple["verified"],
+            [triple[k] for k in sorted(triple) if k.startswith("commutes")],
+            [c["members"] for c in report["multiplets"]["classes"]],
+            [(r["cases"], r["primary_case"])
+             for r in report["stability"]["records"]])
+
+
+@pytest.mark.parametrize("name", list(DENSE_PAIRS))
+def test_dense_m_decides_as_its_diagonalised_pair(name):
+    # A dense M's scan and partition run in its eigenbasis W on diag(mu):
+    # the pair (W^dag H W, diag(mu)), which takes the real diagonal path
+    # from the start, makes every decision the same.
+    h, m = DENSE_PAIRS[name]()
+    assert m.real_diagonal is None
+    m_spec = hermitian_eigh(m)
+    w = m_spec.eigenvectors
+    rotated = w.conj().T @ h.entries @ w
+    diagonal = (make_operator(h.dim, (rotated + rotated.conj().T) / 2),
+                make_operator(m.dim, np.diag(m_spec.eigenvalues)))
+    assert diagonal[1].real_diagonal is not None
+    report = cli.analyze_pair(h, m, Tolerance())
+    assert report["stability"] is not None
+    assert decisions(report) == decisions(
+        cli.analyze_pair(*diagonal, Tolerance()))

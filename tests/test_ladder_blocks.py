@@ -20,7 +20,7 @@ from gensym.detection import detect, reconstruct_case2, verify_triple
 from gensym.models import (angular_block, fermion_chain, hardcore_chain,
                            jaynes_cummings, random_triple)
 from gensym.multiplets import canonical_eigenbasis
-from gensym.operators import (OFF_BLOCK_BOUND, Tolerance, _cluster_ids,
+from gensym.operators import (OFF_BLOCK_BOUND, Tolerance,
                               _cluster_targets, _ladder_blocks,
                               _off_block_norm, hermitian_eigh, make_operator)
 from gensym.serialization import dump_json
@@ -85,7 +85,7 @@ def test_block_products_match_the_dense_reference(name, noise):
                 triple.h0, triple.r, m, h.norm, tol)
     # R V and R^dag V on H's canonical basis: the blocks drop R's mass E
     # off them, which moves each entry by at most ||E||_2 <= ||E||_F.
-    dropped = _off_block_norm(triple.r, _cluster_ids(m_spec),
+    dropped = _off_block_norm(triple.r, m_spec.cluster_ids,
                               _cluster_targets(m_spec, triple.gamma))
     assert dropped <= OFF_BLOCK_BOUND * ladder.norm
     vectors = canonical_eigenbasis(h, m, tol).eigenvectors
@@ -100,7 +100,7 @@ def dropped_mass(h, m):
     """R's mass off its ladder blocks over ||R||_F."""
     triple = reconstruct_case2(h, m, detect(h, m).gamma1)
     m_spec = hermitian_eigh(m)
-    return _off_block_norm(triple.r, _cluster_ids(m_spec),
+    return _off_block_norm(triple.r, m_spec.cluster_ids,
                            _cluster_targets(m_spec, triple.gamma)) \
         / np.linalg.norm(triple.r)
 
@@ -173,7 +173,7 @@ def test_noise_off_the_ladder_decides_the_path(monkeypatch, rtol, factor,
         pair = make_operator(h.dim, h.entries + s * coupling)
         gamma = detect(pair, m).gamma1
         r = reconstruct_case2(pair, m, gamma).r
-        ids, target = _cluster_ids(m_spec), _cluster_targets(m_spec, gamma)
+        ids, target = m_spec.cluster_ids, _cluster_targets(m_spec, gamma)
         return pair, _off_block_norm(r, ids, target) / np.linalg.norm(r)
 
     s = factor * bound / off_block_ratio(1e-8)[1] * 1e-8

@@ -9,7 +9,7 @@ from gensym import (
     partition,
 )
 from gensym import multiplets
-from gensym.multiplets import (DEFAULT_SUPPORT_EPS, _cluster_coordinates,
+from gensym.multiplets import (DEFAULT_SUPPORT_EPS, _cluster_norms,
                                _first_parallel_representative, size_label)
 from gensym.models import (angular_block, hardcore_chain, jaynes_cummings,
                            projection_example, random_triple)
@@ -176,7 +176,7 @@ class TestSupportSignature:
         _, _, m_spec = angular_setup(1)
         psi = np.array([1.0, 0.0, -1.0]) / np.sqrt(2)
         assert support(psi, m_spec) == (0, 2)
-        _, norms, _ = _cluster_coordinates(np.reshape(psi, (-1, 1)), m_spec)
+        norms, _ = _cluster_norms(np.reshape(psi, (-1, 1)), m_spec)
         np.testing.assert_allclose(norms[:, 0], [0.5 ** 0.5, 0, 0.5 ** 0.5],
                                    atol=1e-15)
 
@@ -189,7 +189,7 @@ class TestSupportSignature:
         bundle = random_triple([3, 5, 2, 4], 1.0, seed=2)
         m_spec = hermitian_eigh(bundle.m)
         vectors = canonical_eigenbasis(bundle.h, bundle.m).eigenvectors
-        _, norms, _ = _cluster_coordinates(vectors, m_spec)
+        norms, _ = _cluster_norms(vectors, m_spec)
         expected = [np.linalg.norm(vectors[m_spec.order[start:stop]], axis=0)
                     for start, stop in m_spec.clusters]
         np.testing.assert_allclose(norms, expected, rtol=1e-15)
@@ -348,7 +348,7 @@ def recover_f(psi, phi, m_spec, tol=Tolerance()):
         raise ValueError("vectors are not in the same M-multiplet")
     phi = np.asarray(phi, dtype=complex)
     vectors = np.column_stack([psi, phi])
-    _, _, mask = _cluster_coordinates(vectors, m_spec)
+    _, mask = _cluster_norms(vectors, m_spec)
     coords = m_spec.eigenvectors.conj().T @ vectors
     values = {}
     diag = np.ones(m_spec.dim, dtype=complex)
@@ -390,7 +390,7 @@ class TestRecoverF:
         phi = matrix_function(
             m_spec, lambda lam: np.exp(-1j * np.pi * lam)).entries @ psi
         values = recover_f(psi, phi, m_spec)
-        means = m_spec.cluster_values()[0]
+        means = m_spec.cluster_values[0]
         for k in values:
             mu = means[k]
             expected = np.exp(-1j * np.pi * mu)

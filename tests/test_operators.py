@@ -23,7 +23,8 @@ from gensym.operators import (
     _add_adjoint,
     _hermitian_eigvalsh,
     _freeze,
-    _m_basis,
+    _ladder_blocks,
+    _m_eigenbasis,
     _stored_units,
     _times_block,
     cluster_eigenvalues,
@@ -339,27 +340,6 @@ class TestTimesBlock:
         np.testing.assert_allclose(av, a @ v, rtol=0, atol=1e-12 * fro(a))
         assert traced_peak(lambda: _times_block(a, v)) <= 16 * 4 * dim * k
 
-    @pytest.mark.parametrize("inverse", [False, True])
-    def test_dense_real_m_basis_is_one_real_gemm(self, inverse):
-        # W^dag V (W V with inverse) for the real eigenbasis W of a dense
-        # real M and complex V holds its n^2 output; numpy's mixed product
-        # would also cast W to a complex n^2 copy.
-        bundle = hardcore_chain(8, 0.3 + 0.1j)
-        q, _ = np.linalg.qr(np.random.default_rng(5).normal(
-            size=(bundle.h.dim, bundle.h.dim)))
-        h, m = (make_operator(a.dim, q @ a.entries @ q.T)
-                for a in (bundle.h, bundle.m))
-        m_spec, v = hermitian_eigh(m), hermitian_eigh(h).eigenvectors
-        w = m_spec.eigenvectors
-        dim = len(w)
-        assert w.dtype == np.float64 and v.dtype == np.complex128
-        product = _m_basis(m_spec, v, inverse)
-        expected = (w if inverse else w.conj().T) @ v
-        np.testing.assert_allclose(product, expected, rtol=0,
-                                   atol=1e-12 * fro(expected))
-        assert traced_peak(lambda: _m_basis(m_spec, v, inverse)) <= 16 * (
-            dim ** 2 + TILE ** 2)
-
     @pytest.mark.parametrize("a_type,v_type", [(complex, complex),
                                                (complex, float),
                                                (float, float)])
@@ -367,6 +347,62 @@ class TestTimesBlock:
         a = awkward_matrix(rng, 40, a_type)
         v = awkward_matrix(rng, 40, v_type)[:, :8]
         assert _times_block(a, v).tobytes() == (a @ v).tobytes()
+
+
+class TestMEigenbasis:
+    """The change of basis into a dense M's eigenbasis W."""
+
+    def test_dense_real_m_basis_is_one_real_gemm(self):
+        # W^dag V and W^dag R W for the real eigenbasis W of a dense real M
+        # and a complex V and R: C is _times_block's product, R is rotated
+        # in its own buffer, and no complex copy of W is formed.
+        bundle = hardcore_chain(8, 0.3 + 0.1j)
+        q, _ = np.linalg.qr(np.random.default_rng(5).normal(
+            size=(bundle.h.dim, bundle.h.dim)))
+        h, m = (make_operator(a.dim, q @ a.entries @ q.T)
+                for a in (bundle.h, bundle.m))
+        triple = canonicalize(reconstruct_case2(h, m, bundle.known.gamma))
+        m_spec, h_spec = hermitian_eigh(m), hermitian_eigh(h)
+        w, v = m_spec.eigenvectors, h_spec.eigenvectors
+        dim = len(w)
+        assert w.dtype == np.float64 and v.dtype == np.complex128
+        assert triple.r.dtype == np.complex128
+
+        def rotate():
+            r = np.array(triple.r)
+            return r, _m_eigenbasis(h_spec, m_spec,
+                                    _ladder_blocks(r, triple.gamma, m_spec,
+                                                   Tolerance()),
+                                    triple.gamma, Tolerance())
+
+        r, (coords, diag, ladder) = rotate()
+        assert coords.eigenvectors.tobytes() == _times_block(w.T, v).tobytes()
+        np.testing.assert_allclose(coords.eigenvectors, w.conj().T @ v,
+                                   rtol=0, atol=1e-12)
+        expected = w.T @ triple.r @ w
+        np.testing.assert_allclose(r, expected, rtol=0,
+                                   atol=1e-12 * fro(expected))
+        # diag(mu): M's spectrum and clusters, read in their own order.
+        assert diag.eigenvalues is m_spec.eigenvalues
+        assert diag.clusters == m_spec.clusters
+        np.testing.assert_array_equal(diag.order, np.arange(dim))
+        # R's ladder blocks hold every entry of W^dag R W but rounding.
+        assert ladder.dense is None
+        np.testing.assert_allclose(
+            ladder.times(np.eye(dim)), expected, rtol=0,
+            atol=1e-12 * fro(expected))
+        held = sum(data.size for _, _, data in ladder.groups)
+        # R's copy, C, R's ladder blocks, and a TILE-column band of R with
+        # its product: W^dag R W is formed in R's buffer.
+        assert traced_peak(rotate) <= 16 * (
+            2 * dim ** 2 + held + 2 * TILE * dim)
+
+    def test_a_real_diagonal_m_is_returned_as_given(self):
+        bundle = angular_block(2, -0.5, 0.1)
+        m_spec, h_spec = hermitian_eigh(bundle.m), hermitian_eigh(bundle.h)
+        ladder = object()
+        assert _m_eigenbasis(h_spec, m_spec, ladder) == (h_spec, m_spec,
+                                                         ladder)
 
 
 class TestIteratedCommutator:
@@ -641,7 +677,7 @@ class TestSpectralDecomposition:
         means = [float(np.mean(spec.eigenvalues[start:stop]))
                  for start, stop in spec.clusters]
         assert spec.n_clusters == 3
-        values, sizes = spec.cluster_values()
+        values, sizes = spec.cluster_values
         np.testing.assert_array_equal(values, means)
         np.testing.assert_array_equal(sizes, [2, 1, 1])
 

@@ -14,3 +14,14 @@ def test_pyproject_version_is_the_package_version():
     with PYPROJECT.open("rb") as f:
         project = tomllib.load(f)["project"]
     assert project["version"] == gensym.__version__
+
+
+# Lines that src/gensym/*.py may hold in all, as wc -l counts them.  A
+# change that must grow src/ raises the number and says why in CHANGES.md.
+SRC_LINE_BUDGET = 2548
+
+
+def test_src_line_budget():
+    src = PYPROJECT.parent / "src" / "gensym"
+    lines = sum(path.read_bytes().count(b"\n") for path in src.glob("*.py"))
+    assert lines <= SRC_LINE_BUDGET

@@ -40,7 +40,9 @@ def test_cost_model_quotes_the_case2_op_peak_bounds():
     for name, model, dim in (
             ("hardcore_8", "`hardcore_chain(8, 0.3+0.1j)`", 256),
             ("hardcore_7", "`hardcore_chain(7, 0.3+0.1j)`", 128),
-            ("jc_127", "`jaynes_cummings(1, 1, 0.1, 127)`", 256)):
+            ("jc_127", "`jaynes_cummings(1, 1, 0.1, 127)`", 256),
+            ("hardcore_8_unitary",
+             "`hardcore_chain(8, 0.3+0.1j)` under a random unitary", 256)):
         row = next(line for line in lines
                    if line.startswith(f"| {model} | {dim} |"))
         assert row.endswith(f"| {CASE2_OP_PEAKS[name]} |")

@@ -19,7 +19,8 @@ from gensym import (
     stability,
 )
 from gensym.stability import (STABILITY_CUTOFF, _classify_block, _ladder,
-                              _partners, _rank_tests, case_counts)
+                              _ladder_exponent, _partners, _rank_tests,
+                              case_counts)
 from gensym.operators import _ladder_blocks
 from gensym.models import (angular_block, fermion_chain, hardcore_chain,
                            involution_example, jaynes_cummings,
@@ -465,13 +466,35 @@ def test_partner_gate_holds_at_noise_below_rtol():
     assert report["stability"]["counts"] == {"1": 2, "5": 32}
 
 
+@pytest.mark.parametrize("factor, passes", [(0.5, True), (2.0, False)])
+def test_a_shift_off_the_real_axis_fails_the_gate(factor, passes):
+    # exp(z gamma) = -y/x gives the shift eps = -1/x - 1/y, real for the
+    # relation of a Hermitian H.  With x = 1 and 1/y = -1 - i t the shift
+    # is i t, gated at rtol ||H||_F.
+    bundle = jaynes_cummings(1.0, 1.0, 0.1, cutoff=4)
+    triple = canonicalize(
+        reconstruct_case2(bundle.h, bundle.m, bundle.known.gamma))
+    ladder = _triple_ladder(canonical_eigenbasis(bundle.h, bundle.m), triple,
+                            hermitian_eigh(bundle.m))
+    t = factor * Tolerance().rtol * ladder.h_norm
+    x, y = 1.0 + 0.0j, 1.0 / complex(-1.0, -t)
+    if passes:
+        z, eps = _ladder_exponent(x, y, ladder, Tolerance())
+        assert cmath.exp(z * triple.gamma) == pytest.approx(-y / x)
+        assert abs(eps) <= 1e-15
+    else:
+        with pytest.raises(NumericalError, match="is not real"):
+            _ladder_exponent(x, y, ladder, Tolerance())
+
+
 def test_a_nan_partner_residual_fails_the_gate(monkeypatch):
     bundle = jaynes_cummings(1.0, 1.0, 0.1, cutoff=4)
     triple = canonicalize(
         reconstruct_case2(bundle.h, bundle.m, bundle.known.gamma))
     h_spec = canonical_eigenbasis(bundle.h, bundle.m)
     m_spec = hermitian_eigh(bundle.m)
-    monkeypatch.setattr(stability, "_m_basis",
-                        lambda spec, x, inverse=False: np.full_like(x, np.nan))
+    # A NaN exponent z makes every partner exp(-zM) psi NaN.
+    monkeypatch.setattr(stability, "_ladder_exponent",
+                        lambda *args: (complex(np.nan, np.nan), 0.0))
     with pytest.raises(NumericalError, match="partner residual nan"):
         scan_spectrum_stability(h_spec, triple, m_spec)
