@@ -1,7 +1,7 @@
 """Generalised-symmetry detection, multiplet partitioning, and eigenvector
 stability analysis for finite Hermitian operator pairs."""
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 from .detection import (
     CASE2,

@@ -17,9 +17,9 @@ from .detection import (
     CASE2,
     GENUINE,
     NO_GENSYM,
-    _detect,
     _grade_triple,
-    _reconstruct_case2,
+    _split,
+    detect,
 )
 from .models import (
     ModelBundle,
@@ -35,7 +35,6 @@ from .operators import (
     NumericalError,
     Tolerance,
     _hermitian_eigvalsh,
-    _ladder_blocks,
     _m_eigenbasis,
     _unit,
     hermitian_eigh,
@@ -201,18 +200,9 @@ def _stability_record(records) -> dict:
             "counts": {str(k): v for k, v in sorted(counts.items())}}
 
 
-def _eigenbases(h, m, tol: Tolerance, m_spec=None):
-    """(h_spec, m_spec): the canonical basis of H and eigh(M), skipped
-    when a sweep passes the ``m_spec`` it holds for a bit-identical M."""
-    h_spec = canonical_eigenbasis(h, m, tol)
-    if m_spec is None:
-        m_spec = hermitian_eigh(m, tol)
-    return h_spec, m_spec
-
-
 def analyze_pair(h, m, tol: Tolerance, digests: Optional[dict] = None) -> dict:
     """Full pipeline on one (H, M) pair; returns the report document."""
-    result, commutators = _detect(h, m, tol)
+    result = detect(h, m, tol)
     report = {
         "tool": {"name": "gensym", "version": __version__},
         "tolerances": {"rtol": tol.rtol},
@@ -229,20 +219,14 @@ def analyze_pair(h, m, tol: Tolerance, digests: Optional[dict] = None) -> dict:
                NO_GENSYM: "no generalised symmetry detected"}.get(result.kind)
     if result.kind == CASE2:
         # The fit returns gamma = sqrt(gamma^2) > 0: the triple is canonical.
-        # It stays in detection's units, (H0, R) / 2^a, until the scan, and
-        # H0 is released once graded: the scan reads only R and gamma.
+        # (H0, R) are H's blocks in M's eigenbasis, over 2^a until the scan,
+        # and H0 is released once graded: the scan reads only R and gamma.
         gamma = result.gamma1
-        h0, r = _reconstruct_case2(h.entries, *commutators, gamma)
-        del commutators
-        # A real diagonal M is sorted first: the grade's flags and the scan
-        # read R as its ladder blocks on M's clusters, so the dense R is
-        # released with H0 once graded (kept whole on the dense path).
-        m_spec = (hermitian_eigh(m, tol) if m.real_diagonal is not None
-                  else None)
-        ladder = _ladder_blocks(r, gamma, m_spec, tol)
-        report["triple"] = _triple_record(
-            gamma, _grade_triple(h, m, h0, r, gamma, tol, m_spec, ladder))
-        del h0, r
+        m_spec = hermitian_eigh(m, tol)
+        h0, ladder, residual_sum = _split(h, m_spec, gamma)
+        report["triple"] = _triple_record(gamma, _grade_triple(
+            h, m, m_spec, h0, ladder, gamma, residual_sum, tol))
+        del h0
         # A residual past the float range cannot be written: stop here.
         residuals = [report["triple"][k] for k in
                      ("residual_sum", "residual_h0m", "residual_ladder")]
@@ -258,9 +242,9 @@ def analyze_pair(h, m, tol: Tolerance, digests: Optional[dict] = None) -> dict:
 
     # The scan runs before the partition so that R is released first;
     # neither reads the other's result.  Both run in M's eigenbasis.
-    h_spec, m_spec = _eigenbases(h, m, tol, m_spec)
+    h_spec = canonical_eigenbasis(h, m, tol)
     report["spectrum"] = h_spec.eigenvalues.tolist()
-    h_spec, m_spec, ladder = _m_eigenbasis(h_spec, m_spec, ladder, gamma, tol)
+    h_spec, m_spec = _m_eigenbasis(h_spec, m_spec)
     ladder = ladder.scaled(2.0 ** _unit(h.norm))  # R in H's units
     report["stability"] = _stability_record(
         _scan_stability(h_spec, ladder, gamma, m_spec, tol))
@@ -307,7 +291,7 @@ def run_sweep(args: argparse.Namespace) -> int:
     for value in values:
         setattr(args, args.param, value)
         bundle = build()
-        result = _detect(bundle.h, bundle.m, tol)[0]
+        result = detect(bundle.h, bundle.m, tol)
         me = bundle.m.entries
         if (held_m is None or held_m.dtype != me.dtype
                 or held_m.tobytes() != me.tobytes()):
@@ -317,7 +301,9 @@ def run_sweep(args: argparse.Namespace) -> int:
             if max(gammas) - min(gammas) > tol.rtol * max(gammas):
                 raise NumericalError(
                     f"gamma drifts at fixed M: {min(gammas)} .. {max(gammas)}")
-        h_spec, m_spec = _eigenbases(bundle.h, bundle.m, tol, m_spec)
+        h_spec = canonical_eigenbasis(bundle.h, bundle.m, tol)
+        if m_spec is None:
+            m_spec = hermitian_eigh(bundle.m, tol)
         part = partition(h_spec, m_spec, tol)
         class_of = {i: c for c, members in enumerate(part.classes)
                     for i in members}

@@ -5,9 +5,10 @@ H0 + R + R^dag with [H0, M] = 0 and [R, M] = gamma*R for some nonzero
 gamma.  In finite dimension the spectrum of M is discrete, so gamma is
 real (paper, Theorem 2).  The split is decided by fitting the third
 nested commutator of H with M against the first, C3 = gamma^2 C1, and
-the triple (H0, R, gamma) is then reconstructed in closed form.
+H0 and R are then read off H's blocks in M's eigenbasis, where the
+commutators are entrywise.
 
-Both run on (H / 2^a, M / 2^b), with 2^a and 2^b just above ||H||_F and
+The fit runs on (H / 2^a, M / 2^b), with 2^a and 2^b just above ||H||_F and
 ||M||_F.  The relation is homogeneous and a power-of-two scale is exact,
 so every bit of the result is that of the unscaled arithmetic wherever
 that stays inside the float range, and is defined far beyond it.
@@ -40,15 +41,17 @@ from .operators import (
     _Blocks,
     _add_adjoint,
     _bands,
+    _cluster_targets,
     _freeze,
-    _ladder_blocks,
-    _off_block_bound,
-    _off_block_norm,
+    _gather,
+    _in_eigenbasis,
+    _in_m_basis,
+    _rotate,
     _skew_norm,
-    _stored_units,
     _times_block,
     _times_m,
     _unit,
+    _whole,
     fro,
     hermitian_eigh,
 )
@@ -194,18 +197,10 @@ def _fit_case2(c1: np.ndarray, c3: np.ndarray,
 
 
 def detect(h: Operator, m: Operator, tol: Tolerance = DEFAULT_TOL) -> DetectionResult:
-    """Classify M against H: genuine symmetry, case 2, or neither."""
-    return _detect(h, m, tol)[0]
+    """Classify M against H: genuine symmetry, case 2, or neither.
 
-
-def _detect(h: Operator, m: Operator, tol: Tolerance):
-    """detect, plus (C1, C2, a, b) when the verdict is case 2.
-
-    C1 and C2 are the commutators of (H / 2^a, M / 2^b) that
-    reconstruction needs, so a caller that goes on to reconstruct does not
-    form them again; for any other verdict they are dropped here.  A pair
-    the probe screen rejects is no_gensym with ``screened`` set, its
-    residual the probes' fit residual, and forms no commutator.
+    A pair the probe screen rejects is no_gensym with ``screened`` set,
+    its residual the probes' fit residual, and forms no commutator.
     """
     _require_hermitian_pair(h, m)
     a, b = _unit(h.norm), _unit(m.norm)
@@ -218,22 +213,22 @@ def _detect(h: Operator, m: Operator, tol: Tolerance):
                                  tol.rtol * scale, tol.rtol)
         if residual is not None:
             return DetectionResult(kind=NO_GENSYM, residual=residual,
-                                   screened=True), None
+                                   screened=True)
     chain = _commutator_chain(h.entries, m, a, b)
     c1 = next(chain)
     n1 = fro(c1)
     if n1 <= tol.rtol * scale:  # so for a zero H or M, where C1 = 0
         return DetectionResult(kind=GENUINE,
-                               residual=n1 / scale if n1 else 0.0), None
+                               residual=n1 / scale if n1 else 0.0)
 
-    c2 = next(chain)
+    next(chain)  # C2, dropped once C3 is formed from it
     c3 = next(chain)
-    # The fit's difference overwrites C3: detection holds C1, C2 and C3.
+    # The fit's difference overwrites C3.
     gamma, residual = _fit_case2(c1, c3, out=c3)
     if gamma > 0 and residual <= tol.rtol:
         return DetectionResult(kind=CASE2, gamma1=math.ldexp(gamma, b),
-                               residual=residual), (c1, c2, a, b)
-    return DetectionResult(kind=NO_GENSYM, residual=residual), None
+                               residual=residual)
+    return DetectionResult(kind=NO_GENSYM, residual=residual)
 
 
 def _probe_block(n: int) -> np.ndarray:
@@ -295,111 +290,95 @@ def _probe_screen(he: np.ndarray, me: np.ndarray, a: int, b: int,
     return residual if residual > PROBE_MARGIN * rtol else None
 
 
-def _commutator_norm(x: np.ndarray, m: Operator, shift: float = 0.0) -> float:
-    """||XM - MX - shift X||_F in one n^2 buffer besides the products
-    with a dense M: a real diagonal M's row scale and the shift are
-    subtracted a band of TILE rows at a time, each entry the one the
-    whole-array expression gives."""
-    out = _times_m(x, m)
-    d = m.real_diagonal
-    for rows in [slice(None)] if d is None else _bands(len(x)):
-        out[rows] -= (m.entries @ x if d is None
-                      else d[rows, np.newaxis] * x[rows])
-        if shift:
-            out[rows] -= shift * x[rows]
-    return fro(out)
-
-
-def _grams(r: _Blocks, rdr: bool):
-    """(idx, X) for X = R^dag R (``rdr``) or R R^dag: the whole X with idx
-    None, or for R held as ladder blocks R_ab the stacks of the diagonal
-    blocks X_b = R_ab^dag R_ab on cluster b (X_a = R_ab R_ab^dag on a),
-    idx their basis indices; X is zero elsewhere."""
-    if r.dense is not None:
-        r = r.dense  # R^dag is a copy for a complex R, dropped at once
-        yield None, (r.conj().T @ r if rdr else r @ r.conj().T)
-        return
-    for rows, cols, data in r.groups:
-        dag = np.conj(data).transpose(0, 2, 1)
-        yield (cols, dag @ data) if rdr else (rows, data @ dag)
-
-
-def _skew_fro(y: np.ndarray) -> float:
-    """||Y - Y^dag||_F of Y, or over a stack of blocks; Y is overwritten."""
-    if y.ndim == 2:
-        return fro(_add_adjoint(y, -1))
-    return fro(y - np.conj(y).transpose(0, 2, 1))
-
-
-def _commute_flags(r: _Blocks, h0: np.ndarray, m: Operator, h_norm: float,
-                   tol: Tolerance):
-    """commutes_* for X = R^dag R and R R^dag: (rdr_m, rdr_h0, rrd_m,
-    rrd_h0), each ||[X, B]|| <= rtol ||X|| ||B||.
-
-    [X, B] is formed as Y - Y^dag from one product Y = X B, which for a B
-    Hermitian only to a gate differs from XB - BX by at most
-    ||X|| ||B - B^dag||.  For R held as ladder blocks, X, [X, M] and
-    [X, H0] are block-diagonal on M's clusters (H0's blocks are gathered
-    from the dense H0), and each norm combines the blocks' norms.
+def _split(h: Operator, m_spec: SpectralDecomposition, gamma: float):
+    """(H0, R, ||H - H0 - R - R^dag||_F) / 2^a for case 2, 2^a the unit of
+    ||H||_F as in detection.  In M's eigenbasis W the commutators of
+    H~ = W^dag H W with diag(mu) are entrywise, C_k = Delta^k o H~ with
+    Delta_ij = mu_j - mu_i: H0 is H~ on the diagonal cluster blocks and R
+    on the ladder blocks (_cluster_targets), and H~'s mass off them and
+    R^dag's, read TILE rows at a time, is the split's backward error.  A
+    real diagonal M's H~ is H read through ``order``, else one n^2 buffer.
     """
-    d = m.real_diagonal
-    flags = []
-    for rdr in (True, False):
-        norms = []  # ||X||, ||[X, M]||, ||[X, H0]|| per stack of blocks
-        for idx, x in _grams(r, rdr):
-            if idx is None:
-                xm, h0_blocks = _times_m(x, m), h0
-            else:
-                xm = x * d[idx][:, np.newaxis, :]
-                h0_blocks = h0[idx[:, :, np.newaxis], idx[:, np.newaxis, :]]
-            m_skew = _skew_fro(xm)
-            del xm
-            norms.append((fro(x), m_skew, _skew_fro(x @ h0_blocks)))
-        x_norm, m_skew, h_skew = (fro(np.array(v)) for v in
-                                  zip(*norms or [(0.0, 0.0, 0.0)]))
-        flags += [m_skew <= tol.rtol * x_norm * m.norm,
-                  h_skew <= tol.rtol * x_norm * h_norm]
-    return flags
+    a = _unit(h.norm)
+    x, unit = ((h.entries, 2.0 ** -a) if m_spec.order is not None
+               else (_in_m_basis(h.entries, m_spec, 2.0 ** -a), 1.0))
+    m_spec = _in_eigenbasis(m_spec)
+    target = _cluster_targets(m_spec, gamma)
+    ids = m_spec.cluster_ids
+    col_target = target[ids]  # R's blocks hold (i, j): ids[i] == col_target[j]
+    norms = []
+    for rows in _bands(len(x)):
+        row_ids = ids[rows, np.newaxis]
+        rest = np.where((row_ids == ids) | (row_ids == col_target), 0, x[rows])
+        mirror = col_target[rows, np.newaxis] == ids
+        rest[mirror] -= x[:, rows].T[mirror].conj()
+        norms.append(fro(rest))
+    return (_gather(x, m_spec, np.arange(m_spec.n_clusters)).scaled(unit),
+            _gather(x, m_spec, target).scaled(unit),
+            fro(np.array(norms)) * unit)
 
 
 def reconstruct_case2(h: Operator, m: Operator, gamma: float,
                       tol: Tolerance = DEFAULT_TOL) -> GenSymTriple:
-    """Closed-form (H0, R) for case 2 from the first two commutators.
-
-    ``tol`` is not read: verify_triple grades the triple.
-    """
-    a, b = _unit(h.norm), _unit(m.norm)
-    c1, c2 = itertools.islice(_commutator_chain(h.entries, m, a, b), 2)
-    h0, r = _reconstruct_case2(h.entries, c1, c2, a, b, gamma)
-    h0 *= 2.0 ** a
-    r *= 2.0 ** a
+    """(H0, R) for case 2, _split's blocks scattered back (and rotated
+    back by a dense M's W).  ``tol`` clusters M's spectrum."""
+    gamma = _real_nonzero(gamma)
+    m_spec = hermitian_eigh(m, tol)
+    h0, r = (x.full(h.dim) for x in _split(h, m_spec, gamma)[:2])
+    if m_spec.order is None:
+        w = m_spec.eigenvectors
+        h0, r = (_rotate(x.astype(np.result_type(x, w), copy=False), w,
+                         back=True) for x in (h0, r))
+    for x in (h0, r):  # on the (re, im) parts, so that zeros keep their sign
+        x.view(np.float64)[...] *= 2.0 ** _unit(h.norm)
     return GenSymTriple(h0=h0, r=r, gamma=gamma)
 
 
-def _reconstruct_case2(he: np.ndarray, c1: np.ndarray, c2: np.ndarray,
-                       a: int, b: int, gamma: float):
-    """(H0, R) / 2^a from H and the commutators C1 and C2 of
-    (H / 2^a, M / 2^b) already formed, each stored by the rule of the
-    array in H's units, which must be finite (else ValueError).
+def _spread_norm(groups, mu: np.ndarray, shift: float = 0.0) -> float:
+    """||[X, diag(mu)] - shift X||_F = ||(mu_j - mu_i - shift) X_ij||_F
+    over X's (rows, cols, data) blocks, TILE block rows at a time."""
+    norms = []
+    for rows, cols, data in groups:
+        for band in _bands(data.shape[1]):
+            weight = (mu[cols][:, np.newaxis, :]
+                      - mu[rows[:, band]][:, :, np.newaxis] - shift)
+            norms.append(fro(weight * data[:, band]))
+    return fro(np.array(norms))
 
-    With g = gamma / 2^b, C1 = g (R' - R'^dag) and C2 = g^2 (R' + R'^dag):
-    H0' = H / 2^a - C2 / g^2 is one new array, and
-    R' = (C2 + g C1) / (2 g^2) is formed in C2's buffer with C1 as its
-    scratch, so both commutators are overwritten.  Each entry is the one
-    the whole-array expressions give.
+
+def _skew_fro(y: np.ndarray) -> float:
+    """||Y - Y^dag||_F over a stack of square blocks, read in place: one
+    block by _skew_norm's tiles."""
+    if len(y) == 1:
+        return _skew_norm(y[0])
+    return fro(y - y.conj().transpose(0, 2, 1))
+
+
+def _commute_flags(r: _Blocks, h0: _Blocks, mu: np.ndarray, m_norm: float,
+                   h_norm: float, tol: Tolerance):
+    """commutes_* for X = R^dag R and R R^dag: (rdr_m, rdr_h0, rrd_m,
+    rrd_h0), each ||[X, B]|| <= rtol ||X|| ||B||, from block gemms: X is
+    R_ab^dag R_ab on cluster b (R_ab R_ab^dag on a).  [X, M] reads
+    (mu_j - mu_i) X_ij; [X, H0] is Y - Y^dag, Y = X H0_bb (H0's block
+    found by its first index), within ||X|| ||H0 - H0^dag|| of it.
     """
-    gamma = _real_nonzero(gamma)
-    g = math.ldexp(gamma, -b)
-    g_sq = g ** 2
-    h0 = he * 2.0 ** -a
-    h0 *= g_sq
-    # In place unless H is real and M complex.
-    h0 = np.subtract(h0, c2, out=h0 if h0.dtype == c2.dtype else None)
-    h0 /= g_sq
-    c1 *= g
-    c2 += c1
-    c2 /= 2.0 * g_sq
-    return _stored_units(h0, a), _stored_units(c2, a)
+    h0_blocks = {i: block for rows, _, data in h0.groups
+                 for i, block in zip(rows[:, 0].tolist(), data)}
+    flags = []
+    for rdr in (True, False):
+        norms = []  # ||X||, ||[X, M]||, ||[X, H0]|| per stack of blocks
+        for rows, cols, data in r.groups:
+            idx, x = ((cols, data.conj().transpose(0, 2, 1) @ data) if rdr
+                      else (rows, data @ data.conj().transpose(0, 2, 1)))
+            y = x @ np.stack([h0_blocks[i] for i in idx[:, 0].tolist()])
+            norms.append((fro(x), _spread_norm([(idx, idx, x)], mu),
+                          _skew_fro(y)))
+            del x, y
+        x_norm, m_skew, h_skew = (fro(np.array(v)) for v in
+                                  zip(*norms or [(0.0, 0.0, 0.0)]))
+        flags += [m_skew <= tol.rtol * x_norm * m_norm,
+                  h_skew <= tol.rtol * x_norm * h_norm]
+    return flags
 
 
 @dataclass(frozen=True)
@@ -437,61 +416,58 @@ def verify_triple(h: Operator, m: Operator, triple: GenSymTriple,
     detection, so no product leaves the float range and every gate reads
     the bits of the unscaled arithmetic wherever that stays inside it.
     Each residual is reported times 2^a: inf once that is past the range.
+    ||H - H0 - R - R^dag|| is taken in the given basis, TILE rows at a
+    time, the rest in M's eigenbasis on copies of H0 and R, held as
+    their cluster blocks if no entry lies off them, else whole.
     """
     if not (triple.h0.shape == triple.r.shape == (h.dim, h.dim)
             and h.dim == m.dim):
         raise ValueError("dimension mismatch between (H, M) and triple")
     unit = 2.0 ** -_unit(h.norm)
-    r = triple.r * unit
-    m_spec = hermitian_eigh(m, tol) if m.real_diagonal is not None else None
-    return _grade_triple(h, m, triple.h0 * unit, r, triple.gamma, tol,
-                         m_spec, _ladder_blocks(r, triple.gamma, m_spec, tol))
+    residual_sum = fro(np.array([fro(
+        h.entries[rows] * unit - triple.h0[rows] * unit
+        - triple.r[rows] * unit - triple.r[:, rows].conj().T * unit)
+        for rows in _bands(h.dim)]))
+    m_spec = hermitian_eigh(m, tol)
+    h0, r = (_in_m_basis(x, m_spec, unit) for x in (triple.h0, triple.r))
+    m_spec = _in_eigenbasis(m_spec)  # a dense M's W is released
+    blocks = (_gather(h0, m_spec, np.arange(m_spec.n_clusters)),
+              _gather(r, m_spec, _cluster_targets(m_spec, triple.gamma)))
+    if (blocks[0].count_nonzero() + blocks[1].count_nonzero()
+            < np.count_nonzero(h0) + np.count_nonzero(r)):
+        blocks = _whole(h0), _whole(r)
+    return _grade_triple(h, m, m_spec, *blocks, triple.gamma, residual_sum,
+                         tol)
 
 
-def _grade_triple(h: Operator, m: Operator, h0: np.ndarray, r: np.ndarray,
-                  gamma: float, tol: Tolerance,
-                  m_spec: Optional[SpectralDecomposition],
-                  ladder: _Blocks) -> TripleReport:
-    """verify_triple on (H0, R) / 2^a as _reconstruct_case2 returns them,
-    read in place.
-
-    The residuals are taken on the dense (H0, R).  For a real diagonal M
-    the commutes_* flags read R as ``ladder``, its ladder blocks on the
-    clusters of ``m_spec`` (None for a dense M), and H0 as its diagonal
-    blocks, unless _ladder_blocks kept R whole or H0's mass off those
-    blocks exceeds _off_block_bound(tol) ||H0||_F.
-    """
+def _grade_triple(h: Operator, m: Operator, m_spec: SpectralDecomposition,
+                  h0: _Blocks, r: _Blocks, gamma: float,
+                  residual_sum: float, tol: Tolerance) -> TripleReport:
+    """verify_triple on H0 and R / 2^a held as _Blocks in the basis of
+    _in_eigenbasis(m_spec), and residual_sum = ||H - H0 - R - R^dag||_F
+    / 2^a.  There [X, M]_ij = (mu_j - mu_i) X_ij: the residuals of
+    [H0, M] and of [R, M] - gamma R weigh the blocks' entries."""
+    m_spec = _in_eigenbasis(m_spec)
     a = _unit(h.norm)
     h_norm = math.ldexp(h.norm, -a)
     bound = tol.rtol * h_norm
     m_bound = bound * m.norm  # for [H0, M] and [R, M] - gamma R
-    # H - H0 - R - R^dag over 2^a, complex when H or the triple is.
-    sum_rest = (h.entries * 2.0 ** -a).astype(
-        np.result_type(h.entries, h0, r), copy=False)
-    for rows in _bands(len(h0)):
-        sum_rest[rows] -= h0[rows]
-        sum_rest[rows] -= r[rows]
-        sum_rest[rows] -= r[:, rows].conj().T
-    residual_sum = fro(sum_rest)
-    del sum_rest
-    residual_h0m = _commutator_norm(h0, m)
-    residual_ladder = _commutator_norm(r, m, gamma)
-    h0_herm = _skew_norm(h0) <= H0_HERMITICITY_BOUND * h_norm
-    # With R ~ 0 the ladder relation holds for any gamma; flag it.
-    degenerate = ladder.norm <= bound  # ||R||_F
-    if ladder.dense is None and not (
-            _off_block_norm(h0, m_spec.cluster_ids,
-                            np.arange(m_spec.n_clusters))
-            <= _off_block_bound(tol) * fro(h0)):
-        ladder = _Blocks(r, (), ladder.norm)  # the flags read R and H0 whole
-    rdr_m, rdr_h0, rrd_m, rrd_h0 = _commute_flags(ladder, h0, m, h_norm, tol)
+    mu = np.empty(m_spec.dim)  # M's eigenvalue at each basis index
+    mu[m_spec.order] = m_spec.eigenvalues
+    residual_h0m = _spread_norm(h0.groups, mu)
+    residual_ladder = _spread_norm(r.groups, mu, gamma)
+    h0_herm = (fro(np.array([_skew_fro(data) for _, _, data in h0.groups]))
+               <= H0_HERMITICITY_BOUND * h_norm)
+    rdr_m, rdr_h0, rrd_m, rrd_h0 = _commute_flags(r, h0, mu, m.norm, h_norm,
+                                                  tol)
     unit = 2.0 ** a
     return TripleReport(
         sum_ok=residual_sum <= bound,
         h0_commutes_ok=residual_h0m <= m_bound,
         ladder_ok=residual_ladder <= m_bound,
         h0_hermitian_ok=h0_herm,
-        degenerate=degenerate,
+        # With R ~ 0 the ladder relation holds for any gamma; flag it.
+        degenerate=r.norm <= bound,
         residual_sum=residual_sum * unit,
         residual_h0m=residual_h0m * unit,
         residual_ladder=residual_ladder * unit,

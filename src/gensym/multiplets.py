@@ -200,7 +200,7 @@ def partition(h_spec: SpectralDecomposition, m_spec: SpectralDecomposition,
     listed in order of their representative's index, members ascending,
     and each signature is the representative's support.
     """
-    h_spec, m_spec, _ = _m_eigenbasis(h_spec, m_spec)
+    h_spec, m_spec = _m_eigenbasis(h_spec, m_spec)
     classes, mask = _greedy_classes(h_spec.eigenvectors, m_spec, tol)
     # Every representative's support from one nonzero, in row-major order:
     # class by class, clusters ascending.

@@ -4,8 +4,7 @@ Everything downstream (symmetry detection, multiplets, stability) is built
 on the small set of primitives in this module.  Operators are immutable
 dense matrices; all functions are pure.
 
-Storage rule, applied to every Operator and GenSymTriple, and to the
-case-2 pipeline's (H0, R) in H's units: a matrix is
+Storage rule, applied to every Operator and GenSymTriple: a matrix is
 float64 when the imaginary part of every entry is +0.0 bit for bit, and
 complex128 otherwise.  Downstream code follows the dtype of its operands,
 so a pair of real operators runs every gemm and eigensolve in real
@@ -219,30 +218,6 @@ def _freeze(entries) -> np.ndarray:
     return a
 
 
-def _stored_units(x: np.ndarray, a: int) -> np.ndarray:
-    """x, the contiguous entries of X / 2^a, stored by the rule of X.
-
-    Raises ValueError when an entry of X is not finite, and returns the
-    real part of a complex x when every imaginary part of X is +0.0 bit
-    for bit; else x itself.  Both are read off extremes of x, with no n^2
-    temporary: the scale by 2^a is exact and monotone, so X is finite when
-    the largest and smallest (re, im) entries of x scale to finite values,
-    and every imaginary part of X is +0.0 when none has its sign bit set
-    and the largest scales to 0.
-    """
-    unit = 2.0 ** a
-    parts = x.view(np.float64)
-    if not (math.isfinite(float(parts.max()) * unit)
-            and math.isfinite(float(parts.min()) * unit)):
-        raise ValueError("entries contain non-finite values")
-    if np.iscomplexobj(x):
-        imag = x.imag
-        if (int(imag.view(np.uint64).max()) < 2 ** 63
-                and float(imag.max()) * unit == 0.0):
-            return np.ascontiguousarray(x.real)
-    return x
-
-
 def make_operator(dim: int, entries, label: str = "") -> Operator:
     """Validate and freeze a dense square matrix into an Operator.
 
@@ -404,19 +379,6 @@ def hermitian_eigh(a: Operator, tol: Tolerance = DEFAULT_TOL) -> SpectralDecompo
                                  clusters=clusters, order=order)
 
 
-# Frobenius mass, relative to ||X||_F, that _ladder_blocks may leave out
-# of R or H0 for a real diagonal M: 100 times inside the stability scan's
-# cutoff, in whose ladder units the dropped mass moves R psi / ||R||_F by
-# at most this much, and inside the default rtol of the commutes_* gates.
-OFF_BLOCK_BOUND = 1e-10
-
-
-def _off_block_bound(tol: Tolerance) -> float:
-    """OFF_BLOCK_BOUND, scaled down with an rtol below the default so that
-    it stays 100 times inside the rtol-scaled gates."""
-    return OFF_BLOCK_BOUND * min(1.0, tol.rtol / DEFAULT_TOL.rtol)
-
-
 @dataclass(frozen=True, eq=False)
 class _Blocks:
     """An n x n X held as blocks X[I_a, I_b] on M-clusters, zero elsewhere.
@@ -424,18 +386,14 @@ class _Blocks:
     ``groups`` holds one (rows, cols, data) per block shape (p, q): rows
     (B, p) and cols (B, q) index arrays and the (B, p, q) stack
     data = X[rows, cols]; no two blocks share a row or a column.  An X
-    held whole is ``dense`` instead, with no groups.  ``norm`` is ||X||_F,
-    the mass outside the blocks included.
+    held whole is one block, rows = cols = arange(n).  ``norm`` is ||X||_F.
     """
 
-    dense: Optional[np.ndarray]
     groups: tuple
     norm: float
 
     def times(self, v: np.ndarray) -> np.ndarray:
         """X V for an n x k V: one stacked gemm per block shape."""
-        if self.dense is not None:
-            return self.dense @ v
         out = np.zeros(v.shape, np.result_type(
             v, *(data for _, _, data in self.groups)))
         for rows, cols, data in self.groups:
@@ -443,66 +401,54 @@ class _Blocks:
         return out
 
     def adjoint(self) -> "_Blocks":
-        """X^dag, held the same way: a copy of X unless X is real."""
-        if self.dense is not None:
-            return _Blocks(self.dense.conj().T, (), self.norm)
-        return _Blocks(None, tuple(
-            (cols, rows,
-             np.ascontiguousarray(np.conj(data).transpose(0, 2, 1)))
+        """X^dag, held the same way, in a copy."""
+        return _Blocks(tuple(
+            (cols, rows, np.ascontiguousarray(data.conj().transpose(0, 2, 1)))
             for rows, cols, data in self.groups), self.norm)
 
     def scaled(self, s: float) -> "_Blocks":
-        """X s for a power of two s, each block scaled in place."""
-        for data in ([self.dense] if self.dense is not None
-                     else [data for _, _, data in self.groups]):
-            data *= s
-        return _Blocks(self.dense, self.groups, self.norm * s)
+        """X s for a power of two s, each block scaled in place on its
+        (re, im) parts: a complex product would turn a -0.0 part +0.0."""
+        for _, _, data in self.groups:
+            data.view(np.float64)[...] *= s
+        return _Blocks(self.groups, self.norm * s)
+
+    def count_nonzero(self) -> int:
+        """The blocks' nonzero entries, X's own count when they hold all."""
+        return sum(np.count_nonzero(data) for _, _, data in self.groups)
+
+    def full(self, n: int) -> np.ndarray:
+        """X as a new n x n array."""
+        out = np.zeros((n, n), np.result_type(
+            float, *(data for _, _, data in self.groups)))
+        for rows, cols, data in self.groups:
+            out[rows[:, :, np.newaxis], cols[:, np.newaxis, :]] = data
+        return out
 
 
 def _cluster_targets(m_spec: SpectralDecomposition,
-                     gamma: float) -> Optional[np.ndarray]:
-    """target[b], the M-cluster a whose mean is nearest mu_b - gamma, or -1
-    when none lies within |gamma| / 2; None when two clusters share one."""
+                     gamma: float) -> np.ndarray:
+    """target[b], the M-cluster a whose mean is nearest mu_b - gamma
+    within |gamma| / 2, or -1: R's ladder block R[I_a, I_b].  Of several
+    b nearest one a, the nearest (the first on a tie) keeps it."""
     mu = m_spec.cluster_values[0]
     t = mu - gamma
     hi = np.minimum(np.searchsorted(mu, t), len(mu) - 1)
     lo = np.maximum(hi - 1, 0)
     near = np.where(np.abs(mu[lo] - t) <= np.abs(mu[hi] - t), lo, hi)
-    target = np.where(np.abs(mu[near] - t) <= abs(gamma) / 2, near, -1)
-    shared = np.bincount(target[target >= 0], minlength=1).max() > 1
-    return None if shared else target
+    gap = np.abs(mu[near] - t)
+    target = np.where(gap <= abs(gamma) / 2, near, -1)
+    # By target, then gap: each b after the first of its run loses it.
+    ranked = np.lexsort((gap, target))
+    target[ranked[1:][np.diff(target[ranked]) == 0]] = -1
+    return target
 
 
-def _off_block_norm(x: np.ndarray, ids: np.ndarray,
-                    target: np.ndarray) -> float:
-    """||X||_F over the entries X[i, j] with ids[i] != target[ids[j]],
-    read in place TILE rows at a time."""
-    col_target = target[ids]
-    return fro(np.array([
-        fro(np.where(ids[rows, np.newaxis] == col_target, 0, x[rows]))
-        for rows in _bands(len(x))]))
-
-
-def _ladder_blocks(x: np.ndarray, gamma: float,
-                   m_spec: Optional[SpectralDecomposition],
-                   tol: Tolerance) -> _Blocks:
-    """X with [X, M] = gamma X as its ladder blocks X[I_a, I_b], mu_a
-    about mu_b - gamma, on the clusters of a real diagonal M.
-
-    The blocks are gathered once, one stack per block shape, and X is
-    kept whole instead when M is not real diagonal (``m_spec`` None or
-    dense) or when X's mass outside the blocks exceeds
-    _off_block_bound(tol) ||X||_F.
-    """
-    norm = fro(x)
-    whole = _Blocks(x, (), norm)
-    if m_spec is None or m_spec.order is None:
-        return whole
-    target = _cluster_targets(m_spec, gamma)
-    # Written as "not <=" so that a NaN mass keeps X whole.
-    if target is None or not (_off_block_norm(x, m_spec.cluster_ids, target)
-                              <= _off_block_bound(tol) * norm):
-        return whole
+def _gather(x: np.ndarray, m_spec: SpectralDecomposition,
+            target: np.ndarray) -> _Blocks:
+    """X's blocks X[I_target[b], I_b] for each M-cluster b with
+    target[b] >= 0, M read through ``order``: H0's diagonal blocks for
+    target = arange, R's ladder blocks for _cluster_targets."""
     starts = np.array([start for start, _ in m_spec.clusters])
     sizes = m_spec.cluster_values[1]
     shapes = {}
@@ -516,41 +462,68 @@ def _ladder_blocks(x: np.ndarray, gamma: float,
         cols = m_spec.order[starts[b][:, np.newaxis] + np.arange(q)]
         groups.append((rows, cols,
                        x[rows[:, :, np.newaxis], cols[:, np.newaxis, :]]))
-    return _Blocks(None, tuple(groups), norm)
+    return _Blocks(tuple(groups),
+                   fro(np.array([fro(data) for _, _, data in groups])))
+
+
+def _whole(x: np.ndarray) -> _Blocks:
+    """X held whole, as one block that reads X in place."""
+    idx = np.arange(len(x))[np.newaxis]
+    return _Blocks(((idx, idx, x[np.newaxis]),), fro(x))
+
+
+def _ladder_blocks(x: np.ndarray, gamma: float,
+                   m_spec: SpectralDecomposition) -> _Blocks:
+    """X with [X, M] = gamma X as its ladder blocks on the clusters of M,
+    read through ``order``, or whole when an entry of X lies off them."""
+    blocks = _gather(x, m_spec, _cluster_targets(m_spec, gamma))
+    held = blocks.count_nonzero() == np.count_nonzero(x)
+    return blocks if held else _whole(x)
+
+
+def _rotate(x: np.ndarray, w: np.ndarray, back: bool = False) -> np.ndarray:
+    """X <- W^dag X W (W X W^dag with ``back``) in X's buffer, TILE
+    columns, then rows, at a time, with no copy of W^dag: W^dag Y =
+    conj(W^T conj(Y)), Y W = (W^T Y^T)^T, Y W^dag = conj(W conj(Y)^T)^T."""
+    for cols in _bands(len(x)):
+        x[:, cols] = (_times_block(w, x[:, cols]) if back
+                      else _times_block(w.T, x[:, cols].conj()).conj())
+    for rows in _bands(len(x)):
+        x[rows] = (_times_block(w, x[rows].conj().T).conj() if back
+                   else _times_block(w.T, x[rows].T)).T
+    return x
+
+
+def _in_m_basis(x: np.ndarray, m_spec: SpectralDecomposition,
+                s: float = 1.0) -> np.ndarray:
+    """X s in M's eigenbasis, in a new array: W^dag X W s, rotated in its
+    own buffer, for a dense M; X s for a real diagonal M."""
+    if m_spec.order is not None:
+        return x * s
+    w = m_spec.eigenvectors
+    return _rotate(np.multiply(x, s, dtype=np.result_type(x, w)), w)
+
+
+def _in_eigenbasis(m_spec: SpectralDecomposition) -> SpectralDecomposition:
+    """M's decomposition in its own eigenbasis, diag(mu): for a dense M
+    with order arange(n) and no W, else as given."""
+    if m_spec.order is not None:
+        return m_spec
+    order = np.arange(m_spec.dim)
+    order.setflags(write=False)
+    return replace(m_spec, eigenvectors=None, order=order)
 
 
 def _m_eigenbasis(h_spec: SpectralDecomposition,
-                  m_spec: SpectralDecomposition,
-                  ladder: Optional[_Blocks] = None, gamma: float = 0.0,
-                  tol: Tolerance = DEFAULT_TOL) -> tuple:
-    """(h_spec, m_spec, ladder) in the eigenbasis W of M, where M is the
-    real diagonal diag(mu), read through ``order``; as given when M is.
-
-    For a dense M, V becomes C = W^dag V and m_spec diag(mu), with order
-    arange(n).  R, held whole by ``ladder`` in a buffer that is the
-    caller's to give up, is overwritten by W^dag R W a band of TILE
-    columns, then rows, at a time, and held as its ladder blocks.  No
-    n^2 buffer is formed besides C and, for a complex W, W^dag.
-    """
+                  m_spec: SpectralDecomposition) -> tuple:
+    """(h_spec, m_spec) in the eigenbasis W of M, as given for a real
+    diagonal M.  For a dense M, V becomes C = W^dag V (W^dag a copy for a
+    complex W) and m_spec _in_eigenbasis(m_spec)."""
     if m_spec.order is not None:
-        return h_spec, m_spec, ladder
-    w = m_spec.eigenvectors
-    w_adj = w.conj().T  # a copy only when W is complex
-    coords = _times_block(w_adj, h_spec.eigenvectors)
-    order = np.arange(m_spec.dim)
+        return h_spec, m_spec
+    coords = _times_block(m_spec.eigenvectors.conj().T, h_spec.eigenvectors)
     coords.setflags(write=False)
-    order.setflags(write=False)
-    h_spec = replace(h_spec, eigenvectors=coords)
-    m_spec = replace(m_spec, eigenvectors=None, order=order)
-    if ladder is not None:
-        # In place unless a real R meets a complex W.
-        r = ladder.dense.astype(np.result_type(ladder.dense, w), copy=False)
-        for cols in _bands(len(r)):
-            r[:, cols] = _times_block(w_adj, r[:, cols])
-        for rows in _bands(len(r)):  # (R W)[rows] = (W^T R[rows]^T)^T
-            r[rows] = _times_block(w.T, r[rows].T).T
-        ladder = _ladder_blocks(r, gamma, m_spec, tol)
-    return h_spec, m_spec, ladder
+    return (replace(h_spec, eigenvectors=coords), _in_eigenbasis(m_spec))
 
 
 def _lower_norm(a: np.ndarray) -> float:

@@ -27,6 +27,7 @@ from .operators import (
     SpectralDecomposition,
     Tolerance,
     _Blocks,
+    _in_m_basis,
     _ladder_blocks,
     _m_eigenbasis,
     _times_block,
@@ -239,21 +240,22 @@ def scan_spectrum_stability(h_spec: SpectralDecomposition,
     H is read only as h_spec, its eigendecomposition V diag(w) V^dag;
     triple.h0 is never read.  Algorithm: in M's eigenbasis
     (_m_eigenbasis), R is held as its ladder blocks, which map M-cluster
-    b to the cluster at mu_b - gamma (_ladder_blocks).  Eigenvectors are
-    taken in column blocks of _BLOCK: per block, R V and R^dag V are
-    block gemms on V's rows, the n x 3 rank tests are one stacked thin
-    SVD, and the case-5 partners exp(-zM) psi are row scales, checked
-    against V diag(w) V^dag at rtol ||H||_F = rtol ||w|| by one gemm.
+    b to the cluster at mu_b - gamma, or whole when an entry lies off
+    them (_ladder_blocks: a dense M's W leaves rounding there).
+    Eigenvectors are taken in column blocks of _BLOCK: per block, R V and
+    R^dag V are block gemms on V's rows, the n x 3 rank tests are one
+    stacked thin SVD, and the case-5 partners exp(-zM) psi are row
+    scales, checked against V diag(w) V^dag at rtol ||H||_F = rtol ||w||
+    by one gemm.
     Each record depends on its own eigenvector only, not on its block.
 
     Memory: besides the n x n operators, O(n * _BLOCK) workspace per
     block, so no (n, n, 3) stack is ever formed.
     """
-    # R in a copy: a dense M's change of basis overwrites it.
-    ladder = _ladder_blocks(np.array(triple.r), triple.gamma, m_spec, tol)
-    h_spec, m_spec, ladder = _m_eigenbasis(h_spec, m_spec, ladder,
-                                           triple.gamma, tol)
-    return _scan_stability(h_spec, ladder, triple.gamma, m_spec, tol)
+    r = _in_m_basis(triple.r, m_spec) if m_spec.order is None else triple.r
+    h_spec, m_spec = _m_eigenbasis(h_spec, m_spec)
+    return _scan_stability(h_spec, _ladder_blocks(r, triple.gamma, m_spec),
+                           triple.gamma, m_spec, tol)
 
 
 def _scan_stability(h_spec: SpectralDecomposition, r: _Blocks,

@@ -268,6 +268,92 @@ class TestReconstructCase2:
         with pytest.raises(ValueError):
             reconstruct_case2(op(SX), op(PROJ), 1j)
 
+    @pytest.mark.parametrize("build", [
+        lambda: angular_block(2, -0.5, 0.1),
+        lambda: angular_block(40, -0.5, 0.1),
+        lambda: jaynes_cummings(1.0, 1.0, 0.1, 127),
+        lambda: hardcore_chain(7, 0.3 + 0.1j),
+        lambda: fermion_chain(7, 1.0, [0.2 + 0.1j * k for k in range(7)]),
+        lambda: random_triple([32] * 4, 1.0, 3),
+        lambda: random_triple([4, 3, 5], -0.7, 2),
+    ], ids=["angular_l2", "angular_l40", "jc_127", "hardcore_7", "fermion_7",
+            "random_triple", "random_triple_negative_gamma"])
+    def test_known_triple_bit_for_bit(self, build):
+        # H = H0 + R + R^dag on disjoint blocks of M's eigenbasis, so the
+        # blocks read off H are the model's own H0 and R, value for value
+        # and in the same storage; hardcore_7 and one random triple have a
+        # negative gamma.
+        bundle = build()
+        triple = reconstruct_case2(bundle.h, bundle.m, bundle.known.gamma)
+        for got, want in ((triple.h0, bundle.known.h0.entries),
+                          (triple.r, bundle.known.r.entries)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
+class TestOffBlockMass:
+    """H's mass off H0's diagonal cluster blocks and R's ladder blocks in
+    M's eigenbasis, and off R^dag's, is the split's backward error: the
+    triple drops it and residual_sum reads it in full, against
+    rtol ||H||_F."""
+
+    @pytest.mark.parametrize("c, verified", [(1e-6, False), (1e-9, True)])
+    def test_near_degenerate_m(self, c, verified):
+        # M = diag(0, 1e-4, 1) and gamma = 1: R is entry (0, 2), and c
+        # couples the two M-clusters 1e-4 apart, which no block holds.
+        # Graded inside [H0, M], c would be weighed by 1e-4 against
+        # rtol ||H||_F ||M||_F (1.4e-10 at c = 1e-6), and verify; as the
+        # backward error it reads sqrt(2) c.
+        h = make_operator(3, [[0.5, c, 1.0], [c, 0.2, 0.0], [1.0, 0.0, 2.0]])
+        m = make_operator(3, np.diag([0.0, 1e-4, 1.0]))
+        report = analyze_pair(h, m, Tolerance())
+        assert report["detection"]["kind"] == "case2"
+        triple = report["triple"]
+        assert triple["residual_sum"] == pytest.approx(math.sqrt(2) * c,
+                                                       rel=1e-9)
+        assert triple["residual_h0m"] == 0.0
+        assert triple["verified"] is verified
+        assert (report["stability"] is not None) is verified
+
+    def test_shared_target(self):
+        # M = diag(0, 1, 1.2) and gamma = 1: the clusters at 1 and 1.2 are
+        # both within 1/2 of 0 + gamma.  The nearer one, at 1, keeps the
+        # ladder block, entry (0, 1); the farther one's entry s = 1e-9 at
+        # (0, 2) lies off every block and reads in residual_sum.
+        s = 1e-9
+        h = make_operator(3, [[0.5, 1.0, s], [1.0, 0.2, 0.0], [s, 0.0, 2.0]])
+        m = make_operator(3, np.diag([0.0, 1.0, 1.2]))
+        assert detection._cluster_targets(
+            hermitian_eigh(m), 1.0).tolist() == [-1, 0, -1]
+        report = analyze_pair(h, m, Tolerance())
+        assert report["detection"]["kind"] == "case2"
+        assert report["triple"]["residual_sum"] == pytest.approx(
+            math.sqrt(2) * s, rel=1e-6)
+        assert report["triple"]["verified"] is True
+        triple = reconstruct_case2(h, m, report["detection"]["gamma1"])
+        assert triple.r[0, 1] == 1.0 and triple.r[0, 2] == 0.0
+        assert verify_triple(h, m, triple).residual_sum == pytest.approx(
+            math.sqrt(2) * s, rel=1e-6)
+
+    def test_skew_on_a_ladder_block_reads_in_residual_sum(self):
+        # M = diag(0, 1) and gamma = 1: R is entry (0, 1), and H, Hermitian
+        # only within its gate, differs from R^dag at (1, 0) by e.
+        h = make_operator(2, [[1.0, 1.0], [1.0 + 1e-13, 2.0]])
+        m = make_operator(2, np.diag([0.0, 1.0]))
+        e = h.entries[1, 0] - h.entries[0, 1]
+        report = analyze_pair(h, m, Tolerance())
+        assert report["detection"]["kind"] == "case2"
+        assert report["triple"]["residual_sum"] == pytest.approx(e, rel=1e-12)
+        triple = reconstruct_case2(h, m, report["detection"]["gamma1"])
+        assert verify_triple(h, m, triple).residual_sum == pytest.approx(
+            e, rel=1e-12)
+
+    def test_a_tie_goes_to_the_first_cluster(self):
+        # M = diag(0, 0.75, 1.25) and gamma = 1: both clusters lie 0.25
+        # from 0 + gamma, exactly.
+        m_spec = hermitian_eigh(make_operator(3, np.diag([0.0, 0.75, 1.25])))
+        assert detection._cluster_targets(m_spec, 1.0).tolist() == [-1, 0, -1]
+
 
 class TestGenSymTriple:
     def test_gamma_is_stored_as_float(self):

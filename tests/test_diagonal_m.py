@@ -177,7 +177,7 @@ PAIRS = pair_builders()
 
 
 def test_the_pair_set_has_47_case2_and_9_genuine():
-    kinds = [cli._detect(*build(), Tolerance())[0].kind for _, build in PAIRS]
+    kinds = [cli.detect(*build(), Tolerance()).kind for _, build in PAIRS]
     assert (len(kinds), kinds.count("case2"), kinds.count("genuine")) == \
         (56, 47, 9)
 

@@ -1,13 +1,14 @@
 """R's ladder blocks and H0's diagonal blocks on a real diagonal M's clusters.
 
 [R, M] = gamma R means that R maps the M-cluster at mu only to the one at
-mu - gamma, and [H0, M] = 0 that H0 keeps every cluster.  For a real
-diagonal M the grade's commutes_* flags and the stability scan's R V and
-R^dag V read R as those ladder blocks and H0 as its diagonal blocks.
-These tests hold the block form to the dense references in reference.py,
-on the benchmark's case-2 models and the hard-core chains, each as built
-and with symmetric noise of 1e-12 ||H||_F, and pin the fallback to the
-whole R above OFF_BLOCK_BOUND.
+mu - gamma, and [H0, M] = 0 that H0 keeps every cluster: case 2 reads H0
+and R off H as those blocks, and H's mass off them is the split's
+backward error, graded as residual_sum.  The grade's commutes_* flags and
+the stability scan's R V and R^dag V read the blocks.  These tests hold
+the block form to the dense references in reference.py, on the
+benchmark's case-2 models and the hard-core chains, each as built and
+with symmetric noise of 1e-12 ||H||_F, and pin that mass off the blocks
+is graded in full.
 """
 
 import functools
@@ -15,14 +16,13 @@ import functools
 import numpy as np
 import pytest
 
-from gensym import cli, detection, operators
+from gensym import cli, detection
 from gensym.detection import detect, reconstruct_case2, verify_triple
 from gensym.models import (angular_block, fermion_chain, hardcore_chain,
                            jaynes_cummings, random_triple)
 from gensym.multiplets import canonical_eigenbasis
-from gensym.operators import (OFF_BLOCK_BOUND, Tolerance,
-                              _cluster_targets, _ladder_blocks,
-                              _off_block_norm, hermitian_eigh, make_operator)
+from gensym.operators import (Tolerance, _ladder_blocks, _whole,
+                              hermitian_eigh, make_operator)
 from gensym.serialization import dump_json
 
 import reference
@@ -73,9 +73,8 @@ def test_block_products_match_the_dense_reference(name, noise):
     result = detect(h, m, tol)
     triple = reconstruct_case2(h, m, result.gamma1, tol)
     m_spec = hermitian_eigh(m, tol)
-    ladder = _ladder_blocks(triple.r, triple.gamma, m_spec, tol)
-    # The blocks are taken, and hold a fraction of R's n^2 entries.
-    assert ladder.dense is None
+    ladder = _ladder_blocks(triple.r, triple.gamma, m_spec)
+    # The blocks hold every entry of R, and a fraction of its n^2 entries.
     held = sum(data.size for _, _, data in ladder.groups)
     assert 0 < held <= h.dim ** 2 / 3
     # Every commutes_* flag, as verify_triple grades it.
@@ -83,37 +82,30 @@ def test_block_products_match_the_dense_reference(name, noise):
     assert [grade.commutes_rdr_m, grade.commutes_rdr_h0, grade.commutes_rrd_m,
             grade.commutes_rrd_h0] == reference.dense_commute_flags(
                 triple.h0, triple.r, m, h.norm, tol)
-    # R V and R^dag V on H's canonical basis: the blocks drop R's mass E
-    # off them, which moves each entry by at most ||E||_2 <= ||E||_F.
-    dropped = _off_block_norm(triple.r, m_spec.cluster_ids,
-                              _cluster_targets(m_spec, triple.gamma))
-    assert dropped <= OFF_BLOCK_BOUND * ladder.norm
+    # R V and R^dag V on H's canonical basis.
     vectors = canonical_eigenbasis(h, m, tol).eigenvectors
     for got, want in zip((ladder.times(vectors),
                           ladder.adjoint().times(vectors)),
                          reference.dense_ladder_products(triple.r, vectors)):
         np.testing.assert_allclose(
-            got, want, rtol=0, atol=dropped + 1e-12 * np.max(np.abs(want)))
-
-
-def dropped_mass(h, m):
-    """R's mass off its ladder blocks over ||R||_F."""
-    triple = reconstruct_case2(h, m, detect(h, m).gamma1)
-    m_spec = hermitian_eigh(m)
-    return _off_block_norm(triple.r, m_spec.cluster_ids,
-                           _cluster_targets(m_spec, triple.gamma)) \
-        / np.linalg.norm(triple.r)
+            got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
 def dense_reference_report(monkeypatch, h, m, tol=Tolerance()):
-    """analyze_pair with R kept whole and the commutes_* flags taken from
-    the dense reference products; the patches are undone on return."""
+    """analyze_pair with the scan reading R whole and the commutes_* flags
+    taken from the dense reference products on the blocks scattered back;
+    the patches are undone on return."""
+    scan = cli._scan_stability
+
+    def dense_flags(r, h0, mu, m_norm, h_norm, tol):
+        return reference.dense_commute_flags(
+            h0.full(len(mu)), r.full(len(mu)),
+            make_operator(len(mu), np.diag(mu)), h_norm, tol)
+
     with monkeypatch.context() as patch:
-        patch.setattr(operators, "OFF_BLOCK_BOUND", -1.0)
-        patch.setattr(
-            detection, "_commute_flags",
-            lambda r, h0, m, h_norm, tol: reference.dense_commute_flags(
-                h0, r.dense, m, h_norm, tol))
+        patch.setattr(detection, "_commute_flags", dense_flags)
+        patch.setattr(cli, "_scan_stability", lambda h_spec, r, *args: scan(
+            h_spec, _whole(r.full(h_spec.dim)), *args))
         return cli.analyze_pair(h, m, tol)
 
 
@@ -128,63 +120,36 @@ def test_report_matches_the_dense_reference(monkeypatch, name, noise):
         return
     assert report["triple"]["verified"] is True
     assert report["stability"] is not None
-    # Every float read off R psi moves with the mass the blocks drop: an
-    # unstable record's coeffs, the null vector of [a, b, psi], by that
-    # mass over the gap of its two smallest singular values (2.5 times it
-    # on random_triple with noise).
-    assert_reports_agree(report, expected,
-                         rel=max(1e-12, 10 * dropped_mass(h, m)))
-
-
-def spy_scan(monkeypatch):
-    """Patch cli._scan_stability to record whether it reads R whole."""
-    whole = []
-    scan = cli._scan_stability
-
-    def spied(h_spec, r, *args):
-        whole.append(r.dense is not None)
-        return scan(h_spec, r, *args)
-    monkeypatch.setattr(cli, "_scan_stability", spied)
-    return whole
+    # The blocks and the whole R hold the same entries: only the order of
+    # the gemms' sums differs.
+    assert_reports_agree(report, expected)
 
 
 @pytest.mark.parametrize("rtol", [1e-8, 1e-11])
-@pytest.mark.parametrize("factor, blocks", [(0.7, True), (1.4, False)])
-def test_noise_off_the_ladder_decides_the_path(monkeypatch, rtol, factor,
-                                               blocks):
-    # angular_block(2) with H coupling m = -1 to m = +1, two steps of L_z
-    # apart: the reconstructed R carries that coupling off its ladder
-    # blocks, linearly in its size, which is set to put R's off-block mass
-    # at factor times the bound.  The bound is OFF_BLOCK_BOUND at the
-    # default rtol of 1e-8 and scales with a smaller one, so that it stays
-    # 100 times inside the commutes_* gates.  The triple still verifies,
-    # and the report agrees with the dense reference's.
+@pytest.mark.parametrize("factor, verified", [(0.7, True), (1.4, False)])
+def test_noise_off_the_ladder_decides_the_path(rtol, factor, verified):
+    # M = diag(0, 1e-4, 1) and gamma = 1: the entry c between the two
+    # M-clusters 1e-4 apart lies off every block, so the triple drops it
+    # and the grade reads it in full as residual_sum = sqrt(2) c, against
+    # rtol ||H||_F, where [H0, M] would weigh it by 1e-4.  Set at factor
+    # times that gate, the triple verifies inside it, which lets the
+    # pipeline go on to the scan, and fails outside.  The fit reads c at
+    # 1e-4 of its size, and stays case 2.
     tol = Tolerance(rtol)
-    bound = OFF_BLOCK_BOUND * rtol / 1e-8
-    bundle = angular_block(2, -0.5, 0.1)
-    h, m = bundle.h, bundle.m
-    i, j = (int(np.flatnonzero(np.diag(m.entries) == mu)[0])
-            for mu in (-1.0, 1.0))
-    coupling = np.zeros((h.dim, h.dim))
-    coupling[i, j] = coupling[j, i] = 1e-3 * h.norm
-    m_spec = hermitian_eigh(m)
-
-    def off_block_ratio(s):
-        pair = make_operator(h.dim, h.entries + s * coupling)
-        gamma = detect(pair, m).gamma1
-        r = reconstruct_case2(pair, m, gamma).r
-        ids, target = m_spec.cluster_ids, _cluster_targets(m_spec, gamma)
-        return pair, _off_block_norm(r, ids, target) / np.linalg.norm(r)
-
-    s = factor * bound / off_block_ratio(1e-8)[1] * 1e-8
-    perturbed, ratio = off_block_ratio(s)
-    assert ratio == pytest.approx(factor * bound, rel=1e-3)
-    expected = dense_reference_report(monkeypatch, perturbed, m, tol)
-    whole = spy_scan(monkeypatch)
-    report = cli.analyze_pair(perturbed, m, tol)
-    assert report["triple"]["verified"] is True
-    assert whole == [not blocks]
-    assert_reports_agree(report, expected, rel=max(1e-12, 10 * ratio))
+    entries = np.array([[0.5, 0.0, 1.0], [0.0, 0.2, 0.0], [1.0, 0.0, 2.0]])
+    m = make_operator(3, np.diag([0.0, 1e-4, 1.0]))
+    c = factor * rtol * np.linalg.norm(entries) / np.sqrt(2.0)
+    entries[0, 1] = entries[1, 0] = c
+    h = make_operator(3, entries)
+    result = detect(h, m, tol)
+    assert result.kind == "case2"
+    triple = reconstruct_case2(h, m, result.gamma1, tol)
+    assert triple.h0[0, 1] == triple.r[0, 1] == 0.0
+    grade = verify_triple(h, m, triple, tol)
+    assert grade.residual_sum == pytest.approx(factor * rtol * h.norm,
+                                               rel=1e-6)
+    assert grade.residual_h0m == 0.0
+    assert grade.passed is verified
 
 
 def test_analyze_pair_never_forms_the_permutation_matrix(monkeypatch):

@@ -25,7 +25,7 @@ from gensym.operators import (
     _freeze,
     _ladder_blocks,
     _m_eigenbasis,
-    _stored_units,
+    _rotate,
     _times_block,
     cluster_eigenvalues,
     fro,
@@ -133,32 +133,29 @@ class TestStorageRule:
 
     @pytest.mark.parametrize("a", [-1022, -30, 0, 40, 1023])
     def test_units_follow_the_rule_of_the_scaled_array(self, a):
-        # _stored_units(x, a) stores x = X / 2^a as _freeze stores X, read
-        # off extremes of x: finiteness, and +0.0 imaginary parts after
-        # the scale (2^-60 vanishes at 2^-1022, its negative leaves -0.0;
-        # 3.0 and -3.0 overflow at 2^1023).
-        cases = []
-        for re in (3.0, -3.0, -0.75, 2.0 ** -60, 0.0, np.nan):
-            for im in (None, 0.0, -0.0, 2.0 ** -60, -2.0 ** -60, 0.5,
-                       np.inf):
-                x = np.array([[1.0, -0.25], [re, 0.5]],
-                             dtype=float if im is None else complex)
-                if im is not None:
-                    x[0, 1] = complex(-0.25, im)
-                cases.append(x)
-        for x in cases:
-            with np.errstate(all="ignore"):
-                scaled = x * 2.0 ** a
-            try:
-                expected = _freeze(scaled)
-            except ValueError:
-                with pytest.raises(ValueError, match="non-finite"):
-                    _stored_units(x.copy(), a)
-                continue
-            got = _stored_units(x.copy(), a)
-            assert got.dtype == expected.dtype
-            with np.errstate(all="ignore"):
-                assert (got * 2.0 ** a).tobytes() == expected.tobytes()
+        # reconstruct_case2 reads H over 2^b, 2^b the unit of ||H||_F, and
+        # scales back: H0 and R are H's diagonal and ladder entries, bit
+        # for bit, subnormal and near-overflow ones included, each stored
+        # by the rule of those entries (a -0.0 imaginary part keeps it
+        # complex).  M = diag(1, 0) and gamma = 1: R's block is entry (1, 0).
+        m = make_operator(2, np.diag([1.0, 0.0]))
+        for diagonal_imag, ladder_imag in ((None, None), (0.0, 0.5),
+                                           (-0.0, 0.0), (0.0, -0.0)):
+            entries = np.array([[0.75, 0.25], [0.25, 0.5]]) * 2.0 ** a
+            if diagonal_imag is not None:
+                entries = entries.astype(complex)
+                entries.imag[[0, 1], [0, 1]] = diagonal_imag
+                entries[1, 0] = complex(entries[1, 0].real, ladder_imag)
+                entries[0, 1] = np.conj(entries[1, 0])
+            h = make_operator(2, entries)
+            triple = reconstruct_case2(h, m, 1.0)
+            r = np.zeros_like(h.entries)
+            r[1, 0] = h.entries[1, 0]
+            for got, want in ((triple.h0, np.diag(np.diag(h.entries))),
+                              (triple.r, r)):
+                want = _freeze(want)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_stored_copy_is_frozen_and_unaliased(self, dtype):
@@ -369,13 +366,10 @@ class TestMEigenbasis:
         assert triple.r.dtype == np.complex128
 
         def rotate():
-            r = np.array(triple.r)
-            return r, _m_eigenbasis(h_spec, m_spec,
-                                    _ladder_blocks(r, triple.gamma, m_spec,
-                                                   Tolerance()),
-                                    triple.gamma, Tolerance())
+            r = _rotate(np.array(triple.r), w)
+            return r, _m_eigenbasis(h_spec, m_spec)
 
-        r, (coords, diag, ladder) = rotate()
+        r, (coords, diag) = rotate()
         assert coords.eigenvectors.tobytes() == _times_block(w.T, v).tobytes()
         np.testing.assert_allclose(coords.eigenvectors, w.conj().T @ v,
                                    rtol=0, atol=1e-12)
@@ -386,23 +380,20 @@ class TestMEigenbasis:
         assert diag.eigenvalues is m_spec.eigenvalues
         assert diag.clusters == m_spec.clusters
         np.testing.assert_array_equal(diag.order, np.arange(dim))
-        # R's ladder blocks hold every entry of W^dag R W but rounding.
-        assert ladder.dense is None
-        np.testing.assert_allclose(
-            ladder.times(np.eye(dim)), expected, rtol=0,
-            atol=1e-12 * fro(expected))
-        held = sum(data.size for _, _, data in ladder.groups)
-        # R's copy, C, R's ladder blocks, and a TILE-column band of R with
-        # its product: W^dag R W is formed in R's buffer.
-        assert traced_peak(rotate) <= 16 * (
-            2 * dim ** 2 + held + 2 * TILE * dim)
+        # Rounding leaves entries of W^dag R W off its ladder blocks, so it
+        # is held whole, in place.
+        ladder = _ladder_blocks(r, triple.gamma, diag)
+        ((rows, cols, data),) = ladder.groups
+        assert np.shares_memory(data, r)
+        np.testing.assert_array_equal(rows, [np.arange(dim)])
+        # R's copy, C, and a TILE-column band of R with its products:
+        # W^dag R W is formed in R's buffer.
+        assert traced_peak(rotate) <= 16 * (2 * dim ** 2 + 3 * TILE * dim)
 
     def test_a_real_diagonal_m_is_returned_as_given(self):
         bundle = angular_block(2, -0.5, 0.1)
         m_spec, h_spec = hermitian_eigh(bundle.m), hermitian_eigh(bundle.h)
-        ladder = object()
-        assert _m_eigenbasis(h_spec, m_spec, ladder) == (h_spec, m_spec,
-                                                         ladder)
+        assert _m_eigenbasis(h_spec, m_spec) == (h_spec, m_spec)
 
 
 class TestIteratedCommutator:

@@ -42,7 +42,8 @@ def test_cost_model_quotes_the_case2_op_peak_bounds():
             ("hardcore_7", "`hardcore_chain(7, 0.3+0.1j)`", 128),
             ("jc_127", "`jaynes_cummings(1, 1, 0.1, 127)`", 256),
             ("hardcore_8_unitary",
-             "`hardcore_chain(8, 0.3+0.1j)` under a random unitary", 256)):
+             "`hardcore_chain(8, 0.3+0.1j)` under a random unitary", 256),
+            ("projection_256", "`projection_example(256, 3)`", 256)):
         row = next(line for line in lines
                    if line.startswith(f"| {model} | {dim} |"))
         assert row.endswith(f"| {CASE2_OP_PEAKS[name]} |")

@@ -40,8 +40,7 @@ def rank_test(psi, a, b):
 
 def _triple_ladder(h_spec, triple, m_spec):
     """The scan's _Ladder for a GenSymTriple, R held as the scan holds it."""
-    return _ladder(h_spec, _ladder_blocks(triple.r, triple.gamma, m_spec,
-                                               Tolerance()),
+    return _ladder(h_spec, _ladder_blocks(triple.r, triple.gamma, m_spec),
                    triple.gamma, m_spec)
 
 
