@@ -30,7 +30,7 @@ from .models import (
     involution_example,
     projection_example,
 )
-from .multiplets import canonical_eigenbasis, partition
+from .multiplets import _greedy_classes, canonical_eigenbasis, partition
 from .operators import (
     NumericalError,
     Tolerance,
@@ -46,7 +46,7 @@ from .serialization import (
     load_operator,
     save_operator,
 )
-from .stability import _scan_stability, case_counts
+from .stability import _scan_stability
 
 EXIT_OK = 0
 EXIT_NOT_FOUND = 1
@@ -174,30 +174,27 @@ def _partition_record(part, h_spec, m_spec) -> dict:
     return {"classes": classes}
 
 
-def _stability_record(records) -> dict:
+def _stability_record(eigenvalues: np.ndarray, scan: tuple) -> dict:
+    """The report's stability section, from _scan_stability's arrays."""
+    cases, coeffs, flags, *partners = scan
+    partners = zip(*(p.tolist() for p in partners))
     rows = []
-    for rec in records:
-        row = {
-            "index": rec.index,
-            "eigenvalue": rec.eigenvalue,
-            "stable": rec.stable,
-            "cases": list(rec.cases),
-            "primary_case": rec.primary_case,
-            "coeffs": [complex_pair(c) for c in rec.coeffs],
-            "r_annihilates": rec.r_annihilates,
-            "rd_annihilates": rec.rd_annihilates,
-            "sum_annihilates": rec.sum_annihilates,
-        }
-        if rec.partner is not None:
-            row["partner"] = {
-                "z": complex_pair(rec.partner.z),
-                "e_second": rec.partner.e_second,
-                "residual": rec.partner.residual,
-            }
-        rows.append(row)
-    counts = case_counts(records)
+    for index, (eigenvalue, case, c, (r, rd, both)) in enumerate(zip(
+            eigenvalues.tolist(), cases.tolist(), coeffs.tolist(),
+            flags.tolist())):
+        rows.append({"index": index, "eigenvalue": eigenvalue,
+                     "stable": case > 0, "cases": [case] if case else [],
+                     "primary_case": case or None,
+                     "coeffs": [complex_pair(v) for v in c],
+                     "r_annihilates": r, "rd_annihilates": rd,
+                     "sum_annihilates": both})
+        if case == 5:
+            z, e_second, residual = next(partners)
+            rows[-1]["partner"] = {"z": complex_pair(z), "e_second": e_second,
+                                   "residual": residual}
+    kinds, counts = np.unique(cases, return_counts=True)
     return {"records": rows,
-            "counts": {str(k): v for k, v in sorted(counts.items())}}
+            "counts": dict(zip(map(str, kinds.tolist()), counts.tolist()))}
 
 
 def analyze_pair(h, m, tol: Tolerance, digests: Optional[dict] = None) -> dict:
@@ -246,8 +243,8 @@ def analyze_pair(h, m, tol: Tolerance, digests: Optional[dict] = None) -> dict:
     report["spectrum"] = h_spec.eigenvalues.tolist()
     h_spec, m_spec = _m_eigenbasis(h_spec, m_spec)
     ladder = ladder.scaled(2.0 ** _unit(h.norm))  # R in H's units
-    report["stability"] = _stability_record(
-        _scan_stability(h_spec, ladder, gamma, m_spec, tol))
+    scan = _scan_stability(h_spec, ladder, gamma, m_spec, tol)
+    report["stability"] = _stability_record(h_spec.eigenvalues, scan)
     del ladder
     report["multiplets"] = _partition_record(partition(h_spec, m_spec, tol),
                                              h_spec, m_spec)
@@ -304,8 +301,8 @@ def run_sweep(args: argparse.Namespace) -> int:
         h_spec = canonical_eigenbasis(bundle.h, bundle.m, tol)
         if m_spec is None:
             m_spec = hermitian_eigh(bundle.m, tol)
-        part = partition(h_spec, m_spec, tol)
-        class_of = {i: c for c, members in enumerate(part.classes)
+        classes, _ = _greedy_classes(h_spec, m_spec, tol)
+        class_of = {i: c for c, members in enumerate(classes)
                     for i in members}
         for i, eigenvalue in enumerate(h_spec.eigenvalues.tolist()):
             lines.append(f"{value!r},{i},{eigenvalue!r},{class_of[i]}")

@@ -115,17 +115,21 @@ def _cluster_norms(vectors: np.ndarray, m_spec: SpectralDecomposition):
     return norms, mask
 
 
-def _greedy_classes(vectors: np.ndarray, m_spec: SpectralDecomposition,
-                    tol: Tolerance):
-    """Greedy first-seen-representative classes of the columns of ``vectors``.
+def _greedy_classes(h_spec: SpectralDecomposition,
+                    m_spec: SpectralDecomposition, tol: Tolerance):
+    """partition's classes of H's eigenvectors, without its signatures and
+    labels: ``(classes, mask)``, classes as lists of eigenvector indices
+    ordered by their first member, mask the support of each eigenvector
+    over the M-clusters.
 
-    Returns ``(classes, mask)``; classes are lists of column indices,
-    ordered by their first member.  Columns are grouped by support mask,
-    with one np.unique over the masks packed to bytes; within a group,
-    "parallel on every supported cluster" is read off the Gram matrices of
-    the normalised cluster blocks.  A one-dimensional cluster holds no
-    direction, so it never separates two columns.
+    In M's eigenbasis (_m_eigenbasis), the columns of V are grouped by
+    support mask, with one np.unique over the masks packed to bytes;
+    within a group, "parallel on every supported cluster" is read off the
+    Gram matrices of the normalised cluster blocks.  A one-dimensional
+    cluster holds no direction, so it never separates two columns.
     """
+    h_spec, m_spec = _m_eigenbasis(h_spec, m_spec)
+    vectors = h_spec.eigenvectors
     norms, mask = _cluster_norms(vectors, m_spec)
     n = mask.shape[1]
     packed = np.ascontiguousarray(np.packbits(mask, axis=0).T)
@@ -183,16 +187,10 @@ def _first_parallel_representative(parallel: np.ndarray) -> np.ndarray:
 
 def partition(h_spec: SpectralDecomposition, m_spec: SpectralDecomposition,
               tol: Tolerance = DEFAULT_TOL) -> MultipletPartition:
-    """Group all eigenvectors into M-multiplets.
-
-    Algorithm: one gemm ``C = W_M^dag V_H`` puts every eigenvector in the
-    eigenbasis of M (for a real diagonal M, row gathers of ``V_H`` cluster
-    by cluster instead; _m_eigenbasis); segmented sums over ``|C|^2`` give
-    its norm on each M-cluster and so its support mask.  Vectors are
-    grouped by mask, and within a group the per-cluster Gram matrices of
-    the normalised cluster blocks decide which pairs are parallel on every
-    supported cluster.  Memory is C (none for a real diagonal M), a run of
-    clusters' rows of |C|^2 and one group-size square matrix.
+    """Group all eigenvectors into M-multiplets by _greedy_classes, each
+    class with its support signature and size label.  Memory is
+    C = W_M^dag V_H (none for a real diagonal M), a run of clusters' rows
+    of |C|^2 and one group-size square matrix.
 
     Ordering: classes are built greedily against the first-seen
     representative of each class, in eigenvector-index order, exactly as
@@ -200,8 +198,7 @@ def partition(h_spec: SpectralDecomposition, m_spec: SpectralDecomposition,
     listed in order of their representative's index, members ascending,
     and each signature is the representative's support.
     """
-    h_spec, m_spec = _m_eigenbasis(h_spec, m_spec)
-    classes, mask = _greedy_classes(h_spec.eigenvectors, m_spec, tol)
+    classes, mask = _greedy_classes(h_spec, m_spec, tol)
     # Every representative's support from one nonzero, in row-major order:
     # class by class, clusters ascending.
     rep_mask = mask[:, [c[0] for c in classes]].T

@@ -12,8 +12,6 @@ H0 is never read, and no eigenvector of H is checked a second time.
 
 from __future__ import annotations
 
-import cmath
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -113,122 +111,94 @@ def _rank_tests(a: np.ndarray, b: np.ndarray, psi: np.ndarray):
             -null[:, 2])
 
 
-def _pinned(x: complex, y: complex, u: complex):
-    """A null relation (x, y, u) fixed only up to a unit phase, rotated so
-    its largest-magnitude entry is real positive (ties to the first), as
-    phase_canonicalize rotates a column."""
-    pivot = max((x, y, u), key=abs)
-    phase = abs(pivot) / pivot if abs(pivot) > 0 else 1.0
-    return x * phase, y * phase, u * phase
-
-
-def _screen(x: complex, y: complex, u: complex):
-    """Case 1 (u ~ 0), 4 (x + y ~ 0 at u = 1) or 5, and the coeffs."""
-    if abs(u) <= STABILITY_CUTOFF * max(abs(x), abs(y), abs(u)):
-        return 1, (x, y, u)
-    x, y = x / u, y / u
-    case = 4 if abs(x + y) <= STABILITY_CUTOFF * max(abs(x), abs(y)) else 5
-    return case, (x, y, 1.0 + 0.0j)
-
-
 def _classify_block(ladder: _Ladder, vectors: np.ndarray,
-                    eigenvalues: np.ndarray, indices, tol: Tolerance,
-                    ) -> List[StabilityRecord]:
-    """Classify the columns of ``vectors`` with one gemm per operator, or
-    one stacked gemm per block shape for R's ladder blocks."""
+                    eigenvalues: np.ndarray, tol: Tolerance) -> tuple:
+    """Classify the columns of ``vectors``: R V and R^dag V by one stacked
+    gemm per block shape of R's ladder blocks, the rank tests by one
+    stacked SVD, every decision after them by array operations.  Returns
+    per column its primary case (0 when unstable), its relation
+    x R psi + y R^dag psi = u psi as a row (x, y, u) and whether R, R^dag
+    and R + R^dag annihilate it, then _partners of its case-5 columns.
+    """
     a, b = (ladder.r.times(vectors) / ladder.r_norm,
             ladder.r_dag.times(vectors) / ladder.r_norm)
-    r_annihilates, rd_annihilates, sum_annihilates = (
-        np.linalg.norm(v, axis=0) <= STABILITY_CUTOFF for v in (a, b, a + b))
-    stable, xs, ys, us = _rank_tests(a, b, vectors)
+    flags = np.stack([np.linalg.norm(v, axis=0) <= STABILITY_CUTOFF
+                      for v in (a, b, a + b)], axis=1)
+    stable, x, y, u = _rank_tests(a, b, vectors)
 
-    # Screened as x a + y b = u psi, recorded as x R psi + y R^dag psi = u psi.
-    # A psi that R and R^dag both annihilate has every (x, y, 0) as a null
-    # relation and takes (1, 0, 0).  A case-1 or unstable relation is a
-    # null vector that the SVD fixes only up to a unit phase, which
-    # _pinned fixes; cases 4 and 5 are read at u = 1.
-    cases, coeffs = [], []
-    for j in range(len(eigenvalues)):
-        raw = ((1.0 + 0.0j, 0.0j, 0.0j)
-               if r_annihilates[j] and rd_annihilates[j]
-               else (complex(xs[j]), complex(ys[j]), complex(us[j])))
-        case, (x, y, u) = _screen(*raw) if stable[j] else (None, raw)
-        if case in (None, 1):
-            x, y, u = _pinned(x, y, u)
-        cases.append(case)
-        coeffs.append((x / ladder.r_norm, y / ladder.r_norm, u))
-    case5 = [j for j, case in enumerate(cases) if case == 5]
-    partners = dict(zip(case5, _partners(
-        ladder, vectors[:, case5], eigenvalues[case5],
-        [coeffs[j][:2] for j in case5], tol)))
-
-    return [
-        StabilityRecord(
-            index=index, eigenvalue=float(eigenvalues[j]),
-            stable=bool(stable[j]), cases=(cases[j],) if stable[j] else (),
-            primary_case=cases[j], coeffs=coeffs[j],
-            r_annihilates=bool(r_annihilates[j]),
-            rd_annihilates=bool(rd_annihilates[j]),
-            sum_annihilates=bool(sum_annihilates[j]),
-            partner=partners.get(j))
-        for j, index in enumerate(indices)
-    ]
-
-
-def _ladder_exponent(x: complex, y: complex, ladder: _Ladder,
-                     tol: Tolerance) -> Tuple[complex, float]:
-    """z with exp(z*gamma) = -y/x, and the real eigenvalue shift, whose
-    imaginary part is gated in the unit of the residual gates, ||H||_F."""
-    # Case 5 has |-y/x - 1| > cutoff, and x, y != 0 as R is nilpotent.
-    ratio = -y / x
-    log_ratio = cmath.log(ratio)
-    if ratio.real < 0 and abs(ratio.imag) <= STABILITY_CUTOFF * abs(ratio):
-        # On the branch cut up to rounding: the principal branch would
-        # take +i*pi or -i*pi from the sign of a rounding error.
-        log_ratio = complex(log_ratio.real, math.pi)
-    z = log_ratio / ladder.gamma
-    eps = (cmath.exp(-z * ladder.gamma) - 1.0) / x
-    if abs(eps.imag) > tol.rtol * ladder.h_norm:
-        raise NumericalError(f"eigenvalue shift {eps} is not real")
-    return z, eps.real
+    # Screened as x a + y b = u psi, one row (x, y, u) per column.  A psi
+    # that R and R^dag both annihilate has every (x, y, 0) as a null
+    # relation and takes (1, 0, 0).
+    rel = np.stack([x, y, u], axis=1).astype(complex)
+    rel[flags[:, 0] & flags[:, 1]] = (1.0, 0.0, 0.0)
+    mag = np.abs(rel)
+    # Case 1 when u ~ 0; else the relation is read at u = 1, as case 4
+    # when x + y ~ 0 and case 5 otherwise.
+    case1 = stable & (mag[:, 2] <= STABILITY_CUTOFF * mag.max(axis=1))
+    read = stable & ~case1
+    rel[read, :2] /= rel[read, 2:]
+    rel[read, 2] = 1.0
+    case4 = (np.abs(rel[:, 0] + rel[:, 1])
+             <= STABILITY_CUTOFF * np.abs(rel[:, :2]).max(axis=1))
+    cases = np.select([case1, read & case4, read], [1, 4, 5], 0)
+    # A case-1 or unstable relation is a unit null vector that the SVD
+    # fixes only up to a phase: its largest-magnitude entry is rotated
+    # real positive (ties to the first), as phase_canonicalize rotates a
+    # column.
+    pivot = rel[~read, mag[~read].argmax(axis=1)]
+    rel[~read] *= (np.abs(pivot) / pivot)[:, np.newaxis]
+    rel[:, :2] /= ladder.r_norm  # recorded as x R psi + y R^dag psi = u psi
+    five = cases == 5
+    return (cases, rel, flags, *_partners(
+        ladder, vectors[:, five], eigenvalues[five], rel[five, 0],
+        rel[five, 1], tol))
 
 
 def _partners(ladder: _Ladder, vectors: np.ndarray, eigenvalues: np.ndarray,
-              coeffs, tol: Tolerance) -> List[PartnerRecord]:
-    """Case-5 partners of the columns of ``vectors``, in M's eigenbasis.
+              x: np.ndarray, y: np.ndarray, tol: Tolerance) -> tuple:
+    """Case-5 partners (z, e_second, residual) of the columns psi of
+    ``vectors``, given their relations x R psi + y R^dag psi = psi.
 
-    M is real diagonal there, so exp(-zM) psi scales each entry psi_i by
-    exp(-z mu), mu the mean eigenvalue of the M-cluster of index i: O(n)
-    per vector, each exp(-z mu) taken once per M-cluster.  chi's residual
-    against V diag(w) V^dag, ||(w - E') o (V^T conj(chi))|| / ||chi||, is
-    one gemm; chi itself is then dropped, as z fixes it.
+    exp(z*gamma) = -y/x, and the shift eps = (exp(-z*gamma) - 1) / x is
+    real up to rtol ||H||_F, the unit of the residual gates.  M is real
+    diagonal here, so chi = exp(-zM) psi scales psi_i by exp(-z mu), mu
+    the mean of i's M-cluster, each exp(-z mu) taken once per M-cluster;
+    chi's residual ||(w - E') o (V^T conj(chi))|| / ||chi|| against
+    V diag(w) V^dag is one gemm, and chi is then dropped, as z fixes it.
     """
-    zs, e_second = [], []
-    for (x, y), eigenvalue in zip(coeffs, eigenvalues):
-        z, eps = _ladder_exponent(complex(x), complex(y), ladder, tol)
-        zs.append(z)
-        e_second.append(float(eigenvalue + eps))
+    # Case 5 has |-y/x - 1| > cutoff, and x, y != 0 as R is nilpotent.
+    ratio = -y / x
+    log_ratio = np.log(ratio)
+    # On the branch cut up to rounding the principal branch would take
+    # +i*pi or -i*pi from the sign of a rounding error: take +i*pi.
+    on_cut = np.abs(ratio.imag) <= STABILITY_CUTOFF * np.abs(ratio)
+    log_ratio.imag[on_cut & (ratio.real < 0)] = np.pi
+    z = log_ratio / ladder.gamma
+    eps = (np.exp(-z * ladder.gamma) - 1.0) / x
+    bad = np.flatnonzero(np.abs(eps.imag) > tol.rtol * ladder.h_norm)
+    if bad.size:
+        raise NumericalError(
+            f"eigenvalue shift {complex(eps[bad[0]])} is not real")
+    e_second = eigenvalues + eps.real
     # exp(-z mu) / exp(-Re(z) c), c the midpoint of the spectrum of M, so
     # M + dI cannot overflow it; the residual is relative to ||chi||.
-    mu, z_re, z_im = ladder.m_spec.cluster_values[0], np.real(zs), np.imag(zs)
-    chi = np.exp(-np.outer(mu - (mu[0] + mu[-1]) / 2, z_re)
-                 - 1j * np.outer(mu, z_im))[ladder.m_spec.cluster_ids]
+    mu = ladder.m_spec.cluster_values[0]
+    chi = np.exp(-np.outer(mu - (mu[0] + mu[-1]) / 2, z.real)
+                 - 1j * np.outer(mu, z.imag))[ladder.m_spec.cluster_ids]
     chi *= vectors
-    chi_norms = np.linalg.norm(chi, axis=0)
     w, v = ladder.h_spec.eigenvalues, ladder.h_spec.eigenvectors
     a = _unit(ladder.h_norm)  # w - E' over 2^a: no norm can overflow
     shifted = _times_block(v.T, np.conjugate(chi, out=chi))
     shifted *= (w[:, np.newaxis] - e_second) * 2.0 ** -a
-    residuals = np.linalg.norm(shifted, axis=0) / chi_norms
-    del shifted
+    residuals = (np.linalg.norm(shifted, axis=0)
+                 / np.linalg.norm(chi, axis=0))
     # Written as "not <=" so that a NaN residual fails the check too.
     bad = np.flatnonzero(~(residuals <= tol.rtol * ladder.h_norm * 2.0 ** -a))
-    residuals = [float(residual) * 2.0 ** a for residual in residuals]
+    residuals *= 2.0 ** a
     if bad.size:
         raise NumericalError(
             f"partner residual {residuals[bad[0]]:.3e} exceeds tolerance")
-    return [PartnerRecord(z=z, e_second=e_second[j], residual=residuals[j])
-            for j, z in enumerate(zs)]
+    return z, e_second, residuals
 
 
 def scan_spectrum_stability(h_spec: SpectralDecomposition,
@@ -238,39 +208,43 @@ def scan_spectrum_stability(h_spec: SpectralDecomposition,
     """Classify every eigenvector of H, in index order.
 
     H is read only as h_spec, its eigendecomposition V diag(w) V^dag;
-    triple.h0 is never read.  Algorithm: in M's eigenbasis
-    (_m_eigenbasis), R is held as its ladder blocks, which map M-cluster
-    b to the cluster at mu_b - gamma, or whole when an entry lies off
-    them (_ladder_blocks: a dense M's W leaves rounding there).
-    Eigenvectors are taken in column blocks of _BLOCK: per block, R V and
-    R^dag V are block gemms on V's rows, the n x 3 rank tests are one
-    stacked thin SVD, and the case-5 partners exp(-zM) psi are row
-    scales, checked against V diag(w) V^dag at rtol ||H||_F = rtol ||w||
-    by one gemm.
-    Each record depends on its own eigenvector only, not on its block.
-
-    Memory: besides the n x n operators, O(n * _BLOCK) workspace per
-    block, so no (n, n, 3) stack is ever formed.
+    triple.h0 is never read.  In M's eigenbasis (_m_eigenbasis), R is held
+    as its ladder blocks (_ladder_blocks) and the eigenvectors are
+    classified _BLOCK columns at a time (_classify_block), in
+    O(n * _BLOCK) workspace besides the n x n operators: no (n, n, 3)
+    stack is formed, and each record depends on its own eigenvector only.
     """
     r = _in_m_basis(triple.r, m_spec) if m_spec.order is None else triple.r
     h_spec, m_spec = _m_eigenbasis(h_spec, m_spec)
-    return _scan_stability(h_spec, _ladder_blocks(r, triple.gamma, m_spec),
-                           triple.gamma, m_spec, tol)
+    return _records(h_spec.eigenvalues, _scan_stability(
+        h_spec, _ladder_blocks(r, triple.gamma, m_spec), triple.gamma,
+        m_spec, tol))
+
+
+def _records(eigenvalues: np.ndarray, scan: tuple) -> List[StabilityRecord]:
+    """The records of _classify_block's or _scan_stability's arrays."""
+    cases, coeffs, flags, *partners = scan
+    partners = map(PartnerRecord, *(p.tolist() for p in partners))
+    return [StabilityRecord(  # fields in order, the three flags as *f
+        index, eigenvalue, case > 0, (case,) if case else (), case or None,
+        tuple(c), *f, next(partners) if case == 5 else None)
+        for index, (eigenvalue, case, c, f) in enumerate(zip(
+            eigenvalues.tolist(), cases.tolist(), coeffs.tolist(),
+            flags.tolist()))]
 
 
 def _scan_stability(h_spec: SpectralDecomposition, r: _Blocks,
                     gamma: float, m_spec: SpectralDecomposition,
-                    tol: Tolerance) -> List[StabilityRecord]:
-    """scan_spectrum_stability on the R and gamma of a triple in M's
-    eigenbasis, R in H's units as _ladder_blocks holds it."""
+                    tol: Tolerance) -> tuple:
+    """_classify_block's arrays over the whole spectrum, in index order, on
+    the R and gamma of a triple in M's eigenbasis, R in H's units as
+    _ladder_blocks holds it: (cases, coeffs, flags) per eigenvector and
+    (z, e_second, residual) per case-5 eigenvector."""
     ladder = _ladder(h_spec, r, gamma, m_spec)
-    records: List[StabilityRecord] = []
-    for start in range(0, h_spec.dim, _BLOCK):
-        stop = min(start + _BLOCK, h_spec.dim)
-        records.extend(_classify_block(
-            ladder, h_spec.eigenvectors[:, start:stop],
-            h_spec.eigenvalues[start:stop], range(start, stop), tol))
-    return records
+    blocks = [_classify_block(ladder, h_spec.eigenvectors[:, s:s + _BLOCK],
+                              h_spec.eigenvalues[s:s + _BLOCK], tol)
+              for s in range(0, h_spec.dim, _BLOCK)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*blocks))
 
 
 def case_counts(records: List[StabilityRecord]) -> dict:

@@ -3,7 +3,8 @@
 None of these is on the library's path: each forms dense products the
 pipeline avoids (nested commutators one by one, f(M) as a matrix, the
 similarity transform both ways, a sector-reduced angular solver, the
-commutes_* flags and the scan's R V and R^dag V with a dense R).
+commutes_* flags and the scan's R V and R^dag V with a dense R), or takes
+one relation at a time where the scan takes arrays.
 """
 
 import cmath
@@ -117,6 +118,41 @@ def dense_commute_flags(h0: np.ndarray, r: np.ndarray, m: Operator,
 def dense_ladder_products(r: np.ndarray, vectors: np.ndarray):
     """(R V, R^dag V) as two dense gemms."""
     return r @ vectors, r.conj().T @ vectors
+
+
+def classify_relation(stable: bool, x: complex, y: complex, u: complex,
+                      both_annihilate: bool, cutoff: float = 1e-8):
+    """(case, (x, y, u)) of one rank-test relation x a + y b = u psi, one
+    Python scalar at a time: (1, 0, 0) where R and R^dag both annihilate
+    psi; case 1 when |u| <= cutoff max(|x|, |y|, |u|); else, at u = 1,
+    case 4 when |x + y| <= cutoff max(|x|, |y|), case 5 otherwise; case 0
+    when unstable.  A case-1 or unstable relation is rotated so that its
+    first largest-magnitude entry is real positive."""
+    if both_annihilate:
+        x, y, u = 1.0 + 0.0j, 0.0j, 0.0j
+    case = 0
+    if stable and abs(u) <= cutoff * max(abs(x), abs(y), abs(u)):
+        case = 1
+    elif stable:
+        x, y, u = x / u, y / u, 1.0 + 0.0j
+        case = 4 if abs(x + y) <= cutoff * max(abs(x), abs(y)) else 5
+    if case in (0, 1):
+        pivot = max((x, y, u), key=abs)
+        x, y, u = (v * abs(pivot) / pivot for v in (x, y, u))
+    return case, (x, y, u)
+
+
+def ladder_exponent(x: complex, y: complex, gamma: float,
+                    cutoff: float = 1e-8):
+    """(z, eps) of a case-5 relation x R psi + y R^dag psi = psi, by
+    cmath: exp(z gamma) = -y/x, with Im(z gamma) = +pi on the branch cut
+    up to cutoff, and eps = (exp(-z gamma) - 1) / x."""
+    ratio = -y / x
+    log_ratio = cmath.log(ratio)
+    if ratio.real < 0 and abs(ratio.imag) <= cutoff * abs(ratio):
+        log_ratio = complex(log_ratio.real, cmath.pi)
+    z = log_ratio / gamma
+    return z, (cmath.exp(-z * gamma) - 1.0) / x
 
 
 def _structure(doc):

@@ -18,7 +18,7 @@ def test_pyproject_version_is_the_package_version():
 
 # Lines that src/gensym/*.py may hold in all, as wc -l counts them.  A
 # change that must grow src/ raises the number and says why in CHANGES.md.
-SRC_LINE_BUDGET = 2485
+SRC_LINE_BUDGET = 2453
 
 
 def test_src_line_budget():

@@ -12,15 +12,16 @@ from gensym import (
     canonical_eigenbasis,
     canonicalize,
     cli,
+    detect,
     hermitian_eigh,
     make_operator,
     reconstruct_case2,
     scan_spectrum_stability,
     stability,
+    verify_triple,
 )
 from gensym.stability import (STABILITY_CUTOFF, _classify_block, _ladder,
-                              _ladder_exponent, _partners, _rank_tests,
-                              case_counts)
+                              _partners, _rank_tests, _records, case_counts)
 from gensym.operators import _ladder_blocks
 from gensym.models import (angular_block, fermion_chain, hardcore_chain,
                            involution_example, jaynes_cummings,
@@ -44,20 +45,22 @@ def _triple_ladder(h_spec, triple, m_spec):
                    triple.gamma, m_spec)
 
 
-def classify_column(psi, eigenvalue, h_spec, triple, m_spec, index=0):
+def classify_column(psi, eigenvalue, h_spec, triple, m_spec):
     """_classify_block on one eigenvector of the H that h_spec decomposes,
-    as a block of one column."""
-    return _classify_block(_triple_ladder(h_spec, triple, m_spec),
-                           np.reshape(psi, (-1, 1)),
-                           np.array([float(eigenvalue)]), [index],
-                           Tolerance())[0]
+    as a block of one column, read as a record."""
+    eigenvalues = np.array([float(eigenvalue)])
+    return _records(eigenvalues, _classify_block(
+        _triple_ladder(h_spec, triple, m_spec), np.reshape(psi, (-1, 1)),
+        eigenvalues, Tolerance()))[0]
 
 
 def partner_column(psi, eigenvalue, coeffs, h_spec, triple, m_spec):
-    """_partners on one eigenvector of h_spec's H with the given (x, y)."""
-    return _partners(_triple_ladder(h_spec, triple, m_spec),
-                     np.reshape(psi, (-1, 1)), np.array([float(eigenvalue)]),
-                     [coeffs], Tolerance())[0]
+    """_partners on one eigenvector of h_spec's H with the given (x, y):
+    its (z, e_second, residual)."""
+    z, e_second, residual = _partners(
+        _triple_ladder(h_spec, triple, m_spec), np.reshape(psi, (-1, 1)),
+        np.array([float(eigenvalue)]), *np.array([coeffs]).T, Tolerance())
+    return complex(z[0]), float(e_second[0]), float(residual[0])
 
 
 def partner_vector(psi, partner, h, m_spec):
@@ -127,7 +130,7 @@ class TestClassify:
     def test_middle_vector_is_case1(self):
         triple, h_spec, m_spec = angular_setup(1)
         rec = classify_column(h_spec.eigenvectors[:, 1], -0.5, h_spec,
-                              triple, m_spec, index=1)
+                              triple, m_spec)
         assert rec.stable
         assert rec.primary_case == 1
         assert rec.sum_annihilates
@@ -138,7 +141,7 @@ class TestClassify:
         for i in (0, 2):
             rec = classify_column(h_spec.eigenvectors[:, i],
                                   float(h_spec.eigenvalues[i]), h_spec,
-                                  triple, m_spec, index=i)
+                                  triple, m_spec)
             assert rec.primary_case == 5
             assert rec.partner is not None
 
@@ -271,7 +274,7 @@ def test_partner_z_is_stable_on_the_branch_cut():
     x = rec.coeffs[0]
     zs = [partner_column(h_spec.eigenvectors[:, 0], rec.eigenvalue,
                          (x, x * (1 + sign * 1e-17j)), h_spec, triple,
-                         m_spec).z
+                         m_spec)[0]
           for sign in (1, -1)]
     assert zs[0] == zs[1]
     assert zs[0].imag * triple.gamma.real == pytest.approx(np.pi)
@@ -313,8 +316,7 @@ def test_scan_matches_per_vector_classify(name):
     assert [rec.index for rec in records] == list(range(h_spec.dim))
     for rec in records:
         psi = h_spec.eigenvectors[:, rec.index]
-        one = classify_column(psi, rec.eigenvalue, h_spec, triple, m_spec,
-                              index=rec.index)
+        one = classify_column(psi, rec.eigenvalue, h_spec, triple, m_spec)
         assert (rec.stable, rec.cases, rec.primary_case) == (
             one.stable, one.cases, one.primary_case)
         assert (rec.r_annihilates, rec.rd_annihilates,
@@ -336,6 +338,39 @@ def test_scan_matches_per_vector_classify(name):
         assert rec.partner.e_second == pytest.approx(one.partner.e_second,
                                                      rel=1e-12, abs=1e-12)
         partner_vector(psi, rec.partner, bundle.h.entries, m_spec)
+
+
+@pytest.mark.parametrize("name", SCAN_MODELS)
+def test_array_pass_matches_the_scalar_reference(name):
+    # _classify_block's decisions equal reference.classify_relation's,
+    # relation by relation, and its coeffs, z and e_second agree with the
+    # Python scalar arithmetic to 1e-14 of their scale: numpy's complex
+    # division, log and exp may round differently in the last digits.
+    bundle = SCAN_MODELS[name]()
+    triple = canonicalize(
+        reconstruct_case2(bundle.h, bundle.m, bundle.known.gamma))
+    h_spec = canonical_eigenbasis(bundle.h, bundle.m)
+    ladder = _triple_ladder(h_spec, triple, hermitian_eigh(bundle.m))
+    vectors, w = h_spec.eigenvectors, h_spec.eigenvalues
+    a, b = (ladder.r.times(vectors) / ladder.r_norm,
+            ladder.r_dag.times(vectors) / ladder.r_norm)
+    rank = _rank_tests(a, b, vectors)
+    cases, coeffs, flags, z, e_second, _ = _classify_block(
+        ladder, vectors, w, Tolerance())
+    partners = iter(zip(z, e_second))
+    for j, (stable, x, y, u) in enumerate(zip(*rank)):
+        case, rel = reference.classify_relation(
+            stable, x, y, u, flags[j, 0] and flags[j, 1])
+        assert cases[j] == case
+        want = np.array(rel) * [1 / ladder.r_norm, 1 / ladder.r_norm, 1]
+        np.testing.assert_allclose(coeffs[j], want, rtol=0,
+                                   atol=1e-14 * np.abs(want).max())
+        if case == 5:
+            zj, ej = next(partners)
+            z_ref, eps = reference.ladder_exponent(*want[:2], triple.gamma)
+            assert abs(zj - z_ref) <= 1e-14 * abs(z_ref)
+            assert abs(ej - (w[j] + eps.real)) <= 1e-14 * ladder.h_norm
+    assert next(partners, None) is None
 
 
 def _record_fields(rec):
@@ -465,25 +500,64 @@ def test_partner_gate_holds_at_noise_below_rtol():
     assert report["stability"]["counts"] == {"1": 2, "5": 32}
 
 
+def small_tol_pair(rtol):
+    """(H, M, Tolerance(rtol)): M = diag(0, 1e-4, 1) and H0 + c (e_0 e_1^T
+    + e_1 e_0^T), c = 0.7 rtol ||H0||_F / sqrt(2), so that the coupling
+    of M's two nearest levels is 0.7 of the triple's gate."""
+    h = np.array([[0.5, 0.0, 1.0], [0.0, 0.2, 0.0], [1.0, 0.0, 2.0]])
+    h[0, 1] = h[1, 0] = 0.7 * rtol * np.linalg.norm(h) / np.sqrt(2)
+    m = make_operator(3, np.diag([0.0, 1e-4, 1.0]))
+    return make_operator(3, h), m, Tolerance(rtol=rtol)
+
+
+def test_partner_gate_at_the_default_tol():
+    report = cli.analyze_pair(*small_tol_pair(1e-8))
+    assert report["detection"]["kind"] == "case2"
+    assert report["triple"]["verified"] is True
+    assert report["stability"]["counts"] == {"0": 2, "5": 1}
+
+
+@pytest.mark.xfail(strict=True, raises=NumericalError, reason=(
+    "the case-5 relation is fixed at STABILITY_CUTOFF whatever rtol, so "
+    "the partner residual does not scale with its gate (ROADMAP item 16)"))
+def test_partner_gate_at_a_small_tol():
+    # The triple verifies; the scan then raises "partner residual
+    # 6.940e-11 exceeds tolerance" against a gate of 2.5e-11.
+    h, m, tol = small_tol_pair(1e-11)
+    triple = reconstruct_case2(h, m, detect(h, m, tol).gamma1, tol)
+    assert verify_triple(h, m, triple, tol).passed
+    report = cli.analyze_pair(h, m, tol)
+    assert report["triple"]["verified"] is True
+    assert report["stability"] is not None
+
+
 @pytest.mark.parametrize("factor, passes", [(0.5, True), (2.0, False)])
 def test_a_shift_off_the_real_axis_fails_the_gate(factor, passes):
     # exp(z gamma) = -y/x gives the shift eps = -1/x - 1/y, real for the
     # relation of a Hermitian H.  With x = 1 and 1/y = -1 - i t the shift
-    # is i t, gated at rtol ||H||_F.
+    # is i t, gated at rtol ||H||_F.  psi, H's ground state, lies in one
+    # M-cluster, so its partner exp(-zM) psi is psi up to a factor and
+    # passes the residual gate whatever z.
     bundle = jaynes_cummings(1.0, 1.0, 0.1, cutoff=4)
     triple = canonicalize(
         reconstruct_case2(bundle.h, bundle.m, bundle.known.gamma))
-    ladder = _triple_ladder(canonical_eigenbasis(bundle.h, bundle.m), triple,
-                            hermitian_eigh(bundle.m))
+    h_spec = canonical_eigenbasis(bundle.h, bundle.m)
+    ladder = _triple_ladder(h_spec, triple, hermitian_eigh(bundle.m))
     t = factor * Tolerance().rtol * ladder.h_norm
     x, y = 1.0 + 0.0j, 1.0 / complex(-1.0, -t)
+    psi, eigenvalue = h_spec.eigenvectors[:, [0]], h_spec.eigenvalues[:1]
+
+    def partner():
+        return _partners(ladder, psi, eigenvalue, np.array([x]),
+                         np.array([y]), Tolerance())
+
     if passes:
-        z, eps = _ladder_exponent(x, y, ladder, Tolerance())
-        assert cmath.exp(z * triple.gamma) == pytest.approx(-y / x)
-        assert abs(eps) <= 1e-15
+        z, e_second, _ = partner()
+        assert cmath.exp(z[0] * triple.gamma) == pytest.approx(-y / x)
+        assert abs(e_second[0] - eigenvalue[0]) <= 1e-15
     else:
         with pytest.raises(NumericalError, match="is not real"):
-            _ladder_exponent(x, y, ladder, Tolerance())
+            partner()
 
 
 def test_a_nan_partner_residual_fails_the_gate(monkeypatch):
@@ -492,8 +566,12 @@ def test_a_nan_partner_residual_fails_the_gate(monkeypatch):
         reconstruct_case2(bundle.h, bundle.m, bundle.known.gamma))
     h_spec = canonical_eigenbasis(bundle.h, bundle.m)
     m_spec = hermitian_eigh(bundle.m)
-    # A NaN exponent z makes every partner exp(-zM) psi NaN.
-    monkeypatch.setattr(stability, "_ladder_exponent",
-                        lambda *args: (complex(np.nan, np.nan), 0.0))
-    with pytest.raises(NumericalError, match="partner residual nan"):
+    # A NaN gamma makes every exponent z, and so every partner
+    # exp(-zM) psi, NaN; the shift gate passes a NaN shift on to it.
+    # numpy warns when it divides by NaN.
+    ladder = stability._ladder
+    monkeypatch.setattr(stability, "_ladder", lambda h_spec, r, gamma, m_spec:
+                        ladder(h_spec, r, np.nan, m_spec))
+    with (np.errstate(invalid="ignore"),
+          pytest.raises(NumericalError, match="partner residual nan")):
         scan_spectrum_stability(h_spec, triple, m_spec)

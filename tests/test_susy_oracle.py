@@ -11,6 +11,11 @@ S^2 + |z| S.  So, with no tolerance of gensym's own:
 - every other eigenvector psi has (R + R^dag) psi = |z| s psi in the
   gauge, a relation with x = y, so its case-5 partner has z = i pi /
   gamma, and sits at s^2 - |z| s: the SUSY partner exp(-i pi F) psi.
+
+Two eigenvalues s != s' of S share an energy when |z| = -(s + s').  The
+last z below, |z| = sqrt(2), does this on every L: s = -sqrt(2) and the
+zero modes s' = 0 both sit at energy 0, a case-5 and a case-1 level of
+one eigenvalue of H, and the oracle holds there too.
 """
 
 import functools
@@ -23,10 +28,11 @@ from gensym import Tolerance
 from gensym.cli import analyze_pair
 from gensym.models import hardcore_chain
 
-SITES = range(2, 8)
-ZS = [0.3 + 0.1j, 0.2, -0.4]
-# dim ker S for L = 2..7.
-KERNEL = {2: 2, 3: 4, 4: 4, 5: 8, 6: 16, 7: 24}
+SITES = range(2, 9)
+DEGENERATE_Z = 1 + 1j  # |z| = sqrt(2) = -(s + s') for s = -sqrt(2), s' = 0
+ZS = [0.3 + 0.1j, 0.2, -0.4, DEGENERATE_Z]
+# dim ker S for L = 2..8.
+KERNEL = {2: 2, 3: 4, 4: 4, 5: 8, 6: 16, 7: 24, 8: 40}
 
 
 @functools.lru_cache(maxsize=None)
@@ -68,6 +74,16 @@ def test_spectrum_cases_and_partners(sites, z):
             4e-15 * h_norm)
 
 
+@pytest.mark.parametrize("sites", SITES)
+def test_the_degenerate_z_joins_two_values_of_s(sites):
+    # The zero modes and the s = -sqrt(2) states all sit at energy 0.
+    report, s, h_norm = oracle(sites, DEGENERATE_Z)
+    joined = np.sum(np.abs(s + math.sqrt(2)) <= 1e-10 * np.linalg.norm(s))
+    assert joined >= 1
+    at_zero = np.abs(report["spectrum"]) <= 4e-15 * h_norm
+    assert np.sum(at_zero) == KERNEL[sites] + joined
+
+
 def partners_outside_their_class(report, h_norm):
     """Case-5 records with no eigenvector at their partner's eigenvalue,
     within rtol ||H||_F, in their own class."""
@@ -86,8 +102,9 @@ def partners_outside_their_class(report, h_norm):
 
 # The partner exp(-zM) psi is f(M) psi, in psi's multiplet by the paper's
 # definition.  From L = 5 on, the partner's eigenvalue is degenerate and
-# the canonical basis inside it knows nothing of R: 4, 24 and 58 partners
-# at z = 0.3+0.1i (4, 24 and 54 at z = 0.2 and -0.4) fall outside their
+# the canonical basis inside it knows nothing of R: 4, 24, 58 and 130
+# partners at z = 0.3+0.1i (4, 24, 54 and 140 at z = 0.2, 4, 24, 54 and
+# 132 at z = -0.4, 12, 28, 52 and 134 at z = 1+1i) fall outside their
 # class (ROADMAP item 7).
 CLOSURE = [pytest.param(sites, z, marks=pytest.mark.xfail(
     strict=True, reason="partners outside their class (ROADMAP item 7)"))

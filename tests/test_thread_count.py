@@ -8,6 +8,11 @@ field that is not a float identical, every float within 1e-12 of its
 scale (reference.assert_reports_agree), a residual within 1e-12 of its
 gate's unit, as its value is rounding.
 
+The acceptance suite's models also go through the command line in each
+process: `gensym model` writes them and `gensym analyze` reads them back,
+from paths relative to a scratch directory so that the reports' inputs
+agree.
+
 Run as a script, this module prints the reports of every pair as JSON.
 """
 
@@ -16,6 +21,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +30,18 @@ import pytest
 from reference import assert_reports_agree
 
 ROOT = Path(__file__).resolve().parent.parent
+# `gensym model` arguments of the acceptance suite's models.
+MODELS = {
+    "cli_angular": ["angular", "--l", "2", "--en", "-0.125", "--g", "0.1"],
+    "cli_jc": ["jc", "--omega0", "1.3", "--omega", "1.0", "--kappa", "0.2",
+               "--cutoff", "16"],
+    "cli_hardcore": ["hardcore", "--sites", "6", "--z", "0.2"],
+    "cli_projection": ["projection", "--dim", "16", "--seed", "2"],
+    "cli_involution": ["involution", "--dim", "16", "--seed", "3"],
+}
 NAMES = ["angular_l40", "jc_127", "hardcore_7", "hardcore_8", "fermion_7",
          "random_triple", "projection_200", "hardcore_7_orthogonal",
-         "hardcore_8_orthogonal", "random_triple_orthogonal"]
+         "hardcore_8_orthogonal", "random_triple_orthogonal", *MODELS]
 
 
 def pairs():
@@ -121,9 +136,29 @@ def test_classes_agree_across_thread_counts(name):
             == reports(2)[name][0]["multiplets"])
 
 
+def cli_reports():
+    """{name: (report, ||M||_F)} of `gensym model` and `gensym analyze`
+    on each of MODELS, run in a scratch directory."""
+    from gensym import load_operator
+    from gensym.cli import main
+
+    out = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        for name, argv in MODELS.items():
+            h, m, report = (f"{name}_{x}.json" for x in ("H", "M", "report"))
+            assert main(["model", *argv, "--out-prefix", f"{name}_"]) == 0
+            assert main(["analyze", "--hamiltonian", h, "--symmetry", m,
+                         "--out", report]) == 0
+            with open(report, encoding="utf-8") as fh:
+                out[name] = (json.load(fh), load_operator(m).norm)
+        os.chdir(ROOT)
+    return out
+
+
 if __name__ == "__main__":
     from gensym import Tolerance
     from gensym.cli import analyze_pair
 
-    print(json.dumps({name: (analyze_pair(h, m, Tolerance()), m.norm)
-                      for name, h, m in pairs()}))
+    print(json.dumps({**{name: (analyze_pair(h, m, Tolerance()), m.norm)
+                         for name, h, m in pairs()}, **cli_reports()}))

@@ -13,9 +13,10 @@ from gensym import (NumericalError, SpectralDecomposition, Tolerance, detect,
                     hermitian_eigh, make_operator, partition)
 from gensym.detection import (SCREEN_MIN_DIM, _probe_screen,
                               reconstruct_case2, verify_triple)
-from gensym.operators import (_hermitian_eigvalsh, _skew_norm, _unit, fro,
-                              is_hermitian)
-from gensym.stability import _rank_tests, _screen
+from gensym import stability
+from gensym.operators import (_hermitian_eigvalsh, _ladder_blocks,
+                              _skew_norm, _unit, fro, is_hermitian)
+from gensym.stability import _classify_block, _ladder, _rank_tests
 
 from conftest import op, random_hermitian
 
@@ -125,19 +126,41 @@ def test_rank_test_cutoff(rng, factor, inside):
     assert bool(stable[0]) is inside
 
 
+def screened_case(monkeypatch, x, y, u, stable=True):
+    """_classify_block's case for psi = e_0 under R = e_1 e_0^T, gamma = 1,
+    whose rank test is stubbed to the relation x a + y b = u psi, stable
+    or not; a case-5 partner is not formed."""
+    m = make_operator(2, np.diag([1.0, 0.0]))
+    h = make_operator(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    triple = reconstruct_case2(h, m, 1.0)
+    m_spec = hermitian_eigh(m)
+    ladder = _ladder(hermitian_eigh(h), _ladder_blocks(triple.r, 1.0, m_spec),
+                     1.0, m_spec)
+    monkeypatch.setattr(stability, "_rank_tests", lambda a, b, psi: (
+        np.array([stable]), *(np.array([v]) for v in (x, y, u))))
+    monkeypatch.setattr(stability, "_partners",
+                        lambda ladder, vectors, eigenvalues, x, y, tol:
+                        (x, eigenvalues, eigenvalues))
+    cases = _classify_block(ladder, np.array([[1.0], [0.0]]), np.zeros(1),
+                            Tolerance())[0]
+    return int(cases[0])
+
+
 @SIDES
-def test_case_1_screen(factor, inside):
+def test_case_1_screen(monkeypatch, factor, inside):
     # x a + y b = u psi with |u| at factor * cutoff * max(|x|, |y|, |u|).
-    case, _ = _screen(1.0 + 0j, 0.5 + 0j, factor * STABILITY_CUTOFF + 0j)
+    case = screened_case(monkeypatch, 1.0 + 0j, 0.5 + 0j,
+                         factor * STABILITY_CUTOFF + 0j)
     assert (case == 1) is inside
 
 
 @SIDES
-def test_case_4_screen(factor, inside):
-    # u = 1 and x + y at factor * cutoff * max(|x|, |y|) = factor * cutoff.
-    case, _ = _screen(1.0 + 0j, -1.0 + factor * STABILITY_CUTOFF + 0j,
-                      1.0 + 0j)
-    assert case == (4 if inside else 5)
+def test_case_4_screen(monkeypatch, factor, inside):
+    # u = 1 and x + y at factor * cutoff * max(|x|, |y|) = factor * cutoff;
+    # unstable, the same relation takes no case on either side.
+    relation = (1.0 + 0j, -1.0 + factor * STABILITY_CUTOFF + 0j, 1.0 + 0j)
+    assert screened_case(monkeypatch, *relation) == (4 if inside else 5)
+    assert screened_case(monkeypatch, *relation, stable=False) == 0
 
 
 @SIDES
