@@ -1,7 +1,7 @@
 """Generalised-symmetry detection, multiplet partitioning, and eigenvector
 stability analysis for finite Hermitian operator pairs."""
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 from .detection import (
     CASE2,

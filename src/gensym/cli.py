@@ -17,9 +17,9 @@ from .detection import (
     CASE2,
     GENUINE,
     NO_GENSYM,
+    _detect,
     _grade_triple,
     _split,
-    detect,
 )
 from .models import (
     ModelBundle,
@@ -199,7 +199,7 @@ def _stability_record(eigenvalues: np.ndarray, scan: tuple) -> dict:
 
 def analyze_pair(h, m, tol: Tolerance, digests: Optional[dict] = None) -> dict:
     """Full pipeline on one (H, M) pair; returns the report document."""
-    result = detect(h, m, tol)
+    result, held = _detect(h, m, tol)
     report = {
         "tool": {"name": "gensym", "version": __version__},
         "tolerances": {"rtol": tol.rtol},
@@ -216,11 +216,13 @@ def analyze_pair(h, m, tol: Tolerance, digests: Optional[dict] = None) -> dict:
                NO_GENSYM: "no generalised symmetry detected"}.get(result.kind)
     if result.kind == CASE2:
         # The fit returns gamma = sqrt(gamma^2) > 0: the triple is canonical.
-        # (H0, R) are H's blocks in M's eigenbasis, over 2^a until the scan,
-        # and H0 is released once graded: the scan reads only R and gamma.
+        # (H0, R) are the fit's H in M's eigenbasis on its blocks, over 2^a
+        # until the scan, and H0 is released once graded: the scan reads
+        # only R and gamma.
         gamma = result.gamma1
-        m_spec = hermitian_eigh(m, tol)
-        h0, ladder, residual_sum = _split(h, m_spec, gamma)
+        m_spec = held[0]
+        h0, ladder, residual_sum = _split(*held, gamma)
+        del held
         report["triple"] = _triple_record(gamma, _grade_triple(
             h, m, m_spec, h0, ladder, gamma, residual_sum, tol))
         del h0
@@ -288,19 +290,17 @@ def run_sweep(args: argparse.Namespace) -> int:
     for value in values:
         setattr(args, args.param, value)
         bundle = build()
-        result = detect(bundle.h, bundle.m, tol)
         me = bundle.m.entries
         if (held_m is None or held_m.dtype != me.dtype
                 or held_m.tobytes() != me.tobytes()):
-            held_m, m_spec, gammas = me, None, []
+            held_m, m_spec, gammas = me, hermitian_eigh(bundle.m, tol), []
+        result = _detect(bundle.h, bundle.m, tol, m_spec)[0]
         if result.kind == CASE2:
             gammas.append(result.gamma1)
             if max(gammas) - min(gammas) > tol.rtol * max(gammas):
                 raise NumericalError(
                     f"gamma drifts at fixed M: {min(gammas)} .. {max(gammas)}")
         h_spec = canonical_eigenbasis(bundle.h, bundle.m, tol)
-        if m_spec is None:
-            m_spec = hermitian_eigh(bundle.m, tol)
         classes, _ = _greedy_classes(h_spec, m_spec, tol)
         class_of = {i: c for c, members in enumerate(classes)
                     for i in members}

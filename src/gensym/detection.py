@@ -4,27 +4,25 @@ A Hermitian M is a generalised symmetry of a Hermitian H when H splits as
 H0 + R + R^dag with [H0, M] = 0 and [R, M] = gamma*R for some nonzero
 gamma.  In finite dimension the spectrum of M is discrete, so gamma is
 real (paper, Theorem 2).  The split is decided by fitting the third
-nested commutator of H with M against the first, C3 = gamma^2 C1, and
-H0 and R are then read off H's blocks in M's eigenbasis, where the
-commutators are entrywise.
+nested commutator of H with M against the first, C3 = gamma^2 C1.  In
+M's eigenbasis W the commutators are entrywise, C_k = Delta^k o H~ with
+H~ = W^dag H W and Delta_ij = mu_j - mu_i: the fit weighs H~'s entries,
+and H0 and R are read off its blocks.  All of it runs on (H / 2^a,
+M / 2^b), 2^a and 2^b just above ||H||_F and ||M||_F: the relation is
+homogeneous and a power-of-two scale is exact, so every bit is that of
+the unscaled arithmetic wherever that stays inside the float range.
 
-The fit runs on (H / 2^a, M / 2^b), with 2^a and 2^b just above ||H||_F and
-||M||_F.  The relation is homogeneous and a power-of-two scale is exact,
-so every bit of the result is that of the unscaled arithmetic wherever
-that stays inside the float range, and is defined far beyond it.
-
-A dense pair from SCREEN_MIN_DIM on is first screened by PROBES seeded
-random vectors V (Freivalds' check): C1 V and C3 V come from thin
-products with H and M alone, and the pair is rejected as no_gensym,
-with no commutator formed, only when neither the genuine gate nor the
-case-2 fit can hold for (C1, C3) but with chance below 2^-40.  Any other
-pair goes on to the exact fit, whose result the screen leaves bit for bit.
+A pair with a dense M is first screened by PROBES seeded random vectors
+V (Freivalds' check): C1 V and C3 V come from thin products with H and M
+alone, and the pair is rejected as no_gensym, with no commutator formed,
+only when neither the genuine gate nor the case-2 fit can hold for
+(C1, C3) but with chance below 2^-40.  Any other pair goes on to the
+exact gate and fit, whose result the screen leaves bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -82,18 +80,6 @@ PROBE_LOWER = 0.01065501844926679
 # A probe fit residual above PROBE_MARGIN * rtol rejects case 2 (24.5).
 PROBE_MARGIN = math.sqrt(PROBE_UPPER / PROBE_LOWER)
 
-# The screen takes 10 products of an n x n operand by an n x PROBES
-# block (M V, M^2 V, M^3 V, H [V, MV, M^2 V, M^3 V] and three more by M),
-# 10 PROBES n^2 multiply-adds against the exact chain's 3 n^3, but thin
-# products run far below a square gemm's rate.  It runs from where, timed
-# on one BLAS thread, it costs at most a third of the chain on a dense
-# case-2 pair that it passes on: screen / chain was 0.38-0.42 at n = 128
-# and 0.27-0.30 at n = 160 for a complex pair, and 0.29-0.38 at n = 256
-# and 0.27-0.30 at n = 320 for a real pair, whose products with the
-# complex probes take 2 PROBES real columns and whose chain is real.
-SCREEN_MIN_DIM = 20 * PROBES
-SCREEN_MIN_DIM_REAL = 2 * SCREEN_MIN_DIM
-
 
 @dataclass(frozen=True)
 class DetectionResult:
@@ -140,60 +126,53 @@ class GenSymTriple:
         object.__setattr__(self, "gamma", _real_nonzero(self.gamma))
 
 
-def _require_hermitian_pair(h: Operator, m: Operator):
-    if h.dim != m.dim:
-        raise ValueError(f"dimension mismatch: {h.dim} vs {m.dim}")
-    if not h.hermitian:
-        raise ValueError(f"H ({h.label!r}) is not Hermitian within gate")
-    if not m.hermitian:
-        raise ValueError(f"M ({m.label!r}) is not Hermitian within gate")
-
-
-def _commutator_chain(he: np.ndarray, m: Operator, a: int = 0, b: int = 0):
-    """Yield C_1, C_2, ... with C_k = [C_{k-1}, M / 2^b], C_0 = H / 2^a.
-
-    For Hermitian H and M, C_k is anti-Hermitian for odd k and Hermitian
-    for even k, so C_k = X - X^dag or X + X^dag with X = C_{k-1} M / 2^b:
-    one gemm per commutator (a column scale for a real diagonal M), and
-    each C_k is exactly (anti-)Hermitian.  C_k is formed in place in the
-    gemm's output, so the chain holds one n^2 array per commutator taken
-    (H / 2^a is dropped once C_1 exists).  Lazy, so a caller pays only
-    for the commutators it takes.
-    """
-    c = he * 2.0 ** -a
-    for k in itertools.count(1):
-        c = _times_m(c, m)
-        c *= 2.0 ** -b
-        yield _add_adjoint(c, -1 if k % 2 else 1)
-
-
-def _fit_case2(c1: np.ndarray, c3: np.ndarray,
-               out: Optional[np.ndarray] = None):
-    """Least-squares fit of C3 = gamma^2 * C1 over real gamma^2.
-
-    Returns (sqrt(max(gamma^2, 0)), ||C3 - gamma^2 C1|| / ||C3||): the
-    residual is the sine of the angle between C1 and C3, unchanged when H
-    or M is scaled.  gamma^2 is taken on a power-of-two rescale of both
-    when ||C1||^2 would leave the float range, as fro's norms are.  The difference is formed by row blocks in ``out``, a
-    new array when None; ``out`` may be c3 itself, then overwritten.
-    C1 != 0: both callers fit only once ||C1|| has passed a gate.
-    """
+def _fit_case2(c1: np.ndarray, c3: np.ndarray):
+    """(sqrt(max(gamma^2, 0)), ||C3 - gamma^2 C1|| / ||C3||) for the
+    least-squares fit C3 = gamma^2 C1 of the probe screen's C1 V and C3 V,
+    which has passed a gate: C1 != 0.  gamma^2 is read on C1 / 2^s and
+    C3 / 2^s, 2^s just above ||C1||, an exact rescale that keeps ||C1||^2
+    inside the float range."""
     n1 = fro(c1)
     n3 = fro(c3)
     if n3 == 0.0:  # C1 != 0 implies C3 != 0 in exact arithmetic
         raise NumericalError("the case-2 fit underflows: C3 = 0, C1 != 0")
-    if 2.0 ** -450 < n1 < 2.0 ** 450:
-        gamma_sq = np.vdot(c1, c3).real / n1 ** 2
-    else:  # on C1 / 2^s and C3 / 2^s, 2^s just above ||C1||: both exact
-        unit = 2.0 ** -_unit(n1)
-        gamma_sq = np.vdot(c1 * unit, c3 * unit).real / (n1 * unit) ** 2
-    if out is None:
-        out = np.empty(c3.shape, np.result_type(c3, c1))
-    step = max(1, TILE ** 2 // len(c3))
-    for i in range(0, len(c3), step):
-        rows = slice(i, i + step)
-        np.subtract(c3[rows], gamma_sq * c1[rows], out=out[rows])
-    return float(np.sqrt(max(gamma_sq, 0.0))), float(fro(out) / n3)
+    unit = 2.0 ** -_unit(n1)
+    gamma_sq = np.vdot(c1 * unit, c3 * unit).real / (n1 * unit) ** 2
+    return (float(np.sqrt(max(gamma_sq, 0.0))),
+            float(fro(c3 - gamma_sq * c1) / n3))
+
+
+def _fit_entrywise(x: np.ndarray, unit: float, mu: np.ndarray):
+    """(gamma, ||C3 - gamma^2 C1|| / ||C3||) of the least-squares fit
+    C3 = gamma^2 C1 on C_k = Delta^k o X unit, Delta_ij = mu_j - mu_i:
+    gamma^2 = (||C2|| / ||C1||)^2, and the residual is read as
+    ||Delta (Delta^2 - gamma^2) o X unit||, where no two commutators
+    cancel.  X is read in place TILE rows at a time, and fro keeps its
+    range."""
+    def norms(weights):
+        """||W_k o ... o W_1 o X unit||_F for the weights(Delta) W_k."""
+        bands = []
+        for rows in _bands(len(x)):
+            y = x[rows] * unit
+            bands.append([fro(np.multiply(y, w, out=y))
+                          for w in weights(mu - mu[rows, np.newaxis])])
+        return [fro(np.array(v)) for v in zip(*bands)]
+
+    n1, n2, n3 = norms(lambda delta: (delta,) * 3)
+    if n3 == 0.0:  # C1 != 0 implies C3 != 0 in exact arithmetic
+        raise NumericalError("the case-2 fit underflows: C3 = 0, C1 != 0")
+    gamma_sq = (n2 / n1) ** 2
+    (rest,) = norms(lambda delta: (delta * (delta * delta - gamma_sq),))
+    return math.sqrt(gamma_sq), rest / n3
+
+
+def _h_in_m_basis(h: Operator, m_spec: SpectralDecomposition):
+    """(X, unit) with X unit = H / 2^a in M's eigenbasis: H read in place
+    through ``order`` for a real diagonal M, else W^dag (H / 2^a) W."""
+    unit = 2.0 ** -_unit(h.norm)
+    if m_spec.order is not None:
+        return h.entries, unit
+    return _in_m_basis(h.entries, m_spec, unit), 1.0
 
 
 def detect(h: Operator, m: Operator, tol: Tolerance = DEFAULT_TOL) -> DetectionResult:
@@ -202,33 +181,46 @@ def detect(h: Operator, m: Operator, tol: Tolerance = DEFAULT_TOL) -> DetectionR
     A pair the probe screen rejects is no_gensym with ``screened`` set,
     its residual the probes' fit residual, and forms no commutator.
     """
-    _require_hermitian_pair(h, m)
+    return _detect(h, m, tol)[0]
+
+
+def _detect(h: Operator, m: Operator, tol: Tolerance,
+            m_spec: Optional[SpectralDecomposition] = None):
+    """detect's result, and past the genuine gate the (m_spec, X, unit)
+    the fit read, which _split takes: M's decomposition, ``m_spec`` when
+    the caller holds it, and _h_in_m_basis(h, m_spec)."""
+    if h.dim != m.dim:
+        raise ValueError(f"dimension mismatch: {h.dim} vs {m.dim}")
+    for name, x in (("H", h), ("M", m)):
+        if not x.hermitian:
+            raise ValueError(
+                f"{name} ({x.label!r}) is not Hermitian within gate")
     a, b = _unit(h.norm), _unit(m.norm)
     scale = math.ldexp(h.norm, -a) * math.ldexp(m.norm, -b)
-    real = not (np.iscomplexobj(h.entries) or np.iscomplexobj(m.entries))
-    cutoff = SCREEN_MIN_DIM_REAL if real else SCREEN_MIN_DIM
-    # A real diagonal M makes the exact chain O(n^2): no screen.
-    if m.real_diagonal is None and h.dim >= cutoff:
+    # A real diagonal M makes the exact gate and fit O(n^2): no screen.
+    if m.real_diagonal is None:
         residual = _probe_screen(h.entries, m.entries, a, b,
                                  tol.rtol * scale, tol.rtol)
         if residual is not None:
             return DetectionResult(kind=NO_GENSYM, residual=residual,
-                                   screened=True)
-    chain = _commutator_chain(h.entries, m, a, b)
-    c1 = next(chain)
-    n1 = fro(c1)
+                                   screened=True), None
+    # C1 = Y - Y^dag, Y = (H / 2^a) M / 2^b, dropped once its norm is read.
+    n1 = fro(_add_adjoint(_times_m(h.entries * 2.0 ** -a, m) * 2.0 ** -b, -1))
     if n1 <= tol.rtol * scale:  # so for a zero H or M, where C1 = 0
         return DetectionResult(kind=GENUINE,
-                               residual=n1 / scale if n1 else 0.0)
+                               residual=n1 / scale if n1 else 0.0), None
 
-    next(chain)  # C2, dropped once C3 is formed from it
-    c3 = next(chain)
-    # The fit's difference overwrites C3.
-    gamma, residual = _fit_case2(c1, c3, out=c3)
+    m_spec = m_spec or hermitian_eigh(m, tol)
+    x, unit = _h_in_m_basis(h, m_spec)
+    mu = (m.real_diagonal if m_spec.order is not None
+          else m_spec.eigenvalues) * 2.0 ** -b  # at each index of X
+    gamma, residual = _fit_entrywise(x, unit, mu)
     if gamma > 0 and residual <= tol.rtol:
-        return DetectionResult(kind=CASE2, gamma1=math.ldexp(gamma, b),
-                               residual=residual)
-    return DetectionResult(kind=NO_GENSYM, residual=residual)
+        result = DetectionResult(kind=CASE2, gamma1=math.ldexp(gamma, b),
+                                 residual=residual)
+    else:
+        result = DetectionResult(kind=NO_GENSYM, residual=residual)
+    return result, (m_spec, x, unit)
 
 
 def _probe_block(n: int) -> np.ndarray:
@@ -290,18 +282,14 @@ def _probe_screen(he: np.ndarray, me: np.ndarray, a: int, b: int,
     return residual if residual > PROBE_MARGIN * rtol else None
 
 
-def _split(h: Operator, m_spec: SpectralDecomposition, gamma: float):
-    """(H0, R, ||H - H0 - R - R^dag||_F) / 2^a for case 2, 2^a the unit of
-    ||H||_F as in detection.  In M's eigenbasis W the commutators of
-    H~ = W^dag H W with diag(mu) are entrywise, C_k = Delta^k o H~ with
-    Delta_ij = mu_j - mu_i: H0 is H~ on the diagonal cluster blocks and R
-    on the ladder blocks (_cluster_targets), and H~'s mass off them and
-    R^dag's, read TILE rows at a time, is the split's backward error.  A
-    real diagonal M's H~ is H read through ``order``, else one n^2 buffer.
+def _split(m_spec: SpectralDecomposition, x: np.ndarray, unit: float,
+           gamma: float):
+    """(H0, R, ||H - H0 - R - R^dag||_F) / 2^a for case 2, from (X, unit)
+    = _h_in_m_basis(h, m_spec), where [X, diag(mu)]_ij = Delta_ij X_ij:
+    H0 is X unit on the diagonal cluster blocks and R on the ladder
+    blocks (_cluster_targets), and X unit's mass off them and R^dag's,
+    read TILE rows at a time, is the split's backward error.
     """
-    a = _unit(h.norm)
-    x, unit = ((h.entries, 2.0 ** -a) if m_spec.order is not None
-               else (_in_m_basis(h.entries, m_spec, 2.0 ** -a), 1.0))
     m_spec = _in_eigenbasis(m_spec)
     target = _cluster_targets(m_spec, gamma)
     ids = m_spec.cluster_ids
@@ -324,7 +312,8 @@ def reconstruct_case2(h: Operator, m: Operator, gamma: float,
     back by a dense M's W).  ``tol`` clusters M's spectrum."""
     gamma = _real_nonzero(gamma)
     m_spec = hermitian_eigh(m, tol)
-    h0, r = (x.full(h.dim) for x in _split(h, m_spec, gamma)[:2])
+    h0, r = (x.full(h.dim) for x in _split(
+        m_spec, *_h_in_m_basis(h, m_spec), gamma)[:2])
     if m_spec.order is None:
         w = m_spec.eigenvectors
         h0, r = (_rotate(x.astype(np.result_type(x, w), copy=False), w,

@@ -1,18 +1,21 @@
 """Dense reference computations the tests compare the library against.
 
 None of these is on the library's path: each forms dense products the
-pipeline avoids (nested commutators one by one, f(M) as a matrix, the
-similarity transform both ways, a sector-reduced angular solver, the
-commutes_* flags and the scan's R V and R^dag V with a dense R), or takes
-one relation at a time where the scan takes arrays.
+pipeline avoids (nested commutators one by one, the commutator chain and
+its case-2 fit, f(M) as a matrix, the similarity transform both ways, a
+sector-reduced angular solver, the commutes_* flags and the scan's R V
+and R^dag V with a dense R), or takes one relation at a time where the
+scan takes arrays.
 """
 
 import cmath
+import itertools
+import math
 from typing import Callable
 
 import numpy as np
 
-from gensym.detection import GenSymTriple
+from gensym.detection import GenSymTriple, _fit_case2
 from gensym.models import angular_block
 from gensym.operators import (
     DEFAULT_TOL,
@@ -20,6 +23,9 @@ from gensym.operators import (
     Operator,
     SpectralDecomposition,
     Tolerance,
+    _add_adjoint,
+    _times_m,
+    _unit,
     fro,
     make_operator,
     phase_canonicalize,
@@ -36,6 +42,33 @@ def iterated_commutator(h: Operator, m: Operator, n: int) -> Operator:
     for _ in range(n):
         c = c @ m.entries - m.entries @ c
     return make_operator(h.dim, c, f"[{h.label},{m.label}]_{n}")
+
+
+def commutator_chain(he: np.ndarray, m: Operator, a: int = 0, b: int = 0):
+    """Yield C_1, C_2, ... with C_k = [C_{k-1}, M / 2^b], C_0 = H / 2^a,
+    as gensym 0.18.0's detect formed them.
+
+    For Hermitian H and M, C_k is anti-Hermitian for odd k and Hermitian
+    for even k, so C_k = X - X^dag or X + X^dag with X = C_{k-1} M / 2^b:
+    one gemm per commutator (a column scale for a real diagonal M), and
+    each C_k is exactly (anti-)Hermitian.  Lazy, so a caller pays only for
+    the commutators it takes.
+    """
+    c = he * 2.0 ** -a
+    for k in itertools.count(1):
+        c = _times_m(c, m)
+        c *= 2.0 ** -b
+        yield _add_adjoint(c, -1 if k % 2 else 1)
+
+
+def chain_fit(h: Operator, m: Operator):
+    """(gamma, residual) of the case-2 fit C3 = gamma^2 C1 on the
+    commutator chain of (H / 2^a, M / 2^b), gamma in M's units: gensym
+    0.18.0's detect past its genuine gate."""
+    a, b = _unit(h.norm), _unit(m.norm)
+    c1, _, c3 = itertools.islice(commutator_chain(h.entries, m, a, b), 3)
+    gamma, residual = _fit_case2(c1, c3)
+    return math.ldexp(gamma, b), residual
 
 
 def matrix_function(m_spec: SpectralDecomposition,

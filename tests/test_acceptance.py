@@ -25,6 +25,7 @@ from gensym import (
     verify_triple,
 )
 from gensym.cli import main as cli_main
+from gensym.detection import PROBE_MARGIN
 from gensym.models import (
     angular_block,
     fermion_chain,
@@ -324,7 +325,14 @@ def test_09_imaginary_gamma_never_accepted(announce):
                 if abs(result.gamma - gamma.real) > 1e-12 * abs(gamma.real):
                     failures.append(f"{where}: gamma {result.gamma}, "
                                     f"reference {gamma}")
-            # A rejection reports the same fit residual as 0.1.0 did.
+            # A rejection reports the same fit residual as 0.1.0 did, or,
+            # screened, the probes' residual, within PROBE_MARGIN of it.
+            elif result.screened:
+                if not (residual / PROBE_MARGIN <= result.residual
+                        <= PROBE_MARGIN * residual):
+                    failures.append(f"{where}: screened residual "
+                                    f"{result.residual}, reference "
+                                    f"{residual}")
             elif abs(result.residual - residual) > 1e-12 * residual:
                 failures.append(f"{where}: residual {result.residual}, "
                                 f"reference {residual}")

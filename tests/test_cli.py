@@ -370,10 +370,12 @@ class TestAnalyzeCommand:
     def test_report_past_the_float_range_exits_2(self, tmp_path, capsys,
                                                  scale):
         # Every stage grades the pair in power-of-two units and verifies
-        # it, but the residuals of [H0, M] = 0 and [R, M] = gamma R,
-        # reported in the input's units, are past the float range: the
-        # report would hold inf, which JSON cannot, so nothing is written.
-        bundle = angular_block(2, -0.125, 0.1)
+        # it, but the residual of [R, M] = gamma R, reported in the
+        # input's units, is past the float range: the report would hold
+        # inf, which JSON cannot, so nothing is written.  (On
+        # angular_block(2, -0.125, 0.1), whose gamma the fit reads
+        # exactly, that residual is 0.)
+        bundle = hardcore_chain(4, 0.3 + 0.1j)
         hp, mp = str(tmp_path / "h.json"), str(tmp_path / "m.json")
         for a, path in ((bundle.h, hp), (bundle.m, mp)):
             save_operator(make_operator(a.dim, scale * a.entries), path)
@@ -388,7 +390,9 @@ class TestAnalyzeCommand:
     def test_fit_below_the_squared_range_exits_0_at_tol_0(self, tmp_path):
         # ||C1|| about 1e-170 passes no genuine gate at --tol 0, and its
         # square underflows: the fit runs on a power-of-two rescale, so the
-        # report holds a finite residual and is strict JSON.
+        # report holds a finite residual and is strict JSON.  The fit
+        # weighs H's entries by Delta = +-2 with no rounding: exactly case
+        # 2, which --tol 0 accepts.
         hp, mp = str(tmp_path / "h.json"), str(tmp_path / "m.json")
         save_operator(make_operator(2, [[1.0, 1e-170], [1e-170, -1.0]]), hp)
         save_operator(make_operator(2, [[1.0, 0.0], [0.0, -1.0]]), mp)
@@ -399,8 +403,8 @@ class TestAnalyzeCommand:
                          "--tol", "0", "--out", str(out)]) == EXIT_OK
         report = json.loads(out.read_text(encoding="utf-8"),
                             parse_constant=lambda token: pytest.fail(token))
-        assert report["detection"]["kind"] == "no_gensym"
-        assert 0.0 <= report["detection"]["residual"] <= 1e-15
+        assert report["detection"]["kind"] == "case2"
+        assert report["detection"]["residual"] == 0.0
 
     def test_near_degenerate_case2_pair_exits_0(self, tmp_path):
         # Three eigenvalues of H, s apart, form one cluster that spreads
@@ -543,7 +547,7 @@ class TestSweepCommand:
         for value in np.linspace(args.start, args.stop, args.steps):
             setattr(args, args.param, float(value))
             bundle = cli.build_model(args)
-            cli.detect(bundle.h, bundle.m, tol)
+            detection.detect(bundle.h, bundle.m, tol)
             h_spec = multiplets.canonical_eigenbasis(bundle.h, bundle.m, tol)
             m_spec = operators.hermitian_eigh(bundle.m, tol)
             part = multiplets.partition(h_spec, m_spec, tol)
@@ -589,13 +593,14 @@ class TestSweepCommand:
     def test_gamma_drift_at_fixed_m(self, monkeypatch, tmp_path, hbar, drift,
                                     code):
         # M = hbar L_z is held across a g sweep; gamma may not move under it.
-        detect_, step = cli.detect, itertools.count(1)
+        detect_, step = cli._detect, itertools.count(1)
 
-        def drifting_detect(h, m, tol):
-            result = detect_(h, m, tol)
-            return replace(result, gamma1=result.gamma1 + drift * next(step))
+        def drifting_detect(h, m, tol, m_spec):
+            result, held = detect_(h, m, tol, m_spec)
+            return (replace(result, gamma1=result.gamma1 + drift * next(step)),
+                    held)
 
-        monkeypatch.setattr(cli, "detect", drifting_detect)
+        monkeypatch.setattr(cli, "_detect", drifting_detect)
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "angular", "--l", "2", "--hbar", str(hbar),
                      "--param", "g", "--from", "0.05", "--to", "0.2",
@@ -643,13 +648,15 @@ class TestCostModel:
 
     @staticmethod
     def recording(monkeypatch, dim):
-        """Patch the solvers, the chain, the partition's cluster coordinates
-        and the pipeline's grading of (H0, R) to record their operand
-        dtypes (full-size eigh/eigvalsh only), and record the dim of every
-        operator the multiplet stage solves by a sort; returns the record."""
+        """Patch the solvers, the genuine gate's commutator C1, the
+        partition's cluster coordinates and the pipeline's grading of
+        (H0, R) to record their operand dtypes (full-size eigh/eigvalsh
+        only), and record the dim of every operator that detection or the
+        multiplet stage solves by a sort; returns the record.  "chain"
+        holds one entry per C1: detection forms no other commutator."""
         calls = {"eigh": [], "eigvalsh": [], "svd": [], "chain": [],
                  "coords": [], "triple": [], "sorted": []}
-        chain = detection._commutator_chain
+        times_m = detection._times_m
         cluster_norms = multiplets._cluster_norms
         grade = cli._grade_triple
         solve = operators.hermitian_eigh
@@ -663,9 +670,9 @@ class TestCostModel:
                 return solver(a, *args, **kwargs)
             return recorded
 
-        def recording_chain(he, m, *units):
-            calls["chain"].append((he.dtype, m.entries.dtype))
-            return chain(he, m, *units)
+        def recording_commutator(a, m):
+            calls["chain"].append((a.dtype, m.entries.dtype))
+            return times_m(a, m)
 
         def recording_coordinates(vectors, m_spec):
             # The dtype of the M-coordinates: rows of the vectors that the
@@ -686,24 +693,24 @@ class TestCostModel:
 
         for name in ("eigh", "eigvalsh", "svd"):
             monkeypatch.setattr(np.linalg, name, recording(name))
-        monkeypatch.setattr(detection, "_commutator_chain", recording_chain)
+        monkeypatch.setattr(detection, "_times_m", recording_commutator)
         monkeypatch.setattr(multiplets, "_cluster_norms",
                             recording_coordinates)
         monkeypatch.setattr(cli, "_grade_triple", recording_grade)
-        for module in (cli, multiplets):
+        for module in (cli, detection, multiplets):
             monkeypatch.setattr(module, "hermitian_eigh", recording_solve)
         return calls
 
     def analyze_recording(self, monkeypatch, h, m):
         """The report, and the operand dtypes of every eigh, eigvalsh and
-        svd call (full-size eigh/eigvalsh only), of every chain and of the
+        svd call (full-size eigh/eigvalsh only), of every C1 and of the
         partition's cluster coordinates, and of the (H0, R) arrays the
         pipeline grades."""
         calls = self.recording(monkeypatch, h.dim)
         return analyze_pair(h, m, Tolerance()), calls
 
     def analyze_counting(self, monkeypatch, h, m):
-        """The report and the full-size eigh, eigvalsh and chain calls."""
+        """The report and the full-size eigh, eigvalsh and C1 calls."""
         report, calls = self.analyze_recording(monkeypatch, h, m)
         return (report, len(calls["eigh"]), len(calls["eigvalsh"]),
                 len(calls["chain"]))
@@ -810,12 +817,12 @@ class TestCostModel:
     def test_residual_past_the_float_range_stops_before_eigh(self,
                                                              monkeypatch):
         # At (H, M) * 1e200 the triple verifies in power-of-two units, but
-        # its [H0, M] and [R, M] - gamma R residuals in the input's units
-        # are inf: analyze_pair stops there, before eigh(H), the partition
-        # and the scan, whose report could not be written.  The diagonal
-        # M = L_z is sorted before the grade, whose commutes_* flags read
-        # R's ladder blocks on M's clusters: a sort, no eigh.
-        bundle = angular_block(2, -0.125, 0.1)
+        # its [R, M] - gamma R residual in the input's units is inf:
+        # analyze_pair stops there, before eigh(H), the partition and the
+        # scan, whose report could not be written.  The diagonal M, the
+        # fermion number, is sorted for the fit, and the grade's commutes_*
+        # flags read R's ladder blocks on its clusters: a sort, no eigh.
+        bundle = hardcore_chain(4, 0.3 + 0.1j)
         h, m = (make_operator(a.dim, 1e200 * a.entries)
                 for a in (bundle.h, bundle.m))
         calls = self.recording(monkeypatch, h.dim)
@@ -851,16 +858,19 @@ class TestCostModel:
         assert (full_eigh, full_eigvalsh, chains) == (0, 1, 1)
 
     def test_no_gensym_values_only(self, monkeypatch, rng):
+        # A real diagonal M is not screened: C1, a sort of M for the fit,
+        # and the values of H.
         report, full_eigh, full_eigvalsh, chains = self.analyze_counting(
             monkeypatch, op(random_hermitian(rng, 12)),
-            op(random_hermitian(rng, 12)))
+            make_operator(12, np.diag(rng.normal(size=12))))
         assert report["detection"]["kind"] == "no_gensym"
+        assert report["detection"]["screened"] is False
         assert (full_eigh, full_eigvalsh, chains) == (0, 1, 1)
 
     def test_screened_no_gensym_forms_no_commutator(self, monkeypatch, rng):
-        # From the cutoff on, the probe screen rejects a dense random pair
-        # from thin products alone.
-        dim = detection.SCREEN_MIN_DIM
+        # At any dim, the probe screen rejects a dense random pair from
+        # thin products alone.
+        dim = 12
         report, full_eigh, full_eigvalsh, chains = self.analyze_counting(
             monkeypatch, op(random_hermitian(rng, dim)),
             op(random_hermitian(rng, dim)))
@@ -953,16 +963,40 @@ class TestCostModel:
         np.testing.assert_allclose(values, reference, rtol=0, atol=1e-12
                                    * np.max(np.abs(reference)))
 
-    def test_dense_case2_above_the_cutoff_makes_one_chain(self, monkeypatch):
-        bundle = projection_example(detection.SCREEN_MIN_DIM, seed=3)
+    def test_dense_case2_forms_one_commutator_and_one_eigh_of_m(
+            self, monkeypatch):
+        # The screen passes the pair on.  Of the n x n by n x n products
+        # that read H, M or eigh(M)'s W in place, the op forms three: C1's
+        # H M and the eigenpair residuals M W and H V.  The fit reads
+        # H~ = W^dag H W, rotated in n x TILE bands, and the split reuses
+        # it; 0.18.0 also formed C2 and C3 (five).  eigh(M) runs once, as
+        # eigh(H) does.
+        bundle = projection_example(160, seed=3)
+        gemms = []
+
+        class Counting(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                shapes = [np.shape(x) for x in inputs]
+                if ufunc is np.matmul and shapes == [(160, 160)] * 2:
+                    gemms.append(shapes)
+                plain = tuple(np.asarray(x) for x in inputs)
+                if "out" in kwargs:
+                    kwargs["out"] = tuple(np.asarray(x)
+                                          for x in kwargs["out"])
+                return getattr(ufunc, method)(*plain, **kwargs)
+
+        h, m = (Operator(x.dim, x.entries.view(Counting), x.label)
+                for x in (bundle.h, bundle.m))
         report, full_eigh, full_eigvalsh, chains = self.analyze_counting(
-            monkeypatch, bundle.h, bundle.m)
+            monkeypatch, h, m)
         assert report["detection"]["kind"] == "case2"
         assert report["detection"]["screened"] is False
         assert (full_eigh, full_eigvalsh, chains) == (2, 0, 1)
+        assert len(gemms) == 3
+        assert report == analyze_pair(bundle.h, bundle.m, Tolerance())
 
     def sweep_counting(self, monkeypatch, tmp_path, argv, dense=False):
-        """The full-size (dim 3) eigh, eigvalsh and chain calls of a sweep
+        """The full-size (dim 3) eigh, eigvalsh and C1 calls of a sweep
         that must stop after the partition, and its sorted solves of M;
         ``dense`` routes M through the dense path."""
         calls = self.recording(monkeypatch, 3)

@@ -26,11 +26,8 @@ from gensym.detection import (
     PROBE_MARGIN,
     PROBE_UPPER,
     PROBES,
-    SCREEN_MIN_DIM,
-    SCREEN_MIN_DIM_REAL,
     DetectionResult,
     _centred_times,
-    _commutator_chain,
     _fit_case2,
     _probe_block,
 )
@@ -46,12 +43,15 @@ from gensym.models import (
 from gensym.operators import TILE, NumericalError, _times_block, _unit, fro
 
 from conftest import SX, SZ, op, random_hermitian, traced_peak
-from reference import iterated_commutator, similarity_transform
+from reference import (chain_fit, commutator_chain, iterated_commutator,
+                       similarity_transform)
 
 PROJ = np.diag([1.0, 0.0])
+# The dim from which gensym 0.18.0 screened a pair with a complex operand.
+SCREEN_DIM = 160
 
 
-def commutator_chain(h, m, depth=3):
+def iterated_chain(h, m, depth=3):
     ops = [iterated_commutator(op(h), op(m), n) for n in range(1, depth + 1)]
     return ops
 
@@ -98,7 +98,7 @@ PAIRS = acceptance_pairs() + random_pairs()
 @pytest.mark.parametrize("name,h,m", PAIRS, ids=[p[0] for p in PAIRS])
 class TestCommutatorChain:
     def test_matches_iterated_commutator(self, name, h, m):
-        chain = _commutator_chain(h.entries, m)
+        chain = commutator_chain(h.entries, m)
         for k in (1, 2, 3):
             expected = iterated_commutator(h, m, k).entries
             bound = 1e-13 * h.norm * m.norm ** k
@@ -106,7 +106,7 @@ class TestCommutatorChain:
 
     def test_exact_hermitian_parity(self, name, h, m):
         c1, c2, c3 = itertools.islice(
-            _commutator_chain(h.entries, m), 3)
+            commutator_chain(h.entries, m), 3)
         np.testing.assert_array_equal(c1, -c1.conj().T)
         np.testing.assert_array_equal(c2, c2.conj().T)
         np.testing.assert_array_equal(c3, -c3.conj().T)
@@ -120,41 +120,40 @@ class TestCommutatorChain:
 
 class TestFitCase2:
     def test_pauli_projection(self):
-        c1, _, c3 = commutator_chain(SX, PROJ)
+        c1, _, c3 = iterated_chain(SX, PROJ)
         gamma, residual = _fit_case2(c1.entries, c3.entries)
         assert gamma == pytest.approx(1.0, abs=1e-12)
         assert residual <= 1e-12
 
     def test_pauli_involution(self):
-        c1, _, c3 = commutator_chain(SX, SZ)
+        c1, _, c3 = iterated_chain(SX, SZ)
         gamma, residual = _fit_case2(c1.entries, c3.entries)
         assert gamma == pytest.approx(2.0, abs=1e-12)
         assert residual <= 1e-12
 
     def test_matches_the_whole_array_residual_and_keeps_its_inputs(self):
-        # Dense M, case 2, and more rows than one block of the difference.
+        # Dense M, case 2.
         bundle = projection_example(2 * TILE + 1, seed=4)
         c1, _, c3 = itertools.islice(
-            _commutator_chain(bundle.h.entries, bundle.m), 3)
+            commutator_chain(bundle.h.entries, bundle.m), 3)
         saved = c1.tobytes(), c3.tobytes()
         gamma, residual = _fit_case2(c1, c3)
         assert (c1.tobytes(), c3.tobytes()) == saved
         gamma_sq = np.vdot(c1, c3).real / fro(c1) ** 2
         assert gamma == np.sqrt(gamma_sq) == pytest.approx(1.0)
         assert residual == fro(c3 - gamma_sq * c1) / fro(c3)
-        # Into C3's own buffer, as detect takes it: the same values.
-        assert _fit_case2(c1, c3, out=c3) == (gamma, residual)
-        assert c1.tobytes() == saved[0] and c3.tobytes() != saved[1]
 
     def test_commutators_below_the_squared_range_fit_by_a_rescale(self):
         # H = [[1, e], [e, -1]] with e = 1e-170 against M = sigma_z: ||C1||
         # is about 1e-170, so ||C1||^2 underflows to 0, yet the fit on a
         # power-of-two rescale reads gamma = 2 and a finite residual, and
-        # at rtol = 0 (no genuine gate) detect reports it with no warning.
+        # at rtol = 0 (no genuine gate) detect fits with no warning.  Its
+        # fit weighs H's entries by Delta = +-2, with no rounding: the
+        # pair is exactly case 2, and rtol = 0 accepts it.
         h = op(np.array([[1.0, 1e-170], [1e-170, -1.0]]))
         m = op(SZ)
         a, b = _unit(h.norm), _unit(m.norm)
-        c1, _, c3 = itertools.islice(_commutator_chain(h.entries, m, a, b), 3)
+        c1, _, c3 = itertools.islice(commutator_chain(h.entries, m, a, b), 3)
         assert fro(c1) ** 2 == 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -162,12 +161,12 @@ class TestFitCase2:
             result = detect(h, m, Tolerance(rtol=0.0))
         assert math.ldexp(gamma, b) == pytest.approx(2.0, rel=1e-12)
         assert 0.0 <= residual <= 1e-15
-        assert result.kind == NO_GENSYM
-        assert result.residual == residual
+        assert result.kind == CASE2 and result.residual == 0.0
+        assert result.gamma1 == pytest.approx(2.0, rel=1e-12)
 
     def test_vanishing_third_commutator_is_a_numerical_failure(self):
         # C1 != 0 forces C3 != 0, so C3 = 0 can only be underflow.
-        c1, _, _ = commutator_chain(SX, SZ)
+        c1, _, _ = iterated_chain(SX, SZ)
         with pytest.raises(NumericalError, match="underflows"):
             _fit_case2(c1.entries, np.zeros((2, 2)))
 
@@ -205,9 +204,9 @@ class TestDetect:
         assert result.residual > 0.1
 
     def test_screened_dense_pair_holds_one_band(self, rng):
-        # From SCREEN_MIN_DIM on the probe screen rejects a random pair
-        # before any commutator: its peak is one TILE-row band of H' or M'
-        # and the n x 8 probe blocks.  The chain's own peak is pinned by the
+        # The probe screen rejects a random dense pair before any
+        # commutator: its peak is one TILE-row band of H' or M' and the
+        # n x 8 probe blocks.  The exact path's peak is pinned by the
         # case-2 pair below.
         dim = 256
         h, m = (op(random_hermitian(rng, dim)) for _ in range(2))
@@ -217,7 +216,9 @@ class TestDetect:
 
     def test_dense_case2_pair_holds_three_commutators(self):
         # The probe screen runs first and passes the pair on; its copies
-        # are dropped before the chain starts, so the peak is the chain's.
+        # are dropped before C1 is formed.  Past the genuine gate, eigh(M)
+        # and then W^dag H W with W held stay within the three n^2 arrays
+        # that 0.18.0's commutator chain held: 3.01 complex n^2 here.
         bundle = projection_example(256, seed=5)
         h, m = bundle.h, bundle.m
         assert h.hermitian and m.hermitian  # gated outside the trace
@@ -228,6 +229,21 @@ class TestDetect:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             detect(op([[0, 1], [0, 0]]), op(SZ))
+
+    @pytest.mark.parametrize("cutoff", [16, 63])
+    @pytest.mark.parametrize("shift", [1e5, 1e7])
+    def test_shifted_diagonal_m_fits_to_the_last_digit(self, cutoff, shift):
+        # M + cI changes no commutator, and the fit weighs H's entries by
+        # differences of M's diagonal, which a shift of JC's integer
+        # diagonal leaves exact.  0.18.0's commutator chain on the shifted
+        # M read 6.6e-12 at c = 1e5, and 5.8e-10 (cutoff 16) and 5.7e-10
+        # (63) at c = 1e7, no_gensym at rtol 1e-11.
+        bundle = jaynes_cummings(1.0, 1.0, 0.1, cutoff)
+        m = make_operator(bundle.m.dim,
+                          bundle.m.entries + shift * np.eye(bundle.m.dim))
+        result = detect(bundle.h, m, Tolerance(rtol=1e-11))
+        assert result.kind == CASE2 and result.residual <= 1e-15
+        assert result.gamma1 == pytest.approx(2.0, rel=1e-15)
 
 
 class TestReconstructCase2:
@@ -652,7 +668,7 @@ def _never_screened():
     """(name, H, M): dense case-2 and genuine pairs, shifted and noisy."""
     rng = np.random.default_rng(11)
     pairs = []
-    for dim in (SCREEN_MIN_DIM, 257):
+    for dim in (SCREEN_DIM, 257):
         for build in (projection_example, involution_example):
             bundle = build(dim, seed=3)
             pairs.append((f"{build.__name__}_{dim}", bundle.h, bundle.m))
@@ -708,7 +724,9 @@ class TestScreen:
         monkeypatch.setattr(detection, "_probe_screen", spy)
         return runs
 
-    @pytest.mark.parametrize("dim,real", [(160, False), (200, False),
+    # At every dim: 159 and 319 are below gensym 0.18.0's size cutoffs.
+    @pytest.mark.parametrize("dim,real", [(159, False), (160, False),
+                                          (200, False), (319, True),
                                           (320, True)])
     def test_random_dense_pair_is_screened(self, monkeypatch, dim, real):
         h, m = _random_pair(dim, real)
@@ -716,8 +734,7 @@ class TestScreen:
         result = detect(h, m)
         assert result.kind == NO_GENSYM and result.screened
         assert runs == [result.residual] and detect(h, m) == result
-        c1, _, c3 = itertools.islice(_commutator_chain(h.entries, m), 3)
-        exact = _fit_case2(c1, c3)[1]
+        exact = chain_fit(h, m)[1]
         assert exact / PROBE_MARGIN <= result.residual <= PROBE_MARGIN * exact
 
     @pytest.mark.parametrize("name,h,m", NEVER_SCREENED,
@@ -760,17 +777,9 @@ class TestScreen:
         assert PROBE_LOWER <= ratio.min() and ratio.max() <= PROBE_UPPER
 
     def test_probes_are_seeded(self):
-        v = _probe_block(SCREEN_MIN_DIM)
-        assert v.shape == (SCREEN_MIN_DIM, PROBES) and v.dtype == complex
-        np.testing.assert_array_equal(v, _probe_block(SCREEN_MIN_DIM))
-
-    @pytest.mark.parametrize("dim,real", [(SCREEN_MIN_DIM - 1, False),
-                                          (SCREEN_MIN_DIM_REAL - 1, True)])
-    def test_below_the_cutoff_the_screen_does_not_run(self, monkeypatch,
-                                                      dim, real):
-        h, m = _random_pair(dim, real)
-        runs = self.spied(monkeypatch)
-        assert detect(h, m).kind == NO_GENSYM and runs == []
+        v = _probe_block(SCREEN_DIM)
+        assert v.shape == (SCREEN_DIM, PROBES) and v.dtype == complex
+        np.testing.assert_array_equal(v, _probe_block(SCREEN_DIM))
 
     def test_diagonal_m_is_not_screened(self, monkeypatch):
         jc = jaynes_cummings(1.0, 1.0, 0.1, 255)

@@ -13,7 +13,7 @@ and scan read R's ladder blocks, agrees with it to 1e-12.
 import numpy as np
 import pytest
 
-from gensym import cli, models, operators
+from gensym import cli, detect, models, operators
 from gensym.operators import Tolerance, hermitian_eigh, make_operator
 from gensym.serialization import dump_json
 
@@ -177,7 +177,7 @@ PAIRS = pair_builders()
 
 
 def test_the_pair_set_has_47_case2_and_9_genuine():
-    kinds = [cli.detect(*build(), Tolerance()).kind for _, build in PAIRS]
+    kinds = [detect(*build(), Tolerance()).kind for _, build in PAIRS]
     assert (len(kinds), kinds.count("case2"), kinds.count("genuine")) == \
         (56, 47, 9)
 

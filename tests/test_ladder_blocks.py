@@ -157,12 +157,12 @@ def test_analyze_pair_never_forms_the_permutation_matrix(monkeypatch):
     # are formed only when a caller reads eigenvectors.
     h, m = pair("hardcore_5", 0.0)
     solved = []
-    solve = cli.hermitian_eigh
+    solve = detection.hermitian_eigh
 
     def recording(a, tol):
         solved.append(solve(a, tol))
         return solved[-1]
-    monkeypatch.setattr(cli, "hermitian_eigh", recording)
+    monkeypatch.setattr(detection, "hermitian_eigh", recording)
     report = cli.analyze_pair(h, m, Tolerance())
     assert report["stability"] is not None
     (spec,) = solved

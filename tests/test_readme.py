@@ -4,13 +4,7 @@ tables quote the module constants."""
 import re
 from pathlib import Path
 
-from gensym.detection import (
-    PROBE_MARGIN,
-    PROBE_UPPER,
-    PROBES,
-    SCREEN_MIN_DIM,
-    SCREEN_MIN_DIM_REAL,
-)
+from gensym.detection import PROBE_MARGIN, PROBE_UPPER, PROBES
 
 from test_cli import CASE2_OP_PEAKS
 
@@ -28,9 +22,8 @@ def test_python_blocks_run():
 def test_gates_table_quotes_the_probe_screen_constants():
     row = next(line for line in README.read_text(encoding="utf-8").split("\n")
                if line.startswith("| `no_gensym` probe screen"))
-    for quoted in (f"n ≥ {SCREEN_MIN_DIM} (a complex operand)",
-                   f"n ≥ {SCREEN_MIN_DIM_REAL} (a real pair)",
-                   f"`V` of {PROBES} probes", f"√(2·{PROBES}·u)",
+    for quoted in ("every dense `M`", f"`V` of {PROBES} probes",
+                   f"√(2·{PROBES}·u)",
                    f"`u = {PROBE_UPPER:.2f}`", f"`{PROBE_MARGIN:.1f}·rtol`"):
         assert quoted in row
 

@@ -11,8 +11,7 @@ import pytest
 
 from gensym import (NumericalError, SpectralDecomposition, Tolerance, detect,
                     hermitian_eigh, make_operator, partition)
-from gensym.detection import (SCREEN_MIN_DIM, _probe_screen,
-                              reconstruct_case2, verify_triple)
+from gensym.detection import _probe_screen, reconstruct_case2, verify_triple
 from gensym import stability
 from gensym.operators import (_hermitian_eigvalsh, _ladder_blocks,
                               _skew_norm, _unit, fro, is_hermitian)
@@ -177,11 +176,11 @@ def test_support_eps(factor, inside):
 
 @SIDES
 def test_probe_margin(rng, factor, inside):
-    # A dense complex pair at the screen's cutoff: its probe fit residual
-    # rho is taken first, then rtol = rho / (factor * margin), so rho sits
-    # at factor * margin * rtol.  Inside the margin the probes pass the
-    # pair on to the exact fit; outside they reject it.
-    h, m = (op(random_hermitian(rng, SCREEN_MIN_DIM)) for _ in range(2))
+    # A dense complex pair of dim 160: its probe fit residual rho is
+    # taken first, then rtol = rho / (factor * margin), so rho sits at
+    # factor * margin * rtol.  Inside the margin the probes pass the pair
+    # on to the exact fit; outside they reject it.
+    h, m = (op(random_hermitian(rng, 160)) for _ in range(2))
     rho = _probe_screen(h.entries, m.entries, _unit(h.norm), _unit(m.norm),
                         0.0, 0.0)
     assert 1e-3 < rho < 1.0
